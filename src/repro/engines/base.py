@@ -173,11 +173,11 @@ class Engine:
     #: hoisting, and partitioner propagation through maps (toggled per
     #: run by ``EmmaConfig.physical_planning``)
     physical_planning = True
-    #: host-parallel execution backend for partition tasks: "serial"
-    #: runs the operators' original inline loops; "threads"/"processes"
-    #: fan the pure per-partition work out on the engine's
-    #: :class:`~repro.engines.scheduler.TaskScheduler` (results and
-    #: ``simulated_seconds`` stay bit-identical — only wall clock moves)
+    #: how the engine's :class:`~repro.engines.scheduler.TaskScheduler`
+    #: dispatches partition tasks: "serial" runs them inline, in order;
+    #: "threads"/"processes" fan the same pure per-partition work out
+    #: (results and ``simulated_seconds`` stay bit-identical — only
+    #: wall clock moves)
     execution_mode = "serial"
     #: concurrent partition-task slots (0 = one per host CPU core)
     max_parallel_tasks = 0
@@ -346,8 +346,8 @@ class Engine:
     ) -> None:
         """Select the host-parallel backend for partition tasks.
 
-        ``mode`` is one of ``"serial"`` (the operators' original inline
-        loops), ``"threads"`` (in-process thread pool — useful for
+        ``mode`` is one of ``"serial"`` (tasks run inline, in order, in
+        the driver), ``"threads"`` (in-process thread pool — useful for
         testing the scheduler without pickling), or ``"processes"``
         (a spawn-context ``ProcessPoolExecutor`` with source-shipped
         chain kernels; the mode that buys real multi-core wall clock).
@@ -374,9 +374,10 @@ class Engine:
     def scheduler(self) -> "TaskScheduler":
         """The engine's task scheduler, built on first use.
 
-        Built lazily so serial-mode engines never pay for pool setup,
-        and rebuilt after every :meth:`configure_execution` so mode and
-        width changes take effect immediately.
+        Pools are created on a mode's first task, so a serial-mode
+        scheduler costs nothing; it is rebuilt after every
+        :meth:`configure_execution` so mode and width changes take
+        effect immediately.
         """
         if self._scheduler is None:
             from repro.engines.scheduler import TaskScheduler

@@ -489,12 +489,22 @@ class ColumnBatch:
         self.schema = schema
         self.columns = columns
         self.nrows = nrows
+        #: the at-rest partition list this full-width batch images, set
+        #: only by ``JobExecutor._store_batches`` when it caches the
+        #: batch for that partition's bag.  Never pickled: a worker
+        #: process unpacks the buffers.
+        self.rows: list | None = None
 
     def __len__(self) -> int:
         return self.nrows
 
     def to_records(self) -> list:
-        """Reconstruct the exact row-at-a-time records."""
+        """The exact row-at-a-time records.  Read-only: a batch cached
+        for a bag at rest hands back that bag's own partition list
+        (:attr:`rows`) instead of rebuilding every record, so callers
+        must not mutate the result."""
+        if self.rows is not None:
+            return self.rows
         lists = [_column_list(c) for c in self.columns]
         if self.schema.kind == "scalar":
             return lists[0]
@@ -813,13 +823,17 @@ def probe_join(
             for i, j in zip(li.tolist(), ri.tolist()):
                 append((lrows[i], rrows[j]))
         return rows
+    return hash_probe(lrows, lkeys, rrows, rkeys)
+
+
+def hash_probe(lrows: list, lkeys: list, rrows: list, rkeys: list) -> list:
+    """The row hash join: build a table over the right side, then emit
+    each left row's matches in right-side order."""
     table: dict = {}
     for r, k in zip(rrows, rkeys):
         table.setdefault(k, []).append(r)
-    for x, k in zip(lrows, lkeys):
-        for m in table.get(k, ()):
-            append((x, m))
-    return rows
+    matches = table.get
+    return [(x, m) for x, k in zip(lrows, lkeys) for m in matches(k, ())]
 
 
 def normalize_batch(batch: ColumnBatch) -> ColumnBatch:

@@ -49,20 +49,12 @@ from repro.engines.chainkernel import (
 from repro.engines.columnar import (
     HAS_NUMPY,
     ColumnBatch,
-    bucket_indices,
     build_batch,
     concat_batches,
     normalize_batch,
     infer_schema,
-    probe_join,
-    scatter_batch,
 )
-from repro.engines.cluster import (
-    PartitionedBag,
-    Partitioner,
-    hash_partition_index,
-    stable_hash,
-)
+from repro.engines.cluster import PartitionedBag, Partitioner
 from repro.engines.costmodel import JoinObservation
 from repro.engines.metrics import JobRun
 from repro.engines.scheduler import (
@@ -71,19 +63,14 @@ from repro.engines.scheduler import (
     BroadcastProbeSpec,
     BroadcastSemiSpec,
     BucketSpec,
-    ColumnarBucketSpec,
-    ColumnarGroupSpec,
-    ColumnarJoinProbeSpec,
     FoldSpec,
     GroupSpec,
     JoinProbeSpec,
     KernelSpec,
     PartitionTask,
     SemiProbeSpec,
-    TaskStage,
     UdfRef,
-    VectorKernelSpec,
-    group_rows_by_keys,
+    stage_of,
 )
 from repro.engines.sizes import (
     estimate_bag_bytes,
@@ -92,7 +79,6 @@ from repro.engines.sizes import (
 )
 from repro.errors import EngineError, SimulatedMemoryError
 from repro.lowering.combinators import (
-    AggResult,
     CAggBy,
     CBagRef,
     CChain,
@@ -274,22 +260,15 @@ class JobExecutor:
             worker = faults.effective_worker(worker)
         return worker
 
-    # -- parallel backend --------------------------------------------------
-
-    @property
-    def _parallel(self) -> bool:
-        """Whether partition tasks fan out on the host-parallel backend.
-
-        In ``serial`` mode the operators below run their original
-        inline loops; in ``threads``/``processes`` mode the pure
-        per-partition work routes through the engine's
-        :class:`~repro.engines.scheduler.TaskScheduler` and *all*
-        cost charging and fault injection happens afterwards, in
-        deterministic partition order — which is what keeps
-        ``simulated_seconds``, injected fault schedules, and results
-        bit-identical across the three modes.
-        """
-        return self.engine.execution_mode != "serial"
+    # -- task scheduling ----------------------------------------------------
+    #
+    # Operators hand their per-partition UDF work to the engine's
+    # scheduler as ``TaskSpec`` tasks — the same tasks in every
+    # execution mode, run inline in ``serial`` and fanned out in
+    # ``threads``/``processes`` — and do *all* cost charging and fault
+    # injection afterwards in the driver, in ascending partition order.
+    # That is what keeps results, ``simulated_seconds`` and injected
+    # fault schedules bit-identical across the three modes.
 
     def _udf_ref(self, compiled: _CompiledUdf) -> UdfRef:
         """The shippable source form of a compiled UDF."""
@@ -313,42 +292,6 @@ class JobExecutor:
             for name, attrs in scheduler.events:
                 tracer.event(name, ts=self.job.trace_ts(), **attrs)
         scheduler.events.clear()
-
-    def _kernel_stage(
-        self,
-        kernel: ChainKernel,
-        partitions: list[list[Any]],
-        label: str = "",
-    ) -> list[Any]:
-        """Fan a chain kernel over partitions: ``[(rows, counts)]``."""
-        spec = KernelSpec(kernel.steps, prepared=kernel)
-        tasks = [
-            PartitionTask(i, spec, p, label)
-            for i, p in enumerate(partitions)
-        ]
-        return self._run_stage(tasks)
-
-    def _kernel_partitions(
-        self, comb: Combinator, source: PartitionedBag
-    ) -> list[list[Any]]:
-        """Run a narrow operator as parallel single-step kernel tasks.
-
-        The kernel computes exactly what the operator's serial loop
-        computes (PR 1's equivalence guarantee), and
-        :meth:`_charge_kernel` charges exactly what the serial loop
-        charges, so this path differs from serial only in wall-clock.
-        """
-        kernel = self._op_kernel(comb)
-        results = self._kernel_stage(
-            kernel, source.partitions, comb.label()
-        )
-        out: list[list[Any]] = []
-        for i, (p, (rows, counts)) in enumerate(
-            zip(source.partitions, results)
-        ):
-            self._charge_kernel(kernel, i, p, counts)
-            out.append(rows)
-        return out
 
     # -- leaves ---------------------------------------------------------------
 
@@ -425,25 +368,7 @@ class JobExecutor:
             f"(found {type(value).__name__})"
         )
 
-    # -- element-wise -----------------------------------------------------------
-
-    def _exec_map(self, comb: CMap) -> PartitionedBag:
-        source = self._exec(comb.input)
-        if self._parallel:
-            out = self._kernel_partitions(comb, source)
-            self.engine.metrics.udf_invocations += source.count()
-            return PartitionedBag(
-                out, self._map_output_partitioner(comb, source)
-            )
-        fn, extra = self._compile_udf(comb.fn)
-        out = []
-        for i, p in enumerate(source.partitions):
-            out.append([fn(x) for x in p])
-            self._charge_cpu(i, len(p) * (1 + extra) + self._record_ops(p))
-        self.engine.metrics.udf_invocations += source.count()
-        return PartitionedBag(
-            out, self._map_output_partitioner(comb, source)
-        )
+    # -- element-wise operators and fused chains -------------------------------
 
     def _map_output_partitioner(
         self, comb: CMap, source: PartitionedBag
@@ -509,50 +434,6 @@ class JobExecutor:
             ScalarFn(("_r",), out_body), source.num_partitions
         )
 
-    def _exec_flat_map(self, comb: CFlatMap) -> PartitionedBag:
-        source = self._exec(comb.input)
-        if self._parallel:
-            out = self._kernel_partitions(comb, source)
-            self.engine.metrics.udf_invocations += source.count()
-            return PartitionedBag(out)
-        fn, extra = self._compile_udf(comb.fn)
-        out = []
-        for i, p in enumerate(source.partitions):
-            rows: list[Any] = []
-            for x in p:
-                produced = fn(x)
-                if isinstance(produced, DataBag):
-                    rows.extend(produced.fetch())
-                else:
-                    rows.extend(produced)
-            out.append(rows)
-            self._charge_cpu(
-                i,
-                len(p) * (1 + extra)
-                + len(rows)
-                + self._record_ops(p),
-            )
-        self.engine.metrics.udf_invocations += source.count()
-        return PartitionedBag(out)
-
-    def _exec_filter(self, comb: CFilter) -> PartitionedBag:
-        source = self._exec(comb.input)
-        if self._parallel:
-            out = self._kernel_partitions(comb, source)
-            self.engine.metrics.udf_invocations += source.count()
-            # Filtering preserves the partitioning of its input.
-            return PartitionedBag(out, source.partitioner)
-        fn, extra = self._compile_udf(comb.predicate)
-        out = []
-        for i, p in enumerate(source.partitions):
-            out.append([x for x in p if fn(x)])
-            self._charge_cpu(i, len(p) * (1 + extra) + self._record_ops(p))
-        self.engine.metrics.udf_invocations += source.count()
-        # Filtering preserves the partitioning of its input.
-        return PartitionedBag(out, source.partitioner)
-
-    # -- fused operator chains --------------------------------------------------
-
     _STEP_KINDS: dict[type, str] = {
         CMap: MAP,
         CFlatMap: FLATMAP,
@@ -572,44 +453,22 @@ class JobExecutor:
             bindings=compiled.bindings,
         )
 
-    def _chain_kernel(self, comb: CChain) -> ChainKernel:
-        """The compiled per-partition kernel for a chain (one per job)."""
-        kernel = self._kernel_memo.get(id(comb))
-        if kernel is None:
-            kernel = build_chain_kernel(
-                [self._kernel_step(op) for op in comb.ops]
-            )
-            self._kernel_memo[id(comb)] = kernel
-        return kernel
+    def _kernel(self, comb: Combinator) -> ChainKernel:
+        """The compiled per-partition kernel for a chain or a single
+        narrow operator (one per job).
 
-    def _op_kernel(self, comb: Combinator) -> ChainKernel:
-        """A single-step kernel for a narrow operator (parallel modes).
-
-        Serial mode runs maps/filters/flat-maps as plain closure loops;
-        the parallel backend wraps the single operator in the same
-        generated-kernel machinery chains use, because that is what
-        makes it shippable to worker processes as source.
+        A lone map/filter/flat-map runs through the same
+        generated-kernel machinery chains use: that is what makes it
+        shippable to worker processes as source.
         """
         kernel = self._kernel_memo.get(id(comb))
         if kernel is None:
-            kernel = build_chain_kernel([self._kernel_step(comb)])
+            ops = comb.ops if isinstance(comb, CChain) else (comb,)
+            kernel = build_chain_kernel(
+                [self._kernel_step(op) for op in ops]
+            )
             self._kernel_memo[id(comb)] = kernel
         return kernel
-
-    def _run_chain(
-        self,
-        kernel: ChainKernel,
-        partition_index: int,
-        partition: list[Any],
-        emit: Callable[[Any], Any],
-    ) -> tuple[list[int], int]:
-        """Stream one partition through the kernel, charging exactly
-        what the unfused operators would — minus the per-operator
-        materialization: ``_record_ops`` is paid once per chain."""
-        counts = kernel.run(partition, emit)
-        return self._charge_kernel(
-            kernel, partition_index, partition, counts
-        )
 
     def _charge_kernel(
         self,
@@ -618,13 +477,10 @@ class JobExecutor:
         partition: list[Any],
         counts: tuple,
     ) -> tuple[list[int], int]:
-        """Charge one completed kernel task from its counters alone.
-
-        Factored out of :meth:`_run_chain` so the parallel backend —
-        which gets ``counts`` back from a worker instead of running the
-        kernel inline — charges through the identical code path, in the
-        identical partition order.
-        """
+        """Charge one completed kernel task from its counters alone:
+        exactly what the unfused operators would cost, minus the
+        per-operator materialization (``_record_ops`` is paid once per
+        chain)."""
         entered, emitted = kernel.entered_counts(len(partition), counts)
         ops = self._record_ops(partition)
         ci = 0
@@ -748,15 +604,6 @@ class JobExecutor:
             total_bytes=sum(per_column),
         )
 
-    def _partition_batches(
-        self,
-        comb: CChain,
-        vk: VectorKernel,
-        source: PartitionedBag,
-    ) -> dict[int, ColumnBatch]:
-        """Per-partition batches projected to one chain's needed columns."""
-        return self._source_batches(comb, vk.schema, vk.needed, source)
-
     def _source_batches(
         self,
         comb: Combinator,
@@ -779,19 +626,10 @@ class JobExecutor:
         columns; exchange operators pass ``needed=None`` for full-width
         batches so the far side can reconstruct complete records.
         """
-        cache = self.engine._batch_cache
-        stamp = (
-            tuple(map(id, source.partitions)),
-            tuple(map(len, source.partitions)),
-        )
         key = (schema.signature(), needed)
-        entry = cache.get(source)
-        if entry is not None and entry[0] != stamp:
-            entry = None
-        if entry is not None:
-            hit = entry[1].get(key)
-            if hit is not None:
-                return hit
+        hit = self._cached_batches(source).get(key)
+        if hit is not None:
+            return hit
         metrics = self.engine.metrics
         batches: dict[int, ColumnBatch] = {}
         traced: list[ColumnBatch] = []
@@ -808,21 +646,51 @@ class JobExecutor:
             batches[i] = batch
             traced.append(batch)
         self._trace_columnar_batches(comb, traced)
-        if entry is not None:
-            entry[1][key] = batches
-        else:
-            cache[source] = (stamp, {key: batches})
+        self._store_batches(source, key, batches)
+        return batches
+
+    def _cached_batches(self, bag: PartitionedBag) -> dict:
+        """``bag``'s batch-cache entry (``key -> batches``), emptied
+        first if any partition list was replaced since it was stamped."""
+        cache = self.engine._batch_cache
+        stamp = (
+            tuple(map(id, bag.partitions)),
+            tuple(map(len, bag.partitions)),
+        )
+        entry = cache.get(bag)
+        if entry is None or entry[0] != stamp:
+            entry = cache[bag] = (stamp, {})
+        return entry[1]
+
+    def _store_batches(
+        self,
+        bag: PartitionedBag,
+        key: tuple,
+        batches: dict[int, ColumnBatch],
+    ) -> None:
+        """Cache ``batches`` as the columnar image of ``bag`` at rest.
+
+        The one writer of the engine's batch cache, and of
+        :attr:`ColumnBatch.rows`: a full-width batch (``key[1] is
+        None``) remembers the partition list it images, so an
+        in-process consumer reads the records it already has instead of
+        rebuilding them from columns.  The stamp invalidates the entry,
+        ``rows`` with it, the moment a partition list is replaced.
+        """
+        if key[1] is None:
+            for i, batch in batches.items():
+                batch.rows = bag.partitions[i]
+        self._cached_batches(bag)[key] = batches
         if batches and self.engine.spill.active:
             # Charge the at-rest batches against the driver budget; a
             # budget eviction simply drops the cache entry (batches are
             # re-packed on demand, a pure wall-clock cost).
             self.engine.spill.register_batches(
-                source,
+                bag,
                 sum(
                     sum(b.column_nbytes()) for b in batches.values()
                 ),
             )
-        return batches
 
     # -- columnar exchange plane -------------------------------------------
 
@@ -853,6 +721,20 @@ class JobExecutor:
             bindings=compiled.bindings,
         )
 
+    def _key_columns(
+        self, compiled: _CompiledUdf, vk: VectorKernel | None
+    ) -> tuple[KernelStep | None, Any]:
+        """``(key_step, schema)`` spec arguments: the columnar side of
+        a key when its vector kernel engaged, else ``(None, None)``."""
+        if vk is None:
+            return None, None
+        return self._key_step(compiled), vk.schema
+
+    def _count_blocks_shipped(self, blocks: int) -> None:
+        """Batch payloads only *ship* across a process boundary."""
+        if self.engine.execution_mode == "processes":
+            self.engine.metrics.columnar_blocks_shipped += blocks
+
     def _key_kernel(
         self, comb: Combinator, key_ir: ScalarFn, schema: Any
     ) -> VectorKernel | None:
@@ -872,157 +754,107 @@ class JobExecutor:
         return vk
 
     def _exchange_prep(
-        self, comb: Combinator, key_ir: ScalarFn, bag: PartitionedBag
-    ) -> tuple[VectorKernel, dict[int, ColumnBatch]] | None:
+        self,
+        comb: Combinator | None,
+        key_ir: ScalarFn,
+        bag: PartitionedBag,
+    ) -> tuple[VectorKernel | None, dict[int, ColumnBatch]]:
         """Key kernel + full-width batches for one exchange input.
 
-        ``None`` means the whole input falls back to the row plane
-        (untyped records or a key UDF outside the vectorizable subset,
-        each counted once).  Batches are always full width — never
+        ``comb`` is the exchange operator when its columnar plane is
+        active, else ``None``.  ``(None, {})`` means the whole input
+        stays on the row plane (plane inactive, untyped records, or a
+        key UDF outside the vectorizable subset — the latter two
+        counted once each).  Batches are always full width — never
         projected to the key columns — so both driver and workers can
         reconstruct complete records from the same cached entry in
         every execution mode, keeping fallback and batch counters
         mode-invariant.
         """
+        row_plane: tuple[None, dict[int, ColumnBatch]] = (None, {})
         sample = next((p for p in bag.partitions if p), None)
-        if sample is None:
-            return None
+        if comb is None or sample is None:
+            return row_plane
         schema, reason = infer_schema(sample)
         if schema is None:
             self._count_columnar_fallback(comb, reason, "input")
-            return None
+            return row_plane
         vk = self._key_kernel(comb, key_ir, schema)
         if vk is None:
-            return None
+            return row_plane
         batches = self._source_batches(comb, schema, None, bag)
-        if not batches:
-            return None
-        return vk, batches
+        return (vk, batches) if batches else row_plane
 
-    def _exec_chain_columnar(
-        self, comb: CChain, kernel: ChainKernel, source: PartitionedBag
-    ) -> PartitionedBag | None:
-        """Run a chain batch-at-a-time; ``None`` defers to the row path.
+    def _exec_narrow(self, comb: Combinator) -> PartitionedBag:
+        """Maps, flat-maps, filters and fused chains: one kernel stage.
 
-        Results and all simulated accounting are bit-identical to the
-        row kernel: the vector kernel returns the same counts tuple and
-        is charged through the same :meth:`_charge_kernel`, in the same
-        partition order (so fault schedules line up too).  Partitions
-        whose records do not fit the inferred schema fall back to the
-        row kernel individually, counted in ``columnar_fallbacks``.
+        A chain the optimizer selected for the columnar plane hands
+        each partition that packs into a :class:`ColumnBatch` to the
+        spec as typed buffers; the vector kernel returns the same
+        counts tuple as the row kernel and is charged through the same
+        :meth:`_charge_kernel`, in the same partition order, so results,
+        simulated accounting and fault schedules do not depend on the
+        plane.  Partitions whose records do not fit the inferred schema
+        take the row kernel individually (counted in
+        ``columnar_fallbacks``), as does everything else.
         """
-        sample = next((p for p in source.partitions if p), None)
-        if sample is None:
-            return None
-        vk = self._vector_kernel(comb, kernel, sample)
-        if vk is None:
-            return None
-        metrics = self.engine.metrics
-        batches = self._partition_batches(comb, vk, source)
-        total_invocations = 0
+        source = self._exec(comb.input)
+        kernel = self._kernel(comb)
+        vk = None
+        batches: dict[int, ColumnBatch] = {}
+        if isinstance(comb, CChain):
+            self._charge_chain_overheads(kernel)
+            sample = next((p for p in source.partitions if p), None)
+            if sample is not None and self._columnar_active(comb):
+                vk = self._vector_kernel(comb, kernel, sample)
+            if vk is not None:
+                batches = self._source_batches(
+                    comb, vk.schema, vk.needed, source
+                )
+        spec = KernelSpec(
+            kernel.steps,
+            vk.schema if vk is not None else None,
+            prepared=(kernel, vk),
+        )
+        results = self._run_stage(
+            [
+                PartitionTask(i, spec, batches.get(i, p), comb.label())
+                for i, p in enumerate(source.partitions)
+            ]
+        )
+        invocations = 0
         out: list[list[Any]] = []
         out_batches: dict[int, ColumnBatch] = {}
         row_out = False
-        if self._parallel:
-            vspec = VectorKernelSpec(kernel.steps, vk.schema, prepared=vk)
-            rspec = KernelSpec(kernel.steps, prepared=kernel)
-            tasks = []
-            for i, p in enumerate(source.partitions):
-                batch = batches.get(i)
-                if batch is not None:
-                    tasks.append(
-                        PartitionTask(i, vspec, batch, comb.label())
-                    )
-                else:
-                    tasks.append(
-                        PartitionTask(i, rspec, p, comb.label())
-                    )
-            results = self._run_stage(tasks)
-            for i, (p, (payload, counts)) in enumerate(
-                zip(source.partitions, results)
-            ):
-                if isinstance(payload, ColumnBatch):
-                    rows = payload.to_records()
-                    if rows:
-                        out_batches[i] = payload
-                else:
-                    rows = payload
-                    row_out = row_out or bool(rows)
-                entered, _emitted = self._charge_kernel(
-                    kernel, i, p, counts
-                )
-                out.append(rows)
-                total_invocations += sum(entered)
+        for i, (p, (payload, counts)) in enumerate(
+            zip(source.partitions, results)
+        ):
+            if isinstance(payload, ColumnBatch):
+                rows = payload.to_records()
+                if rows:
+                    out_batches[i] = payload
+            else:
+                rows = payload
+                row_out = row_out or bool(rows)
+            entered, _emitted = self._charge_kernel(kernel, i, p, counts)
+            out.append(rows)
+            invocations += sum(entered)
+        self.engine.metrics.udf_invocations += invocations
+        if isinstance(comb, CMap):
+            partitioner = self._map_output_partitioner(comb, source)
+        elif isinstance(comb, CFilter) or (
+            isinstance(comb, CChain) and comb.preserves_partitioning()
+        ):
+            partitioner = source.partitioner
         else:
-            for i, p in enumerate(source.partitions):
-                batch = batches.get(i)
-                if batch is not None:
-                    out_batch, counts = vk.run_batch(batch)
-                    rows = out_batch.to_records()
-                    if rows:
-                        out_batches[i] = out_batch
-                else:
-                    rows = []
-                    counts = kernel.run(p, rows.append)
-                    row_out = row_out or bool(rows)
-                entered, _emitted = self._charge_kernel(
-                    kernel, i, p, counts
-                )
-                out.append(rows)
-                total_invocations += sum(entered)
-        metrics.udf_invocations += total_invocations
-        result = PartitionedBag(
-            out,
-            source.partitioner
-            if comb.preserves_partitioning()
-            else None,
-        )
+            partitioner = None
+        result = PartitionedBag(out, partitioner)
         if out_batches and not row_out:
             # The chain's output is columnar-at-rest: keep it so.  A
             # row-kernel partition poisons the seed — a partial entry
             # would stop a later consumer from packing those rows.
             self._seed_batches(result, out_batches)
         return result
-
-    def _exec_chain(self, comb: CChain) -> PartitionedBag:
-        source = self._exec(comb.input)
-        kernel = self._chain_kernel(comb)
-        self._charge_chain_overheads(kernel)
-        if self._columnar_active(comb):
-            columnar = self._exec_chain_columnar(comb, kernel, source)
-            if columnar is not None:
-                return columnar
-        total_invocations = 0
-        out: list[list[Any]] = []
-        if self._parallel:
-            results = self._kernel_stage(
-                kernel, source.partitions, comb.label()
-            )
-            for i, (p, (rows, counts)) in enumerate(
-                zip(source.partitions, results)
-            ):
-                entered, _emitted = self._charge_kernel(
-                    kernel, i, p, counts
-                )
-                out.append(rows)
-                total_invocations += sum(entered)
-            self.engine.metrics.udf_invocations += total_invocations
-            return PartitionedBag(
-                out,
-                source.partitioner
-                if comb.preserves_partitioning()
-                else None,
-            )
-        for i, p in enumerate(source.partitions):
-            rows: list[Any] = []
-            entered, _emitted = self._run_chain(kernel, i, p, rows.append)
-            out.append(rows)
-            total_invocations += sum(entered)
-        self.engine.metrics.udf_invocations += total_invocations
-        partitioner = (
-            source.partitioner if comb.preserves_partitioning() else None
-        )
-        return PartitionedBag(out, partitioner)
 
     # -- shuffles ---------------------------------------------------------------
 
@@ -1037,60 +869,27 @@ class JobExecutor:
         """Bucket tasks for every partition, columnar where possible.
 
         With an active columnar exchange, partitions that packed into a
-        :class:`ColumnBatch` ship as typed buffers and bucket
-        batch-at-a-time on the worker; the rest (and everything, when
-        ``exchange`` is ``None``) take the row spec.  Both specs
-        reproduce ``stable_hash`` bucketing bit-identically, so mixing
+        :class:`ColumnBatch` are handed over as typed buffers and
+        bucket batch-at-a-time; the rest (and everything, when
+        ``exchange`` is ``None``) go as row lists.  Either payload
+        reproduces ``stable_hash`` bucketing bit-identically, so mixing
         them within one stage is invisible to results.
         """
         compiled = self._udf_compilation(key_ir)
-        key_ref = self._udf_ref(compiled)
-        rspec = BucketSpec(key_ref, n_parts, prepared=compiled.closure)
-        cspec = None
-        batches: dict[int, ColumnBatch] = {}
-        if exchange is not None:
-            prep = self._exchange_prep(exchange, key_ir, bag)
-            if prep is not None:
-                vk, batches = prep
-                cspec = ColumnarBucketSpec(
-                    key_ref,
-                    self._key_step(compiled),
-                    vk.schema,
-                    n_parts,
-                    prepared=(vk, n_parts),
-                )
-        ship = self.engine.execution_mode == "processes"
-        metrics = self.engine.metrics
-        tasks = []
-        for i, p in enumerate(bag.partitions):
-            batch = batches.get(i) if cspec is not None else None
-            if batch is not None:
-                tasks.append(
-                    PartitionTask(i, cspec, batch, label + "-columnar")
-                )
-                if ship:
-                    metrics.columnar_blocks_shipped += 1
-            else:
-                tasks.append(PartitionTask(i, rspec, (p, n_parts), label))
-        return tasks
-
-    def _bucket_partitions(
-        self,
-        bag: PartitionedBag,
-        key_ir: ScalarFn,
-        n_parts: int,
-        exchange: Combinator | None = None,
-    ) -> list[list[list[Any]]]:
-        """Hash-bucket every partition as parallel scheduler tasks.
-
-        The per-record ``stable_hash`` is process-independent by
-        construction, so worker processes bucket records exactly as the
-        driver's serial loop would.
-        """
-        tasks = self._bucket_tasks(
-            bag, key_ir, n_parts, exchange, "shuffle-bucket"
+        vk, batches = self._exchange_prep(exchange, key_ir, bag)
+        spec = BucketSpec(
+            self._udf_ref(compiled),
+            n_parts,
+            *self._key_columns(compiled, vk),
+            prepared=(compiled.closure, vk),
         )
-        return self._run_stage(tasks)
+        self._count_blocks_shipped(len(batches))
+        return [
+            PartitionTask(i, spec, batches[i], label + "-columnar")
+            if i in batches
+            else PartitionTask(i, spec, p, label)
+            for i, p in enumerate(bag.partitions)
+        ]
 
     def shuffle_by_key(
         self,
@@ -1101,13 +900,14 @@ class JobExecutor:
     ) -> PartitionedBag:
         """Hash-repartition ``bag`` on ``key_ir`` (no-op if already so).
 
-        ``prebucketed`` carries per-partition bucket lists computed
-        ahead of time (the overlapped join-side scan of
-        :meth:`_prebucket_pair`); merging them in input-partition order
-        reproduces the serial shuffle's record order exactly.
+        Bucketing is one :class:`BucketSpec` task per partition;
+        merging the buckets in input-partition order fixes the record
+        order.  ``prebucketed`` carries bucket lists computed ahead of
+        time (the overlapped join-side scan of :meth:`_repartitioned_pair`).
 
-        ``exchange`` is the shuffle-inducing combinator when the
-        optimizer selected its columnar exchange plane: keys are then
+        ``exchange`` is the shuffle-inducing combinator when its
+        columnar exchange plane is active (:meth:`_exchange_active`,
+        already checked by the caller): keys are then
         evaluated as a column and records scattered batch-at-a-time,
         with :func:`~repro.engines.columnar.bucket_indices` holding the
         bucket assignment bit-identical to ``hash_partition_index``.
@@ -1136,27 +936,15 @@ class JobExecutor:
                 ts=self.job.trace_ts(),
                 key=key_ir.describe(),
             )
-        key_fn, extra = self._compile_udf(key_ir)
+        extra = self._udf_compilation(key_ir).extra
         n_parts = self.parallelism
-        exchange_on = exchange is not None and self._exchange_active(
-            exchange
-        )
         buckets = prebucketed
-        col_buckets: dict[int, list[ColumnBatch]] | None = None
-        if buckets is None and self._parallel:
-            buckets = self._bucket_partitions(
-                bag, key_ir, n_parts, exchange if exchange_on else None
+        if buckets is None:
+            buckets = self._run_stage(
+                self._bucket_tasks(
+                    bag, key_ir, n_parts, exchange, "shuffle-bucket"
+                )
             )
-        elif buckets is None and exchange_on:
-            prep = self._exchange_prep(exchange, key_ir, bag)
-            if prep is not None:
-                vk, batches = prep
-                col_buckets = {}
-                for i, batch in batches.items():
-                    keys = vk.run_batch(batch)[0].columns[0]
-                    col_buckets[i] = scatter_batch(
-                        batch, bucket_indices(keys, n_parts), n_parts
-                    )
         new_partitions: list[list[Any]] = [[] for _ in range(n_parts)]
         total_moved = 0
         columnar_parts = 0
@@ -1165,20 +953,12 @@ class JobExecutor:
             [] for _ in range(n_parts)
         ]
         trace_blocks: list[ColumnBatch] = []
-        sh = stable_hash
         for i, p in enumerate(bag.partitions):
             if not p:
                 continue
             part_bytes = estimate_bag_bytes(p)
-            bucketed = None if buckets is None else buckets[i]
-            if bucketed is None and col_buckets is not None:
-                bucketed = col_buckets.get(i)
-            if bucketed is None:
-                row_contrib = True
-                keys = [key_fn(record) for record in p]
-                for record, k in zip(p, keys):
-                    new_partitions[sh(k) % n_parts].append(record)
-            elif bucketed and isinstance(bucketed[0], ColumnBatch):
+            bucketed = buckets[i]
+            if isinstance(bucketed[0], ColumnBatch):
                 columnar_parts += 1
                 for idx, sub in enumerate(bucketed):
                     if sub.nrows:
@@ -1280,21 +1060,7 @@ class JobExecutor:
             i: normalize_batch(b) for i, b in batches.items()
         }
         schema = next(iter(batches.values())).schema
-        stamp = (
-            tuple(map(id, bag.partitions)),
-            tuple(map(len, bag.partitions)),
-        )
-        self.engine._batch_cache[bag] = (
-            stamp,
-            {(schema.signature(), None): batches},
-        )
-        if self.engine.spill.active:
-            self.engine.spill.register_batches(
-                bag,
-                sum(
-                    sum(b.column_nbytes()) for b in batches.values()
-                ),
-            )
+        self._store_batches(bag, (schema.signature(), None), batches)
 
     # -- broadcast ----------------------------------------------------------------
 
@@ -1347,24 +1113,17 @@ class JobExecutor:
 
     # -- UDF compilation -------------------------------------------------------------
 
-    def _compile_udf(self, fn: ScalarFn) -> tuple[Callable, int]:
-        """Close a UDF over the driver env; broadcast free bag values.
-
-        Returns the callable plus the *extra per-element op weight*: a
-        UDF that scans a broadcast bag per element (the paper's
-        nearest-centroid or blacklist-scan patterns) costs ``1 + |bag|``
-        ops per invocation.
-        """
-        compiled = self._udf_compilation(fn)
-        return compiled.closure, compiled.extra
-
     def _udf_compilation(self, fn: ScalarFn) -> _CompiledUdf:
-        """Memoized (by UDF identity, per job) closure compilation.
+        """Close a UDF over the driver env (memoized by UDF identity,
+        per job), broadcasting its free bag values.
 
         The same ``ScalarFn`` object commonly appears in several
         operators of one job (chained steps, a join key reused by a
         partitioner probe); resolving its bindings and compiling it once
-        also means its broadcasts are counted once.
+        also means its broadcasts are counted once.  ``extra`` on the
+        result is the *extra per-element op weight*: a UDF that scans a
+        broadcast bag per element (the paper's nearest-centroid or
+        blacklist-scan patterns) costs ``1 + |bag|`` ops per invocation.
         """
         cached = self._udf_memo.get(id(fn))
         if cached is not None and cached[0] is fn:
@@ -1552,46 +1311,62 @@ class JobExecutor:
                 return hit, True
         return self._exec(child), False
 
-    def _prebucket_pair(
+    def _repartitioned_pair(
         self,
+        comb: CEqJoin | CSemiJoin,
         left: PartitionedBag,
-        kx: ScalarFn,
+        lhoisted: bool,
         right: PartitionedBag,
-        ky: ScalarFn,
-        exchange: Combinator | None = None,
-    ) -> tuple[list | None, list | None]:
-        """Overlap both repartition-join bucket scans in one task graph.
+        rhoisted: bool,
+        exchange: Combinator | None,
+    ) -> tuple[PartitionedBag, PartitionedBag]:
+        """Both inputs of a repartition join, shuffled on their keys.
 
-        When *both* join sides genuinely need motion — i.e. the
-        physical planner left them ``required`` rather than elidable or
+        When *both* sides genuinely need motion — i.e. the physical
+        planner left them ``required`` rather than elidable or
         hoistable — their bucket stages have no dependency on each
-        other, so the scheduler runs the two fan-outs with all tasks in
-        flight simultaneously.  Aligned sides return ``None`` (their
-        shuffle elides inside :meth:`shuffle_by_key`).
+        other, so they go to the scheduler as one task graph and run
+        with all tasks in flight simultaneously.  A hoisted side arrives
+        shuffled; an aligned side's shuffle elides inside
+        :meth:`shuffle_by_key`.  The bucket lists live only in this
+        frame: they are garbage before the probe allocates its output.
         """
+        pre: dict[str, list] = {}
         if not (
-            self._parallel
-            and not self._aligned(left, kx)
-            and not self._aligned(right, ky)
+            lhoisted
+            or rhoisted
+            or self._aligned(left, comb.kx)
+            or self._aligned(right, comb.ky)
         ):
-            return None, None
-        n_parts = self.parallelism
-        ltasks = self._bucket_tasks(
-            left, kx, n_parts, exchange, "bucket-left"
-        )
-        rtasks = self._bucket_tasks(
-            right, ky, n_parts, exchange, "bucket-right"
-        )
-        scheduler = self.engine.scheduler
-        results = scheduler.run_graph(
-            [
-                TaskStage("left", lambda _r, _t=ltasks: _t),
-                TaskStage("right", lambda _r, _t=rtasks: _t),
-            ],
-            metrics=self.engine.metrics,
-        )
-        self._drain_scheduler_events(scheduler)
-        return results["left"], results["right"]
+            n_parts = self.parallelism
+            scheduler = self.engine.scheduler
+            pre = scheduler.run_graph(
+                [
+                    stage_of(
+                        self._bucket_tasks(
+                            left, comb.kx, n_parts, exchange, "bucket-left"
+                        ),
+                        "left",
+                    ),
+                    stage_of(
+                        self._bucket_tasks(
+                            right, comb.ky, n_parts, exchange, "bucket-right"
+                        ),
+                        "right",
+                    ),
+                ],
+                metrics=self.engine.metrics,
+            )
+            self._drain_scheduler_events(scheduler)
+        if not lhoisted:
+            left = self._shuffled_side(
+                comb.left, left, comb.kx, pre.pop("left", None), exchange
+            )
+        if not rhoisted:
+            right = self._shuffled_side(
+                comb.right, right, comb.ky, pre.pop("right", None), exchange
+            )
+        return left, right
 
     def _shuffled_side(
         self,
@@ -1753,7 +1528,6 @@ class JobExecutor:
         right, rhoisted = self._resolve_side(comb.right, comb.ky)
         cx = self._udf_compilation(comb.kx)
         cy = self._udf_compilation(comb.ky)
-        kx, ky = cx.closure, cy.closure
         lbytes, rbytes = left.nbytes(), right.nbytes()
         planned = (
             comb.phys is not None and self.engine.physical_planning
@@ -1786,7 +1560,7 @@ class JobExecutor:
                 small, big = left, right
                 cs, cb = cx, cy
                 small_first = True
-            ks, kb = cs.closure, cb.closure
+            ks = cs.closure
             table: dict[Any, list[Any]] = {}
             small_records = small.collect()
             self.broadcast_value(small_records)
@@ -1795,34 +1569,21 @@ class JobExecutor:
             self.job.charge_all_workers(
                 self.engine.cost.cpu_seconds(len(small_records))
             )
-            out: list[list[Any]] = []
-            if self._parallel:
-                spec = BroadcastProbeSpec(
-                    small_records,
-                    self._udf_ref(cs),
-                    self._udf_ref(cb),
-                    small_first,
-                    prepared=(table, kb, small_first),
-                )
-                tasks = [
+            spec = BroadcastProbeSpec(
+                small_records,
+                self._udf_ref(cs),
+                self._udf_ref(cb),
+                small_first,
+                prepared=(table, cb.closure),
+            )
+            out = self._run_stage(
+                [
                     PartitionTask(i, spec, p, "broadcast-join")
                     for i, p in enumerate(big.partitions)
                 ]
-                for i, (p, rows) in enumerate(
-                    zip(big.partitions, self._run_stage(tasks))
-                ):
-                    out.append(rows)
-                    self._charge_cpu(i, len(p) + len(rows))
-            else:
-                for i, p in enumerate(big.partitions):
-                    rows: list[Any] = []
-                    for x in p:
-                        for m in table.get(kb(x), ()):
-                            rows.append(
-                                (m, x) if small_first else (x, m)
-                            )
-                    out.append(rows)
-                    self._charge_cpu(i, len(p) + len(rows))
+            )
+            for i, (p, rows) in enumerate(zip(big.partitions, out)):
+                self._charge_cpu(i, len(p) + len(rows))
             return PartitionedBag(
                 out,
                 self._pair_partitioner(
@@ -1832,115 +1593,39 @@ class JobExecutor:
         # Repartition join.
         self.engine.metrics.repartition_joins += 1
         exchange = comb if self._exchange_active(comb) else None
-        lpre = rpre = None
-        if not lhoisted and not rhoisted:
-            lpre, rpre = self._prebucket_pair(
-                left, comb.kx, right, comb.ky, exchange
-            )
-        if not lhoisted:
-            left = self._shuffled_side(
-                comb.left, left, comb.kx, lpre, exchange
-            )
-        if not rhoisted:
-            right = self._shuffled_side(
-                comb.right, right, comb.ky, rpre, exchange
-            )
+        left, right = self._repartitioned_pair(
+            comb, left, lhoisted, right, rhoisted, exchange
+        )
         # Columnar probe: both sides' keys evaluate as columns over
-        # the shuffled partitions' batches; partitions that fail to
-        # batch probe row-at-a-time inside the same task, so output
-        # pair order and every charge match the row probe exactly.
-        lprep = rprep = None
-        if exchange is not None:
-            lprep = self._exchange_prep(comb, comb.kx, left)
-            rprep = self._exchange_prep(comb, comb.ky, right)
-        engaged = lprep is not None and rprep is not None
-        if engaged:
+        # the shuffled partitions' batches; a side of a pair that
+        # failed to batch goes as a row list inside the same task, so
+        # output pair order and every charge match the row probe.
+        lvk, lbatches = self._exchange_prep(exchange, comb.kx, left)
+        rvk, rbatches = self._exchange_prep(exchange, comb.ky, right)
+        if lvk is None or rvk is None:
+            lvk = rvk = None
+            lbatches = rbatches = {}
+        else:
             self.engine.metrics.columnar_joins += 1
-        out = []
-        if self._parallel:
-            if engaged:
-                lvk, lbatches = lprep
-                rvk, rbatches = rprep
-                spec = ColumnarJoinProbeSpec(
-                    self._udf_ref(cx),
-                    self._udf_ref(cy),
-                    self._key_step(cx),
-                    lvk.schema,
-                    self._key_step(cy),
-                    rvk.schema,
-                    prepared=(kx, ky, lvk, rvk),
+        spec = JoinProbeSpec(
+            self._udf_ref(cx),
+            self._udf_ref(cy),
+            *self._key_columns(cx, lvk),
+            *self._key_columns(cy, rvk),
+            prepared=(cx.closure, cy.closure, lvk, rvk),
+        )
+        self._count_blocks_shipped(len(lbatches) + len(rbatches))
+        label = "join-probe-columnar" if lvk is not None else "join-probe"
+        pairs = list(zip(left.partitions, right.partitions))
+        out = self._run_stage(
+            [
+                PartitionTask(
+                    i, spec, (lbatches.get(i, lp), rbatches.get(i, rp)), label
                 )
-                ship = self.engine.execution_mode == "processes"
-                metrics = self.engine.metrics
-                tasks = []
-                for i, (lp, rp) in enumerate(
-                    zip(left.partitions, right.partitions)
-                ):
-                    ldata = lbatches.get(i, lp)
-                    rdata = rbatches.get(i, rp)
-                    if ship:
-                        metrics.columnar_blocks_shipped += isinstance(
-                            ldata, ColumnBatch
-                        ) + isinstance(rdata, ColumnBatch)
-                    tasks.append(
-                        PartitionTask(
-                            i, spec, (ldata, rdata), "join-probe-columnar"
-                        )
-                    )
-            else:
-                spec = JoinProbeSpec(
-                    self._udf_ref(cx),
-                    self._udf_ref(cy),
-                    prepared=(kx, ky),
-                )
-                tasks = [
-                    PartitionTask(i, spec, (lp, rp), "join-probe")
-                    for i, (lp, rp) in enumerate(
-                        zip(left.partitions, right.partitions)
-                    )
-                ]
-            for i, ((lp, rp), rows) in enumerate(
-                zip(
-                    zip(left.partitions, right.partitions),
-                    self._run_stage(tasks),
-                )
-            ):
-                out.append(rows)
-                self._charge_cpu(i, len(lp) + len(rp) + len(rows))
-            return PartitionedBag(
-                out, self._pair_partitioner(left.partitioner, 0)
-            )
-        if engaged:
-            lvk, lbatches = lprep
-            rvk, rbatches = rprep
-        for i, (lp, rp) in enumerate(
-            zip(left.partitions, right.partitions)
-        ):
-            if engaged:
-                rbatch = rbatches.get(i)
-                lbatch = lbatches.get(i)
-                rkeys = (
-                    rvk.run_batch(rbatch)[0].columns[0]
-                    if rbatch is not None
-                    else [ky(r) for r in rp]
-                )
-                lkeys = (
-                    lvk.run_batch(lbatch)[0].columns[0]
-                    if lbatch is not None
-                    else [kx(x) for x in lp]
-                )
-                rows = probe_join(lp, lkeys, rp, rkeys)
-            else:
-                rkeys = [ky(r) for r in rp]
-                lkeys = [kx(x) for x in lp]
-                table = {}
-                for r, k in zip(rp, rkeys):
-                    table.setdefault(k, []).append(r)
-                rows = []
-                for x, k in zip(lp, lkeys):
-                    for m in table.get(k, ()):
-                        rows.append((x, m))
-            out.append(rows)
+                for i, (lp, rp) in enumerate(pairs)
+            ]
+        )
+        for i, ((lp, rp), rows) in enumerate(zip(pairs, out)):
             self._charge_cpu(i, len(lp) + len(rp) + len(rows))
         return PartitionedBag(
             out, self._pair_partitioner(left.partitioner, 0)
@@ -1951,7 +1636,6 @@ class JobExecutor:
         right, rhoisted = self._resolve_side(comb.right, comb.ky)
         cx = self._udf_compilation(comb.kx)
         cy = self._udf_compilation(comb.ky)
-        kx, ky = cx.closure, cy.closure
         lbytes, rbytes = left.nbytes(), right.nbytes()
         planned = (
             comb.phys is not None and self.engine.physical_planning
@@ -1969,34 +1653,24 @@ class JobExecutor:
             self.engine.metrics.broadcast_joins += 1
             # Broadcast strategy: ship the (small) right side's key set;
             # the left side never moves and keeps its partitioning.
+            ky = cy.closure
             keys = {ky(r) for r in right.records()}
             self.broadcast_value(list(keys))
             for i, p in enumerate(right.partitions):
                 self._charge_cpu(i, len(p))
-            out: list[list[Any]] = []
-            if self._parallel:
-                spec = BroadcastSemiSpec(
-                    list(keys),
-                    self._udf_ref(cx),
-                    comb.anti,
-                    prepared=(keys, kx, comb.anti),
-                )
-                tasks = [
+            spec = BroadcastSemiSpec(
+                list(keys),
+                self._udf_ref(cx),
+                comb.anti,
+                prepared=(keys, cx.closure),
+            )
+            out = self._run_stage(
+                [
                     PartitionTask(i, spec, p, "broadcast-semi")
                     for i, p in enumerate(left.partitions)
                 ]
-                for i, (p, rows) in enumerate(
-                    zip(left.partitions, self._run_stage(tasks))
-                ):
-                    out.append(rows)
-                    self._charge_cpu(i, len(p))
-                return PartitionedBag(out, left.partitioner)
+            )
             for i, p in enumerate(left.partitions):
-                if comb.anti:
-                    rows = [x for x in p if kx(x) not in keys]
-                else:
-                    rows = [x for x in p if kx(x) in keys]
-                out.append(rows)
                 self._charge_cpu(i, len(p))
             return PartitionedBag(out, left.partitioner)
         self.engine.metrics.repartition_joins += 1
@@ -2007,51 +1681,23 @@ class JobExecutor:
         # already carries the matching partitioning is not moved, which
         # is what partition pulling exploits.
         exchange = comb if self._exchange_active(comb) else None
-        lpre = rpre = None
-        if not lhoisted and not rhoisted:
-            lpre, rpre = self._prebucket_pair(
-                left, comb.kx, right, comb.ky, exchange
-            )
-        if not lhoisted:
-            left = self._shuffled_side(
-                comb.left, left, comb.kx, lpre, exchange
-            )
-        if not rhoisted:
-            right = self._shuffled_side(
-                comb.right, right, comb.ky, rpre, exchange
-            )
-        out = []
-        if self._parallel:
-            spec = SemiProbeSpec(
-                self._udf_ref(cx),
-                self._udf_ref(cy),
-                comb.anti,
-                prepared=(kx, ky, comb.anti),
-            )
-            tasks = [
-                PartitionTask(i, spec, (lp, rp), "semi-probe")
-                for i, (lp, rp) in enumerate(
-                    zip(left.partitions, right.partitions)
-                )
+        left, right = self._repartitioned_pair(
+            comb, left, lhoisted, right, rhoisted, exchange
+        )
+        spec = SemiProbeSpec(
+            self._udf_ref(cx),
+            self._udf_ref(cy),
+            comb.anti,
+            prepared=(cx.closure, cy.closure),
+        )
+        pairs = list(zip(left.partitions, right.partitions))
+        out = self._run_stage(
+            [
+                PartitionTask(i, spec, pair, "semi-probe")
+                for i, pair in enumerate(pairs)
             ]
-            for i, ((lp, rp), rows) in enumerate(
-                zip(
-                    zip(left.partitions, right.partitions),
-                    self._run_stage(tasks),
-                )
-            ):
-                out.append(rows)
-                self._charge_cpu(i, len(lp) + len(rp))
-            return PartitionedBag(out, left.partitioner)
-        for i, (lp, rp) in enumerate(
-            zip(left.partitions, right.partitions)
-        ):
-            keys = {ky(r) for r in rp}
-            if comb.anti:
-                rows = [x for x in lp if kx(x) not in keys]
-            else:
-                rows = [x for x in lp if kx(x) in keys]
-            out.append(rows)
+        )
+        for i, (lp, rp) in enumerate(pairs):
             self._charge_cpu(i, len(lp) + len(rp))
         return PartitionedBag(out, left.partitioner)
 
@@ -2090,14 +1736,9 @@ class JobExecutor:
         # shuffled partition's batch, and group boundaries come from
         # run detection over that column — insertion and value order
         # match the row dict's first-occurrence semantics exactly.
-        prep = (
-            self._exchange_prep(comb, comb.key, shuffled)
-            if exchange is not None
-            else None
-        )
-        if prep is not None:
+        gvk, gbatches = self._exchange_prep(exchange, comb.key, shuffled)
+        if gvk is not None:
             self.engine.metrics.columnar_groups += 1
-            gvk, gbatches = prep
         # Graceful degradation: partitions whose in-memory group
         # materialization would blow the simulated worker memory limit
         # group through external run-merge instead of aborting — but
@@ -2105,41 +1746,25 @@ class JobExecutor:
         # out-of-core layer, so budget-less runs keep the paper's hard
         # failure mode bit-for-bit.
         external = self._plan_external_groups(shuffled.partitions)
+        spec = GroupSpec(
+            self._udf_ref(compiled),
+            *self._key_columns(compiled, gvk),
+            prepared=(key_fn, gvk),
+        )
+        tasks = [
+            PartitionTask(i, spec, gbatches[i], "group-columnar")
+            if i in gbatches
+            else PartitionTask(i, spec, p, "group")
+            for i, p in enumerate(shuffled.partitions)
+            if i not in external
+        ]
+        self._count_blocks_shipped(
+            sum(isinstance(t.data, ColumnBatch) for t in tasks)
+        )
+        group_rows = dict(
+            zip((t.index for t in tasks), self._run_stage(tasks))
+        )
         out: list[list[Any]] = []
-        group_rows: dict[int, list[Any]] | None = None
-        if self._parallel:
-            spec = GroupSpec(self._udf_ref(compiled), prepared=key_fn)
-            cspec = None
-            if prep is not None:
-                cspec = ColumnarGroupSpec(
-                    self._udf_ref(compiled),
-                    self._key_step(compiled),
-                    gvk.schema,
-                    prepared=(gvk,),
-                )
-            ship = self.engine.execution_mode == "processes"
-            metrics = self.engine.metrics
-            kept = [
-                i
-                for i in range(len(shuffled.partitions))
-                if i not in external
-            ]
-            tasks = []
-            for i in kept:
-                batch = gbatches.get(i) if cspec is not None else None
-                if batch is not None:
-                    tasks.append(
-                        PartitionTask(i, cspec, batch, "group-columnar")
-                    )
-                    if ship:
-                        metrics.columnar_blocks_shipped += 1
-                else:
-                    tasks.append(
-                        PartitionTask(
-                            i, spec, shuffled.partitions[i], "group"
-                        )
-                    )
-            group_rows = dict(zip(kept, self._run_stage(tasks)))
         for i, p in enumerate(shuffled.partitions):
             if i in external:
                 out.append(self._external_group_partition(i, p, key_fn))
@@ -2159,20 +1784,7 @@ class JobExecutor:
                     ),
                 )
                 continue
-            if group_rows is not None:
-                out.append(group_rows[i])
-            else:
-                batch = gbatches.get(i) if prep is not None else None
-                if batch is not None:
-                    keys = gvk.run_batch(batch)[0].to_records()
-                    groups = group_rows_by_keys(p, keys)
-                else:
-                    groups = {}
-                    for x in p:
-                        groups.setdefault(key_fn(x), []).append(x)
-                out.append(
-                    [Grp(k, DataBag(vs)) for k, vs in groups.items()]
-                )
+            out.append(group_rows[i])
             ops = len(p) * (1 + extra) * factor
             if self.engine.group_spill_to_disk and len(p) > 1:
                 # Sort-based grouping costs n log n, not n.
@@ -2309,7 +1921,7 @@ class JobExecutor:
         ):
             chain = comb.input
             source = self._exec(chain.input)
-            kernel = self._chain_kernel(chain)
+            kernel = self._kernel(chain)
         else:
             source = self._exec(comb.input)
             kernel = None
@@ -2340,62 +1952,32 @@ class JobExecutor:
         # Phase 1: mapper-side partial aggregation.
         chain_invocations = 0
         partials: list[list[tuple[Any, tuple]]] = []
-        if self._parallel:
-            mspec = AggMapSpec(
-                self._udf_ref(ckey),
-                comb.specs,
-                bindings,
-                steps=kernel.steps if kernel is not None else None,
-                prepared=(kernel, key_fn, algebras),
+        mspec = AggMapSpec(
+            self._udf_ref(ckey),
+            comb.specs,
+            bindings,
+            steps=kernel.steps if kernel is not None else None,
+            prepared=(kernel, key_fn, algebras),
+        )
+        tasks = [
+            PartitionTask(i, mspec, p, "agg-map")
+            for i, p in enumerate(source.partitions)
+        ]
+        for i, (p, (pairs, counts)) in enumerate(
+            zip(source.partitions, self._run_stage(tasks))
+        ):
+            if kernel is None:
+                n_agg_inputs = len(p)
+            else:
+                entered, n_agg_inputs = self._charge_kernel(
+                    kernel, i, p, counts
+                )
+                chain_invocations += sum(entered)
+            partials.append(pairs)
+            self._charge_cpu(
+                i,
+                n_agg_inputs * (len(algebras) + extra) + len(pairs),
             )
-            tasks = [
-                PartitionTask(i, mspec, p, "agg-map")
-                for i, p in enumerate(source.partitions)
-            ]
-            for i, (p, (pairs, counts)) in enumerate(
-                zip(source.partitions, self._run_stage(tasks))
-            ):
-                if kernel is None:
-                    n_agg_inputs = len(p)
-                else:
-                    entered, n_agg_inputs = self._charge_kernel(
-                        kernel, i, p, counts
-                    )
-                    chain_invocations += sum(entered)
-                partials.append(pairs)
-                self._charge_cpu(
-                    i,
-                    n_agg_inputs * (len(algebras) + extra) + len(pairs),
-                )
-        else:
-            for i, p in enumerate(source.partitions):
-                acc: dict[Any, list[Any]] = {}
-
-                def accumulate(x: Any) -> None:
-                    k = key_fn(x)
-                    entry = acc.get(k)
-                    if entry is None:
-                        acc[k] = [
-                            a.union(a.zero(), a.singleton(x))
-                            for a in algebras
-                        ]
-                    else:
-                        for j, a in enumerate(algebras):
-                            entry[j] = a.union(entry[j], a.singleton(x))
-
-                if kernel is None:
-                    for x in p:
-                        accumulate(x)
-                    n_agg_inputs = len(p)
-                else:
-                    entered, n_agg_inputs = self._run_chain(
-                        kernel, i, p, accumulate
-                    )
-                    chain_invocations += sum(entered)
-                partials.append([(k, tuple(v)) for k, v in acc.items()])
-                self._charge_cpu(
-                    i, n_agg_inputs * (len(algebras) + extra) + len(acc)
-                )
         if kernel is not None:
             self.engine.metrics.udf_invocations += chain_invocations
         partial_bag = PartitionedBag(
@@ -2425,38 +2007,15 @@ class JobExecutor:
                 ),
             )
         # Phase 3: reducer-side merge.
-        out: list[list[Any]] = []
-        if self._parallel:
-            rspec = AggMergeSpec(
-                comb.specs, bindings, prepared=tuple(algebras)
-            )
-            tasks = [
+        rspec = AggMergeSpec(comb.specs, bindings, prepared=tuple(algebras))
+        out = self._run_stage(
+            [
                 PartitionTask(i, rspec, p, "agg-merge")
                 for i, p in enumerate(partial_bag.partitions)
             ]
-            for i, (p, rows) in enumerate(
-                zip(partial_bag.partitions, self._run_stage(tasks))
-            ):
-                out.append(rows)
-                self._charge_cpu(
-                    i, len(p) * len(algebras) + len(rows)
-                )
-            return PartitionedBag(
-                out, _grp_partitioner(partial_bag, "key")
-            )
-        for i, p in enumerate(partial_bag.partitions):
-            merged: dict[Any, list[Any]] = {}
-            for k, accs in p:
-                entry = merged.get(k)
-                if entry is None:
-                    merged[k] = list(accs)
-                else:
-                    for j, a in enumerate(algebras):
-                        entry[j] = a.union(entry[j], accs[j])
-            out.append(
-                [AggResult(k, tuple(v)) for k, v in merged.items()]
-            )
-            self._charge_cpu(i, len(p) * len(algebras) + len(merged))
+        )
+        for i, (p, rows) in enumerate(zip(partial_bag.partitions, out)):
+            self._charge_cpu(i, len(p) * len(algebras) + len(rows))
         return PartitionedBag(out, _grp_partitioner(partial_bag, "key"))
 
     def _exec_distinct(self, comb: CDistinct) -> PartitionedBag:
@@ -2534,20 +2093,15 @@ class JobExecutor:
         source = self._exec(comb.input)
         bindings, extra = self._udf_bindings(comb.spec.free_vars())
         algebra = comb.spec.make_algebra(Env.of(bindings))
-        partial_values: list[Any] = []
-        if self._parallel:
-            fspec = FoldSpec(comb.spec, bindings, prepared=algebra)
-            tasks = [
+        fspec = FoldSpec(comb.spec, bindings, prepared=algebra)
+        partial_values = self._run_stage(
+            [
                 PartitionTask(i, fspec, p, "fold")
                 for i, p in enumerate(source.partitions)
             ]
-            partial_values = self._run_stage(tasks)
-            for i, p in enumerate(source.partitions):
-                self._charge_cpu(i, len(p) * (1 + extra))
-        else:
-            for i, p in enumerate(source.partitions):
-                partial_values.append(algebra(p))
-                self._charge_cpu(i, len(p) * (1 + extra))
+        )
+        for i, p in enumerate(source.partitions):
+            self._charge_cpu(i, len(p) * (1 + extra))
         nbytes = sum(
             estimate_record_bytes(v) for v in partial_values
         )
@@ -2596,10 +2150,10 @@ JobExecutor._HANDLERS = {
     CSource: JobExecutor._exec_source,
     CParallelize: JobExecutor._exec_parallelize,
     CBagRef: JobExecutor._exec_bag_ref,
-    CMap: JobExecutor._exec_map,
-    CFlatMap: JobExecutor._exec_flat_map,
-    CFilter: JobExecutor._exec_filter,
-    CChain: JobExecutor._exec_chain,
+    CMap: JobExecutor._exec_narrow,
+    CFlatMap: JobExecutor._exec_narrow,
+    CFilter: JobExecutor._exec_narrow,
+    CChain: JobExecutor._exec_narrow,
     CEqJoin: JobExecutor._exec_eq_join,
     CSemiJoin: JobExecutor._exec_semi_join,
     CCross: JobExecutor._exec_cross,

@@ -18,6 +18,28 @@ the engine metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable
+
+#: Counters that measure the host running the job rather than the
+#: program: measured wall clock and the task scheduler's own accounting
+#: (a batch only "ships" across a process boundary).  They may differ
+#: between execution modes; every other counter must not.  A new
+#: host-side counter is declared here, once — the differential suites
+#: all compare :meth:`Metrics.invariant`.
+HOST_DEPENDENT = frozenset(
+    {
+        "wall_clock_seconds",
+        "parallel_tasks",
+        "parallel_stages",
+        "ipc_bytes_shipped",
+        "ipc_bytes_returned",
+        "kernels_rehydrated",
+        "speculative_launches",
+        "speculative_wins",
+        "serial_fallbacks",
+        "columnar_blocks_shipped",
+    }
+)
 
 
 @dataclass
@@ -201,6 +223,18 @@ class Metrics:
     def snapshot(self) -> "Metrics":
         """A copy of the current counters (for before/after deltas)."""
         return Metrics(**vars(self))
+
+    def invariant(self, varying: Iterable[str] = ()) -> dict[str, Any]:
+        """The counters that must be identical between two runs of one
+        program that differ only in execution mode — plus, for a
+        comparison that also varies a data plane, a memory budget or
+        cache state, in that layer's own accounting (``varying``)."""
+        skip = HOST_DEPENDENT.union(varying)
+        return {
+            name: value
+            for name, value in vars(self).items()
+            if name not in skip
+        }
 
     def delta_since(self, earlier: "Metrics") -> "Metrics":
         """Counter-wise difference ``self - earlier``."""

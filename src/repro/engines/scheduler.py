@@ -3,11 +3,14 @@
 The simulated engines charge *modelled* seconds per partition; this
 module is the orthogonal axis the ROADMAP's north star asks for — the
 same per-partition work executed **genuinely in parallel** on the host
-machine.  A :class:`TaskScheduler` runs the partition tasks of a job
-DAG out of order in one of three modes:
+machine.  Each physical operator's per-partition work is one
+:class:`TaskSpec` subclass below (its only implementation: ``run``
+dispatches on a row-list or ``ColumnBatch`` payload), and a
+:class:`TaskScheduler` runs the partition tasks of a job DAG in one of
+three modes, which differ in dispatch only:
 
 * ``serial`` — the default: tasks run inline, in order, in the driver
-  process.  Zero overhead, bit-identical to the pre-scheduler code.
+  process.
 * ``threads`` — tasks fan out on a ``ThreadPoolExecutor``.  Kernels
   and UDF closures are shared by reference; useful for I/O-bound UDFs
   and as a GIL-bound sanity midpoint between serial and processes.
@@ -66,7 +69,6 @@ from repro.comprehension.pretty import pretty
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
 from repro.engines.chainkernel import (
-    ChainKernel,
     KernelStep,
     VectorKernel,
     build_chain_kernel,
@@ -77,10 +79,11 @@ from repro.engines.columnar import (
     ColumnBatch,
     ColumnSchema,
     bucket_indices,
+    hash_probe,
     probe_join,
     scatter_batch,
 )
-from repro.engines.cluster import hash_partition_index, stable_hash
+from repro.engines.cluster import stable_hash
 from repro.errors import EngineError
 from repro.lowering.combinators import AggResult, ScalarFn
 
@@ -174,11 +177,6 @@ def _algebra_digest(spec: AlgebraSpec) -> tuple:
     )
 
 
-def _token() -> tuple:
-    """A driver-unique fingerprint for specs without content identity."""
-    return ("token", os.getpid(), next(_TOKENS))
-
-
 # -- picklable UDF / task specs ---------------------------------------------
 
 
@@ -212,22 +210,55 @@ class UdfRef:
 class TaskSpec:
     """What a partition task *does* — shared by every task of a stage.
 
-    A spec is picklable and carries a ``fingerprint`` identifying the
-    executable artifact it builds (a compiled kernel, a hash table, a
-    fold algebra).  Workers memoize built artifacts by fingerprint, so
-    a loop that re-runs the same kernel every iteration re-hydrates it
-    once per worker process, not once per task.  The driver-side build
-    is cached on the spec itself (``_prepared``) and never pickled.
+    A spec is the single implementation of one physical operator's
+    per-partition work: :meth:`run` is what ``serial``, ``threads`` and
+    ``processes`` mode all execute, over the artifact :meth:`build`
+    constructs (a compiled kernel, a hash table, a fold algebra).  The
+    driver hands its already-built artifact in as ``prepared`` and it
+    never pickles; a worker process rebuilds it from the shipped IR
+    once per content ``fingerprint`` and memoizes it, so a loop that
+    re-runs the same kernel every iteration re-hydrates it once per
+    worker process, not once per task.
     """
 
+    #: worker-memo namespace and trace label
     kind = "abstract"
 
-    def __init__(self, fingerprint: tuple | None = None) -> None:
-        self.fingerprint = fingerprint if fingerprint is not None else _token()
-        self._prepared: Any = None
+    def __init__(self, prepared: Any = None) -> None:
+        self._prepared = prepared
+        self._fingerprint: tuple | None = None
+
+    def fingerprint_parts(self) -> tuple | None:
+        """Content digest of what :meth:`build` depends on (subclass
+        hook); ``None`` when some captured value has no stable content
+        identity."""
+        return None
+
+    @property
+    def fingerprint(self) -> tuple:
+        """Worker-memo key, computed on first ship.
+
+        Only a worker process ever reads it, so in-process modes never
+        pay for digesting step bodies or hashing broadcast records.
+        Specs without content identity get a driver-unique token: still
+        memoizable within one stage, just not across jobs.
+        """
+        if self._fingerprint is None:
+            parts = self.fingerprint_parts()
+            self._fingerprint = (
+                ("token", os.getpid(), next(_TOKENS))
+                if parts is None
+                else (self.kind, *parts)
+            )
+        return self._fingerprint
 
     def build(self) -> Any:
         """Construct the executable artifact (subclass hook)."""
+        raise NotImplementedError
+
+    def run(self, prepared: Any, data: Any) -> Any:
+        """One task: pure function of the artifact and one partition's
+        payload (subclass hook)."""
         raise NotImplementedError
 
     def prepared(self) -> Any:
@@ -237,90 +268,87 @@ class TaskSpec:
         return self._prepared
 
     def __getstate__(self) -> dict[str, Any]:
-        """Ship everything except the driver-side built artifact."""
+        """Ship the fingerprint, never the driver-side artifact."""
         state = dict(self.__dict__)
         state["_prepared"] = None
+        state["_fingerprint"] = self.fingerprint
         return state
 
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        """Restore; the artifact is rebuilt (or memo-served) on use."""
-        self.__dict__.update(state)
 
-
-class KernelSpec(TaskSpec):
-    """Run a fused chain kernel over a partition: ``(rows, counts)``."""
-
-    kind = "kernel"
-
-    def __init__(
-        self,
-        steps: Sequence[KernelStep],
-        prepared: ChainKernel | None = None,
-    ) -> None:
-        digests = []
-        fingerprint: tuple | None = None
-        for step in steps:
-            if step.body is None:
-                digests = None
-                break
-            bindings = _bindings_digest(step.bindings)
-            body = (
+def _steps_digest(steps: Sequence[KernelStep]) -> tuple | None:
+    """Content digest of a kernel's step IR, or ``None``."""
+    digests = []
+    for step in steps:
+        bindings = _bindings_digest(step.bindings)
+        if step.body is None or bindings is None:
+            return None
+        digests.append(
+            (
                 pretty(step.body),
                 tuple(step.params),
                 bindings,
                 step.kind,
                 step.extra,
             )
-            if bindings is None:
-                digests = None
-                break
-            digests.append(body)
-        if digests is not None:
-            fingerprint = ("kernel", tuple(digests))
-        super().__init__(fingerprint)
-        self.steps = tuple(steps)
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> ChainKernel:
-        """Regenerate + compile the kernel source from the step IR."""
-        return build_chain_kernel(self.steps)
+        )
+    return tuple(digests)
 
 
-class VectorKernelSpec(TaskSpec):
-    """Run a vectorized chain kernel over a :class:`ColumnBatch`.
+def _key_kernel_or_none(
+    step: KernelStep | None, schema: ColumnSchema | None
+) -> VectorKernel | None:
+    """The key column's vector kernel when a spec has a columnar side."""
+    return build_key_kernel(step, schema) if schema is not None else None
 
-    The task payload is a whole batch (typed column buffers) instead of
-    a row list; the result is ``(out_batch, counts)`` with the counts
-    tuple identical in shape and value to the row kernel's, so the
-    driver charges both planes through the same accounting path.
+
+def _signature(schema: ColumnSchema | None) -> tuple | None:
+    """A schema's signature; ``None`` for a spec with no columnar side."""
+    return schema.signature() if schema is not None else None
+
+
+class KernelSpec(TaskSpec):
+    """Run a fused chain kernel over a partition: ``(rows, counts)``.
+
+    With a ``schema`` the spec also carries the chain's vector kernel:
+    a partition handed over as a :class:`ColumnBatch` (typed column
+    buffers) runs batch-at-a-time and returns ``(out_batch, counts)``,
+    a row list streams through the row kernel.  The counts tuples are
+    identical in shape and value, so the driver charges both planes
+    through the same accounting path.
     """
 
-    kind = "vkernel"
+    kind = "kernel"
 
     def __init__(
         self,
         steps: Sequence[KernelStep],
-        schema: ColumnSchema,
-        prepared: VectorKernel | None = None,
+        schema: ColumnSchema | None = None,
+        prepared: tuple | None = None,
     ) -> None:
-        row_spec = KernelSpec(steps)
-        fingerprint: tuple | None = None
-        if row_spec.fingerprint[0] != "token":
-            fingerprint = (
-                "vkernel",
-                row_spec.fingerprint,
-                schema.signature(),
-            )
-        super().__init__(fingerprint)
+        super().__init__(prepared)
         self.steps = tuple(steps)
         self.schema = schema
-        if prepared is not None:
-            self._prepared = prepared
 
-    def build(self) -> VectorKernel:
-        """Regenerate + compile the vector kernel from the step IR."""
-        return build_vector_kernel(self.steps, self.schema)
+    def fingerprint_parts(self) -> tuple | None:
+        digest = _steps_digest(self.steps)
+        return None if digest is None else (digest, _signature(self.schema))
+
+    def build(self) -> tuple:
+        """(row kernel, vector kernel | None), regenerated from the
+        step IR."""
+        return (
+            build_chain_kernel(self.steps),
+            build_vector_kernel(self.steps, self.schema)
+            if self.schema is not None
+            else None,
+        )
+
+    def run(self, prepared: tuple, data: Any) -> tuple:
+        kernel, vector_kernel = prepared
+        if isinstance(data, ColumnBatch):
+            return vector_kernel.run_batch(data)
+        rows: list[Any] = []
+        return rows, kernel.run(data, rows.append)
 
 
 class AggMapSpec(TaskSpec):
@@ -343,40 +371,62 @@ class AggMapSpec(TaskSpec):
         steps: Sequence[KernelStep] | None = None,
         prepared: tuple | None = None,
     ) -> None:
-        key_digest = key.digest()
-        bindings_digest = _bindings_digest(bindings)
-        fingerprint: tuple | None = None
-        if key_digest is not None and bindings_digest is not None:
-            steps_spec = None
-            if steps is not None:
-                steps_spec = KernelSpec(steps)
-                if steps_spec.fingerprint[0] == "token":
-                    steps_spec = None
-            if steps is None or steps_spec is not None:
-                fingerprint = (
-                    "agg-map",
-                    key_digest,
-                    tuple(_algebra_digest(s) for s in specs),
-                    bindings_digest,
-                    steps_spec.fingerprint if steps_spec else None,
-                )
-        super().__init__(fingerprint)
+        super().__init__(prepared)
         self.key = key
         self.specs = tuple(specs)
         self.bindings = bindings
         self.steps = tuple(steps) if steps is not None else None
-        if prepared is not None:
-            self._prepared = prepared
+
+    def fingerprint_parts(self) -> tuple | None:
+        steps = None
+        if self.steps is not None:
+            steps = _steps_digest(self.steps)
+            if steps is None:
+                return None
+        key, bindings = self.key.digest(), _bindings_digest(self.bindings)
+        if key is None or bindings is None:
+            return None
+        return (
+            key,
+            tuple(_algebra_digest(s) for s in self.specs),
+            bindings,
+            steps,
+        )
 
     def build(self) -> tuple:
         """(kernel | None, key closure, concrete fold algebras)."""
         kernel = (
             build_chain_kernel(self.steps) if self.steps is not None else None
         )
-        key_fn = self.key.compile()
         env = Env.of(self.bindings)
-        algebras = [s.make_algebra(env) for s in self.specs]
-        return kernel, key_fn, algebras
+        return (
+            kernel,
+            self.key.compile(),
+            [s.make_algebra(env) for s in self.specs],
+        )
+
+    def run(self, prepared: tuple, data: list[Any]) -> tuple:
+        kernel, key_fn, algebras = prepared
+        acc: dict[Any, list[Any]] = {}
+
+        def accumulate(x: Any) -> None:
+            k = key_fn(x)
+            entry = acc.get(k)
+            if entry is None:
+                acc[k] = [
+                    a.union(a.zero(), a.singleton(x)) for a in algebras
+                ]
+            else:
+                for j, a in enumerate(algebras):
+                    entry[j] = a.union(entry[j], a.singleton(x))
+
+        if kernel is None:
+            for x in data:
+                accumulate(x)
+            counts = None
+        else:
+            counts = kernel.run(data, accumulate)
+        return [(k, tuple(v)) for k, v in acc.items()], counts
 
 
 class AggMergeSpec(TaskSpec):
@@ -390,465 +440,31 @@ class AggMergeSpec(TaskSpec):
         bindings: dict[str, Any],
         prepared: tuple | None = None,
     ) -> None:
-        bindings_digest = _bindings_digest(bindings)
-        fingerprint = None
-        if bindings_digest is not None:
-            fingerprint = (
-                "agg-merge",
-                tuple(_algebra_digest(s) for s in specs),
-                bindings_digest,
-            )
-        super().__init__(fingerprint)
+        super().__init__(prepared)
         self.specs = tuple(specs)
         self.bindings = bindings
-        if prepared is not None:
-            self._prepared = prepared
+
+    def fingerprint_parts(self) -> tuple | None:
+        bindings = _bindings_digest(self.bindings)
+        if bindings is None:
+            return None
+        return tuple(_algebra_digest(s) for s in self.specs), bindings
 
     def build(self) -> tuple:
         """The concrete fold algebras, rebuilt from their symbolic IR."""
         env = Env.of(self.bindings)
         return tuple(s.make_algebra(env) for s in self.specs)
 
-
-class GroupSpec(TaskSpec):
-    """Materialize ``Grp`` records for one shuffled partition."""
-
-    kind = "group"
-
-    def __init__(
-        self, key: UdfRef, prepared: Callable | None = None
-    ) -> None:
-        digest = key.digest()
-        super().__init__(
-            ("group", digest) if digest is not None else None
-        )
-        self.key = key
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> Callable:
-        """The compiled grouping-key closure."""
-        return self.key.compile()
-
-
-class BucketSpec(TaskSpec):
-    """Hash-bucket one partition's records for a shuffle.
-
-    Returns a list of ``num_partitions`` record lists; the driver
-    merges buckets across tasks in partition order, reproducing the
-    serial shuffle's record order exactly.  The per-record
-    ``stable_hash`` is process-independent by construction, so worker
-    processes bucket identically to the driver.
-    """
-
-    kind = "bucket"
-
-    def __init__(
-        self,
-        key: UdfRef,
-        num_partitions: int,
-        prepared: Callable | None = None,
-    ) -> None:
-        digest = key.digest()
-        fingerprint = None
-        if digest is not None:
-            fingerprint = ("bucket", digest, num_partitions)
-        super().__init__(fingerprint)
-        self.key = key
-        self.num_partitions = num_partitions
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> Callable:
-        """The compiled shuffle-key closure."""
-        return self.key.compile()
-
-
-class ColumnarBucketSpec(TaskSpec):
-    """Hash-bucket one partition shipped as a :class:`ColumnBatch`.
-
-    The columnar twin of :class:`BucketSpec`: the payload is a typed
-    batch instead of a row list, the shuffle key is evaluated as a
-    column through a single-step vector kernel, and the result is a
-    list of ``num_partitions`` destination *sub-batches* (scattered in
-    source order, so the driver's merge reproduces the row shuffle's
-    record order exactly).  Bucket assignment is bit-identical to
-    ``hash_partition_index`` by construction of
-    :func:`~repro.engines.columnar.bucket_indices`.
-    """
-
-    kind = "columnar-bucket"
-
-    def __init__(
-        self,
-        key: UdfRef,
-        key_step: KernelStep,
-        schema: ColumnSchema,
-        num_partitions: int,
-        prepared: tuple | None = None,
-    ) -> None:
-        digest = key.digest()
-        fingerprint = None
-        if digest is not None:
-            fingerprint = (
-                "columnar-bucket",
-                digest,
-                schema.signature(),
-                num_partitions,
-            )
-        super().__init__(fingerprint)
-        self.key = key
-        self.key_step = key_step
-        self.schema = schema
-        self.num_partitions = num_partitions
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> tuple:
-        """(key vector kernel, destination count)."""
-        return (
-            build_key_kernel(self.key_step, self.schema),
-            self.num_partitions,
-        )
-
-
-class ColumnarGroupSpec(TaskSpec):
-    """Materialize ``Grp`` records from one shuffled batch.
-
-    The columnar twin of :class:`GroupSpec`: the payload is the
-    partition as a full-width :class:`ColumnBatch`; the worker
-    evaluates the grouping key as a column, then groups the
-    reconstructed records with run detection (adjacent equal keys skip
-    the hash probe — shuffled partitions cluster equal keys when the
-    upstream scatter preserved source runs).
-    """
-
-    kind = "columnar-group"
-
-    def __init__(
-        self,
-        key: UdfRef,
-        key_step: KernelStep,
-        schema: ColumnSchema,
-        prepared: tuple | None = None,
-    ) -> None:
-        digest = key.digest()
-        fingerprint = None
-        if digest is not None:
-            fingerprint = ("columnar-group", digest, schema.signature())
-        super().__init__(fingerprint)
-        self.key = key
-        self.key_step = key_step
-        self.schema = schema
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> tuple:
-        """(key vector kernel,) — tuple for memo-shape uniformity."""
-        return (build_key_kernel(self.key_step, self.schema),)
-
-
-class ColumnarJoinProbeSpec(TaskSpec):
-    """Hash join build/probe over key columns of a partition pair.
-
-    The columnar twin of :class:`JoinProbeSpec`: each side of the
-    payload is either a full-width :class:`ColumnBatch` (keys evaluated
-    through the side's vector kernel) or a plain row list (that
-    partition fell back — keys evaluated through the compiled closure).
-    Build and probe orders match the row runner exactly, so the output
-    pair order is bit-identical.
-    """
-
-    kind = "columnar-join-probe"
-
-    def __init__(
-        self,
-        kx: UdfRef,
-        ky: UdfRef,
-        x_step: KernelStep,
-        x_schema: ColumnSchema,
-        y_step: KernelStep,
-        y_schema: ColumnSchema,
-        prepared: tuple | None = None,
-    ) -> None:
-        dx, dy = kx.digest(), ky.digest()
-        fingerprint = None
-        if dx is not None and dy is not None:
-            fingerprint = (
-                "columnar-join-probe",
-                dx,
-                dy,
-                x_schema.signature(),
-                y_schema.signature(),
-            )
-        super().__init__(fingerprint)
-        self.kx = kx
-        self.ky = ky
-        self.x_step = x_step
-        self.x_schema = x_schema
-        self.y_step = y_step
-        self.y_schema = y_schema
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> tuple:
-        """(kx closure, ky closure, left key kernel, right key kernel)."""
-        return (
-            self.kx.compile(),
-            self.ky.compile(),
-            build_key_kernel(self.x_step, self.x_schema),
-            build_key_kernel(self.y_step, self.y_schema),
-        )
-
-
-class JoinProbeSpec(TaskSpec):
-    """Co-partitioned hash join probe over a ``(left, right)`` pair."""
-
-    kind = "join-probe"
-
-    def __init__(
-        self,
-        kx: UdfRef,
-        ky: UdfRef,
-        prepared: tuple | None = None,
-    ) -> None:
-        dx, dy = kx.digest(), ky.digest()
-        fingerprint = None
-        if dx is not None and dy is not None:
-            fingerprint = ("join-probe", dx, dy)
-        super().__init__(fingerprint)
-        self.kx = kx
-        self.ky = ky
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> tuple:
-        """Both compiled key closures."""
-        return self.kx.compile(), self.ky.compile()
-
-
-class BroadcastProbeSpec(TaskSpec):
-    """Broadcast hash join probe: the small side rides in the spec.
-
-    Like Spark's broadcast join, each worker builds the hash table
-    from the shipped records — once per worker process thanks to the
-    fingerprint memo, mirroring a real broadcast variable.
-    """
-
-    kind = "broadcast-probe"
-
-    def __init__(
-        self,
-        records: list[Any],
-        key_small: UdfRef,
-        key_big: UdfRef,
-        small_first: bool,
-        prepared: tuple | None = None,
-    ) -> None:
-        ds, db = key_small.digest(), key_big.digest()
-        fingerprint = None
-        if ds is not None and db is not None:
-            try:
-                fingerprint = (
-                    "broadcast-probe",
-                    ds,
-                    db,
-                    small_first,
-                    stable_hash(records),
-                )
-            except EngineError:
-                fingerprint = None
-        super().__init__(fingerprint)
-        self.records = records
-        self.key_small = key_small
-        self.key_big = key_big
-        self.small_first = small_first
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> tuple:
-        """(hash table over the small side, big-side key closure)."""
-        ks = self.key_small.compile()
-        table: dict[Any, list[Any]] = {}
-        for r in self.records:
-            table.setdefault(ks(r), []).append(r)
-        return table, self.key_big.compile(), self.small_first
-
-
-class SemiProbeSpec(TaskSpec):
-    """Co-partitioned (anti-)semi-join probe over a partition pair."""
-
-    kind = "semi-probe"
-
-    def __init__(
-        self,
-        kx: UdfRef,
-        ky: UdfRef,
-        anti: bool,
-        prepared: tuple | None = None,
-    ) -> None:
-        dx, dy = kx.digest(), ky.digest()
-        fingerprint = None
-        if dx is not None and dy is not None:
-            fingerprint = ("semi-probe", dx, dy, anti)
-        super().__init__(fingerprint)
-        self.kx = kx
-        self.ky = ky
-        self.anti = anti
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> tuple:
-        """Both compiled key closures plus the anti flag."""
-        return self.kx.compile(), self.ky.compile(), self.anti
-
-
-class BroadcastSemiSpec(TaskSpec):
-    """Broadcast (anti-)semi-join filter: key set rides in the spec."""
-
-    kind = "broadcast-semi"
-
-    def __init__(
-        self,
-        keys: list[Any],
-        kx: UdfRef,
-        anti: bool,
-        prepared: tuple | None = None,
-    ) -> None:
-        dx = kx.digest()
-        fingerprint = None
-        if dx is not None:
-            try:
-                fingerprint = (
-                    "broadcast-semi",
-                    dx,
-                    anti,
-                    stable_hash(set(keys)),
-                )
-            except (EngineError, TypeError):
-                fingerprint = None
-        super().__init__(fingerprint)
-        self.keys = keys
-        self.kx = kx
-        self.anti = anti
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> tuple:
-        """(key set, probe-side key closure, anti flag)."""
-        return set(self.keys), self.kx.compile(), self.anti
-
-
-class FoldSpec(TaskSpec):
-    """Per-partition partial of a structural fold (``algebra(p)``)."""
-
-    kind = "fold"
-
-    def __init__(
-        self,
-        spec: AlgebraSpec,
-        bindings: dict[str, Any],
-        prepared: Any | None = None,
-    ) -> None:
-        bindings_digest = _bindings_digest(bindings)
-        fingerprint = None
-        if bindings_digest is not None:
-            fingerprint = (
-                "fold",
-                _algebra_digest(spec),
-                bindings_digest,
-            )
-        super().__init__(fingerprint)
-        self.spec = spec
-        self.bindings = bindings
-        if prepared is not None:
-            self._prepared = prepared
-
-    def build(self) -> Any:
-        """The concrete fold algebra over the shipped bindings."""
-        return self.spec.make_algebra(Env.of(self.bindings))
-
-
-# -- task runners -----------------------------------------------------------
-
-
-def _run_kernel(kernel: ChainKernel, partition: list[Any]) -> tuple:
-    """Stream a partition through a chain kernel; collect the rows."""
-    rows: list[Any] = []
-    counts = kernel.run(partition, rows.append)
-    return rows, counts
-
-
-def _run_vector_kernel(kernel: VectorKernel, batch: ColumnBatch) -> tuple:
-    """Run a vector kernel over one shipped batch: ``(batch, counts)``."""
-    return kernel.run_batch(batch)
-
-
-def _run_agg_map(prepared: tuple, partition: list[Any]) -> tuple:
-    """Partial-aggregate a partition (chain-fused when steps shipped)."""
-    kernel, key_fn, algebras = prepared
-    acc: dict[Any, list[Any]] = {}
-
-    def accumulate(x: Any) -> None:
-        k = key_fn(x)
-        entry = acc.get(k)
-        if entry is None:
-            acc[k] = [
-                a.union(a.zero(), a.singleton(x)) for a in algebras
-            ]
-        else:
-            for j, a in enumerate(algebras):
-                entry[j] = a.union(entry[j], a.singleton(x))
-
-    if kernel is None:
-        for x in partition:
-            accumulate(x)
-        counts = None
-    else:
-        counts = kernel.run(partition, accumulate)
-    return [(k, tuple(v)) for k, v in acc.items()], counts
-
-
-def _run_agg_merge(algebras: tuple, partition: list[Any]) -> list[Any]:
-    """Merge shuffled ``(key, accumulators)`` pairs into results."""
-    merged: dict[Any, list[Any]] = {}
-    for k, accs in partition:
-        entry = merged.get(k)
-        if entry is None:
-            merged[k] = list(accs)
-        else:
-            for j, a in enumerate(algebras):
-                entry[j] = a.union(entry[j], accs[j])
-    return [AggResult(k, tuple(v)) for k, v in merged.items()]
-
-
-def _run_group(key_fn: Callable, partition: list[Any]) -> list[Any]:
-    """Materialize the groups of one shuffled partition."""
-    groups: dict[Any, list[Any]] = {}
-    for x in partition:
-        groups.setdefault(key_fn(x), []).append(x)
-    return [Grp(k, DataBag(vs)) for k, vs in groups.items()]
-
-
-def _run_bucket(key_fn: Callable, task_data: tuple) -> list[list[Any]]:
-    """Hash-bucket one partition's records into destination lists."""
-    partition, num_partitions = task_data
-    buckets: list[list[Any]] = [[] for _ in range(num_partitions)]
-    for record in partition:
-        buckets[hash_partition_index(key_fn(record), num_partitions)].append(
-            record
-        )
-    return buckets
-
-
-def _run_columnar_bucket(
-    prepared: tuple, batch: ColumnBatch
-) -> list[ColumnBatch]:
-    """Bucket one shipped batch into destination sub-batches."""
-    kernel, num_partitions = prepared
-    keys = kernel.run_batch(batch)[0].columns[0]
-    dests = bucket_indices(keys, num_partitions)
-    return scatter_batch(batch, dests, num_partitions)
+    def run(self, prepared: tuple, data: list[Any]) -> list[Any]:
+        merged: dict[Any, list[Any]] = {}
+        for k, accs in data:
+            entry = merged.get(k)
+            if entry is None:
+                merged[k] = list(accs)
+            else:
+                for j, a in enumerate(prepared):
+                    entry[j] = a.union(entry[j], accs[j])
+        return [AggResult(k, tuple(v)) for k, v in merged.items()]
 
 
 #: marks "no previous key yet" in the run-detecting group loop
@@ -881,18 +497,114 @@ def group_rows_by_keys(rows: list[Any], keys: list[Any]) -> dict:
     return groups
 
 
-def _run_columnar_group(prepared: tuple, batch: ColumnBatch) -> list[Any]:
-    """Group one shipped batch by its key column."""
-    (kernel,) = prepared
-    rows = batch.to_records()
-    keys = kernel.run_batch(batch)[0].to_records()
-    groups = group_rows_by_keys(rows, keys)
-    return [Grp(k, DataBag(vs)) for k, vs in groups.items()]
+class GroupSpec(TaskSpec):
+    """Materialize ``Grp`` records for one shuffled partition.
+
+    A partition handed over as a full-width :class:`ColumnBatch`
+    evaluates the grouping key as a column through the spec's key
+    kernel and groups the reconstructed records with run detection
+    (adjacent equal keys skip the hash probe — shuffled partitions
+    cluster equal keys when the upstream scatter preserved source
+    runs); a row list groups through the compiled key closure.
+    """
+
+    kind = "group"
+
+    def __init__(
+        self,
+        key: UdfRef,
+        key_step: KernelStep | None = None,
+        schema: ColumnSchema | None = None,
+        prepared: tuple | None = None,
+    ) -> None:
+        super().__init__(prepared)
+        self.key = key
+        self.key_step = key_step
+        self.schema = schema
+
+    def fingerprint_parts(self) -> tuple | None:
+        digest = self.key.digest()
+        return None if digest is None else (digest, _signature(self.schema))
+
+    def build(self) -> tuple:
+        """(key closure, key vector kernel | None)."""
+        return (
+            self.key.compile(),
+            _key_kernel_or_none(self.key_step, self.schema),
+        )
+
+    def run(self, prepared: tuple, data: Any) -> list[Any]:
+        key_fn, kernel = prepared
+        if isinstance(data, ColumnBatch):
+            groups = group_rows_by_keys(
+                data.to_records(), kernel.run_batch(data)[0].to_records()
+            )
+        else:
+            groups = {}
+            for x in data:
+                groups.setdefault(key_fn(x), []).append(x)
+        return [Grp(k, DataBag(vs)) for k, vs in groups.items()]
+
+
+class BucketSpec(TaskSpec):
+    """Hash-bucket one partition's records for a shuffle.
+
+    Returns ``num_partitions`` destination buckets in source order; the
+    driver merges buckets across tasks in partition order, which fixes
+    the shuffle's record order in every execution mode.  A row list
+    buckets into record lists through the per-record ``stable_hash``
+    (process-independent by construction, so workers bucket exactly as
+    the driver would); a :class:`ColumnBatch` evaluates the key as a
+    column and scatters into destination *sub-batches*, with
+    :func:`~repro.engines.columnar.bucket_indices` holding the
+    assignment bit-identical to ``hash_partition_index``.
+    """
+
+    kind = "bucket"
+
+    def __init__(
+        self,
+        key: UdfRef,
+        num_partitions: int,
+        key_step: KernelStep | None = None,
+        schema: ColumnSchema | None = None,
+        prepared: tuple | None = None,
+    ) -> None:
+        super().__init__(prepared)
+        self.key = key
+        self.num_partitions = num_partitions
+        self.key_step = key_step
+        self.schema = schema
+
+    def fingerprint_parts(self) -> tuple | None:
+        digest = self.key.digest()
+        if digest is None:
+            return None
+        return digest, self.num_partitions, _signature(self.schema)
+
+    def build(self) -> tuple:
+        """(key closure, key vector kernel | None)."""
+        return (
+            self.key.compile(),
+            _key_kernel_or_none(self.key_step, self.schema),
+        )
+
+    def run(self, prepared: tuple, data: Any) -> list:
+        key_fn, kernel = prepared
+        n = self.num_partitions
+        if isinstance(data, ColumnBatch):
+            keys = kernel.run_batch(data)[0].columns[0]
+            return scatter_batch(data, bucket_indices(keys, n), n)
+        buckets: list[list[Any]] = [[] for _ in range(n)]
+        keys = [key_fn(record) for record in data]
+        for record, k in zip(data, keys):
+            buckets[stable_hash(k) % n].append(record)
+        return buckets
 
 
 def _side_rows_and_keys(
     side: Any, kernel: Any, key_fn: Callable
-) -> tuple[list[Any], list[Any]]:
+) -> tuple[list[Any], Any]:
     """(records, keys) of one join side: batch or row-list payload."""
     if isinstance(side, ColumnBatch):
         return (
@@ -902,83 +614,211 @@ def _side_rows_and_keys(
     return side, [key_fn(x) for x in side]
 
 
-def _run_columnar_join_probe(prepared: tuple, task_data: tuple) -> list[Any]:
-    """Build-and-probe one pair whose sides may ship as batches."""
-    kx, ky, x_kernel, y_kernel = prepared
-    lp, rp = task_data
-    rrows, rkeys = _side_rows_and_keys(rp, y_kernel, ky)
-    lrows, lkeys = _side_rows_and_keys(lp, x_kernel, kx)
-    return probe_join(lrows, lkeys, rrows, rkeys)
+class JoinProbeSpec(TaskSpec):
+    """Co-partitioned hash join build/probe over a ``(left, right)``
+    pair.
+
+    Each side of the payload is either a row list (keys through the
+    compiled closure) or, when the spec carries that side's schema, a
+    full-width :class:`ColumnBatch` (keys evaluated as a column).
+    Build and probe orders are the same either way, so the output pair
+    order does not depend on how a side arrived.
+    """
+
+    kind = "join-probe"
+
+    def __init__(
+        self,
+        kx: UdfRef,
+        ky: UdfRef,
+        x_step: KernelStep | None = None,
+        x_schema: ColumnSchema | None = None,
+        y_step: KernelStep | None = None,
+        y_schema: ColumnSchema | None = None,
+        prepared: tuple | None = None,
+    ) -> None:
+        super().__init__(prepared)
+        self.kx = kx
+        self.ky = ky
+        self.x_step = x_step
+        self.x_schema = x_schema
+        self.y_step = y_step
+        self.y_schema = y_schema
+
+    def fingerprint_parts(self) -> tuple | None:
+        dx, dy = self.kx.digest(), self.ky.digest()
+        if dx is None or dy is None:
+            return None
+        return dx, dy, _signature(self.x_schema), _signature(self.y_schema)
+
+    def build(self) -> tuple:
+        """(kx closure, ky closure, left key kernel, right key kernel)."""
+        return (
+            self.kx.compile(),
+            self.ky.compile(),
+            _key_kernel_or_none(self.x_step, self.x_schema),
+            _key_kernel_or_none(self.y_step, self.y_schema),
+        )
+
+    def run(self, prepared: tuple, data: tuple) -> list[Any]:
+        kx, ky, x_kernel, y_kernel = prepared
+        lp, rp = data
+        rrows, rkeys = _side_rows_and_keys(rp, y_kernel, ky)
+        lrows, lkeys = _side_rows_and_keys(lp, x_kernel, kx)
+        if isinstance(lp, ColumnBatch) or isinstance(rp, ColumnBatch):
+            return probe_join(lrows, lkeys, rrows, rkeys)
+        return hash_probe(lrows, lkeys, rrows, rkeys)
 
 
-def _run_join_probe(prepared: tuple, task_data: tuple) -> list[Any]:
-    """Build-and-probe one co-partitioned (left, right) pair."""
-    kx, ky = prepared
-    lp, rp = task_data
-    table: dict[Any, list[Any]] = {}
-    for r in rp:
-        table.setdefault(ky(r), []).append(r)
-    rows: list[Any] = []
-    for x in lp:
-        for m in table.get(kx(x), ()):
-            rows.append((x, m))
-    return rows
+class BroadcastProbeSpec(TaskSpec):
+    """Broadcast hash join probe: the small side rides in the spec.
+
+    Like Spark's broadcast join, each worker builds the hash table
+    from the shipped records — once per worker process thanks to the
+    fingerprint memo, mirroring a real broadcast variable.
+    """
+
+    kind = "broadcast-probe"
+
+    def __init__(
+        self,
+        records: list[Any],
+        key_small: UdfRef,
+        key_big: UdfRef,
+        small_first: bool,
+        prepared: tuple | None = None,
+    ) -> None:
+        super().__init__(prepared)
+        self.records = records
+        self.key_small = key_small
+        self.key_big = key_big
+        self.small_first = small_first
+
+    def fingerprint_parts(self) -> tuple | None:
+        ds, db = self.key_small.digest(), self.key_big.digest()
+        if ds is None or db is None:
+            return None
+        try:
+            return ds, db, self.small_first, stable_hash(self.records)
+        except EngineError:
+            return None
+
+    def build(self) -> tuple:
+        """(hash table over the small side, big-side key closure)."""
+        ks = self.key_small.compile()
+        table: dict[Any, list[Any]] = {}
+        for r in self.records:
+            table.setdefault(ks(r), []).append(r)
+        return table, self.key_big.compile()
+
+    def run(self, prepared: tuple, data: list[Any]) -> list[Any]:
+        table, kb = prepared
+        matches = table.get
+        if self.small_first:
+            return [(m, x) for x in data for m in matches(kb(x), ())]
+        return [(x, m) for x in data for m in matches(kb(x), ())]
 
 
-def _run_broadcast_probe(prepared: tuple, partition: list[Any]) -> list[Any]:
-    """Probe a big-side partition against the broadcast hash table."""
-    table, kb, small_first = prepared
-    rows: list[Any] = []
-    for x in partition:
-        for m in table.get(kb(x), ()):
-            rows.append((m, x) if small_first else (x, m))
-    return rows
+class SemiProbeSpec(TaskSpec):
+    """Co-partitioned (anti-)semi-join probe over a partition pair."""
+
+    kind = "semi-probe"
+
+    def __init__(
+        self,
+        kx: UdfRef,
+        ky: UdfRef,
+        anti: bool,
+        prepared: tuple | None = None,
+    ) -> None:
+        super().__init__(prepared)
+        self.kx = kx
+        self.ky = ky
+        self.anti = anti
+
+    def fingerprint_parts(self) -> tuple | None:
+        dx, dy = self.kx.digest(), self.ky.digest()
+        if dx is None or dy is None:
+            return None
+        return dx, dy, self.anti
+
+    def build(self) -> tuple:
+        """Both compiled key closures."""
+        return self.kx.compile(), self.ky.compile()
+
+    def run(self, prepared: tuple, data: tuple) -> list[Any]:
+        kx, ky = prepared
+        lp, rp = data
+        keys = {ky(r) for r in rp}
+        if self.anti:
+            return [x for x in lp if kx(x) not in keys]
+        return [x for x in lp if kx(x) in keys]
 
 
-def _run_semi_probe(prepared: tuple, task_data: tuple) -> list[Any]:
-    """(Anti-)semi-join one co-partitioned (left, right) pair."""
-    kx, ky, anti = prepared
-    lp, rp = task_data
-    keys = {ky(r) for r in rp}
-    if anti:
-        return [x for x in lp if kx(x) not in keys]
-    return [x for x in lp if kx(x) in keys]
+class BroadcastSemiSpec(TaskSpec):
+    """Broadcast (anti-)semi-join filter: key set rides in the spec."""
+
+    kind = "broadcast-semi"
+
+    def __init__(
+        self,
+        keys: list[Any],
+        kx: UdfRef,
+        anti: bool,
+        prepared: tuple | None = None,
+    ) -> None:
+        super().__init__(prepared)
+        self.keys = keys
+        self.kx = kx
+        self.anti = anti
+
+    def fingerprint_parts(self) -> tuple | None:
+        dx = self.kx.digest()
+        if dx is None:
+            return None
+        try:
+            return dx, self.anti, stable_hash(set(self.keys))
+        except (EngineError, TypeError):
+            return None
+
+    def build(self) -> tuple:
+        """(key set, probe-side key closure)."""
+        return set(self.keys), self.kx.compile()
+
+    def run(self, prepared: tuple, data: list[Any]) -> list[Any]:
+        keys, kx = prepared
+        if self.anti:
+            return [x for x in data if kx(x) not in keys]
+        return [x for x in data if kx(x) in keys]
 
 
-def _run_broadcast_semi(prepared: tuple, partition: list[Any]) -> list[Any]:
-    """Filter a partition against the broadcast key set."""
-    keys, kx, anti = prepared
-    if anti:
-        return [x for x in partition if kx(x) not in keys]
-    return [x for x in partition if kx(x) in keys]
+class FoldSpec(TaskSpec):
+    """Per-partition partial of a structural fold (``algebra(p)``)."""
 
+    kind = "fold"
 
-def _run_fold(algebra: Any, partition: list[Any]) -> Any:
-    """One partition's fold partial."""
-    return algebra(partition)
+    def __init__(
+        self,
+        spec: AlgebraSpec,
+        bindings: dict[str, Any],
+        prepared: Any | None = None,
+    ) -> None:
+        super().__init__(prepared)
+        self.spec = spec
+        self.bindings = bindings
 
+    def fingerprint_parts(self) -> tuple | None:
+        bindings = _bindings_digest(self.bindings)
+        if bindings is None:
+            return None
+        return _algebra_digest(self.spec), bindings
 
-_RUNNERS: dict[str, Callable[[Any, Any], Any]] = {
-    "kernel": _run_kernel,
-    "vkernel": _run_vector_kernel,
-    "agg-map": _run_agg_map,
-    "agg-merge": _run_agg_merge,
-    "group": _run_group,
-    "bucket": _run_bucket,
-    "columnar-bucket": _run_columnar_bucket,
-    "columnar-group": _run_columnar_group,
-    "columnar-join-probe": _run_columnar_join_probe,
-    "join-probe": _run_join_probe,
-    "broadcast-probe": _run_broadcast_probe,
-    "semi-probe": _run_semi_probe,
-    "broadcast-semi": _run_broadcast_semi,
-    "fold": _run_fold,
-}
+    def build(self) -> Any:
+        """The concrete fold algebra over the shipped bindings."""
+        return self.spec.make_algebra(Env.of(self.bindings))
 
-
-def register_runner(kind: str, runner: Callable[[Any, Any], Any]) -> None:
-    """Register a custom task runner (test hook for exotic stages)."""
-    _RUNNERS[kind] = runner
+    def run(self, prepared: Any, data: list[Any]) -> Any:
+        return prepared(data)
 
 
 # -- tasks and stages -------------------------------------------------------
@@ -1057,7 +897,7 @@ def _process_entry(payload: bytes) -> bytes:
         data = load_payload_file(data)
     started = time.perf_counter()
     prepared, rehydrated = _prepare_memoized(spec)
-    value = _RUNNERS[spec.kind](prepared, data)
+    value = spec.run(prepared, data)
     return pickle.dumps(
         (value, time.perf_counter() - started, rehydrated),
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -1263,13 +1103,13 @@ class TaskScheduler:
     def _run_serial(
         self, order: list[TaskStage]
     ) -> dict[str, list[Any]]:
-        """Inline execution, in order — the zero-overhead reference."""
+        """Inline execution, in order — the reference the parallel
+        modes must reproduce."""
         results: dict[str, list[Any]] = {}
         for stage in order:
             tasks = stage.build(results)
             results[stage.stage_id] = [
-                _RUNNERS[t.spec.kind](t.spec.prepared(), t.data)
-                for t in tasks
+                t.spec.run(t.spec.prepared(), t.data) for t in tasks
             ]
         return results
 
@@ -1306,9 +1146,8 @@ class TaskScheduler:
             if metrics is not None:
                 metrics.ipc_bytes_shipped += len(payload)
             return pool.submit(_process_entry, payload), payload
-        prepared = task.spec.prepared()
-        runner = _RUNNERS[task.spec.kind]
-        return pool.submit(runner, prepared, task.data), None
+        spec = task.spec
+        return pool.submit(spec.run, spec.prepared(), task.data), None
 
     def _run_parallel(
         self, order: list[TaskStage], metrics: Any
@@ -1414,7 +1253,7 @@ class TaskScheduler:
                             metrics.ipc_bytes_shipped += len(payload)
                     else:
                         fut = pool.submit(
-                            _RUNNERS[task.spec.kind],
+                            task.spec.run,
                             task.spec.prepared(),
                             task.data,
                         )

@@ -135,12 +135,6 @@ class EmmaConfig:
     #: ``Algorithm.run`` then returns a :class:`~repro.engines.tracing.
     #: TracedRun` instead of the bare result
     tracing: bool = False
-    #: host-parallel partition-task backend: "serial" (inline loops),
-    #: "threads", or "processes" (true multi-core via source-shipped
-    #: chain kernels); results and ``simulated_seconds`` stay
-    #: bit-identical across modes — only measured wall clock changes.
-    #: Defaults honour ``REPRO_EXECUTION_MODE`` so CI can run whole
-    #: suites under the parallel backend.
     #: columnar batch data plane: "auto" vectorizes eligible chains
     #: when numpy is available, "on" forces the columnar path (with a
     #: pure-Python column fallback), "off" keeps every chain
@@ -158,6 +152,14 @@ class EmmaConfig:
     columnar_exchange: str = field(
         default_factory=default_columnar_exchange
     )
+    #: how the scheduler dispatches the operators' partition tasks
+    #: (the same ``TaskSpec`` per operator in every mode): "serial"
+    #: (inline, in order), "threads", or "processes" (true multi-core
+    #: via source-shipped chain kernels); results and
+    #: ``simulated_seconds`` stay bit-identical across modes — only
+    #: measured wall clock changes.  Default honours
+    #: ``REPRO_EXECUTION_MODE`` so CI can run whole suites under the
+    #: parallel backend.
     execution_mode: str = field(default_factory=default_execution_mode)
     #: concurrent partition-task slots (0 = one per host CPU core);
     #: default honours ``REPRO_MAX_PARALLEL_TASKS``

@@ -26,26 +26,15 @@ from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 MODES = ("serial", "threads", "processes")
 PLANES = ("off", "on")
 
-#: Metrics fields allowed to differ between variants: the measured
-#: wall clock, the parallel backend's own accounting, and the columnar
-#: plane's own accounting.
-_VARIANT_DEPENDENT = {
-    "wall_clock_seconds",
-    "parallel_tasks",
-    "parallel_stages",
-    "ipc_bytes_shipped",
-    "ipc_bytes_returned",
-    "kernels_rehydrated",
-    "speculative_launches",
-    "speculative_wins",
-    "serial_fallbacks",
+#: Beyond ``metrics.HOST_DEPENDENT``, this suite's axis is the columnar
+#: plane, so the plane's own accounting may differ between variants.
+_PLANE_DEPENDENT = {
     "columnar_batches_built",
     "columnar_kernels",
     "columnar_fallbacks",
     "columnar_fallbacks_udf",
     "columnar_fallbacks_schema",
     "columnar_fallbacks_input",
-    "columnar_blocks_shipped",
 }
 
 
@@ -96,15 +85,6 @@ def _config(plane, mode):
     )
 
 
-def _invariant_metrics(engine) -> dict:
-    """Every counter that must not depend on the execution variant."""
-    return {
-        name: value
-        for name, value in vars(engine.metrics).items()
-        if name not in _VARIANT_DEPENDENT
-    }
-
-
 def _run_matrix(world, algo, fault_plan=None, **params):
     """Run ``algo`` under every (plane, mode); assert bit-identity.
 
@@ -124,7 +104,7 @@ def _run_matrix(world, algo, fault_plan=None, **params):
             )
             outcomes[(plane, mode)] = (
                 [repr(r) for r in records],
-                _invariant_metrics(engine),
+                engine.metrics.invariant(_PLANE_DEPENDENT),
                 engine.metrics,
             )
     base_records, base_metrics, _ = outcomes[("off", "serial")]

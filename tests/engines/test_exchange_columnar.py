@@ -11,13 +11,18 @@ and identical fault/recovery schedules.  Only wall clock, IPC bytes,
 and the columnar/exchange counters themselves may move.
 """
 
+import pickle
+
 import pytest
 
 from repro.api import DataBag, parallelize
 from repro.engines.cluster import ClusterConfig
+from repro.engines.columnar import infer_schema
 from repro.engines.dfs import SimulatedDFS
+from repro.engines.executor import JobExecutor
 from repro.engines.faults import FaultPlan
 from repro.engines.sparklike import SparkLikeEngine
+from repro.lowering.combinators import CBagRef
 from repro.optimizer.pipeline import EmmaConfig
 from repro.workloads import graphs
 from repro.workloads.pagerank import pagerank
@@ -26,21 +31,10 @@ from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 MODES = ("serial", "threads", "processes")
 PLANES = ("off", "on")
 
-#: Metrics fields allowed to differ between variants: the measured
-#: wall clock, the parallel backend's own accounting, the columnar
-#: plane's accounting, the exchange plane's own accounting (this
-#: suite's axis *is* the exchange knob), and — for the budget matrix —
-#: the spill layer's accounting.
-_VARIANT_DEPENDENT = {
-    "wall_clock_seconds",
-    "parallel_tasks",
-    "parallel_stages",
-    "ipc_bytes_shipped",
-    "ipc_bytes_returned",
-    "kernels_rehydrated",
-    "speculative_launches",
-    "speculative_wins",
-    "serial_fallbacks",
+#: Beyond ``metrics.HOST_DEPENDENT``, the accounting of the layers this
+#: suite varies: the columnar plane, the exchange plane (the suite's
+#: axis *is* the exchange knob), and — for the budget matrix — spill.
+_PLANE_DEPENDENT = {
     "columnar_batches_built",
     "columnar_kernels",
     "columnar_fallbacks",
@@ -50,7 +44,6 @@ _VARIANT_DEPENDENT = {
     "columnar_shuffles",
     "columnar_joins",
     "columnar_groups",
-    "columnar_blocks_shipped",
     "spill_bytes_written",
     "spill_bytes_read",
     "partitions_spilled",
@@ -110,15 +103,6 @@ def _config(exchange, mode, budget=0):
     )
 
 
-def _invariant_metrics(engine) -> dict:
-    """Every counter that must not depend on the execution variant."""
-    return {
-        name: value
-        for name, value in vars(engine.metrics).items()
-        if name not in _VARIANT_DEPENDENT
-    }
-
-
 def _engagement(metrics) -> int:
     return (
         metrics.columnar_shuffles
@@ -155,7 +139,7 @@ def _run_matrix(
             )
             outcomes[(plane, mode)] = (
                 [repr(r) for r in records],
-                _invariant_metrics(engine),
+                engine.metrics.invariant(_PLANE_DEPENDENT),
                 engine.metrics,
             )
     base_records, base_metrics, _ = outcomes[("off", "serial")]
@@ -340,3 +324,43 @@ class TestExplainMarkers:
     def test_off_config_leaves_plans_unmarked(self):
         text = tpch_q4.explain(_config("off", "serial"))
         assert "exchange=" not in text
+
+
+class TestCachedBatchRows:
+    """A full-width batch cached for a bag at rest hands back that
+    bag's own partition lists from ``to_records`` (read-only, shared);
+    projected batches and shipped copies rebuild fresh records."""
+
+    def _cached(self, needed):
+        engine = SparkLikeEngine(
+            cluster=ClusterConfig(num_workers=2), dfs=SimulatedDFS()
+        )
+        executor = JobExecutor(engine, {}, engine._new_job())
+        bag = executor.parallelize_local(
+            [(i % 3, float(i)) for i in range(10)]
+        )
+        schema, _reason = infer_schema(bag.partitions[0])
+        batches = executor._source_batches(
+            CBagRef(name="xs"), schema, needed, bag
+        )
+        assert sorted(batches) == list(range(bag.num_partitions))
+        return bag, batches
+
+    def test_full_width_batch_shares_the_partition_list(self):
+        bag, batches = self._cached(None)
+        for i, batch in batches.items():
+            assert batch.rows is bag.partitions[i]
+            assert batch.to_records() is bag.partitions[i]
+
+    def test_projected_batch_has_no_rows(self):
+        _bag, batches = self._cached(frozenset({0}))
+        assert all(batch.rows is None for batch in batches.values())
+
+    def test_rows_never_ship(self):
+        bag, batches = self._cached(None)
+        for i, batch in batches.items():
+            shipped = pickle.loads(pickle.dumps(batch))
+            assert shipped.rows is None
+            rebuilt = shipped.to_records()
+            assert rebuilt == bag.partitions[i]
+            assert rebuilt is not bag.partitions[i]

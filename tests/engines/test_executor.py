@@ -91,7 +91,7 @@ class TestElementwiseOperators:
         shuffled = ex.shuffle_by_key(
             ex.parallelize_local([R(1, 1), R(2, 2)]), key_k()
         )
-        filtered = ex._exec_filter(
+        filtered = ex.run_bag(
             CFilter(
                 predicate=ScalarFn(
                     ("x",), Compare(">", Attr(Ref("x"), "v"), Const(0))
@@ -110,7 +110,7 @@ class TestElementwiseOperators:
         shuffled = ex.shuffle_by_key(
             ex.parallelize_local([R(1, 1)]), key_k()
         )
-        mapped = ex._exec_map(
+        mapped = ex.run_bag(
             CMap(
                 fn=ScalarFn.identity("x"),
                 input=_env_ref(ex, shuffled),

@@ -5,39 +5,53 @@ execution mode is *observably irrelevant*: for any workload — including
 one under aggressive fault injection — serial, threaded, and
 process-pool execution must produce bit-identical results, identical
 ``simulated_seconds``, and identical fault/recovery schedules.  Only
-the measured ``wall_clock_seconds`` (and the parallel-backend counters
-themselves) may differ.
+the counters ``repro.engines.metrics.HOST_DEPENDENT`` names (measured
+wall clock and the scheduler's own accounting) may differ.
 """
 
 import pytest
 
+from repro.comprehension.exprs import (
+    AlgebraSpec,
+    BinOp,
+    Compare,
+    Const,
+    Index,
+    Ref,
+    TupleExpr,
+)
+from repro.core.databag import DataBag
 from repro.engines.cluster import ClusterConfig
 from repro.engines.dfs import SimulatedDFS
+from repro.engines.executor import JobExecutor
 from repro.engines.faults import FaultPlan
+from repro.engines.scheduler import TaskScheduler, TaskStage
 from repro.engines.sparklike import SparkLikeEngine
+from repro.lowering.combinators import (
+    CAggBy,
+    CBagRef,
+    CChain,
+    CCross,
+    CDistinct,
+    CEqJoin,
+    CFilter,
+    CFlatMap,
+    CFold,
+    CGroupBy,
+    CMap,
+    CMinus,
+    CParallelize,
+    CSemiJoin,
+    CSource,
+    CUnion,
+    ScalarFn,
+)
 from repro.workloads import datagen, graphs
 from repro.workloads.kmeans import initial_centroids, kmeans
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 
 MODES = ("serial", "threads", "processes")
-
-#: Metrics fields allowed to differ between execution modes: the
-#: measured wall clock and the parallel backend's own accounting.
-_MODE_DEPENDENT = {
-    "wall_clock_seconds",
-    "parallel_tasks",
-    "parallel_stages",
-    "ipc_bytes_shipped",
-    "ipc_bytes_returned",
-    "kernels_rehydrated",
-    "speculative_launches",
-    "speculative_wins",
-    "serial_fallbacks",
-    # Columnar exchange block shipping is a processes-mode transport
-    # detail (blocks only "ship" across a process boundary).
-    "columnar_blocks_shipped",
-}
 
 
 @pytest.fixture(scope="module")
@@ -56,23 +70,36 @@ def world():
     }
 
 
+class RecordingScheduler(TaskScheduler):
+    """A scheduler that logs every task it is handed, in order."""
+
+    def __init__(self, mode):
+        super().__init__(mode=mode, max_parallel_tasks=2)
+        #: (label, partition index) of every submitted task
+        self.submitted = []
+
+    def run_graph(self, stages, metrics=None):
+        def recorded(stage):
+            def build(results):
+                tasks = stage.build(results)
+                self.submitted += [(t.label, t.index) for t in tasks]
+                return tasks
+
+            return TaskStage(stage.stage_id, build, stage.deps)
+
+        return super().run_graph([recorded(s) for s in stages], metrics)
+
+
 def _engine(world, mode, fault_plan=None):
-    return SparkLikeEngine(
+    engine = SparkLikeEngine(
         cluster=ClusterConfig(num_workers=4),
         dfs=world["dfs"],
         execution_mode=mode,
         max_parallel_tasks=2,
         fault_plan=fault_plan,
     )
-
-
-def _invariant_metrics(engine) -> dict:
-    """Every counter that must not depend on the execution mode."""
-    return {
-        name: value
-        for name, value in vars(engine.metrics).items()
-        if name not in _MODE_DEPENDENT
-    }
+    engine._scheduler = RecordingScheduler(mode)
+    return engine
 
 
 def _run_all_modes(world, algo, fault_plan=None, **params):
@@ -80,9 +107,13 @@ def _run_all_modes(world, algo, fault_plan=None, **params):
 
     Results are compared by exact ``repr`` in collection order (not
     sorted): the deterministic by-index merge must reproduce the serial
-    record order, not merely the same multiset.
+    record order, not merely the same multiset.  Every mode must also
+    hand the scheduler the identical task sequence: there is one
+    implementation per operator, and the mode only picks how its tasks
+    are dispatched.
     """
     outcomes = {}
+    submitted = {}
     for mode in MODES:
         # FaultPlan is a frozen dataclass; each engine builds its own
         # injector from it, so sharing the plan across modes is safe.
@@ -91,14 +122,19 @@ def _run_all_modes(world, algo, fault_plan=None, **params):
         records = result.fetch() if hasattr(result, "fetch") else result
         outcomes[mode] = (
             [repr(r) for r in records],
-            _invariant_metrics(engine),
+            engine.metrics.invariant(),
             engine.metrics,
         )
+        submitted[mode] = engine.scheduler.submitted
     base_records, base_metrics, _ = outcomes["serial"]
+    assert submitted["serial"], "serial mode ran no task specs"
     for mode in ("threads", "processes"):
         records, metrics, raw = outcomes[mode]
         assert records == base_records, f"{mode} diverged from serial"
         assert metrics == base_metrics, f"{mode} metrics diverged"
+        assert submitted[mode] == submitted["serial"], (
+            f"{mode} scheduled a different task sequence than serial"
+        )
         assert raw.parallel_tasks > 0
         assert raw.serial_fallbacks == 0
     return outcomes
@@ -177,3 +213,140 @@ class TestFaultedRunsBitIdentical:
         )
         _, metrics, _ = outcomes["serial"]
         assert metrics["tasks_retried"] > 0
+
+
+def _key():
+    return ScalarFn(("x",), Index(Ref("x"), Const(0)))
+
+
+def _xs():
+    return CBagRef(name="xs")
+
+
+def _ys():
+    return CBagRef(name="ys")
+
+
+_INC = CMap(fn=ScalarFn(("x",), BinOp("+", Ref("x"), Const(1))), input=_xs())
+_BIG = CFilter(
+    predicate=ScalarFn(("x",), Compare(">", Ref("x"), Const(3))), input=_xs()
+)
+_CHAIN = CChain(ops=(_INC, _BIG), input=_xs())
+_PAIRS = {"xs": DataBag([(i % 5, i) for i in range(40)])}
+_OTHER = {**_PAIRS, "ys": DataBag([(i % 3, -i) for i in range(9)])}
+_INTS = {"xs": DataBag(list(range(40))), "ys": DataBag([3, 4, 4, 50])}
+_REPARTITION = {"broadcast_join_threshold": 0}
+
+#: One small plan per ``JobExecutor._HANDLERS`` entry (two for the
+#: joins: one per physical strategy) as ``(plan, env, engine
+#: attributes, task labels it must submit)``.  An empty label set
+#: means the operator has no per-partition task at all, in any mode.
+_PLANS = {
+    CSource: [(CSource(path=Const("d/x"), fmt=Const(None)), {}, {}, set())],
+    CParallelize: [
+        (CParallelize(seq=TupleExpr((Const(1), Const(2)))), {}, {}, set())
+    ],
+    CBagRef: [(_xs(), _INTS, {}, set())],
+    CMap: [(_INC, _INTS, {}, {"Map"})],
+    CFlatMap: [
+        (
+            CFlatMap(
+                fn=ScalarFn(("x",), TupleExpr((Ref("x"), Ref("x")))),
+                input=_xs(),
+            ),
+            _INTS,
+            {},
+            {"FlatMap"},
+        )
+    ],
+    CFilter: [(_BIG, _INTS, {}, {"Filter"})],
+    CChain: [(_CHAIN, _INTS, {}, {_CHAIN.label()})],
+    CEqJoin: [
+        (
+            CEqJoin(kx=_key(), ky=_key(), left=_xs(), right=_ys()),
+            _OTHER,
+            attrs,
+            labels,
+        )
+        for attrs, labels in (
+            ({}, {"broadcast-join"}),
+            (_REPARTITION, {"bucket-left", "bucket-right", "join-probe"}),
+        )
+    ],
+    CSemiJoin: [
+        (
+            CSemiJoin(kx=_key(), ky=_key(), left=_xs(), right=_ys()),
+            _OTHER,
+            attrs,
+            labels,
+        )
+        for attrs, labels in (
+            ({}, {"broadcast-semi"}),
+            (_REPARTITION, {"bucket-left", "bucket-right", "semi-probe"}),
+        )
+    ],
+    CCross: [(CCross(left=_xs(), right=_ys()), _INTS, {}, set())],
+    CGroupBy: [
+        (
+            CGroupBy(key=_key(), input=_xs()),
+            _PAIRS,
+            {},
+            {"shuffle-bucket", "group"},
+        )
+    ],
+    CAggBy: [
+        (
+            CAggBy(key=_key(), specs=(AlgebraSpec("count"),), input=_xs()),
+            _PAIRS,
+            {},
+            {"agg-map", "shuffle-bucket", "agg-merge"},
+        )
+    ],
+    CDistinct: [(CDistinct(input=_xs()), _INTS, {}, {"shuffle-bucket"})],
+    CUnion: [(CUnion(left=_xs(), right=_ys()), _INTS, {}, set())],
+    CMinus: [
+        (CMinus(left=_xs(), right=_ys()), _INTS, {}, {"shuffle-bucket"})
+    ],
+    CFold: [
+        (CFold(spec=AlgebraSpec("sum"), input=_xs()), _INTS, {}, {"fold"})
+    ],
+}
+
+
+class TestEveryOperatorOnePath:
+    """No operator may carry a second, mode-specific loop body: each
+    handler submits the same tasks whatever the execution mode."""
+
+    def test_every_handler_has_a_plan(self):
+        assert set(_PLANS) == set(JobExecutor._HANDLERS) | {CFold}
+
+    @pytest.mark.parametrize(
+        "plan, env, attrs, labels",
+        [case for cases in _PLANS.values() for case in cases],
+        ids=[
+            f"{kind.__name__}-{i}"
+            for kind, cases in _PLANS.items()
+            for i in range(len(cases))
+        ],
+    )
+    def test_same_tasks_in_every_mode(self, plan, env, attrs, labels):
+        dfs = SimulatedDFS()
+        dfs.put("d/x", list(range(20)))
+        runs = {}
+        for mode in MODES:
+            engine = _engine({"dfs": dfs}, mode)
+            for name, value in attrs.items():
+                setattr(engine, name, value)
+            if isinstance(plan, CFold):
+                result = engine.run_scalar(plan, env)
+            else:
+                result = engine.collect(engine.defer(plan, env))
+            runs[mode] = (
+                repr(result),
+                engine.metrics.invariant(),
+                engine.scheduler.submitted,
+            )
+            assert engine.metrics.serial_fallbacks == 0
+        assert {label for label, _ in runs["serial"][2]} == labels
+        assert runs["threads"] == runs["serial"]
+        assert runs["processes"] == runs["serial"]

@@ -31,7 +31,6 @@ from repro.engines.scheduler import (
     TaskSpec,
     TaskStage,
     UdfRef,
-    register_runner,
     ship_task,
     stage_of,
 )
@@ -55,7 +54,7 @@ def big_step() -> KernelStep:
 
 
 class EchoSpec(TaskSpec):
-    """Test spec whose runner doubles the task data."""
+    """Test spec whose task doubles its data."""
 
     kind = "echo"
 
@@ -63,9 +62,12 @@ class EchoSpec(TaskSpec):
         """No artifact needed."""
         return None
 
+    def run(self, _prepared, data):
+        return data * 2
+
 
 class SleepSpec(TaskSpec):
-    """Test spec whose runner sleeps, then returns a value."""
+    """Test spec whose task sleeps ``data[0]`` s, then returns ``data[1]``."""
 
     kind = "sleep"
 
@@ -73,11 +75,9 @@ class SleepSpec(TaskSpec):
         """No artifact needed."""
         return None
 
-
-register_runner("echo", lambda _prepared, data: data * 2)
-register_runner(
-    "sleep", lambda _prepared, data: (time.sleep(data[0]), data[1])[1]
-)
+    def run(self, _prepared, data):
+        time.sleep(data[0])
+        return data[1]
 
 
 class TestSchedulerModes:

@@ -28,26 +28,16 @@ MODES = ("serial", "threads", "processes")
 #: workloads, loose enough that pinned working sets still fit.
 BUDGET = 16 * 1024
 
-#: Metrics fields allowed to differ between variants: measured wall
-#: clock, the parallel backend's own accounting, the columnar plane's
-#: accounting, and the spill layer's own accounting.
-_VARIANT_DEPENDENT = {
-    "wall_clock_seconds",
-    "parallel_tasks",
-    "parallel_stages",
-    "ipc_bytes_shipped",
-    "ipc_bytes_returned",
-    "kernels_rehydrated",
-    "speculative_launches",
-    "speculative_wins",
-    "serial_fallbacks",
+#: Beyond ``metrics.HOST_DEPENDENT``, this suite varies the memory
+#: budget, so the spill layer's accounting — and the columnar plane's,
+#: whose batch cache the budget evicts — may differ between variants.
+_PLANE_DEPENDENT = {
     "columnar_batches_built",
     "columnar_kernels",
     "columnar_fallbacks",
     "columnar_fallbacks_udf",
     "columnar_fallbacks_schema",
     "columnar_fallbacks_input",
-    "columnar_blocks_shipped",
     "spill_bytes_written",
     "spill_bytes_read",
     "partitions_spilled",
@@ -88,15 +78,6 @@ def _config(budget, mode):
     )
 
 
-def _invariant_metrics(engine) -> dict:
-    """Every counter that must not depend on the execution variant."""
-    return {
-        name: value
-        for name, value in vars(engine.metrics).items()
-        if name not in _VARIANT_DEPENDENT
-    }
-
-
 def _run_matrix(
     world, algo, fault_plan=None, expect_spills=True, **params
 ):
@@ -118,7 +99,7 @@ def _run_matrix(
             )
             outcomes[(budget, mode)] = (
                 [repr(r) for r in records],
-                _invariant_metrics(engine),
+                engine.metrics.invariant(_PLANE_DEPENDENT),
                 engine.metrics,
             )
     base_records, base_metrics, _ = outcomes[(0, "serial")]

@@ -36,27 +36,17 @@ MODES = ("serial", "threads", "processes")
 #: The acceptance budget: tight enough to evict, roomy enough to run.
 BUDGET = 256 * 1024
 
-#: Metrics fields allowed to differ between cold and warm runs: wall
-#: clock, host-parallel/columnar/spill accounting, and the cache's own
-#: counters.  Everything else — simulated time, shuffle/broadcast/DFS
+#: Beyond ``metrics.HOST_DEPENDENT``, the counters allowed to differ
+#: between cold and warm runs: columnar/spill accounting and the
+#: cache's own.  Everything else — simulated time, shuffle/broadcast/DFS
 #: bytes, fault and recovery schedules — must match exactly.
-_VARIANT_DEPENDENT = {
-    "wall_clock_seconds",
-    "parallel_tasks",
-    "parallel_stages",
-    "ipc_bytes_shipped",
-    "ipc_bytes_returned",
-    "kernels_rehydrated",
-    "speculative_launches",
-    "speculative_wins",
-    "serial_fallbacks",
+_PLANE_DEPENDENT = {
     "columnar_batches_built",
     "columnar_kernels",
     "columnar_fallbacks",
     "columnar_fallbacks_udf",
     "columnar_fallbacks_schema",
     "columnar_fallbacks_input",
-    "columnar_blocks_shipped",
     "spill_bytes_written",
     "spill_bytes_read",
     "partitions_spilled",
@@ -100,14 +90,6 @@ def _config(mode, budget=0):
     )
 
 
-def _invariants(engine) -> dict:
-    return {
-        name: value
-        for name, value in vars(engine.metrics).items()
-        if name not in _VARIANT_DEPENDENT
-    }
-
-
 def _reprs(result) -> list[str]:
     records = result.fetch() if hasattr(result, "fetch") else [result]
     return [repr(r) for r in records]
@@ -139,7 +121,9 @@ def _run_cold_vs_plan_hit(
         f"plan-cache hit diverged in mode={mode} "
         f"faults={fault_plan is not None} budget={budget}"
     )
-    assert _invariants(warm_engine) == _invariants(cold_engine), (
+    assert warm_engine.metrics.invariant(
+        _PLANE_DEPENDENT
+    ) == cold_engine.metrics.invariant(_PLANE_DEPENDENT), (
         f"invariant metrics diverged in mode={mode}"
     )
     return cold

@@ -7,7 +7,9 @@ group-aggregations — and the resulting IR is executed:
 * directly, via the expression interpreter (the semantic oracle);
 * compiled (resugar -> normalize -> fold-group fusion -> lower ->
   operator chaining) and run on the Spark-like and Flink-like engines,
-  with unnesting, fusion, and physical chaining independently toggled.
+  with unnesting, fusion, and physical chaining independently toggled
+  and the execution mode (inline or thread-pool dispatch of the same
+  partition tasks) sampled per example.
 
 Every combination must produce the same multiset.  This is the
 paper's central soundness claim — the rewrites and the parallel
@@ -48,6 +50,7 @@ from repro.engines.faults import (
     FaultPlan,
 )
 from repro.engines.flinklike import FlinkLikeEngine
+from repro.engines.scheduler import default_execution_mode
 from repro.engines.sparklike import SparkLikeEngine
 from repro.lowering.chaining import chain_operators
 from repro.lowering.combinators import CFold
@@ -179,6 +182,23 @@ int_bags = st.lists(
 )
 
 
+#: how the scheduler dispatches partition tasks: inline or on a thread
+#: pool, plus whatever ``REPRO_EXECUTION_MODE`` makes the default (the
+#: parallel-backend CI job runs this file under ``processes``)
+execution_modes = st.sampled_from(
+    sorted({"serial", "threads", default_execution_mode()})
+)
+
+
+def make_engine(engine_cls, mode, num_workers=3, **kwargs):
+    return engine_cls(
+        cluster=ClusterConfig(num_workers=num_workers),
+        execution_mode=mode,
+        max_parallel_tasks=2,
+        **kwargs,
+    )
+
+
 def build_pipeline(descriptors):
     expr = Ref("xs")
     for stage_index, k in descriptors:
@@ -199,9 +219,9 @@ def run_compiled(expr, env, engine, unnest, fuse, chain=False):
 
 
 @settings(max_examples=40, deadline=None)
-@given(stage_descriptors, int_bags, int_bags)
+@given(stage_descriptors, int_bags, int_bags, execution_modes)
 def test_every_backend_and_config_matches_the_oracle(
-    descriptors, xs, ys
+    descriptors, xs, ys, mode
 ):
     expr = build_pipeline(descriptors)
     env = {"xs": DataBag(xs), "ys": DataBag(ys)}
@@ -210,25 +230,23 @@ def test_every_backend_and_config_matches_the_oracle(
     for engine_cls in (SparkLikeEngine, FlinkLikeEngine):
         for unnest in (False, True):
             for fuse in (False, True):
-                engine = engine_cls(
-                    cluster=ClusterConfig(num_workers=3)
-                )
+                engine = make_engine(engine_cls, mode)
                 result = run_compiled(
                     expr, dict(env), engine, unnest, fuse
                 )
                 assert result == oracle, (
                     f"{engine_cls.__name__} unnest={unnest} "
-                    f"fuse={fuse} diverged"
+                    f"fuse={fuse} mode={mode} diverged"
                 )
 
 
 @settings(max_examples=25, deadline=None)
-@given(stage_descriptors, int_bags, int_bags)
-def test_terminal_folds_match_the_oracle(descriptors, xs, ys):
+@given(stage_descriptors, int_bags, int_bags, execution_modes)
+def test_terminal_folds_match_the_oracle(descriptors, xs, ys, mode):
     expr = FoldCall(build_pipeline(descriptors), AlgebraSpec("sum"))
     env = {"xs": DataBag(xs), "ys": DataBag(ys)}
     oracle = evaluate(expr, dict(env))
-    engine = SparkLikeEngine(cluster=ClusterConfig(num_workers=4))
+    engine = make_engine(SparkLikeEngine, mode, num_workers=4)
     assert run_compiled(expr, dict(env), engine, True, True) == oracle
 
 
@@ -264,24 +282,22 @@ fault_plans = st.builds(
 
 
 @settings(max_examples=25, deadline=None)
-@given(stage_descriptors, int_bags, int_bags, fault_plans)
+@given(stage_descriptors, int_bags, int_bags, fault_plans, execution_modes)
 def test_fault_injection_never_changes_results(
-    descriptors, xs, ys, plan
+    descriptors, xs, ys, plan, mode
 ):
     expr = build_pipeline(descriptors)
     env = {"xs": DataBag(xs), "ys": DataBag(ys)}
     oracle = evaluate(expr, dict(env))
 
     for engine_cls in (SparkLikeEngine, FlinkLikeEngine):
-        engine = engine_cls(
-            cluster=ClusterConfig(num_workers=3), fault_plan=plan
-        )
+        engine = make_engine(engine_cls, mode, fault_plan=plan)
         result = run_compiled(
             expr, dict(env), engine, True, True, chain=True
         )
         assert result == oracle, (
-            f"{engine_cls.__name__} diverged under fault plan "
-            f"seed={plan.seed}"
+            f"{engine_cls.__name__} mode={mode} diverged under fault "
+            f"plan seed={plan.seed}"
         )
 
 
@@ -312,8 +328,10 @@ def test_fault_schedule_is_reproducible(descriptors, xs, ys):
 
 
 @settings(max_examples=40, deadline=None)
-@given(stage_descriptors, int_bags, int_bags)
-def test_operator_chaining_never_changes_results(descriptors, xs, ys):
+@given(stage_descriptors, int_bags, int_bags, execution_modes)
+def test_operator_chaining_never_changes_results(
+    descriptors, xs, ys, mode
+):
     """Physical chaining on vs off, on every engine, vs the oracle.
 
     This is the soundness obligation of the fused per-partition
@@ -327,7 +345,7 @@ def test_operator_chaining_never_changes_results(descriptors, xs, ys):
     for engine_cls in (SparkLikeEngine, FlinkLikeEngine):
         results = {}
         for chain in (False, True):
-            engine = engine_cls(cluster=ClusterConfig(num_workers=3))
+            engine = make_engine(engine_cls, mode)
             results[chain] = run_compiled(
                 expr, dict(env), engine, True, True, chain=chain
             )
