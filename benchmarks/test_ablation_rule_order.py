@@ -44,8 +44,13 @@ def selective_join(facts: DataBag, dims: DataBag):
 
 
 PUSHDOWN = EmmaConfig(caching=False, partition_pulling=False)
+# The UDF-aware reordering pass pushes the very same filter back below
+# the join, so the ablation arm has to switch it off too.
 NO_PUSHDOWN = EmmaConfig(
-    caching=False, partition_pulling=False, filter_pushdown=False
+    caching=False,
+    partition_pulling=False,
+    filter_pushdown=False,
+    udf_reordering="off",
 )
 
 

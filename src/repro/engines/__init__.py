@@ -44,7 +44,6 @@ from repro.engines.scheduler import (
     EXECUTION_MODES,
     PartitionTask,
     TaskScheduler,
-    TaskStage,
 )
 from repro.engines.sparklike import SparkLikeEngine
 from repro.engines.tracing import (
@@ -78,7 +77,6 @@ __all__ = [
     "EXECUTION_MODES",
     "PartitionTask",
     "TaskScheduler",
-    "TaskStage",
     "SparkLikeEngine",
     "CompileTrace",
     "RuntimeTracer",

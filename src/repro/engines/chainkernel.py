@@ -34,14 +34,11 @@ A step whose body cannot be inlined (exotic IR nodes, a free name that
 conflicts with another step's binding, a multi-parameter UDF) degrades
 gracefully to a call of its compiled closure; semantics are identical.
 
-Kernels are *picklable by source re-hydration*: a
-:class:`KernelStep` pickles its lifted IR body and resolved bindings
-(never the compiled closure — code objects do not cross process
-boundaries), and a :class:`ChainKernel` pickles as the recipe
-``build_chain_kernel(steps)``, so unpickling in a worker process
-regenerates and recompiles the exact same kernel source.  This is what
-lets :mod:`repro.engines.scheduler` ship chain kernels to a
-``ProcessPoolExecutor`` as source.
+Kernels never pickle.  What crosses a process boundary is a task spec
+carrying :class:`Udf` values — parameters, lifted body, resolved
+bindings, never a code object — and the receiving process regenerates
+and compiles the same kernel source from them (see
+:mod:`repro.engines.scheduler`).
 """
 
 from __future__ import annotations
@@ -49,7 +46,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.comprehension.exprs import (
@@ -68,7 +66,9 @@ from repro.comprehension.exprs import (
     TupleExpr,
     UnaryOp,
 )
+from repro.comprehension.pretty import pretty
 from repro.core.databag import DataBag
+from repro.engines.cluster import stable_hash
 from repro.engines.columnar import (
     ColumnBatch,
     ColumnSchema,
@@ -82,6 +82,8 @@ from repro.engines.columnar import (
     mask_or,
     select_column,
 )
+from repro.errors import EngineError
+from repro.lowering.combinators import ScalarFn
 
 #: step kinds, matching the narrow combinators they come from
 MAP, FILTER, FLATMAP = "map", "filter", "flatmap"
@@ -100,71 +102,109 @@ def _as_sequence(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class KernelStep:
-    """One operator of a chain, prepared for kernel generation.
+def _value_digest(value: Any) -> tuple | None:
+    """A process-independent digest of one captured binding value.
 
-    ``closure`` may be ``None`` after unpickling — it is rebuilt on
-    demand from ``(params, body, bindings)`` by
-    :meth:`resolve_closure`, so a step that crosses a process boundary
-    carries only IR and data, never code objects.
+    Returns ``None`` for values with no stable content identity (the
+    spec then gets a unique token fingerprint: still memoizable within
+    one stage, just not across jobs).  Deliberately never falls back to
+    ``repr`` — reprs embedding ``id()`` addresses could collide across
+    garbage-collection reuse and alias two different kernels.
+    """
+    if isinstance(value, type):
+        return ("type", value.__module__, value.__qualname__)
+    if isinstance(value, DataBag):
+        try:
+            return ("bag", stable_hash(value.fetch()))
+        except EngineError:
+            return None
+    if callable(value):
+        module = getattr(value, "__module__", None)
+        qualname = getattr(value, "__qualname__", None)
+        if module and qualname and "<locals>" not in qualname:
+            return ("fn", module, qualname)
+        return None
+    try:
+        return ("val", stable_hash(value))
+    except EngineError:
+        return None
+
+
+def bindings_digest(bindings: Mapping[str, Any]) -> tuple | None:
+    """Order-independent digest of a name→value closure binding map."""
+    items = []
+    for name in sorted(bindings):
+        digest = _value_digest(bindings[name])
+        if digest is None:
+            return None
+        items.append((name, digest))
+    return tuple(items)
+
+
+@dataclass(eq=False)
+class Udf:
+    """A UDF closed over the driver env: one value, driver to worker.
+
+    ``params`` and ``body`` are the lifted (post-hoist) UDF, ``bindings``
+    the resolved values of its free names — broadcast bags included, the
+    paper's transparent driver-to-UDF data motion — and ``extra`` the
+    per-element broadcast-scan op weight.  That is also exactly what
+    pickles: the ``closure`` is compiled from them on first use, with
+    the same native-vs-interpreter fallback in every process, cached on
+    the value, and never travels (code objects do not cross process
+    boundaries).  Kernel generation inlines ``body`` over ``bindings``
+    and falls back to calling ``closure``.
     """
 
+    params: tuple[str, ...]
+    body: Expr
+    bindings: dict[str, Any] = field(default_factory=dict)
+    extra: int = 0
+
+    @cached_property
+    def _compiled(self) -> tuple[Callable, bool]:
+        return ScalarFn(self.params, self.body).compile_native(self.bindings)
+
+    @property
+    def closure(self) -> Callable:
+        """The compiled UDF, built once per process."""
+        return self._compiled[0]
+
+    @property
+    def native(self) -> bool:
+        """Whether ``closure`` is native code, not the tree walker."""
+        return self._compiled[1]
+
+    def digest(self) -> tuple | None:
+        """Content digest, or ``None`` when a binding has no identity."""
+        bindings = bindings_digest(self.bindings)
+        if bindings is None:
+            return None
+        return (self.params, pretty(self.body), bindings, self.extra)
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle as IR + bindings, dropping the compiled closure."""
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+
+@dataclass(frozen=True)
+class KernelStep:
+    """One operator of a chain: its kind and its UDF."""
+
     kind: str  # "map" | "filter" | "flatmap"
-    closure: Callable | None  # compiled UDF (native or interpreted)
-    extra: int  # per-element broadcast-scan op weight
-    params: tuple[str, ...] = ()
-    body: Expr | None = None  # lifted body, for source inlining
-    bindings: Mapping[str, Any] | None = None
+    udf: Udf
 
     @property
     def counted(self) -> bool:
         """Whether this step changes the record count downstream."""
         return self.kind in (FILTER, FLATMAP)
 
-    def resolve_closure(self) -> Callable:
-        """The step's compiled UDF, rebuilding it from IR if needed.
-
-        After a cross-process round trip the closure slot is empty;
-        recompiling ``ScalarFn(params, body)`` over the shipped
-        bindings reproduces the driver-side closure exactly (native
-        compilation falls back to the interpreter the same way on both
-        sides).  The rebuilt closure is cached on the step.
-        """
-        if self.closure is None:
-            if self.body is None or self.bindings is None:
-                from repro.errors import EngineError
-
-                raise EngineError(
-                    "chain step has neither a closure nor the "
-                    "(body, bindings) source to rebuild one — it "
-                    "cannot have crossed a process boundary intact"
-                )
-            from repro.lowering.combinators import ScalarFn
-
-            closure, _native = ScalarFn(
-                tuple(self.params), self.body
-            ).compile_native(dict(self.bindings))
-            object.__setattr__(self, "closure", closure)
-        return self.closure
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle the step as IR + bindings, dropping the closure."""
-        return {
-            "kind": self.kind,
-            "extra": self.extra,
-            "params": tuple(self.params),
-            "body": self.body,
-            "bindings": (
-                dict(self.bindings) if self.bindings is not None else None
-            ),
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        """Restore fields; the closure is rebuilt lazily on first use."""
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "closure", None)
+    def digest(self) -> tuple | None:
+        """Content digest, or ``None`` (see :meth:`Udf.digest`)."""
+        digest = self.udf.digest()
+        return None if digest is None else (self.kind, digest)
 
 
 class ChainKernel:
@@ -172,50 +212,37 @@ class ChainKernel:
 
     def __init__(
         self,
-        steps: Sequence[KernelStep],
         run: Callable[[Any, Callable[[Any], Any]], tuple],
         inlined: int,
         source: str = "",
     ) -> None:
-        self.steps = tuple(steps)
         #: ``run(partition, emit) -> counts`` streams every record of
         #: the partition through the chain, calling ``emit`` per output
         self.run = run
         #: how many step bodies were source-inlined (vs closure calls)
         self.inlined = inlined
-        #: the generated kernel source (what ships between processes)
+        #: the generated kernel source
         self.source = source
 
-    def __reduce__(self) -> tuple:
-        """Pickle as the generation recipe, not the compiled function.
 
-        Unpickling calls ``build_chain_kernel(steps)`` in the receiving
-        process, which regenerates the kernel *source* from the shipped
-        step IR and compiles it there — the kernel truly travels as
-        source, and a worker that already built this kernel's
-        fingerprint serves it from its local memo instead (see
-        :mod:`repro.engines.scheduler`).
-        """
-        return (build_chain_kernel, (self.steps,))
+def entered_counts(
+    steps: Sequence[KernelStep], n_in: int, counts: tuple
+) -> tuple[list[int], int]:
+    """Per-step input counts, plus the emitted-record count.
 
-    def entered_counts(
-        self, n_in: int, counts: tuple
-    ) -> tuple[list[int], int]:
-        """Per-step input counts, plus the emitted-record count.
-
-        ``counts`` is the tuple the kernel returned for a partition of
-        ``n_in`` records; maps pass their input count through, filters
-        and flat-maps reset it to their counter.
-        """
-        entered: list[int] = []
-        cur = n_in
-        ci = 0
-        for step in self.steps:
-            entered.append(cur)
-            if step.counted:
-                cur = counts[ci]
-                ci += 1
-        return entered, cur
+    ``counts`` is the tuple the kernel of ``steps`` returned for a
+    partition of ``n_in`` records; maps pass their input count through,
+    filters and flat-maps reset it to their counter.
+    """
+    entered: list[int] = []
+    cur = n_in
+    ci = 0
+    for step in steps:
+        entered.append(cur)
+        if step.counted:
+            cur = counts[ci]
+            ci += 1
+    return entered, cur
 
 
 def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
@@ -225,14 +252,10 @@ def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
     namespace["_seq"] = _as_sequence
     inlined = 0
 
-    def step_source(i: int, step: KernelStep, var: str) -> str:
+    def step_source(i: int, udf: Udf, var: str) -> str:
         nonlocal inlined
-        if (
-            step.body is not None
-            and step.bindings is not None
-            and len(step.params) == 1
-        ):
-            bindings = step.bindings
+        if len(udf.params) == 1:
+            bindings = udf.bindings
 
             def resolve(name: str) -> Any:
                 if _RESERVED.match(name):
@@ -240,16 +263,14 @@ def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
                 return bindings[name]
 
             try:
-                src = codegen.emit(
-                    step.body, {step.params[0]: var}, resolve
-                )
+                src = codegen.emit(udf.body, {udf.params[0]: var}, resolve)
             except NotCompilable:
                 pass
             else:
                 inlined += 1
                 return src
         name = f"_f{i}"
-        namespace[name] = step.resolve_closure()
+        namespace[name] = udf.closure
         return f"{name}({var})"
 
     counters: list[str] = []
@@ -257,7 +278,7 @@ def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
     depth, var, vi = 2, "_x0", 1
     for i, step in enumerate(steps):
         ind = "    " * depth
-        src = step_source(i, step, var)
+        src = step_source(i, step.udf, var)
         if step.kind == MAP:
             nxt = f"_x{vi}"
             vi += 1
@@ -290,9 +311,7 @@ def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
     source = "\n".join(lines)
     code = compile(source, "<chain-kernel>", "exec")
     exec(code, namespace)  # noqa: S102 - compiler-generated source
-    return ChainKernel(
-        steps, namespace["_chain_kernel"], inlined, source=source
-    )
+    return ChainKernel(namespace["_chain_kernel"], inlined, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +526,11 @@ class VectorKernel:
 
     ``run(columns, nrows)`` returns ``(out_columns, out_nrows,
     counts)`` where ``counts`` is value-identical to what the row
-    kernel would return for the same partition.  Pickles as its
-    generation recipe (steps + input schema), exactly like
-    :class:`ChainKernel`.
+    kernel would return for the same partition.
     """
 
     def __init__(
         self,
-        steps: Sequence[KernelStep],
         schema: ColumnSchema,
         run: Callable,
         source: str,
@@ -522,7 +538,6 @@ class VectorKernel:
         needed: frozenset[int],
         n_counters: int,
     ) -> None:
-        self.steps = tuple(steps)
         self.schema = schema
         self.run = run
         self.source = source
@@ -531,10 +546,6 @@ class VectorKernel:
         #: batch builder projects every other column away
         self.needed = needed
         self.n_counters = n_counters
-
-    def __reduce__(self) -> tuple:
-        """Pickle as the generation recipe (see :class:`ChainKernel`)."""
-        return (build_vector_kernel, (self.steps, self.schema))
 
     def zero_counts(self) -> tuple:
         """The counts tuple for an empty partition."""
@@ -555,7 +566,6 @@ def build_vector_kernel(
     record layout, or a binding value is outside the vectorizable
     subset; the caller falls back to the row kernel.
     """
-    steps = tuple(steps)
     namespace: dict[str, Any] = {
         "_vcol": as_vector,
         "_bcast": broadcast,
@@ -752,22 +762,19 @@ def build_vector_kernel(
     counters: list[str] = []
     vi = mi = 0
     for step in steps:
-        if step.body is None or step.bindings is None:
-            raise NotVectorizable("UDF body is not lifted IR")
-        if len(step.params) != 1:
+        udf = step.udf
+        if len(udf.params) != 1:
             raise NotVectorizable("multi-parameter UDF")
-        if step.extra:
+        if udf.extra:
             raise NotVectorizable("broadcast scan inside UDF")
-        param = step.params[0]
-        env = Env.of(dict(step.bindings))
+        param = udf.params[0]
+        env = Env.of(udf.bindings)
         if step.kind == FLATMAP:
             raise NotVectorizable(
                 "flat-map requires row-at-a-time emission"
             )
         if step.kind == FILTER:
-            src, _is_col, _masky, _value = emit(
-                step.body, param, rep, env
-            )
+            src, _is_col, _masky, _value = emit(udf.body, param, rep, env)
             mask = f"_m{mi}"
             mi += 1
             counter = f"_k{len(counters)}"
@@ -779,7 +786,7 @@ def build_vector_kernel(
             continue
         if step.kind != MAP:
             raise NotVectorizable(f"unknown step kind {step.kind!r}")
-        body = step.body
+        body = udf.body
         if isinstance(body, Ref) and body.name == param:
             continue  # identity map: layout unchanged
         if isinstance(body, TupleExpr):
@@ -793,7 +800,7 @@ def build_vector_kernel(
                 or body.func.name == param
             ):
                 raise NotVectorizable("computed constructor")
-            ctor = dict(step.bindings).get(body.func.name)
+            ctor = udf.bindings.get(body.func.name)
             cschema = (
                 _dataclass_schema(ctor)
                 if isinstance(ctor, type)
@@ -873,7 +880,6 @@ def build_vector_kernel(
     exec(code, namespace)  # noqa: S102 - compiler-generated source
     out_schema = ColumnSchema(rep.kind, rep.fields, rep.ctor)
     return VectorKernel(
-        steps,
         schema,
         namespace["_vector_kernel"],
         source,
@@ -883,18 +889,14 @@ def build_vector_kernel(
     )
 
 
-def build_key_kernel(
-    key_step: KernelStep, schema: ColumnSchema
-) -> VectorKernel:
+def build_key_kernel(key: Udf, schema: ColumnSchema) -> VectorKernel:
     """The vector kernel evaluating one *key* UDF as a column.
 
     Exchange operators (shuffle, hash join, group-by) need the key of
-    every record; wrapping the key's :class:`KernelStep` as a
-    single-step MAP chain reuses the whole scalar-subset evaluator —
-    same vectorizable subset, same bit-identical Python semantics — and
-    yields a kernel whose output batch is the key column(s).  Raises
+    every record; running the key :class:`Udf` as a single-step MAP
+    chain reuses the whole scalar-subset evaluator — same vectorizable
+    subset, same bit-identical Python semantics — and yields a kernel
+    whose output batch is the key column(s).  Raises
     :exc:`NotVectorizable` exactly like :func:`build_vector_kernel`.
     """
-    if key_step.kind != MAP:
-        raise NotVectorizable("key kernels must be MAP steps")
-    return build_vector_kernel((key_step,), schema)
+    return build_vector_kernel((KernelStep(MAP, key),), schema)

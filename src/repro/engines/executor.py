@@ -38,13 +38,14 @@ from repro.engines.chainkernel import (
     FILTER,
     FLATMAP,
     MAP,
-    ChainKernel,
     KernelStep,
     NotVectorizable,
+    Udf,
     VectorKernel,
     build_chain_kernel,
     build_key_kernel,
     build_vector_kernel,
+    entered_counts,
 )
 from repro.engines.columnar import (
     HAS_NUMPY,
@@ -69,8 +70,6 @@ from repro.engines.scheduler import (
     KernelSpec,
     PartitionTask,
     SemiProbeSpec,
-    UdfRef,
-    stage_of,
 )
 from repro.engines.sizes import (
     estimate_bag_bytes,
@@ -109,50 +108,6 @@ def _attr_key(var: str, attr: str) -> ScalarFn:
     return ScalarFn((var,), Attr(Ref(var), attr))
 
 
-class _CompiledUdf:
-    """A UDF closed over the driver env, with its compilation context.
-
-    Beyond the ``(callable, extra)`` pair the operators consume, the
-    record keeps the post-hoist UDF and its resolved bindings so the
-    chain-kernel builder can inline the body into fused kernel source.
-    """
-
-    __slots__ = ("fn", "bindings", "closure", "extra", "native")
-
-    def __init__(
-        self,
-        fn: ScalarFn,
-        bindings: dict[str, Any],
-        closure: Callable,
-        extra: int,
-        native: bool,
-    ) -> None:
-        self.fn = fn
-        self.bindings = bindings
-        self.closure = closure
-        self.extra = extra
-        self.native = native
-
-    def __reduce__(self) -> tuple:
-        """Pickle as source: IR + bindings, recompiled on arrival.
-
-        The compiled closure (a code object over driver-local cells)
-        never crosses a process boundary; the receiving side re-runs
-        the same ``compile_native`` the driver did, with the same
-        native-vs-interpreter fallback, so both sides execute
-        semantically identical code.
-        """
-        return (_rehydrate_udf, (self.fn, self.bindings, self.extra))
-
-
-def _rehydrate_udf(
-    fn: ScalarFn, bindings: dict[str, Any], extra: int
-) -> _CompiledUdf:
-    """Recompile a shipped UDF in the receiving process (pickle hook)."""
-    closure, native = fn.compile_native(dict(bindings))
-    return _CompiledUdf(fn, bindings, closure, extra, native)
-
-
 class JobExecutor:
     """Executes one dataflow job on a simulated engine."""
 
@@ -174,11 +129,10 @@ class JobExecutor:
         #: consumed by several parents — diamond plans) executes once
         self._dag_memo: dict[int, PartitionedBag] = {}
         #: per-job UDF compilation memo (by ScalarFn identity)
-        self._udf_memo: dict[int, tuple[ScalarFn, _CompiledUdf]] = {}
+        self._udf_memo: dict[int, tuple[ScalarFn, Udf]] = {}
         self._bindings_memo: dict[
             frozenset[str], tuple[dict[str, Any], int]
         ] = {}
-        self._kernel_memo: dict[int, ChainKernel] = {}
         #: per-job vector-kernel memo (by chain identity): a compiled
         #: :class:`VectorKernel`, or ``None`` after a chain-level
         #: fallback so the reason is counted and traced only once
@@ -270,28 +224,18 @@ class JobExecutor:
     # That is what keeps results, ``simulated_seconds`` and injected
     # fault schedules bit-identical across the three modes.
 
-    def _udf_ref(self, compiled: _CompiledUdf) -> UdfRef:
-        """The shippable source form of a compiled UDF."""
-        return UdfRef(
-            compiled.fn.params, compiled.fn.body, dict(compiled.bindings)
-        )
-
     def _run_stage(self, tasks: list[PartitionTask]) -> list[Any]:
-        """One scheduler fan-out; results come back in task order."""
+        """One scheduler fan-out; results come back in task order, and
+        the scheduler's events (speculation, fallbacks) become spans."""
         scheduler = self.engine.scheduler
         results = scheduler.run_stage(tasks, metrics=self.engine.metrics)
-        self._drain_scheduler_events(scheduler)
+        if scheduler.events:
+            tracer = self.engine.tracer
+            if tracer is not None:
+                for name, attrs in scheduler.events:
+                    tracer.event(name, ts=self.job.trace_ts(), **attrs)
+            scheduler.events.clear()
         return results
-
-    def _drain_scheduler_events(self, scheduler: Any) -> None:
-        """Forward scheduler events (speculation, fallbacks) to spans."""
-        if not scheduler.events:
-            return
-        tracer = self.engine.tracer
-        if tracer is not None:
-            for name, attrs in scheduler.events:
-                tracer.event(name, ts=self.job.trace_ts(), **attrs)
-        scheduler.events.clear()
 
     # -- leaves ---------------------------------------------------------------
 
@@ -440,39 +384,26 @@ class JobExecutor:
         CFilter: FILTER,
     }
 
-    def _kernel_step(self, op: Combinator) -> KernelStep:
-        """One operator of a (possibly single-step) kernel."""
-        udf = op.predicate if isinstance(op, CFilter) else op.fn
-        compiled = self._udf_compilation(udf)
-        return KernelStep(
-            kind=self._STEP_KINDS[type(op)],
-            closure=compiled.closure,
-            extra=compiled.extra,
-            params=compiled.fn.params,
-            body=compiled.fn.body,
-            bindings=compiled.bindings,
-        )
-
-    def _kernel(self, comb: Combinator) -> ChainKernel:
-        """The compiled per-partition kernel for a chain or a single
-        narrow operator (one per job).
+    def _kernel_steps(self, comb: Combinator) -> tuple[KernelStep, ...]:
+        """The kernel steps of a chain or of a single narrow operator.
 
         A lone map/filter/flat-map runs through the same
-        generated-kernel machinery chains use: that is what makes it
-        shippable to worker processes as source.
+        generated-kernel machinery chains use.
         """
-        kernel = self._kernel_memo.get(id(comb))
-        if kernel is None:
-            ops = comb.ops if isinstance(comb, CChain) else (comb,)
-            kernel = build_chain_kernel(
-                [self._kernel_step(op) for op in ops]
+        ops = comb.ops if isinstance(comb, CChain) else (comb,)
+        return tuple(
+            KernelStep(
+                self._STEP_KINDS[type(op)],
+                self._udf_compilation(
+                    op.predicate if isinstance(op, CFilter) else op.fn
+                ),
             )
-            self._kernel_memo[id(comb)] = kernel
-        return kernel
+            for op in ops
+        )
 
     def _charge_kernel(
         self,
-        kernel: ChainKernel,
+        steps: tuple[KernelStep, ...],
         partition_index: int,
         partition: list[Any],
         counts: tuple,
@@ -481,11 +412,11 @@ class JobExecutor:
         exactly what the unfused operators would cost, minus the
         per-operator materialization (``_record_ops`` is paid once per
         chain)."""
-        entered, emitted = kernel.entered_counts(len(partition), counts)
+        entered, emitted = entered_counts(steps, len(partition), counts)
         ops = self._record_ops(partition)
         ci = 0
-        for s, step in enumerate(kernel.steps):
-            ops += entered[s] * (1 + step.extra)
+        for s, step in enumerate(steps):
+            ops += entered[s] * (1 + step.udf.extra)
             if step.kind == FLATMAP:
                 ops += counts[ci]
             if step.counted:
@@ -493,14 +424,13 @@ class JobExecutor:
         self._charge_cpu(partition_index, ops)
         return entered, emitted
 
-    def _charge_chain_overheads(self, kernel: ChainKernel) -> None:
-        """Task accounting for one executed chain.
+    def _charge_chain_overheads(self, n_ops: int) -> None:
+        """Task accounting for one executed chain of ``n_ops`` steps.
 
         A pipelining engine schedules the whole chain as one task wave
         (the single ``task_overhead`` charge already paid by ``_exec``);
         an engine without chaining still pays per operator.
         """
-        n_ops = len(kernel.steps)
         self.engine.metrics.chained_operators += n_ops
         if self.engine.pipelined_chains:
             self.engine.metrics.tasks_saved += n_ops - 1
@@ -558,7 +488,7 @@ class JobExecutor:
     def _vector_kernel(
         self,
         comb: CChain,
-        kernel: ChainKernel,
+        steps: tuple[KernelStep, ...],
         sample: list[Any],
     ) -> VectorKernel | None:
         """The chain's compiled vector kernel, or ``None`` (once-counted
@@ -573,7 +503,7 @@ class JobExecutor:
             self._count_columnar_fallback(comb, reason, "input")
         else:
             try:
-                vk = build_vector_kernel(kernel.steps, schema)
+                vk = build_vector_kernel(steps, schema)
             except NotVectorizable as exc:
                 self._count_columnar_fallback(comb, str(exc), "udf")
             else:
@@ -710,26 +640,6 @@ class JobExecutor:
             return False
         return mode == "on" or HAS_NUMPY
 
-    def _key_step(self, compiled: _CompiledUdf) -> KernelStep:
-        """A key UDF as a single MAP kernel step (IR + bindings)."""
-        return KernelStep(
-            MAP,
-            compiled.closure,
-            compiled.extra,
-            params=compiled.fn.params,
-            body=compiled.fn.body,
-            bindings=compiled.bindings,
-        )
-
-    def _key_columns(
-        self, compiled: _CompiledUdf, vk: VectorKernel | None
-    ) -> tuple[KernelStep | None, Any]:
-        """``(key_step, schema)`` spec arguments: the columnar side of
-        a key when its vector kernel engaged, else ``(None, None)``."""
-        if vk is None:
-            return None, None
-        return self._key_step(compiled), vk.schema
-
     def _count_blocks_shipped(self, blocks: int) -> None:
         """Batch payloads only *ship* across a process boundary."""
         if self.engine.execution_mode == "processes":
@@ -744,10 +654,9 @@ class JobExecutor:
         memo_key = (id(key_ir), schema.signature())
         if memo_key in self._xkernel_memo:
             return self._xkernel_memo[memo_key]
-        compiled = self._udf_compilation(key_ir)
         vk: VectorKernel | None = None
         try:
-            vk = build_key_kernel(self._key_step(compiled), schema)
+            vk = build_key_kernel(self._udf_compilation(key_ir), schema)
         except NotVectorizable as exc:
             self._count_columnar_fallback(comb, f"key: {exc}", "udf")
         self._xkernel_memo[memo_key] = vk
@@ -799,22 +708,22 @@ class JobExecutor:
         ``columnar_fallbacks``), as does everything else.
         """
         source = self._exec(comb.input)
-        kernel = self._kernel(comb)
+        steps = self._kernel_steps(comb)
         vk = None
         batches: dict[int, ColumnBatch] = {}
         if isinstance(comb, CChain):
-            self._charge_chain_overheads(kernel)
+            self._charge_chain_overheads(len(steps))
             sample = next((p for p in source.partitions if p), None)
             if sample is not None and self._columnar_active(comb):
-                vk = self._vector_kernel(comb, kernel, sample)
+                vk = self._vector_kernel(comb, steps, sample)
             if vk is not None:
                 batches = self._source_batches(
                     comb, vk.schema, vk.needed, source
                 )
         spec = KernelSpec(
-            kernel.steps,
+            steps,
             vk.schema if vk is not None else None,
-            prepared=(kernel, vk),
+            prepared=(build_chain_kernel(steps), vk),
         )
         results = self._run_stage(
             [
@@ -836,7 +745,7 @@ class JobExecutor:
             else:
                 rows = payload
                 row_out = row_out or bool(rows)
-            entered, _emitted = self._charge_kernel(kernel, i, p, counts)
+            entered, _emitted = self._charge_kernel(steps, i, p, counts)
             out.append(rows)
             invocations += sum(entered)
         self.engine.metrics.udf_invocations += invocations
@@ -875,13 +784,13 @@ class JobExecutor:
         reproduces ``stable_hash`` bucketing bit-identically, so mixing
         them within one stage is invisible to results.
         """
-        compiled = self._udf_compilation(key_ir)
+        key = self._udf_compilation(key_ir)
         vk, batches = self._exchange_prep(exchange, key_ir, bag)
         spec = BucketSpec(
-            self._udf_ref(compiled),
+            key,
             n_parts,
-            *self._key_columns(compiled, vk),
-            prepared=(compiled.closure, vk),
+            vk.schema if vk is not None else None,
+            prepared=(key.closure, vk),
         )
         self._count_blocks_shipped(len(batches))
         return [
@@ -1113,7 +1022,7 @@ class JobExecutor:
 
     # -- UDF compilation -------------------------------------------------------------
 
-    def _udf_compilation(self, fn: ScalarFn) -> _CompiledUdf:
+    def _udf_compilation(self, fn: ScalarFn) -> Udf:
         """Close a UDF over the driver env (memoized by UDF identity,
         per job), broadcasting its free bag values.
 
@@ -1135,12 +1044,11 @@ class JobExecutor:
         for name, local in hoisted.items():
             bindings[name] = local
             extra += len(local)
-        closure, native = hoisted_fn.compile_native(bindings)
-        if native:
+        udf = Udf(hoisted_fn.params, hoisted_fn.body, bindings, extra)
+        if udf.native:
             self.engine.metrics.udfs_compiled += 1
-        compiled = _CompiledUdf(hoisted_fn, bindings, closure, extra, native)
-        self._udf_memo[id(fn)] = (fn, compiled)
-        return compiled
+        self._udf_memo[id(fn)] = (fn, udf)
+        return udf
 
     def _hoist_closed_bags(
         self, fn: ScalarFn
@@ -1324,14 +1232,15 @@ class JobExecutor:
 
         When *both* sides genuinely need motion — i.e. the physical
         planner left them ``required`` rather than elidable or
-        hoistable — their bucket stages have no dependency on each
-        other, so they go to the scheduler as one task graph and run
-        with all tasks in flight simultaneously.  A hoisted side arrives
-        shuffled; an aligned side's shuffle elides inside
-        :meth:`shuffle_by_key`.  The bucket lists live only in this
-        frame: they are garbage before the probe allocates its output.
+        hoistable — their bucket tasks have no dependency on each
+        other, so they go to the scheduler as one fan-out (left tasks,
+        then right, all in flight together) and the result splits by
+        position.  A hoisted side arrives shuffled; an aligned side's
+        shuffle elides inside :meth:`shuffle_by_key`.  The bucket lists
+        live only in this frame: they are garbage before the probe
+        allocates its output.
         """
-        pre: dict[str, list] = {}
+        lpre = rpre = None
         if not (
             lhoisted
             or rhoisted
@@ -1339,32 +1248,21 @@ class JobExecutor:
             or self._aligned(right, comb.ky)
         ):
             n_parts = self.parallelism
-            scheduler = self.engine.scheduler
-            pre = scheduler.run_graph(
-                [
-                    stage_of(
-                        self._bucket_tasks(
-                            left, comb.kx, n_parts, exchange, "bucket-left"
-                        ),
-                        "left",
-                    ),
-                    stage_of(
-                        self._bucket_tasks(
-                            right, comb.ky, n_parts, exchange, "bucket-right"
-                        ),
-                        "right",
-                    ),
-                ],
-                metrics=self.engine.metrics,
+            ltasks = self._bucket_tasks(
+                left, comb.kx, n_parts, exchange, "bucket-left"
             )
-            self._drain_scheduler_events(scheduler)
+            rtasks = self._bucket_tasks(
+                right, comb.ky, n_parts, exchange, "bucket-right"
+            )
+            buckets = self._run_stage(ltasks + rtasks)
+            lpre, rpre = buckets[: len(ltasks)], buckets[len(ltasks) :]
         if not lhoisted:
             left = self._shuffled_side(
-                comb.left, left, comb.kx, pre.pop("left", None), exchange
+                comb.left, left, comb.kx, lpre, exchange
             )
         if not rhoisted:
             right = self._shuffled_side(
-                comb.right, right, comb.ky, pre.pop("right", None), exchange
+                comb.right, right, comb.ky, rpre, exchange
             )
         return left, right
 
@@ -1560,22 +1458,13 @@ class JobExecutor:
                 small, big = left, right
                 cs, cb = cx, cy
                 small_first = True
-            ks = cs.closure
-            table: dict[Any, list[Any]] = {}
             small_records = small.collect()
             self.broadcast_value(small_records)
-            for r in small_records:
-                table.setdefault(ks(r), []).append(r)
+            # Every worker builds the hash table (the spec's artifact).
             self.job.charge_all_workers(
                 self.engine.cost.cpu_seconds(len(small_records))
             )
-            spec = BroadcastProbeSpec(
-                small_records,
-                self._udf_ref(cs),
-                self._udf_ref(cb),
-                small_first,
-                prepared=(table, cb.closure),
-            )
+            spec = BroadcastProbeSpec(small_records, cs, cb, small_first)
             out = self._run_stage(
                 [
                     PartitionTask(i, spec, p, "broadcast-join")
@@ -1608,10 +1497,10 @@ class JobExecutor:
         else:
             self.engine.metrics.columnar_joins += 1
         spec = JoinProbeSpec(
-            self._udf_ref(cx),
-            self._udf_ref(cy),
-            *self._key_columns(cx, lvk),
-            *self._key_columns(cy, rvk),
+            cx,
+            cy,
+            lvk.schema if lvk is not None else None,
+            rvk.schema if rvk is not None else None,
             prepared=(cx.closure, cy.closure, lvk, rvk),
         )
         self._count_blocks_shipped(len(lbatches) + len(rbatches))
@@ -1658,12 +1547,7 @@ class JobExecutor:
             self.broadcast_value(list(keys))
             for i, p in enumerate(right.partitions):
                 self._charge_cpu(i, len(p))
-            spec = BroadcastSemiSpec(
-                list(keys),
-                self._udf_ref(cx),
-                comb.anti,
-                prepared=(keys, cx.closure),
-            )
+            spec = BroadcastSemiSpec(keys, cx, comb.anti)
             out = self._run_stage(
                 [
                     PartitionTask(i, spec, p, "broadcast-semi")
@@ -1684,12 +1568,7 @@ class JobExecutor:
         left, right = self._repartitioned_pair(
             comb, left, lhoisted, right, rhoisted, exchange
         )
-        spec = SemiProbeSpec(
-            self._udf_ref(cx),
-            self._udf_ref(cy),
-            comb.anti,
-            prepared=(cx.closure, cy.closure),
-        )
+        spec = SemiProbeSpec(cx, cy, comb.anti)
         pairs = list(zip(left.partitions, right.partitions))
         out = self._run_stage(
             [
@@ -1727,8 +1606,8 @@ class JobExecutor:
     # -- grouping / aggregation ------------------------------------------------------
 
     def _exec_group_by(self, comb: CGroupBy) -> PartitionedBag:
-        compiled = self._udf_compilation(comb.key)
-        key_fn, extra = compiled.closure, compiled.extra
+        key = self._udf_compilation(comb.key)
+        key_fn, extra = key.closure, key.extra
         exchange = comb if self._exchange_active(comb) else None
         shuffled = self._shuffled_input(comb.input, comb.key, exchange)
         factor = self.engine.group_materialize_factor
@@ -1747,8 +1626,8 @@ class JobExecutor:
         # failure mode bit-for-bit.
         external = self._plan_external_groups(shuffled.partitions)
         spec = GroupSpec(
-            self._udf_ref(compiled),
-            *self._key_columns(compiled, gvk),
+            key,
+            gvk.schema if gvk is not None else None,
             prepared=(key_fn, gvk),
         )
         tasks = [
@@ -1921,20 +1800,17 @@ class JobExecutor:
         ):
             chain = comb.input
             source = self._exec(chain.input)
-            kernel = self._kernel(chain)
+            steps = self._kernel_steps(chain)
         else:
             source = self._exec(comb.input)
-            kernel = None
-        ckey = self._udf_compilation(comb.key)
-        key_fn, key_extra = ckey.closure, ckey.extra
+            steps = None
+        key = self._udf_compilation(comb.key)
         spec_names: frozenset[str] = frozenset()
         for spec in comb.specs:
             spec_names |= spec.free_vars()
         bindings, spec_extra = self._udf_bindings(spec_names)
-        algebras = [
-            spec.make_algebra(Env.of(bindings)) for spec in comb.specs
-        ]
-        extra = key_extra + spec_extra
+        n_algebras = len(comb.specs)
+        extra = key.extra + spec_extra
 
         # The chain's output partitioning decides shuffle alignment.
         effective_partitioner = source.partitioner
@@ -1943,8 +1819,8 @@ class JobExecutor:
         aligned = effective_partitioner is not None and (
             effective_partitioner.matches(comb.key, source.num_partitions)
         )
-        if kernel is not None:
-            self._charge_chain_overheads(kernel)
+        if steps is not None:
+            self._charge_chain_overheads(len(steps))
             # The whole chain collapses into the aggregation's mapper
             # phase, so even its own task charge is saved.
             if self.engine.pipelined_chains:
@@ -1952,13 +1828,7 @@ class JobExecutor:
         # Phase 1: mapper-side partial aggregation.
         chain_invocations = 0
         partials: list[list[tuple[Any, tuple]]] = []
-        mspec = AggMapSpec(
-            self._udf_ref(ckey),
-            comb.specs,
-            bindings,
-            steps=kernel.steps if kernel is not None else None,
-            prepared=(kernel, key_fn, algebras),
-        )
+        mspec = AggMapSpec(key, comb.specs, bindings, steps)
         tasks = [
             PartitionTask(i, mspec, p, "agg-map")
             for i, p in enumerate(source.partitions)
@@ -1966,19 +1836,19 @@ class JobExecutor:
         for i, (p, (pairs, counts)) in enumerate(
             zip(source.partitions, self._run_stage(tasks))
         ):
-            if kernel is None:
+            if steps is None:
                 n_agg_inputs = len(p)
             else:
                 entered, n_agg_inputs = self._charge_kernel(
-                    kernel, i, p, counts
+                    steps, i, p, counts
                 )
                 chain_invocations += sum(entered)
             partials.append(pairs)
             self._charge_cpu(
                 i,
-                n_agg_inputs * (len(algebras) + extra) + len(pairs),
+                n_agg_inputs * (n_algebras + extra) + len(pairs),
             )
-        if kernel is not None:
+        if steps is not None:
             self.engine.metrics.udf_invocations += chain_invocations
         partial_bag = PartitionedBag(
             partials, effective_partitioner if aligned else None
@@ -2007,7 +1877,7 @@ class JobExecutor:
                 ),
             )
         # Phase 3: reducer-side merge.
-        rspec = AggMergeSpec(comb.specs, bindings, prepared=tuple(algebras))
+        rspec = AggMergeSpec(comb.specs, bindings)
         out = self._run_stage(
             [
                 PartitionTask(i, rspec, p, "agg-merge")
@@ -2015,7 +1885,7 @@ class JobExecutor:
             ]
         )
         for i, (p, rows) in enumerate(zip(partial_bag.partitions, out)):
-            self._charge_cpu(i, len(p) * len(algebras) + len(rows))
+            self._charge_cpu(i, len(p) * n_algebras + len(rows))
         return PartitionedBag(out, _grp_partitioner(partial_bag, "key"))
 
     def _exec_distinct(self, comb: CDistinct) -> PartitionedBag:
@@ -2092,8 +1962,7 @@ class JobExecutor:
             )
         source = self._exec(comb.input)
         bindings, extra = self._udf_bindings(comb.spec.free_vars())
-        algebra = comb.spec.make_algebra(Env.of(bindings))
-        fspec = FoldSpec(comb.spec, bindings, prepared=algebra)
+        fspec = FoldSpec(comb.spec, bindings)
         partial_values = self._run_stage(
             [
                 PartitionTask(i, fspec, p, "fold")
@@ -2117,7 +1986,7 @@ class JobExecutor:
                 rows_in=source.count(),
                 partials=len(partial_values),
             )
-        return algebra.merge(partial_values)
+        return fspec.prepared().merge(partial_values)
 
     # -- dispatch table -------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""A dependency-driven partition-task scheduler with real parallelism.
+"""A partition-task scheduler with real parallelism.
 
 The simulated engines charge *modelled* seconds per partition; this
 module is the orthogonal axis the ROADMAP's north star asks for — the
@@ -6,8 +6,8 @@ same per-partition work executed **genuinely in parallel** on the host
 machine.  Each physical operator's per-partition work is one
 :class:`TaskSpec` subclass below (its only implementation: ``run``
 dispatches on a row-list or ``ColumnBatch`` payload), and a
-:class:`TaskScheduler` runs the partition tasks of a job DAG in one of
-three modes, which differ in dispatch only:
+:class:`TaskScheduler` runs one flat fan-out of partition tasks at a
+time in one of three modes, which differ in dispatch only:
 
 * ``serial`` — the default: tasks run inline, in order, in the driver
   process.
@@ -15,10 +15,10 @@ three modes, which differ in dispatch only:
   and UDF closures are shared by reference; useful for I/O-bound UDFs
   and as a GIL-bound sanity midpoint between serial and processes.
 * ``processes`` — tasks fan out on a shared spawn-context
-  ``ProcessPoolExecutor``.  Chain kernels and compiled scalar UDFs
-  ship as *source* (IR + bindings — see
-  :mod:`repro.engines.chainkernel`), are re-hydrated in the worker and
-  memoized per worker process by a content fingerprint, and partitions
+  ``ProcessPoolExecutor``.  A spec ships its UDFs as *source* (one
+  :class:`~repro.engines.chainkernel.Udf` each: IR + bindings, never
+  a compiled kernel or closure); the worker rebuilds the artifact and
+  memoizes it per process by a content fingerprint, and partitions
   cross the boundary through a small pickle serialization layer with
   byte accounting (``Metrics.ipc_bytes_shipped`` / ``ipc_bytes_returned``).
 
@@ -39,9 +39,9 @@ Three invariants make the parallel modes safe to enable anywhere:
    ``Metrics.serial_fallbacks``.  A genuine task error reproduces and
    raises in the serial re-run, so the fallback can never mask a bug.
 
-Straggler robustness: once most of a stage has completed, the slowest
+Straggler robustness: once most of a fan-out has completed, the slowest
 still-running tasks are speculatively re-launched on the pool and the
-first result per task index wins (purity makes the duplicate harmless
+first result per task position wins (purity makes the duplicate harmless
 — the Dremel/Spark "backup task" trick).
 """
 
@@ -53,7 +53,6 @@ import os
 import pickle
 import sys
 import time
-from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -61,8 +60,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from repro.comprehension.exprs import AlgebraSpec, Env
 from repro.comprehension.pretty import pretty
@@ -70,7 +69,9 @@ from repro.core.databag import DataBag
 from repro.core.grp import Grp
 from repro.engines.chainkernel import (
     KernelStep,
+    Udf,
     VectorKernel,
+    bindings_digest,
     build_chain_kernel,
     build_key_kernel,
     build_vector_kernel,
@@ -85,7 +86,7 @@ from repro.engines.columnar import (
 )
 from repro.engines.cluster import stable_hash
 from repro.errors import EngineError
-from repro.lowering.combinators import AggResult, ScalarFn
+from repro.lowering.combinators import AggResult
 
 #: the execution modes selectable via ``EmmaConfig(execution_mode=...)``
 EXECUTION_MODES = ("serial", "threads", "processes")
@@ -123,49 +124,6 @@ def default_max_parallel_tasks() -> int:
 # -- content fingerprints ---------------------------------------------------
 
 
-def _value_digest(value: Any) -> tuple | None:
-    """A process-independent digest of one captured binding value.
-
-    Returns ``None`` for values with no stable content identity (the
-    spec then gets a unique token fingerprint: still memoizable within
-    one stage, just not across jobs).  Deliberately never falls back to
-    ``repr`` — reprs embedding ``id()`` addresses could collide across
-    garbage-collection reuse and alias two different kernels.
-    """
-    if isinstance(value, type):
-        return ("type", value.__module__, value.__qualname__)
-    if isinstance(value, DataBag):
-        try:
-            return ("bag", stable_hash(value.fetch()))
-        except EngineError:
-            return None
-    if callable(value):
-        module = getattr(value, "__module__", None)
-        qualname = getattr(value, "__qualname__", None)
-        if module and qualname and "<locals>" not in qualname:
-            return ("fn", module, qualname)
-        return None
-    try:
-        return ("val", stable_hash(value))
-    except EngineError:
-        return None
-
-
-def _bindings_digest(
-    bindings: Mapping[str, Any] | None,
-) -> tuple | None:
-    """Order-independent digest of a name→value closure binding map."""
-    if bindings is None:
-        return ()
-    items = []
-    for name in sorted(bindings):
-        digest = _value_digest(bindings[name])
-        if digest is None:
-            return None
-        items.append((name, digest))
-    return tuple(items)
-
-
 def _algebra_digest(spec: AlgebraSpec) -> tuple:
     """Structural digest of a symbolic fold algebra."""
     return (
@@ -177,34 +135,7 @@ def _algebra_digest(spec: AlgebraSpec) -> tuple:
     )
 
 
-# -- picklable UDF / task specs ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class UdfRef:
-    """A scalar UDF as shippable source: parameters, IR body, bindings.
-
-    The compiled closure never travels; :meth:`compile` rebuilds it in
-    the receiving process with the same native-vs-interpreter fallback
-    the driver used, so both sides run semantically identical code.
-    """
-
-    params: tuple[str, ...]
-    body: Any
-    bindings: dict[str, Any] = field(default_factory=dict)
-
-    def compile(self) -> Callable:
-        """Materialize the closure over the shipped bindings."""
-        return ScalarFn(tuple(self.params), self.body).compile_native(
-            dict(self.bindings)
-        )[0]
-
-    def digest(self) -> tuple | None:
-        """Content digest, or ``None`` when a binding has no identity."""
-        bindings = _bindings_digest(self.bindings)
-        if bindings is None:
-            return None
-        return (tuple(self.params), pretty(self.body), bindings)
+# -- task specs -------------------------------------------------------------
 
 
 class TaskSpec:
@@ -213,16 +144,21 @@ class TaskSpec:
     A spec is the single implementation of one physical operator's
     per-partition work: :meth:`run` is what ``serial``, ``threads`` and
     ``processes`` mode all execute, over the artifact :meth:`build`
-    constructs (a compiled kernel, a hash table, a fold algebra).  The
-    driver hands its already-built artifact in as ``prepared`` and it
-    never pickles; a worker process rebuilds it from the shipped IR
-    once per content ``fingerprint`` and memoizes it, so a loop that
-    re-runs the same kernel every iteration re-hydrates it once per
-    worker process, not once per task.
+    constructs (a compiled kernel, a hash table, a fold algebra).  In
+    the driver :meth:`prepared` builds it on first use — or serves the
+    ``prepared`` argument, for the one kind of artifact the driver has
+    to build ahead of the spec: a vector kernel, attempted early so a
+    fallback is counted once.  It never pickles; a worker process
+    rebuilds it from the shipped :class:`Udf` values once per content
+    ``fingerprint`` and memoizes it, so a loop that re-runs the same
+    kernel every iteration re-hydrates it once per worker process, not
+    once per task.
     """
 
     #: worker-memo namespace and trace label
     kind = "abstract"
+    #: what an unpickled spec reads: the artifact stays in the driver
+    _prepared: Any = None
 
     def __init__(self, prepared: Any = None) -> None:
         self._prepared = prepared
@@ -268,37 +204,19 @@ class TaskSpec:
         return self._prepared
 
     def __getstate__(self) -> dict[str, Any]:
-        """Ship the fingerprint, never the driver-side artifact."""
+        """Ship the fingerprint, never the driver-side artifact (a
+        worker only ever calls :meth:`build`)."""
         state = dict(self.__dict__)
-        state["_prepared"] = None
+        del state["_prepared"]
         state["_fingerprint"] = self.fingerprint
         return state
 
 
-def _steps_digest(steps: Sequence[KernelStep]) -> tuple | None:
-    """Content digest of a kernel's step IR, or ``None``."""
-    digests = []
-    for step in steps:
-        bindings = _bindings_digest(step.bindings)
-        if step.body is None or bindings is None:
-            return None
-        digests.append(
-            (
-                pretty(step.body),
-                tuple(step.params),
-                bindings,
-                step.kind,
-                step.extra,
-            )
-        )
-    return tuple(digests)
-
-
 def _key_kernel_or_none(
-    step: KernelStep | None, schema: ColumnSchema | None
+    key: Udf, schema: ColumnSchema | None
 ) -> VectorKernel | None:
     """The key column's vector kernel when a spec has a columnar side."""
-    return build_key_kernel(step, schema) if schema is not None else None
+    return build_key_kernel(key, schema) if schema is not None else None
 
 
 def _signature(schema: ColumnSchema | None) -> tuple | None:
@@ -330,8 +248,8 @@ class KernelSpec(TaskSpec):
         self.schema = schema
 
     def fingerprint_parts(self) -> tuple | None:
-        digest = _steps_digest(self.steps)
-        return None if digest is None else (digest, _signature(self.schema))
+        digests = tuple(step.digest() for step in self.steps)
+        return None if None in digests else (digests, _signature(self.schema))
 
     def build(self) -> tuple:
         """(row kernel, vector kernel | None), regenerated from the
@@ -365,13 +283,12 @@ class AggMapSpec(TaskSpec):
 
     def __init__(
         self,
-        key: UdfRef,
+        key: Udf,
         specs: Sequence[AlgebraSpec],
         bindings: dict[str, Any],
         steps: Sequence[KernelStep] | None = None,
-        prepared: tuple | None = None,
     ) -> None:
-        super().__init__(prepared)
+        super().__init__()
         self.key = key
         self.specs = tuple(specs)
         self.bindings = bindings
@@ -380,11 +297,9 @@ class AggMapSpec(TaskSpec):
     def fingerprint_parts(self) -> tuple | None:
         steps = None
         if self.steps is not None:
-            steps = _steps_digest(self.steps)
-            if steps is None:
-                return None
-        key, bindings = self.key.digest(), _bindings_digest(self.bindings)
-        if key is None or bindings is None:
+            steps = tuple(step.digest() for step in self.steps)
+        key, bindings = self.key.digest(), bindings_digest(self.bindings)
+        if key is None or bindings is None or None in (steps or ()):
             return None
         return (
             key,
@@ -401,7 +316,7 @@ class AggMapSpec(TaskSpec):
         env = Env.of(self.bindings)
         return (
             kernel,
-            self.key.compile(),
+            self.key.closure,
             [s.make_algebra(env) for s in self.specs],
         )
 
@@ -435,17 +350,14 @@ class AggMergeSpec(TaskSpec):
     kind = "agg-merge"
 
     def __init__(
-        self,
-        specs: Sequence[AlgebraSpec],
-        bindings: dict[str, Any],
-        prepared: tuple | None = None,
+        self, specs: Sequence[AlgebraSpec], bindings: dict[str, Any]
     ) -> None:
-        super().__init__(prepared)
+        super().__init__()
         self.specs = tuple(specs)
         self.bindings = bindings
 
     def fingerprint_parts(self) -> tuple | None:
-        bindings = _bindings_digest(self.bindings)
+        bindings = bindings_digest(self.bindings)
         if bindings is None:
             return None
         return tuple(_algebra_digest(s) for s in self.specs), bindings
@@ -512,14 +424,12 @@ class GroupSpec(TaskSpec):
 
     def __init__(
         self,
-        key: UdfRef,
-        key_step: KernelStep | None = None,
+        key: Udf,
         schema: ColumnSchema | None = None,
         prepared: tuple | None = None,
     ) -> None:
         super().__init__(prepared)
         self.key = key
-        self.key_step = key_step
         self.schema = schema
 
     def fingerprint_parts(self) -> tuple | None:
@@ -528,10 +438,7 @@ class GroupSpec(TaskSpec):
 
     def build(self) -> tuple:
         """(key closure, key vector kernel | None)."""
-        return (
-            self.key.compile(),
-            _key_kernel_or_none(self.key_step, self.schema),
-        )
+        return self.key.closure, _key_kernel_or_none(self.key, self.schema)
 
     def run(self, prepared: tuple, data: Any) -> list[Any]:
         key_fn, kernel = prepared
@@ -564,16 +471,14 @@ class BucketSpec(TaskSpec):
 
     def __init__(
         self,
-        key: UdfRef,
+        key: Udf,
         num_partitions: int,
-        key_step: KernelStep | None = None,
         schema: ColumnSchema | None = None,
         prepared: tuple | None = None,
     ) -> None:
         super().__init__(prepared)
         self.key = key
         self.num_partitions = num_partitions
-        self.key_step = key_step
         self.schema = schema
 
     def fingerprint_parts(self) -> tuple | None:
@@ -584,10 +489,7 @@ class BucketSpec(TaskSpec):
 
     def build(self) -> tuple:
         """(key closure, key vector kernel | None)."""
-        return (
-            self.key.compile(),
-            _key_kernel_or_none(self.key_step, self.schema),
-        )
+        return self.key.closure, _key_kernel_or_none(self.key, self.schema)
 
     def run(self, prepared: tuple, data: Any) -> list:
         key_fn, kernel = prepared
@@ -629,20 +531,16 @@ class JoinProbeSpec(TaskSpec):
 
     def __init__(
         self,
-        kx: UdfRef,
-        ky: UdfRef,
-        x_step: KernelStep | None = None,
+        kx: Udf,
+        ky: Udf,
         x_schema: ColumnSchema | None = None,
-        y_step: KernelStep | None = None,
         y_schema: ColumnSchema | None = None,
         prepared: tuple | None = None,
     ) -> None:
         super().__init__(prepared)
         self.kx = kx
         self.ky = ky
-        self.x_step = x_step
         self.x_schema = x_schema
-        self.y_step = y_step
         self.y_schema = y_schema
 
     def fingerprint_parts(self) -> tuple | None:
@@ -654,10 +552,10 @@ class JoinProbeSpec(TaskSpec):
     def build(self) -> tuple:
         """(kx closure, ky closure, left key kernel, right key kernel)."""
         return (
-            self.kx.compile(),
-            self.ky.compile(),
-            _key_kernel_or_none(self.x_step, self.x_schema),
-            _key_kernel_or_none(self.y_step, self.y_schema),
+            self.kx.closure,
+            self.ky.closure,
+            _key_kernel_or_none(self.kx, self.x_schema),
+            _key_kernel_or_none(self.ky, self.y_schema),
         )
 
     def run(self, prepared: tuple, data: tuple) -> list[Any]:
@@ -683,12 +581,11 @@ class BroadcastProbeSpec(TaskSpec):
     def __init__(
         self,
         records: list[Any],
-        key_small: UdfRef,
-        key_big: UdfRef,
+        key_small: Udf,
+        key_big: Udf,
         small_first: bool,
-        prepared: tuple | None = None,
     ) -> None:
-        super().__init__(prepared)
+        super().__init__()
         self.records = records
         self.key_small = key_small
         self.key_big = key_big
@@ -705,11 +602,11 @@ class BroadcastProbeSpec(TaskSpec):
 
     def build(self) -> tuple:
         """(hash table over the small side, big-side key closure)."""
-        ks = self.key_small.compile()
+        ks = self.key_small.closure
         table: dict[Any, list[Any]] = {}
         for r in self.records:
             table.setdefault(ks(r), []).append(r)
-        return table, self.key_big.compile()
+        return table, self.key_big.closure
 
     def run(self, prepared: tuple, data: list[Any]) -> list[Any]:
         table, kb = prepared
@@ -724,14 +621,8 @@ class SemiProbeSpec(TaskSpec):
 
     kind = "semi-probe"
 
-    def __init__(
-        self,
-        kx: UdfRef,
-        ky: UdfRef,
-        anti: bool,
-        prepared: tuple | None = None,
-    ) -> None:
-        super().__init__(prepared)
+    def __init__(self, kx: Udf, ky: Udf, anti: bool) -> None:
+        super().__init__()
         self.kx = kx
         self.ky = ky
         self.anti = anti
@@ -744,7 +635,7 @@ class SemiProbeSpec(TaskSpec):
 
     def build(self) -> tuple:
         """Both compiled key closures."""
-        return self.kx.compile(), self.ky.compile()
+        return self.kx.closure, self.ky.closure
 
     def run(self, prepared: tuple, data: tuple) -> list[Any]:
         kx, ky = prepared
@@ -760,14 +651,8 @@ class BroadcastSemiSpec(TaskSpec):
 
     kind = "broadcast-semi"
 
-    def __init__(
-        self,
-        keys: list[Any],
-        kx: UdfRef,
-        anti: bool,
-        prepared: tuple | None = None,
-    ) -> None:
-        super().__init__(prepared)
+    def __init__(self, keys: set[Any], kx: Udf, anti: bool) -> None:
+        super().__init__()
         self.keys = keys
         self.kx = kx
         self.anti = anti
@@ -777,13 +662,13 @@ class BroadcastSemiSpec(TaskSpec):
         if dx is None:
             return None
         try:
-            return dx, self.anti, stable_hash(set(self.keys))
-        except (EngineError, TypeError):
+            return dx, self.anti, stable_hash(self.keys)
+        except EngineError:
             return None
 
     def build(self) -> tuple:
         """(key set, probe-side key closure)."""
-        return set(self.keys), self.kx.compile()
+        return self.keys, self.kx.closure
 
     def run(self, prepared: tuple, data: list[Any]) -> list[Any]:
         keys, kx = prepared
@@ -797,18 +682,13 @@ class FoldSpec(TaskSpec):
 
     kind = "fold"
 
-    def __init__(
-        self,
-        spec: AlgebraSpec,
-        bindings: dict[str, Any],
-        prepared: Any | None = None,
-    ) -> None:
-        super().__init__(prepared)
+    def __init__(self, spec: AlgebraSpec, bindings: dict[str, Any]) -> None:
+        super().__init__()
         self.spec = spec
         self.bindings = bindings
 
     def fingerprint_parts(self) -> tuple | None:
-        bindings = _bindings_digest(self.bindings)
+        bindings = bindings_digest(self.bindings)
         if bindings is None:
             return None
         return _algebra_digest(self.spec), bindings
@@ -821,7 +701,7 @@ class FoldSpec(TaskSpec):
         return prepared(data)
 
 
-# -- tasks and stages -------------------------------------------------------
+# -- tasks ------------------------------------------------------------------
 
 
 @dataclass
@@ -832,30 +712,6 @@ class PartitionTask:
     spec: TaskSpec
     data: Any
     label: str = ""
-
-
-@dataclass
-class TaskStage:
-    """A stage of a task graph: a task builder plus its dependencies.
-
-    ``build`` receives the results of every dependency stage (a dict
-    ``stage_id -> ordered result list``) and returns this stage's
-    tasks — so downstream task *construction* can consume upstream
-    results, which is what makes the scheduler dependency-driven
-    rather than a flat fan-out.  Stages with disjoint dependencies
-    (e.g. the two bucket stages of a repartition join whose sides the
-    physical planner marked motion-``required``) have their tasks in
-    flight simultaneously.
-    """
-
-    stage_id: str
-    build: Callable[[dict[str, list[Any]]], list[PartitionTask]]
-    deps: tuple[str, ...] = ()
-
-
-def stage_of(tasks: list[PartitionTask], stage_id: str = "stage") -> TaskStage:
-    """Wrap a fixed task list as a single dependency-free stage."""
-    return TaskStage(stage_id, lambda _results: tasks)
 
 
 # -- worker-process side ----------------------------------------------------
@@ -895,11 +751,9 @@ def _process_entry(payload: bytes) -> bytes:
     spec, data = pickle.loads(payload)
     if isinstance(data, SpillFileRef):
         data = load_payload_file(data)
-    started = time.perf_counter()
     prepared, rehydrated = _prepare_memoized(spec)
-    value = spec.run(prepared, data)
     return pickle.dumps(
-        (value, time.perf_counter() - started, rehydrated),
+        (spec.run(prepared, data), rehydrated),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
@@ -973,13 +827,15 @@ def ship_task(spec: TaskSpec, data: Any, label: str = "") -> bytes:
 
 
 class TaskScheduler:
-    """Executes partition-task graphs in serial/threads/processes mode.
+    """Executes partition-task fan-outs in serial/threads/processes mode.
 
-    The public surface is :meth:`run_stage` (one fan-out, results
-    merged by task order) and :meth:`run_graph` (dependency-driven
-    stages whose ready tasks interleave out of order).  Speculative
-    re-execution of stragglers is controlled by the ``speculation*``
-    knobs; ``events`` collects (name, attrs) pairs for the tracer.
+    The public surface is :meth:`run_stage`: one flat list of tasks,
+    all in flight together in the pooled modes, results merged by task
+    position.  Tasks of one fan-out may carry different specs and
+    labels (the two bucket sides of a repartition join go down as one
+    list).  Speculative re-execution of stragglers is controlled by the
+    ``speculation*`` knobs; ``events`` collects (name, attrs) pairs for
+    the tracer.
     """
 
     def __init__(
@@ -1002,7 +858,7 @@ class TaskScheduler:
         #: concurrent task slots (0 → one per host CPU)
         self.width = max_parallel_tasks or (os.cpu_count() or 1)
         self.speculation = speculation
-        #: stage-completion fraction before stragglers are considered
+        #: fan-out completion fraction before stragglers are considered
         self.speculation_quantile = speculation_quantile
         #: how much slower than the median a task must be to speculate
         self.speculation_factor = speculation_factor
@@ -1015,8 +871,8 @@ class TaskScheduler:
         #: a finite memory budget enables the file-backed shuffle —
         #: large processes-mode payloads then travel as spill-file refs
         self.spill = spill
-        #: shuffle spill files shipped for the in-flight graph, deleted
-        #: when the graph run finishes (speculative copies re-read them)
+        #: shuffle spill files shipped for the in-flight fan-out, deleted
+        #: when it finishes (speculative copies re-read them)
         self._shipped_refs: list[Any] = []
         self._thread_pool: ThreadPoolExecutor | None = None
 
@@ -1026,17 +882,10 @@ class TaskScheduler:
         self, tasks: list[PartitionTask], metrics: Any = None
     ) -> list[Any]:
         """Run one fan-out of tasks; results ordered by task position."""
-        return self.run_graph([stage_of(tasks)], metrics=metrics)["stage"]
-
-    def run_graph(
-        self, stages: list[TaskStage], metrics: Any = None
-    ) -> dict[str, list[Any]]:
-        """Run a dependency-driven stage graph; see :class:`TaskStage`."""
-        order = self._toposort(stages)
         if self.mode == "serial":
-            return self._run_serial(order)
+            return self._run_serial(tasks)
         try:
-            return self._run_parallel(order, metrics)
+            return self._run_parallel(tasks, metrics)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -1055,7 +904,7 @@ class TaskScheduler:
                     },
                 )
             )
-            return self._run_serial(order)
+            return self._run_serial(tasks)
         finally:
             if self._shipped_refs and self.spill is not None:
                 for ref in self._shipped_refs:
@@ -1071,47 +920,10 @@ class TaskScheduler:
     # -- execution paths ---------------------------------------------------
 
     @staticmethod
-    def _toposort(stages: list[TaskStage]) -> list[TaskStage]:
-        """Dependency-order the stages; reject unknown/cyclic deps."""
-        by_id = {s.stage_id: s for s in stages}
-        order: list[TaskStage] = []
-        done: set[str] = set()
-        pending = deque(stages)
-        spins = 0
-        while pending:
-            stage = pending.popleft()
-            missing = [d for d in stage.deps if d not in by_id]
-            if missing:
-                raise EngineError(
-                    f"stage {stage.stage_id!r} depends on unknown "
-                    f"stage(s) {missing}"
-                )
-            if all(d in done for d in stage.deps):
-                order.append(stage)
-                done.add(stage.stage_id)
-                spins = 0
-            else:
-                pending.append(stage)
-                spins += 1
-                if spins > len(pending):
-                    raise EngineError(
-                        "cyclic dependencies in task-stage graph: "
-                        + ", ".join(s.stage_id for s in pending)
-                    )
-        return order
-
-    def _run_serial(
-        self, order: list[TaskStage]
-    ) -> dict[str, list[Any]]:
+    def _run_serial(tasks: list[PartitionTask]) -> list[Any]:
         """Inline execution, in order — the reference the parallel
         modes must reproduce."""
-        results: dict[str, list[Any]] = {}
-        for stage in order:
-            tasks = stage.build(results)
-            results[stage.stage_id] = [
-                t.spec.run(t.spec.prepared(), t.data) for t in tasks
-            ]
-        return results
+        return [t.spec.run(t.spec.prepared(), t.data) for t in tasks]
 
     def _pool(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
         if self.mode == "threads":
@@ -1150,143 +962,90 @@ class TaskScheduler:
         return pool.submit(spec.run, spec.prepared(), task.data), None
 
     def _run_parallel(
-        self, order: list[TaskStage], metrics: Any
-    ) -> dict[str, list[Any]]:
+        self, tasks: list[PartitionTask], metrics: Any
+    ) -> list[Any]:
         """Out-of-order execution with speculative straggler re-runs."""
         pool = self._pool()
-        results: dict[str, list[Any]] = {}
-        collected: dict[str, dict[int, Any]] = {}
-        stage_info: dict[str, dict[str, Any]] = {}
-        remaining = deque(order)
-        launched: set[str] = set()
-        #: future -> (stage_id, position, attempt)
-        in_flight: dict[Future, tuple[str, int, int]] = {}
+        results: dict[int, Any] = {}
+        payloads: list[bytes | None] = []
+        started: dict[int, float] = {}
+        durations: list[float] = []
+        speculated: set[int] = set()
+        #: future -> (position, attempt)
+        in_flight: dict[Future, tuple[int, int]] = {}
+        if metrics is not None and tasks:
+            metrics.parallel_stages += 1
+        for pos, task in enumerate(tasks):
+            fut, payload = self._submit(pool, task, metrics)
+            in_flight[fut] = (pos, 0)
+            payloads.append(payload)
+            started[pos] = time.perf_counter()
+            if metrics is not None:
+                metrics.parallel_tasks += 1
 
-        def launch_ready() -> None:
-            while remaining and all(
-                d in results for d in remaining[0].deps
-            ):
-                stage = remaining.popleft()
-                tasks = stage.build(results)
-                launched.add(stage.stage_id)
-                collected[stage.stage_id] = {}
-                info = {
-                    "tasks": tasks,
-                    "payloads": {},
-                    "started": {},
-                    "durations": [],
-                    "speculated": set(),
-                }
-                stage_info[stage.stage_id] = info
-                if metrics is not None and tasks:
-                    metrics.parallel_stages += 1
-                for pos, task in enumerate(tasks):
-                    fut, payload = self._submit(pool, task, metrics)
-                    in_flight[fut] = (stage.stage_id, pos, 0)
-                    info["payloads"][pos] = (payload, task)
-                    info["started"][pos] = time.perf_counter()
-                    if metrics is not None:
-                        metrics.parallel_tasks += 1
-                if not tasks:
-                    results[stage.stage_id] = []
+        def event(name: str, pos: int) -> None:
+            task = tasks[pos]
+            self.events.append(
+                (name, {"stage": task.label, "task": task.index})
+            )
 
-        def record(stage_id: str, pos: int, attempt: int, fut: Future) -> None:
-            info = stage_info[stage_id]
-            got = collected[stage_id]
+        def record(pos: int, attempt: int, fut: Future) -> None:
             raw = fut.result()
-            if pos in got:
+            if pos in results:
                 return  # the other attempt won the race
             if self.mode == "processes":
                 if metrics is not None:
                     metrics.ipc_bytes_returned += len(raw)
-                value, task_seconds, rehydrated = pickle.loads(raw)
+                value, rehydrated = pickle.loads(raw)
                 if rehydrated and metrics is not None:
                     metrics.kernels_rehydrated += 1
             else:
-                value, task_seconds = raw, 0.0
-            got[pos] = value
-            info["durations"].append(
-                time.perf_counter() - info["started"][pos]
-            )
-            info["started"].pop(pos, None)
+                value = raw
+            results[pos] = value
+            durations.append(time.perf_counter() - started.pop(pos))
             if attempt > 0 and metrics is not None:
                 metrics.speculative_wins += 1
-                self.events.append(
-                    (
-                        "speculative-win",
-                        {"stage": stage_id, "task": pos},
-                    )
-                )
-            if len(got) == len(info["tasks"]):
-                results[stage_id] = [
-                    got[i] for i in range(len(info["tasks"]))
-                ]
+                event("speculative-win", pos)
 
         def speculate() -> None:
-            if not self.speculation:
+            if (
+                not (self.speculation and started)
+                or len(results)
+                < max(1, int(len(tasks) * self.speculation_quantile))
+                or len(speculated) >= self.max_speculative_per_stage
+            ):
                 return
             now = time.perf_counter()
-            for stage_id, info in stage_info.items():
-                if stage_id in results or not info["tasks"]:
+            median = sorted(durations)[len(durations) // 2]
+            threshold = max(
+                self.min_speculation_seconds,
+                median * self.speculation_factor,
+            )
+            for pos, since in list(started.items()):
+                if pos in speculated or now - since <= threshold:
                     continue
-                total = len(info["tasks"])
-                done_n = len(collected[stage_id])
-                if done_n < max(1, int(total * self.speculation_quantile)):
-                    continue
-                if len(info["speculated"]) >= self.max_speculative_per_stage:
-                    continue
-                durations = sorted(info["durations"])
-                median = durations[len(durations) // 2] if durations else 0.0
-                threshold = max(
-                    self.min_speculation_seconds,
-                    median * self.speculation_factor,
-                )
-                for pos, started in list(info["started"].items()):
-                    if pos in info["speculated"]:
-                        continue
-                    if now - started <= threshold:
-                        continue
-                    payload, task = info["payloads"][pos]
-                    if self.mode == "processes":
-                        fut = pool.submit(_process_entry, payload)
-                        if metrics is not None:
-                            metrics.ipc_bytes_shipped += len(payload)
-                    else:
-                        fut = pool.submit(
-                            task.spec.run,
-                            task.spec.prepared(),
-                            task.data,
-                        )
-                    in_flight[fut] = (stage_id, pos, 1)
-                    info["speculated"].add(pos)
+                if self.mode == "processes":
+                    fut = pool.submit(_process_entry, payloads[pos])
                     if metrics is not None:
-                        metrics.speculative_launches += 1
-                    self.events.append(
-                        (
-                            "speculative-launch",
-                            {"stage": stage_id, "task": pos},
-                        )
+                        metrics.ipc_bytes_shipped += len(payloads[pos])
+                else:
+                    spec = tasks[pos].spec
+                    fut = pool.submit(
+                        spec.run, spec.prepared(), tasks[pos].data
                     )
-                    if (
-                        len(info["speculated"])
-                        >= self.max_speculative_per_stage
-                    ):
-                        break
+                in_flight[fut] = (pos, 1)
+                speculated.add(pos)
+                if metrics is not None:
+                    metrics.speculative_launches += 1
+                event("speculative-launch", pos)
+                if len(speculated) >= self.max_speculative_per_stage:
+                    break
 
-        launch_ready()
         while in_flight:
             done, _pending = wait(
                 list(in_flight), timeout=0.05, return_when=FIRST_COMPLETED
             )
             for fut in done:
-                stage_id, pos, attempt = in_flight.pop(fut)
-                record(stage_id, pos, attempt, fut)
+                record(*in_flight.pop(fut), fut)
             speculate()
-            launch_ready()
-        launch_ready()
-        missing = [s.stage_id for s in order if s.stage_id not in results]
-        if missing:
-            raise EngineError(
-                f"task graph finished with incomplete stages: {missing}"
-            )
-        return results
+        return [results[pos] for pos in range(len(tasks))]

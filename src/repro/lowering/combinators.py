@@ -178,7 +178,7 @@ class Combinator:
 
     def label(self) -> str:
         """The operator's display name (class name sans ``C``)."""
-        return type(self).__name__.lstrip("C")
+        return type(self).__name__.removeprefix("C")
 
     def describe(self) -> str:
         """One-line node rendering for :func:`explain`."""

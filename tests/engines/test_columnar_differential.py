@@ -35,6 +35,11 @@ _PLANE_DEPENDENT = {
     "columnar_fallbacks_udf",
     "columnar_fallbacks_schema",
     "columnar_fallbacks_input",
+    # Under REPRO_MEMORY_BUDGET the at-rest ColumnBatch cache is itself
+    # a budgeted entry (``spill.register_batches``: dropping it *is* the
+    # eviction), and it exists only when a plane built batches — so the
+    # eviction count depends on the plane by construction.
+    "budget_evictions",
 }
 
 

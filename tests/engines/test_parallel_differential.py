@@ -25,7 +25,7 @@ from repro.engines.cluster import ClusterConfig
 from repro.engines.dfs import SimulatedDFS
 from repro.engines.executor import JobExecutor
 from repro.engines.faults import FaultPlan
-from repro.engines.scheduler import TaskScheduler, TaskStage
+from repro.engines.scheduler import TaskScheduler
 from repro.engines.sparklike import SparkLikeEngine
 from repro.lowering.combinators import (
     CAggBy,
@@ -78,16 +78,9 @@ class RecordingScheduler(TaskScheduler):
         #: (label, partition index) of every submitted task
         self.submitted = []
 
-    def run_graph(self, stages, metrics=None):
-        def recorded(stage):
-            def build(results):
-                tasks = stage.build(results)
-                self.submitted += [(t.label, t.index) for t in tasks]
-                return tasks
-
-            return TaskStage(stage.stage_id, build, stage.deps)
-
-        return super().run_graph([recorded(s) for s in stages], metrics)
+    def run_stage(self, tasks, metrics=None):
+        self.submitted += [(t.label, t.index) for t in tasks]
+        return super().run_stage(tasks, metrics)
 
 
 def _engine(world, mode, fault_plan=None):

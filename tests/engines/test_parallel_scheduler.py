@@ -1,9 +1,9 @@
 """Unit tests for the host-parallel partition-task scheduler.
 
-Covers the scheduler's three modes, dependency-driven stage graphs,
-deterministic by-index merging under out-of-order completion,
-speculative straggler re-execution, the source-shipping pickle layer
-(chain kernels, compiled UDFs), the EngineError-not-PicklingError
+Covers the scheduler's three modes, the flat fan-out of mixed task
+lists, deterministic by-position merging under out-of-order
+completion, speculative straggler re-execution, the source-shipping
+pickle layer (one ``Udf`` value), the EngineError-not-PicklingError
 doorway, the end-to-end serial fallback, and the ``stable_hash``
 coverage the worker-side memo fingerprints rely on.
 """
@@ -16,12 +16,7 @@ import pytest
 
 from repro.comprehension.exprs import BinOp, Compare, Const, Ref
 from repro.core.databag import DataBag
-from repro.engines.chainkernel import (
-    FILTER,
-    MAP,
-    KernelStep,
-    build_chain_kernel,
-)
+from repro.engines.chainkernel import FILTER, MAP, KernelStep, Udf
 from repro.engines.cluster import ClusterConfig, stable_hash
 from repro.engines.metrics import Metrics
 from repro.engines.scheduler import (
@@ -29,10 +24,7 @@ from repro.engines.scheduler import (
     PartitionTask,
     TaskScheduler,
     TaskSpec,
-    TaskStage,
-    UdfRef,
     ship_task,
-    stage_of,
 )
 from repro.engines.sparklike import SparkLikeEngine
 from repro.errors import EngineError
@@ -41,15 +33,13 @@ from repro.lowering.combinators import CBagRef, CMap, ScalarFn
 
 def inc_step() -> KernelStep:
     """A chain step computing ``x + 1``."""
-    return KernelStep(
-        MAP, None, 0, ("x",), BinOp("+", Ref("x"), Const(1)), {}
-    )
+    return KernelStep(MAP, Udf(("x",), BinOp("+", Ref("x"), Const(1))))
 
 
 def big_step() -> KernelStep:
     """A chain step keeping ``x > 10``."""
     return KernelStep(
-        FILTER, None, 0, ("x",), Compare(">", Ref("x"), Const(10)), {}
+        FILTER, Udf(("x",), Compare(">", Ref("x"), Const(10)))
     )
 
 
@@ -133,50 +123,29 @@ class TestSchedulerModes:
         assert out == [0, 1, 2, 3]
 
 
-class TestStageGraph:
-    def test_downstream_stage_consumes_upstream_results(self):
-        spec = EchoSpec()
-        first = TaskStage(
-            "a", lambda _r: [PartitionTask(i, spec, [i]) for i in range(3)]
-        )
-        second = TaskStage(
-            "b",
-            lambda results: [
-                PartitionTask(0, spec, [sum(x[0] for x in results["a"])])
-            ],
-            deps=("a",),
-        )
-        for mode in ("serial", "threads"):
-            scheduler = TaskScheduler(mode=mode, max_parallel_tasks=2)
-            try:
-                results = scheduler.run_graph([second, first])
-            finally:
-                scheduler.close()
-            # a yields [0,0], [1,1], [2,2]; b echoes [sum of firsts].
-            assert results["a"] == [[0, 0], [1, 1], [2, 2]]
-            assert results["b"] == [[3, 3]]
-
-    def test_independent_stages_both_run(self):
-        spec = EchoSpec()
-        left = stage_of([PartitionTask(0, spec, [1])], "left")
-        right = stage_of([PartitionTask(0, spec, [2])], "right")
-        scheduler = TaskScheduler(mode="threads", max_parallel_tasks=2)
+class TestMixedFanOut:
+    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+    def test_two_task_lists_keep_order(self, mode):
+        # The repartition join's shape: left tasks then right tasks go
+        # down as one list and come back split by position.
+        left = [
+            PartitionTask(i, EchoSpec(), [i], "bucket-left")
+            for i in range(3)
+        ]
+        right = [
+            PartitionTask(i, KernelSpec([inc_step()]), [10 * i], "bucket-right")
+            for i in range(2)
+        ]
+        scheduler = TaskScheduler(mode=mode, max_parallel_tasks=2)
+        metrics = Metrics()
         try:
-            results = scheduler.run_graph([left, right])
+            out = scheduler.run_stage(left + right, metrics=metrics)
         finally:
             scheduler.close()
-        assert results == {"left": [[1, 1]], "right": [[2, 2]]}
-
-    def test_unknown_dependency_raises(self):
-        stage = TaskStage("a", lambda _r: [], deps=("ghost",))
-        with pytest.raises(EngineError, match="unknown"):
-            TaskScheduler().run_graph([stage])
-
-    def test_cyclic_dependencies_raise(self):
-        a = TaskStage("a", lambda _r: [], deps=("b",))
-        b = TaskStage("b", lambda _r: [], deps=("a",))
-        with pytest.raises(EngineError, match="cyclic"):
-            TaskScheduler().run_graph([a, b])
+        assert out[: len(left)] == [[0, 0], [1, 1], [2, 2]]
+        assert out[len(left) :] == [([1], ()), ([11], ())]
+        assert metrics.serial_fallbacks == 0
+        assert metrics.parallel_stages == (0 if mode == "serial" else 1)
 
 
 class TestSpeculation:
@@ -209,43 +178,35 @@ class TestSpeculation:
 
 
 class TestKernelShipping:
-    def test_chain_kernel_pickle_round_trip(self):
-        kernel = build_chain_kernel([inc_step(), big_step()])
-        clone = pickle.loads(pickle.dumps(kernel))
-        data = list(range(20))
-        rows_a, rows_b = [], []
-        counts_a = kernel.run(data, rows_a.append)
-        counts_b = clone.run(data, rows_b.append)
-        assert rows_a == rows_b == [x + 1 for x in data if x + 1 > 10]
-        assert counts_a == counts_b
-        assert clone.source == kernel.source
+    def test_compiled_udf_pickle_round_trip(self, monkeypatch):
+        calls = []
+        compile_native = ScalarFn.compile_native
 
-    def test_kernel_step_rebuilds_closure_after_pickle(self):
-        step = pickle.loads(pickle.dumps(inc_step()))
-        assert step.closure is None
-        assert step.resolve_closure()(41) == 42
+        def counting(fn, env):
+            calls.append(fn)
+            return compile_native(fn, env)
+
+        monkeypatch.setattr(ScalarFn, "compile_native", counting)
+        udf = Udf(
+            ("x",), BinOp("+", Ref("x"), Ref("k")), {"k": 5}, extra=2
+        )
+        assert udf.closure(1) == 6 and udf.native
+        # Only IR and bindings travel (a code object would not pickle
+        # at all); the clone arrives without a closure.
+        clone = pickle.loads(pickle.dumps(KernelStep(MAP, udf))).udf
+        assert "_compiled" not in vars(clone)
+        assert clone.closure(1) == 6 and clone.closure is clone.closure
+        assert clone.extra == udf.extra == 2
+        assert clone.digest() == udf.digest() is not None
+        # One compilation per value per process, however often it is
+        # asked for its closure.
+        assert len(calls) == 2
 
     def test_kernel_spec_fingerprint_is_content_based(self):
         a = KernelSpec([inc_step(), big_step()])
         b = KernelSpec([inc_step(), big_step()])
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint[0] == "kernel"
-
-    def test_compiled_udf_pickle_round_trip(self):
-        from repro.engines.executor import _CompiledUdf
-
-        fn = ScalarFn(("x",), BinOp("*", Ref("x"), Const(3)))
-        closure, native = fn.compile_native({})
-        udf = _CompiledUdf(fn, {}, closure, 0, native)
-        clone = pickle.loads(pickle.dumps(udf))
-        assert clone.closure(7) == udf.closure(7) == 21
-        assert clone.extra == udf.extra
-
-    def test_udf_ref_compiles_in_place(self):
-        ref = UdfRef(("x",), BinOp("+", Ref("x"), Const(5)), {})
-        clone = pickle.loads(pickle.dumps(ref))
-        assert clone.compile()(1) == 6
-        assert clone.digest() == ref.digest()
 
     def test_processes_mode_matches_serial(self):
         spec = KernelSpec([inc_step(), big_step()])

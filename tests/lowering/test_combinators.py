@@ -9,8 +9,11 @@ from repro.comprehension.exprs import (
 from repro.lowering.combinators import (
     AggResult,
     CBagRef,
+    CChain,
+    CCross,
     CFilter,
     CMap,
+    CSource,
     ScalarFn,
     combinator_nodes,
     explain,
@@ -78,6 +81,12 @@ class TestCombinatorStructure:
             ScalarFn.identity()
         )
         assert node.partition_hint is not None
+
+    def test_label_strips_exactly_one_prefix(self):
+        # Class names that start "CC" must keep their second C.
+        assert CChain().label() == "Chain"
+        assert CCross().label() == "Cross"
+        assert CSource().label() == "Source"
 
     def test_explain_renders_tree_with_flags(self):
         plan = CMap(
