@@ -27,6 +27,7 @@ Nodes are immutable; transformations build new trees.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import keyword
 import math
 import operator
@@ -455,22 +456,32 @@ class Lambda(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Native compilation of scalar expressions
+# Native compilation of expressions
 #
 # The tree-walking ``evaluate`` above is the semantic oracle, but it is
 # far too slow for the per-element hot path of the simulated engines: a
 # UDF applied to a million records re-walks its AST a million times.
-# ``compile_scalar`` renders the scalar subset of the language as Python
-# source and compiles it with ``compile()`` into a plain function, so
-# the hot path runs at host speed.  Anything outside the subset (bag
-# operators, comprehensions) — or a free name that cannot be resolved
-# eagerly — makes compilation return ``None`` and callers fall back to
-# the interpreting closure; semantics are identical either way.
+# ``NativeCodegen`` is the second interpretation of the same IR: it
+# renders an expression as Python source, which ``compile_scalar`` (one
+# UDF) and the chain kernel builder (a whole chain plus its fold sink)
+# ``compile()`` into plain functions, so the hot path runs at host
+# speed.  The subset covers the scalar nodes, comprehensions over
+# ``NORMAL`` generators (a generator expression; a fold kind feeds it to
+# the alias's reduction loop from ``FOLD_TEMPLATES``) and, through
+# :class:`FoldSource`, fold algebras.  Anything else — a bag operator
+# call, an ``EXISTS``-mode generator, a free name that cannot be
+# resolved eagerly — raises :class:`NotCompilable` with the reason, and
+# the caller keeps the interpreting closure; semantics are identical
+# either way.
 # ---------------------------------------------------------------------------
 
 
 class NotCompilable(Exception):
-    """An expression outside the natively compilable scalar subset."""
+    """An expression outside the natively compilable subset.
+
+    The message is the human-readable reason; it travels on
+    ``Udf.fallback`` into traces and ``explain()``.
+    """
 
 
 #: operators whose IR spelling is also their Python spelling
@@ -483,20 +494,31 @@ def _is_plain_name(name: str) -> bool:
     return name.isidentifier() and not keyword.iskeyword(name)
 
 
+def _check_params(params: tuple[str, ...]) -> None:
+    """Parameters must be plain names outside the ``_cv`` namespace."""
+    for p in params:
+        if not _is_plain_name(p) or p.startswith(_CONST_PREFIX):
+            raise NotCompilable(f"parameter name {p!r} is not usable")
+
+
 class NativeCodegen:
-    """Renders scalar ``Expr`` trees as Python source fragments.
+    """Renders ``Expr`` trees as Python source fragments.
 
     Host values (constants, resolved free names) are interned into
     ``globals_`` — the namespace the generated code is compiled
     against.  One codegen instance may serve several expressions (the
     chain kernel builder relies on this to share one namespace), so
     interned constants get collision-free ``_cv<N>`` names and free
-    names are checked for conflicting bindings.
+    names are checked for conflicting bindings.  Everything else the
+    emitter introduces — runtime helpers, comprehension variables —
+    lives under the same ``_cv`` prefix, which no free name or
+    parameter may carry.
     """
 
     def __init__(self) -> None:
         self.globals_: dict[str, Any] = {}
         self._const_names: dict[int, str] = {}
+        self._locals = 0
 
     # -- host-value interning ---------------------------------------------
 
@@ -509,10 +531,27 @@ class NativeCodegen:
             self.globals_[name] = value
         return name
 
+    def helper(self, name: str, value: Any) -> str:
+        """Expose a runtime helper of the emitter as ``_cv_{name}``."""
+        name = f"{_CONST_PREFIX}_{name}"
+        self.globals_[name] = value
+        return name
+
+    def fresh_local(self) -> str:
+        """A variable name for generated code to bind (``_cvq{N}``)."""
+        self._locals += 1
+        return f"{_CONST_PREFIX}q{self._locals}"
+
+    def fold_source(self, alias: str, args: tuple[str, ...]) -> "FoldSource":
+        """The alias's source templates over argument sources ``args``,
+        with the helpers they call bound into the namespace."""
+        self.globals_.update(_FOLD_HELPERS)
+        return FoldSource(alias, args)
+
     def bind_free(self, name: str, value: Any) -> None:
         """Bind a free name into the namespace; reject conflicts."""
         if not _is_plain_name(name) or name.startswith(_CONST_PREFIX):
-            raise NotCompilable(name)
+            raise NotCompilable(f"free name {name!r} is not usable")
         if name in self.globals_ and self.globals_[name] is not value:
             raise NotCompilable(f"conflicting binding for {name!r}")
         self.globals_[name] = value
@@ -543,12 +582,12 @@ class NativeCodegen:
             try:
                 value = resolve(expr.name)
             except (KeyError, ComprehensionError):
-                raise NotCompilable(expr.name)
+                raise NotCompilable(f"unbound name {expr.name!r}")
             self.bind_free(expr.name, value)
             return expr.name
         if isinstance(expr, Attr):
             if not _is_plain_name(expr.name):
-                raise NotCompilable(expr.name)
+                raise NotCompilable(f"attribute name {expr.name!r}")
             return f"({self.emit(expr.obj, bound, resolve)}).{expr.name}"
         if isinstance(expr, Index):
             obj = self.emit(expr.obj, bound, resolve)
@@ -563,24 +602,24 @@ class NativeCodegen:
             return f"[{', '.join(items)}]"
         if isinstance(expr, BinOp):
             if expr.op not in _PY_BIN:
-                raise NotCompilable(expr.op)
+                raise NotCompilable(f"operator {expr.op!r}")
             left = self.emit(expr.left, bound, resolve)
             right = self.emit(expr.right, bound, resolve)
             return f"({left} {expr.op} {right})"
         if isinstance(expr, UnaryOp):
             if expr.op not in ("-", "not"):
-                raise NotCompilable(expr.op)
+                raise NotCompilable(f"operator {expr.op!r}")
             operand = self.emit(expr.operand, bound, resolve)
             return f"({expr.op} {operand})"
         if isinstance(expr, Compare):
             if expr.op not in _PY_CMP:
-                raise NotCompilable(expr.op)
+                raise NotCompilable(f"operator {expr.op!r}")
             left = self.emit(expr.left, bound, resolve)
             right = self.emit(expr.right, bound, resolve)
             return f"({left} {expr.op} {right})"
         if isinstance(expr, BoolOp):
             if expr.op not in ("and", "or") or not expr.operands:
-                raise NotCompilable(expr.op)
+                raise NotCompilable(f"operator {expr.op!r}")
             parts = [
                 self.emit(p, bound, resolve) for p in expr.operands
             ]
@@ -595,18 +634,33 @@ class NativeCodegen:
             parts = [self.emit(a, bound, resolve) for a in expr.args]
             for k, v in expr.kwargs:
                 if not _is_plain_name(k):
-                    raise NotCompilable(k)
+                    raise NotCompilable(f"keyword argument {k!r}")
                 parts.append(f"{k}={self.emit(v, bound, resolve)}")
             return f"({func})({', '.join(parts)})"
         if isinstance(expr, Lambda):
-            for p in expr.params:
-                if not _is_plain_name(p) or p.startswith(_CONST_PREFIX):
-                    raise NotCompilable(p)
+            _check_params(expr.params)
             inner = dict(bound)
             inner.update({p: p for p in expr.params})
             body = self.emit(expr.body, inner, resolve)
             return f"(lambda {', '.join(expr.params)}: {body})"
-        raise NotCompilable(type(expr).__name__)
+        # Node types defined downstream of this module (comprehensions)
+        # bring their own case.
+        emit_native = getattr(expr, "emit_native", None)
+        if emit_native is None:
+            raise NotCompilable(
+                f"{type(expr).__name__} is outside the compilable subset"
+            )
+        return emit_native(self, bound, resolve)
+
+
+def _emit_scalar(
+    params: tuple[str, ...], body: Expr, lookup: Callable[[str], Any]
+) -> tuple[str, dict[str, Any]]:
+    """(body source, namespace) of ``lambda params: body``."""
+    _check_params(params)
+    codegen = NativeCodegen()
+    src = codegen.emit(body, {p: p for p in params}, lookup)
+    return src, codegen.globals_
 
 
 def compile_scalar(
@@ -618,20 +672,39 @@ def compile_scalar(
 
     Free names are resolved *eagerly* from ``env`` and closed over via
     the compiled function's globals.  Returns ``None`` when the body
-    falls outside the scalar subset or a free name is unbound — the
-    caller keeps the interpreting closure in that case.
+    falls outside the compilable subset or a free name is unbound — the
+    caller keeps the interpreting closure in that case
+    (:func:`fallback_reason` says why).
     """
-    env = Env.of(env)
-    codegen = NativeCodegen()
     try:
-        for p in params:
-            if not _is_plain_name(p) or p.startswith(_CONST_PREFIX):
-                return None
-        bound = {p: p for p in params}
-        src = codegen.emit(body, bound, env.lookup)
+        src, namespace = _emit_scalar(params, body, Env.of(env).lookup)
     except NotCompilable:
         return None
-    return compile_scalar_source(params, src, codegen.globals_)
+    return compile_scalar_source(params, src, namespace)
+
+
+#: stands for the value of every free name when no environment is given
+_ANY_VALUE = object()
+
+
+def fallback_reason(
+    params: tuple[str, ...],
+    body: Expr,
+    env: "Env | Mapping[str, Any] | None" = None,
+) -> str | None:
+    """Why ``lambda params: body`` is interpreted; ``None`` if it compiles.
+
+    Without an ``env`` every free name counts as bound: the static
+    answer ``explain()`` prints before anything has run.
+    """
+    lookup = (
+        Env.of(env).lookup if env is not None else lambda name: _ANY_VALUE
+    )
+    try:
+        _emit_scalar(params, body, lookup)
+    except NotCompilable as exc:
+        return str(exc)
+    return None
 
 
 def compile_scalar_source(
@@ -769,6 +842,111 @@ FOLD_ALIASES: dict[str, tuple[int, Callable[..., FoldAlgebra]]] = {
 }
 
 
+#: option-monoid union: ``None`` is the zero, ``{pick}`` chooses otherwise
+_OPTION = "({b} if {a} is None else {a} if {b} is None else {pick})"
+
+#: alias name -> (zero, singleton, union) as *source templates* — what
+#: the code generators inline where the interpreter calls the
+#: ``FOLD_ALIASES`` algebra, entry for entry the same functions.
+#: ``{x}`` is the element, ``{a}``/``{b}`` the union's operands, and
+#: ``{a0}``.. the alias's evaluated arguments; helpers are spelled
+#: ``_cv_*`` (see ``_FOLD_HELPERS``) so no user binding can shadow them.
+FOLD_TEMPLATES: dict[str, tuple[str, str, str]] = {
+    "fold": ("_cv_zero({a0})()", "{a1}({x})", "{a2}({a}, {b})"),
+    "sum": ("0", "{x}", "({a} + {b})"),
+    "product": ("1", "{x}", "({a} * {b})"),
+    "count": ("0", "1", "({a} + {b})"),
+    "is_empty": ("True", "False", "({a} and {b})"),
+    "non_empty": ("False", "True", "({a} or {b})"),
+    "min": ("None", "{x}", _OPTION.replace("{pick}", "_cv_min({a}, {b})")),
+    "max": ("None", "{x}", _OPTION.replace("{pick}", "_cv_max({a}, {b})")),
+    "exists": ("False", "_cv_bool({a0}({x}))", "({a} or {b})"),
+    "forall": ("True", "_cv_bool({a0}({x}))", "({a} and {b})"),
+    "min_by": (
+        "None",
+        "{x}",
+        _OPTION.replace("{pick}", "({a} if {a0}({a}) <= {a0}({b}) else {b})"),
+    ),
+    "max_by": (
+        "None",
+        "{x}",
+        _OPTION.replace("{pick}", "({a} if {a0}({a}) >= {a0}({b}) else {b})"),
+    ),
+}
+
+_FOLD_HELPERS: dict[str, Any] = {
+    "_cv_zero": _as_zero_factory,
+    "_cv_min": min,
+    "_cv_max": max,
+    "_cv_bool": bool,
+}
+
+
+@dataclass(frozen=True)
+class FoldSource:
+    """One fold alias as source fragments over its argument sources.
+
+    ``args`` and every operand handed to :meth:`union` are substituted
+    textually, possibly more than once (:attr:`repeats_operands`), so
+    they must be names or literals whenever that is the case.  Obtain
+    one through :meth:`NativeCodegen.fold_source`, which also binds the
+    helpers the templates call.
+    """
+
+    alias: str
+    args: tuple[str, ...] = ()
+
+    def _render(self, part: int, **operands: str) -> str:
+        named = {f"a{i}": arg for i, arg in enumerate(self.args)}
+        return FOLD_TEMPLATES[self.alias][part].format(**named, **operands)
+
+    @property
+    def zero(self) -> str:
+        """Source of ``zero()``."""
+        return self._render(0)
+
+    def singleton(self, x: str) -> str:
+        """Source of ``singleton(x)``; ``x`` is evaluated exactly once
+        even by an alias that ignores its element (``count``)."""
+        src = self._render(1, x=x)
+        if "{x}" in FOLD_TEMPLATES[self.alias][1] or x.isidentifier():
+            return src
+        return f"({x}, {src})[1]"
+
+    def union(self, a: str, b: str) -> str:
+        """Source of ``union(a, b)``."""
+        return self._render(2, a=a, b=b)
+
+    @property
+    def repeats_operands(self) -> bool:
+        """Whether :meth:`union` mentions an operand more than once."""
+        union = FOLD_TEMPLATES[self.alias][2]
+        return union.count("{a}") > 1 or union.count("{b}") > 1
+
+
+@functools.cache
+def fold_reducer(alias: str) -> Callable:
+    """``reduce(items, *args)``: the alias's fold as one plain loop.
+
+    Equals ``FOLD_ALIASES[alias][1](*args)(items)`` — zero, then
+    ``union(acc, singleton(x))`` left to right — generated from
+    :data:`FOLD_TEMPLATES`; what a compiled fold comprehension calls.
+    """
+    params = tuple(f"_a{i}" for i in range(FOLD_ALIASES[alias][0]))
+    fold = FoldSource(alias, params)
+    source = (
+        f"def _reduce({', '.join(('_items', *params))}):\n"
+        f"    _a = {fold.zero}\n"
+        f"    for _x in _items:\n"
+        f"        _b = {fold.singleton('_x')}\n"
+        f"        _a = {fold.union('_a', '_b')}\n"
+        f"    return _a\n"
+    )
+    namespace = dict(_FOLD_HELPERS)
+    exec(compile(source, f"<fold-{alias}>", "exec"), namespace)  # noqa: S102
+    return namespace["_reduce"]
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """A symbolic fold algebra: an alias name plus lifted arguments.
@@ -833,6 +1011,18 @@ class AlgebraSpec:
             ),
             guards=tuple(g.substitute(live_inner) for g in self.guards),
         )
+
+    def components(self) -> Iterator[tuple[tuple[str, ...], Expr]]:
+        """The lifted ``(params, body)`` pieces of this algebra — its
+        arguments, fused head and guards: what compiles, or falls back,
+        piece by piece."""
+        for arg in self.args:
+            yield (), arg
+        x = (self.var or "_x",)
+        if self.head is not None:
+            yield x, self.head
+        for guard in self.guards:
+            yield x, guard
 
     def make_algebra(self, env: Env) -> FoldAlgebra:
         """Evaluate the spec into a concrete :class:`FoldAlgebra`."""

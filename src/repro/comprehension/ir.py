@@ -34,7 +34,10 @@ from repro.comprehension.exprs import (
     DataBag,
     Env,
     Expr,
+    NativeCodegen,
+    NotCompilable,
     Ref,
+    fold_reducer,
     fresh_name,
 )
 from repro.errors import ComprehensionError
@@ -96,6 +99,16 @@ class FoldKind:
 
 
 MonadKind = Union[_BagKind, FoldKind]
+
+
+def generator_source(source: Any, var: str) -> Any:
+    """What generator ``var <- source`` iterates: a bag or a host sequence."""
+    if isinstance(source, (DataBag, list, tuple, set, range)):
+        return source
+    raise ComprehensionError(
+        f"generator {var!r} ranges over a non-bag "
+        f"({type(source).__name__})"
+    )
 
 
 @dataclass(frozen=True)
@@ -237,15 +250,7 @@ class Comprehension(Expr):
             if q.predicate.evaluate(env):
                 yield from self._generate(env, index + 1)
             return
-        source = q.source.evaluate(env)
-        if not isinstance(source, DataBag):
-            if isinstance(source, (list, tuple, set, range)):
-                source = DataBag(source)
-            else:
-                raise ComprehensionError(
-                    f"generator {q.var!r} ranges over a non-bag "
-                    f"({type(source).__name__})"
-                )
+        source = generator_source(q.source.evaluate(env), q.var)
         if q.mode is GenMode.NORMAL:
             for x in source:
                 yield from self._generate(env.child({q.var: x}), index + 1)
@@ -262,6 +267,48 @@ class Comprehension(Expr):
         keep = found if q.mode is GenMode.EXISTS else not found
         if keep:
             yield from self._generate(env, rest_start)
+
+    def emit_native(
+        self, codegen: NativeCodegen, bound: Mapping[str, str], resolve
+    ) -> str:
+        """Python source of this comprehension: :meth:`evaluate` as a
+        generator expression (``NativeCodegen.emit``'s case for it).
+
+        Generators and guards become its ``for`` / ``if`` clauses, in
+        order; the ``Bag`` monad collects it into a ``DataBag``, a fold
+        kind hands it to the alias's reduction loop with the algebra's
+        arguments emitted in the enclosing scope — where
+        :meth:`evaluate` evaluates them.
+        """
+        if not self.generators() or isinstance(self.qualifiers[0], Guard):
+            raise NotCompilable("comprehension without a leading generator")
+        inner = dict(bound)
+        clauses: list[str] = []
+        for q in self.qualifiers:
+            if isinstance(q, Guard):
+                clauses.append(
+                    f"if {codegen.emit(q.predicate, inner, resolve)}"
+                )
+                continue
+            if q.mode is not GenMode.NORMAL:
+                raise NotCompilable(f"{q.mode.name} generator {q.var!r}")
+            source = codegen.emit(q.source, inner, resolve)
+            inner[q.var] = codegen.fresh_local()
+            helper = codegen.helper("source", generator_source)
+            clauses.append(
+                f"for {inner[q.var]} in {helper}({source}, {q.var!r})"
+            )
+        items = f"{codegen.emit(self.head, inner, resolve)} {' '.join(clauses)}"
+        if not isinstance(self.kind, FoldKind):
+            return f"{codegen.helper('bag', DataBag)}([{items}])"
+        spec = self.kind.spec
+        if spec.head is not None or spec.guards:
+            raise NotCompilable("fused fold inside a comprehension")
+        reducer = codegen.helper(
+            f"fold_{spec.alias}", fold_reducer(spec.alias)
+        )
+        args = [codegen.emit(arg, bound, resolve) for arg in spec.args]
+        return f"{reducer}({', '.join([f'({items})', *args])})"
 
     def _dependent_guards(
         self, gen_index: int

@@ -30,9 +30,46 @@ reconstructs every step's exact input count from those few integers,
 so the fused chain charges the cost model precisely what the unfused
 operators would have — minus the per-operator overheads it eliminates.
 
-A step whose body cannot be inlined (exotic IR nodes, a free name that
-conflicts with another step's binding, a multi-parameter UDF) degrades
-gracefully to a call of its compiled closure; semantics are identical.
+A kernel that feeds an aggregation or a fold does not ``_emit`` its
+records at all: it ends in a *sink* (:class:`AggSink`,
+:class:`FoldSink`) that folds them where they are produced.  For
+``tpch_q1`` — an ``agg_by`` over the banana-split product of six folds,
+five of them with a fused head — the whole mapper side is::
+
+    def _chain_kernel(_partition, _emit):
+        _acc = {}
+        for _x0 in _partition:
+            _key = ((_x0).return_flag, (_x0).line_status)
+            _e = _acc.get(_key)
+            if _e is None:
+                _e = _acc[_key] = [0, 0, 0, 0, 0, 0]
+            _e[0] = (_e[0] + (_x0).quantity)
+            _e[1] = (_e[1] + (_x0).extended_price)
+            _e[2] = (_e[2] + ((_x0).extended_price * (1 - (_x0).discount)))
+            ...
+            _e[4] = (_e[4] + 1)
+            _e[5] = (_e[5] + (_x0).discount)
+        for _key, _e in _acc.items():
+            _emit((_key, (*_e,)))
+        return ()
+
+and when a private chain feeds the aggregation its steps — ``_x1 =``,
+``if not (...): continue``, their counters — come first in the same
+loop.  Key, fused heads, guards and unions are inlined from the same
+``FOLD_TEMPLATES`` the comprehension emitter uses; per-group order is
+the partition's order, and a key's first record still computes
+``union(zero, singleton(x))``, so results equal the interpreter's
+``AggByCall.evaluate`` bit for bit.  The counts tuple is the chain's
+own: a sink adds no counter.  The reducer side (records are
+``(key, partials)`` pairs, unioned component-wise) and a structural
+fold (``_acc = <zero>`` ahead of the loop, ``_acc = <union>`` in it,
+one ``_emit(_acc)`` behind it) are the same generator with another
+tail.
+
+A step or fold component whose body cannot be inlined (an IR node
+outside the compilable subset, a free name that conflicts with another
+step's binding, a multi-parameter UDF) degrades gracefully to a call of
+its compiled closure from inside the same loop; semantics are identical.
 
 Kernels never pickle.  What crosses a process boundary is a task spec
 carrying :class:`Udf` values — parameters, lifted body, resolved
@@ -44,6 +81,7 @@ and compiles the same kernel source from them (see
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -51,6 +89,7 @@ from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.comprehension.exprs import (
+    AlgebraSpec,
     Attr,
     BinOp,
     BoolOp,
@@ -59,16 +98,18 @@ from repro.comprehension.exprs import (
     Const,
     Env,
     Expr,
+    FoldSource,
     Index,
     NativeCodegen,
     NotCompilable,
     Ref,
     TupleExpr,
     UnaryOp,
+    fallback_reason,
 )
 from repro.comprehension.pretty import pretty
 from repro.core.databag import DataBag
-from repro.engines.cluster import stable_hash
+from repro.engines.cluster import content_digest
 from repro.engines.columnar import (
     ColumnBatch,
     ColumnSchema,
@@ -92,7 +133,8 @@ MAP, FILTER, FLATMAP = "map", "filter", "flatmap"
 #: one of these cannot share the kernel namespace and forces the
 #: closure fallback for its step
 _RESERVED = re.compile(
-    r"\A(_x\d+|_k\d+|_f\d+|_seq|_emit|_partition|_chain_kernel)\Z"
+    r"\A(_x\d+|_k\d+|_f\d+|_g\d+|_seq|_emit|_partition|_chain_kernel"
+    r"|_acc|_key|_e|_p|_a|_b)\Z"
 )
 
 
@@ -115,7 +157,7 @@ def _value_digest(value: Any) -> tuple | None:
         return ("type", value.__module__, value.__qualname__)
     if isinstance(value, DataBag):
         try:
-            return ("bag", stable_hash(value.fetch()))
+            return ("bag", content_digest(value.fetch()))
         except EngineError:
             return None
     if callable(value):
@@ -125,7 +167,7 @@ def _value_digest(value: Any) -> tuple | None:
             return ("fn", module, qualname)
         return None
     try:
-        return ("val", stable_hash(value))
+        return ("val", content_digest(value))
     except EngineError:
         return None
 
@@ -151,9 +193,10 @@ class Udf:
     per-element broadcast-scan op weight.  That is also exactly what
     pickles: the ``closure`` is compiled from them on first use, with
     the same native-vs-interpreter fallback in every process, cached on
-    the value, and never travels (code objects do not cross process
-    boundaries).  Kernel generation inlines ``body`` over ``bindings``
-    and falls back to calling ``closure``.
+    the value together with the reason for a fallback, and never
+    travels (code objects do not cross process boundaries).  Kernel
+    generation inlines ``body`` over ``bindings`` and falls back to
+    calling ``closure``.
     """
 
     params: tuple[str, ...]
@@ -162,8 +205,12 @@ class Udf:
     extra: int = 0
 
     @cached_property
-    def _compiled(self) -> tuple[Callable, bool]:
-        return ScalarFn(self.params, self.body).compile_native(self.bindings)
+    def _compiled(self) -> tuple[Callable, str | None]:
+        fn = ScalarFn(self.params, self.body)
+        closure, native = fn.compile_native(self.bindings)
+        if native:
+            return closure, None
+        return closure, fallback_reason(self.params, self.body, self.bindings)
 
     @property
     def closure(self) -> Callable:
@@ -173,6 +220,11 @@ class Udf:
     @property
     def native(self) -> bool:
         """Whether ``closure`` is native code, not the tree walker."""
+        return self._compiled[1] is None
+
+    @property
+    def fallback(self) -> str | None:
+        """Why ``closure`` walks the tree (``None`` when it is native)."""
         return self._compiled[1]
 
     def digest(self) -> tuple | None:
@@ -183,7 +235,8 @@ class Udf:
         return (self.params, pretty(self.body), bindings, self.extra)
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle as IR + bindings, dropping the compiled closure."""
+        """Pickle as IR + bindings, dropping the compiled closure and
+        its fallback reason."""
         state = dict(self.__dict__)
         state.pop("_compiled", None)
         return state
@@ -207,20 +260,46 @@ class KernelStep:
         return None if digest is None else (self.kind, digest)
 
 
+@dataclass(frozen=True)
+class AggSink:
+    """Kernel tail of an ``agg_by``: per-key product-fold accumulators.
+
+    With a ``key`` the kernel is the mapper side — every chain output
+    is folded into its key's accumulator list through each algebra's
+    singleton, and the kernel emits one ``(key, partials)`` pair per
+    distinct key, in first-seen order.  Without one it is the reducer
+    side: records *are* such pairs and are unioned in component-wise.
+    """
+
+    specs: tuple[AlgebraSpec, ...]
+    bindings: dict[str, Any]
+    key: Udf | None = None
+
+
+@dataclass(frozen=True)
+class FoldSink:
+    """Kernel tail of a structural fold: one accumulator, emitted once.
+
+    ``merge`` marks the records as partial results, unioned in without
+    the singleton (``FoldAlgebra.merge``).
+    """
+
+    spec: AlgebraSpec
+    bindings: dict[str, Any]
+    merge: bool = False
+
+
 class ChainKernel:
     """A compiled whole-chain per-partition kernel."""
 
     def __init__(
         self,
         run: Callable[[Any, Callable[[Any], Any]], tuple],
-        inlined: int,
         source: str = "",
     ) -> None:
         #: ``run(partition, emit) -> counts`` streams every record of
         #: the partition through the chain, calling ``emit`` per output
         self.run = run
-        #: how many step bodies were source-inlined (vs closure calls)
-        self.inlined = inlined
         #: the generated kernel source
         self.source = source
 
@@ -245,16 +324,112 @@ def entered_counts(
     return entered, cur
 
 
-def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
-    """Generate, compile, and wrap the fused kernel for ``steps``."""
+def _sink_source(
+    sink: AggSink | FoldSink | None,
+    var: str,
+    codegen: NativeCodegen,
+    call_source: Callable[..., str],
+) -> tuple[list[str], list[str], list[str]]:
+    """What a kernel does with each record ``var`` its chain lets through.
+
+    Returns the statements ahead of the record loop, inside it, and
+    behind it.  ``call_source(udf, *args)`` renders a UDF applied to
+    locals (inlined, or as a closure call).
+    """
+    if sink is None:
+        return [], [f"_emit({var})"], []
+    before: list[str] = []
+    numbers = itertools.count()
+
+    def fold_source(spec: AlgebraSpec) -> FoldSource:
+        """The algebra's templates over its arguments, each evaluated
+        once ahead of the loop (as ``make_algebra`` evaluates them)."""
+        args = tuple(f"_g{next(numbers)}" for _ in spec.args)
+        for name, arg in zip(args, spec.args):
+            closed = Udf((), arg, sink.bindings)
+            before.append(f"{name} = {call_source(closed)}")
+        return codegen.fold_source(spec.alias, args)
+
+    def singleton(fold: FoldSource, spec: AlgebraSpec) -> str:
+        """``singleton(var)`` with the fused head and guards inlined: a
+        failed guard contributes the zero, as the interpreter's does."""
+        x = (spec.var or "_x",)
+        src = fold.singleton(
+            var
+            if spec.head is None
+            else call_source(Udf(x, spec.head, sink.bindings), var)
+        )
+        if not spec.guards:
+            return src
+        guards = " and ".join(
+            call_source(Udf(x, g, sink.bindings), var) for g in spec.guards
+        )
+        return f"({src} if {guards} else {fold.zero})"
+
+    def union_into(fold: FoldSource, target: str, operand: str) -> list[str]:
+        """Statements for ``target = union(target, operand)``."""
+        if fold.repeats_operands:
+            return [
+                f"_a = {target}",
+                f"_b = {operand}",
+                f"{target} = {fold.union('_a', '_b')}",
+            ]
+        return [f"{target} = {fold.union(target, operand)}"]
+
+    if isinstance(sink, FoldSink):
+        fold = fold_source(sink.spec)
+        before.append(f"_acc = {fold.zero}")
+        operand = var if sink.merge else singleton(fold, sink.spec)
+        return before, union_into(fold, "_acc", operand), ["_emit(_acc)"]
+
+    folds = [fold_source(spec) for spec in sink.specs]
+    before.append("_acc = {}")
+    if sink.key is not None:
+        tail = [
+            f"_key = {call_source(sink.key, var)}",
+            "_e = _acc.get(_key)",
+            "if _e is None:",
+            f"    _e = _acc[_key] = [{', '.join(f.zero for f in folds)}]",
+        ]
+        for j, (fold, spec) in enumerate(zip(folds, sink.specs)):
+            tail.extend(union_into(fold, f"_e[{j}]", singleton(fold, spec)))
+    else:
+        tail = [
+            f"_key, _p = {var}",
+            "_e = _acc.get(_key)",
+            "if _e is None:",
+            "    _acc[_key] = [*_p]",
+            "else:",
+        ]
+        for j, fold in enumerate(folds):
+            tail.extend(
+                f"    {line}"
+                for line in union_into(fold, f"_e[{j}]", f"_p[{j}]")
+            )
+    after = ["for _key, _e in _acc.items():", "    _emit((_key, (*_e,)))"]
+    return before, tail, after
+
+
+def build_chain_kernel(
+    steps: Sequence[KernelStep],
+    sink: AggSink | FoldSink | None = None,
+) -> ChainKernel:
+    """Generate, compile, and wrap the fused kernel for ``steps``.
+
+    Without a ``sink`` the chain's outputs go to ``_emit`` one by one;
+    with one they are folded inside the loop and ``_emit`` receives the
+    sink's results when the partition is exhausted.
+    """
     codegen = NativeCodegen()
     namespace = codegen.globals_
     namespace["_seq"] = _as_sequence
-    inlined = 0
+    numbers = itertools.count()
 
-    def step_source(i: int, udf: Udf, var: str) -> str:
-        nonlocal inlined
-        if len(udf.params) == 1:
+    def call_source(udf: Udf, *args: str) -> str:
+        """Source of ``udf`` applied to the locals ``args``: its body
+        inlined when it compiles into this namespace, a call of its
+        closure otherwise."""
+        if len(udf.params) == len(args):
             bindings = udf.bindings
 
             def resolve(name: str) -> Any:
@@ -263,22 +438,21 @@ def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
                 return bindings[name]
 
             try:
-                src = codegen.emit(udf.body, {udf.params[0]: var}, resolve)
+                return codegen.emit(
+                    udf.body, dict(zip(udf.params, args)), resolve
+                )
             except NotCompilable:
                 pass
-            else:
-                inlined += 1
-                return src
-        name = f"_f{i}"
+        name = f"_f{next(numbers)}"
         namespace[name] = udf.closure
-        return f"{name}({var})"
+        return f"{name}({', '.join(args)})"
 
     counters: list[str] = []
     body: list[str] = ["    for _x0 in _partition:"]
     depth, var, vi = 2, "_x0", 1
-    for i, step in enumerate(steps):
+    for step in steps:
         ind = "    " * depth
-        src = step_source(i, step.udf, var)
+        src = call_source(step.udf, var)
         if step.kind == MAP:
             nxt = f"_x{vi}"
             vi += 1
@@ -301,17 +475,22 @@ def build_chain_kernel(steps: Sequence[KernelStep]) -> ChainKernel:
             var = nxt
         else:
             raise ValueError(f"unknown chain step kind {step.kind!r}")
-    body.append(f"{'    ' * depth}_emit({var})")
+
+    before, tail, after = _sink_source(sink, var, codegen, call_source)
+    ind = "    " * depth
+    body.extend(f"{ind}{line}" for line in tail)
 
     lines = ["def _chain_kernel(_partition, _emit):"]
     lines.extend(f"    {c} = 0" for c in counters)
+    lines.extend(f"    {line}" for line in before)
     lines.extend(body)
-    tail = ", ".join(counters) + ("," if len(counters) == 1 else "")
-    lines.append(f"    return ({tail})")
+    lines.extend(f"    {line}" for line in after)
+    counts = ", ".join(counters) + ("," if len(counters) == 1 else "")
+    lines.append(f"    return ({counts})")
     source = "\n".join(lines)
     code = compile(source, "<chain-kernel>", "exec")
     exec(code, namespace)  # noqa: S102 - compiler-generated source
-    return ChainKernel(namespace["_chain_kernel"], inlined, source=source)
+    return ChainKernel(namespace["_chain_kernel"], source=source)
 
 
 # ---------------------------------------------------------------------------

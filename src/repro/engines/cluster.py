@@ -13,6 +13,7 @@ shuffles.
 from __future__ import annotations
 
 import array as _array
+import hashlib
 import sys
 import zlib
 from dataclasses import dataclass, fields, is_dataclass
@@ -157,6 +158,99 @@ def stable_hash(value: Any) -> int:
         f"records composed of those (repr-based hashing of arbitrary "
         f"objects is not deterministic across runs)"
     )
+
+
+def _frame(tag: bytes, payload: bytes) -> bytes:
+    return tag + len(payload).to_bytes(8, "big") + payload
+
+
+def _canonical(value: Any) -> bytes:
+    """A tagged, length-prefixed encoding: equal bytes iff equal content."""
+    if isinstance(value, bool):
+        return _frame(b"b", b"1" if value else b"0")
+    if isinstance(value, int):
+        return _frame(b"i", str(value).encode("ascii"))
+    if isinstance(value, str):
+        return _frame(b"s", value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return _frame(b"y", value)
+    if isinstance(value, float):
+        return _frame(b"f", repr(value).encode("ascii"))
+    if value is None:
+        return _frame(b"n", b"")
+    if isinstance(value, (tuple, list)):
+        tag = b"t" if isinstance(value, tuple) else b"l"
+        return _frame(tag, b"".join(_canonical(item) for item in value))
+    if isinstance(value, (set, frozenset, dict)):
+        # Unordered: the sorted digests of the elements (a dict is its
+        # item set).
+        items = value.items() if isinstance(value, dict) else value
+        digests = sorted(
+            hashlib.sha256(_canonical(item)).digest() for item in items
+        )
+        tag = b"d" if isinstance(value, dict) else b"e"
+        return _frame(tag, b"".join(digests))
+    if isinstance(value, _array.array):
+        return _frame(b"a", _canonical((value.typecode, value.tobytes())))
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
+        if not value.dtype.hasobject:
+            contiguous = np.ascontiguousarray(value)
+            return _frame(
+                b"N",
+                _canonical(
+                    (
+                        str(contiguous.dtype),
+                        contiguous.shape,
+                        contiguous.tobytes(),
+                    )
+                ),
+            )
+    if is_dataclass(value) and not isinstance(value, type):
+        cls = type(value)
+        return _frame(
+            b"r",
+            _canonical(
+                (
+                    cls.__module__,
+                    cls.__qualname__,
+                    tuple(getattr(value, f.name) for f in fields(value)),
+                )
+            ),
+        )
+    from repro.engines.columnar import ColumnBatch, _column_list
+
+    if isinstance(value, ColumnBatch):
+        columns = tuple(
+            None if col is None else _column_list(col)
+            for col in value.columns
+        )
+        return _frame(
+            b"c",
+            _canonical((value.schema.signature(), value.nrows, columns)),
+        )
+    from repro.errors import EngineError
+
+    raise EngineError(
+        f"cannot compute a content digest for a {type(value).__name__}: "
+        f"only the value types stable_hash accepts have a "
+        f"process-independent content identity"
+    )
+
+
+def content_digest(value: Any) -> str:
+    """A collision-resistant, process-independent name for *content*.
+
+    :func:`stable_hash` places records: 32 bits, ints hashing to
+    themselves, sets as an xor — ``set()``, ``{0}`` and ``{0, 1, 2, 3}``
+    all hash alike, which is fine for a destination and wrong for an
+    identity.  Wherever a hash decides whether two values *are the
+    same* (the worker-process artifact memo: a stale hit would probe
+    yesterday's broadcast key set) use this instead: SHA-256 over a
+    canonical encoding of the same closed set of value types, raising
+    the same :class:`EngineError` on anything else.
+    """
+    return hashlib.sha256(_canonical(value)).hexdigest()
 
 
 def hash_partition_index(key_value: Any, num_partitions: int) -> int:

@@ -24,6 +24,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.comprehension.exprs import (
+    AlgebraSpec,
     Attr,
     Call,
     Const,
@@ -31,6 +32,7 @@ from repro.comprehension.exprs import (
     Index,
     Ref,
     TupleExpr,
+    fallback_reason,
 )
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
@@ -1047,8 +1049,38 @@ class JobExecutor:
         udf = Udf(hoisted_fn.params, hoisted_fn.body, bindings, extra)
         if udf.native:
             self.engine.metrics.udfs_compiled += 1
+        else:
+            self._trace_interpreted(fn.describe(), udf.fallback)
         self._udf_memo[id(fn)] = (fn, udf)
         return udf
+
+    def _trace_interpreted(self, what: str, reason: str) -> None:
+        """Point event: ``what`` runs on the tree-walking interpreter."""
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.event(
+                "udf-interpreted",
+                ts=self.job.trace_ts(),
+                udf=what,
+                reason=reason,
+            )
+
+    def _trace_interpreted_folds(
+        self, specs: tuple[AlgebraSpec, ...], bindings: dict[str, Any]
+    ) -> None:
+        """The same event for each fold component (argument, fused head,
+        guard) that the kernel has to call through an interpreting
+        closure."""
+        if self.engine.tracer is None:
+            return
+        for spec in specs:
+            for params, body in spec.components():
+                reason = fallback_reason(params, body, bindings)
+                if reason is not None:
+                    self._trace_interpreted(
+                        f"{spec.alias}: {ScalarFn(params, body).describe()}",
+                        reason,
+                    )
 
     def _hoist_closed_bags(
         self, fn: ScalarFn
@@ -1063,41 +1095,22 @@ class JobExecutor:
         executed once as a nested dataflow and *broadcast* — the
         transparent driver-to-UDF data motion of Section 4.3.2.
         """
-        from repro.comprehension.exprs import Expr, Lambda, Ref, walk
-        from repro.comprehension.ir import Comprehension
         from repro.comprehension.normalize import normalize
         from repro.comprehension.resugar import resugar
         from repro.lowering.rules import lower
 
-        # Names bound anywhere inside the body (lambda parameters,
-        # generator variables): a subexpression referencing any of them
-        # is not closed, no matter where it sits.
-        locally_bound = set(fn.params)
-        for node in walk(fn.body):
-            if isinstance(node, Lambda):
-                locally_bound.update(node.params)
-            if isinstance(node, Comprehension):
-                locally_bound.update(
-                    g.var for g in node.generators()
-                )
-        hoisted_nodes: dict[str, Expr] = {}
-
-        def visit(node: Expr) -> Expr:
-            is_bag = node.is_bag_typed() or (
-                isinstance(node, Comprehension) and not node.is_fold()
-            )
-            if (
-                is_bag
-                and not isinstance(node, Ref)
-                and not (node.free_vars() & locally_bound)
-                and all(name in self.env for name in node.free_vars())
-            ):
-                name = f"__hoisted_{len(hoisted_nodes)}"
-                hoisted_nodes[name] = node
-                return Ref(name)
-            return node.rebuild(visit)
-
-        body = visit(fn.body)
+        # A lambda over ``self``, not ``self.env.__contains__``, on
+        # purpose: the recursive visitor inside ``hoist_closed_bags`` is
+        # cyclic garbage, and through this closure it keeps the executor
+        # — with every intermediate bag it memoizes — alive until the
+        # next cyclic collection, as the visitor that used to live here
+        # always did.  Freeing them at refcount zero instead moves that
+        # work into the job's wall clock (+5 % ``q4_join``, +7 %
+        # ``svc_sweep`` ``job_wall_rel_p50``, measured): a decision of
+        # its own (ROADMAP item 10), not a side effect to slip in.
+        hoisted_fn, hoisted_nodes = fn.hoist_closed_bags(
+            lambda name: name in self.env
+        )
         if not hoisted_nodes:
             return fn, {}
         values: dict[str, DataBag] = {}
@@ -1111,7 +1124,7 @@ class JobExecutor:
             )
             bag = nested.run_bag(plan)
             values[name] = self.broadcast_value(bag.collect())
-        return ScalarFn(fn.params, body), values
+        return hoisted_fn, values
 
     def _udf_bindings(
         self, names: frozenset[str]
@@ -1809,6 +1822,7 @@ class JobExecutor:
         for spec in comb.specs:
             spec_names |= spec.free_vars()
         bindings, spec_extra = self._udf_bindings(spec_names)
+        self._trace_interpreted_folds(comb.specs, bindings)
         n_algebras = len(comb.specs)
         extra = key.extra + spec_extra
 
@@ -1962,6 +1976,7 @@ class JobExecutor:
             )
         source = self._exec(comb.input)
         bindings, extra = self._udf_bindings(comb.spec.free_vars())
+        self._trace_interpreted_folds((comb.spec,), bindings)
         fspec = FoldSpec(comb.spec, bindings)
         partial_values = self._run_stage(
             [
@@ -1986,7 +2001,8 @@ class JobExecutor:
                 rows_in=source.count(),
                 partials=len(partial_values),
             )
-        return fspec.prepared().merge(partial_values)
+        merge = FoldSpec(comb.spec, bindings, merge=True)
+        return merge.run(merge.prepared(), partial_values)
 
     # -- dispatch table -------------------------------------------------------------------
 

@@ -63,11 +63,14 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.comprehension.exprs import AlgebraSpec, Env
+from repro.comprehension.exprs import AlgebraSpec
 from repro.comprehension.pretty import pretty
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
 from repro.engines.chainkernel import (
+    AggSink,
+    ChainKernel,
+    FoldSink,
     KernelStep,
     Udf,
     VectorKernel,
@@ -84,7 +87,7 @@ from repro.engines.columnar import (
     probe_join,
     scatter_batch,
 )
-from repro.engines.cluster import stable_hash
+from repro.engines.cluster import content_digest, stable_hash
 from repro.errors import EngineError
 from repro.lowering.combinators import AggResult
 
@@ -144,8 +147,8 @@ class TaskSpec:
     A spec is the single implementation of one physical operator's
     per-partition work: :meth:`run` is what ``serial``, ``threads`` and
     ``processes`` mode all execute, over the artifact :meth:`build`
-    constructs (a compiled kernel, a hash table, a fold algebra).  In
-    the driver :meth:`prepared` builds it on first use — or serves the
+    constructs (a compiled kernel, a hash table).  In the driver
+    :meth:`prepared` builds it on first use — or serves the
     ``prepared`` argument, for the one kind of artifact the driver has
     to build ahead of the spec: a vector kernel, attempted early so a
     fallback is counted once.  It never pickles; a worker process
@@ -272,11 +275,11 @@ class KernelSpec(TaskSpec):
 class AggMapSpec(TaskSpec):
     """Mapper-side partial aggregation, optionally fused with a chain.
 
-    The task streams a partition (through the chain kernel when one is
-    fused in) straight into per-key fold-algebra accumulators and
-    returns ``(pairs, counts)`` where ``pairs`` is the insertion-ordered
-    ``[(key, accumulator_tuple), ...]`` list and ``counts`` the kernel
-    counters (``None`` without a fused chain).
+    One generated kernel streams a partition through the chain (when
+    one is fused in), the key and every fold of the banana-split
+    product, and returns ``(pairs, counts)`` where ``pairs`` is the
+    insertion-ordered ``[(key, accumulator_tuple), ...]`` list and
+    ``counts`` the kernel counters (``None`` without a fused chain).
     """
 
     kind = "agg-map"
@@ -308,40 +311,16 @@ class AggMapSpec(TaskSpec):
             steps,
         )
 
-    def build(self) -> tuple:
-        """(kernel | None, key closure, concrete fold algebras)."""
-        kernel = (
-            build_chain_kernel(self.steps) if self.steps is not None else None
-        )
-        env = Env.of(self.bindings)
-        return (
-            kernel,
-            self.key.closure,
-            [s.make_algebra(env) for s in self.specs],
+    def build(self) -> ChainKernel:
+        """The chain kernel with the aggregation as its sink."""
+        return build_chain_kernel(
+            self.steps or (), AggSink(self.specs, self.bindings, self.key)
         )
 
-    def run(self, prepared: tuple, data: list[Any]) -> tuple:
-        kernel, key_fn, algebras = prepared
-        acc: dict[Any, list[Any]] = {}
-
-        def accumulate(x: Any) -> None:
-            k = key_fn(x)
-            entry = acc.get(k)
-            if entry is None:
-                acc[k] = [
-                    a.union(a.zero(), a.singleton(x)) for a in algebras
-                ]
-            else:
-                for j, a in enumerate(algebras):
-                    entry[j] = a.union(entry[j], a.singleton(x))
-
-        if kernel is None:
-            for x in data:
-                accumulate(x)
-            counts = None
-        else:
-            counts = kernel.run(data, accumulate)
-        return [(k, tuple(v)) for k, v in acc.items()], counts
+    def run(self, prepared: ChainKernel, data: list[Any]) -> tuple:
+        pairs: list[tuple] = []
+        counts = prepared.run(data, pairs.append)
+        return pairs, counts if self.steps is not None else None
 
 
 class AggMergeSpec(TaskSpec):
@@ -362,21 +341,14 @@ class AggMergeSpec(TaskSpec):
             return None
         return tuple(_algebra_digest(s) for s in self.specs), bindings
 
-    def build(self) -> tuple:
-        """The concrete fold algebras, rebuilt from their symbolic IR."""
-        env = Env.of(self.bindings)
-        return tuple(s.make_algebra(env) for s in self.specs)
+    def build(self) -> ChainKernel:
+        """The merge loop: the aggregation sink over ``(key, partials)``."""
+        return build_chain_kernel((), AggSink(self.specs, self.bindings))
 
-    def run(self, prepared: tuple, data: list[Any]) -> list[Any]:
-        merged: dict[Any, list[Any]] = {}
-        for k, accs in data:
-            entry = merged.get(k)
-            if entry is None:
-                merged[k] = list(accs)
-            else:
-                for j, a in enumerate(prepared):
-                    entry[j] = a.union(entry[j], accs[j])
-        return [AggResult(k, tuple(v)) for k, v in merged.items()]
+    def run(self, prepared: ChainKernel, data: list[Any]) -> list[Any]:
+        merged: list[tuple] = []
+        prepared.run(data, merged.append)
+        return [AggResult(k, aggs) for k, aggs in merged]
 
 
 #: marks "no previous key yet" in the run-detecting group loop
@@ -596,7 +568,7 @@ class BroadcastProbeSpec(TaskSpec):
         if ds is None or db is None:
             return None
         try:
-            return ds, db, self.small_first, stable_hash(self.records)
+            return ds, db, self.small_first, content_digest(self.records)
         except EngineError:
             return None
 
@@ -662,7 +634,7 @@ class BroadcastSemiSpec(TaskSpec):
         if dx is None:
             return None
         try:
-            return dx, self.anti, stable_hash(self.keys)
+            return dx, self.anti, content_digest(self.keys)
         except EngineError:
             return None
 
@@ -678,27 +650,35 @@ class BroadcastSemiSpec(TaskSpec):
 
 
 class FoldSpec(TaskSpec):
-    """Per-partition partial of a structural fold (``algebra(p)``)."""
+    """A structural fold over one partition: ``algebra(p)`` — or, with
+    ``merge``, the union of partial results (``algebra.merge(p)``)."""
 
     kind = "fold"
 
-    def __init__(self, spec: AlgebraSpec, bindings: dict[str, Any]) -> None:
+    def __init__(
+        self, spec: AlgebraSpec, bindings: dict[str, Any], merge: bool = False
+    ) -> None:
         super().__init__()
         self.spec = spec
         self.bindings = bindings
+        self.merge = merge
 
     def fingerprint_parts(self) -> tuple | None:
         bindings = bindings_digest(self.bindings)
         if bindings is None:
             return None
-        return _algebra_digest(self.spec), bindings
+        return _algebra_digest(self.spec), bindings, self.merge
 
-    def build(self) -> Any:
-        """The concrete fold algebra over the shipped bindings."""
-        return self.spec.make_algebra(Env.of(self.bindings))
+    def build(self) -> ChainKernel:
+        """The fold loop: an empty chain into a fold sink."""
+        return build_chain_kernel(
+            (), FoldSink(self.spec, self.bindings, self.merge)
+        )
 
-    def run(self, prepared: Any, data: list[Any]) -> Any:
-        return prepared(data)
+    def run(self, prepared: ChainKernel, data: list[Any]) -> Any:
+        out: list[Any] = []
+        prepared.run(data, out.append)
+        return out[0]
 
 
 # -- tasks ------------------------------------------------------------------

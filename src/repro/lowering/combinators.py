@@ -29,7 +29,10 @@ from repro.comprehension.exprs import (
     Lambda,
     Ref,
     compile_scalar,
+    fallback_reason,
+    walk,
 )
+from repro.comprehension.ir import Comprehension
 from repro.comprehension.pretty import pretty
 
 _node_ids = itertools.count()
@@ -72,6 +75,43 @@ class ScalarFn:
         if fn is not None:
             return fn, True
         return Lambda(self.params, self.body).evaluate(env), False
+
+    def hoist_closed_bags(
+        self, is_bound: Callable[[str], bool]
+    ) -> tuple["ScalarFn", dict[str, Expr]]:
+        """Move each maximal closed bag-typed subexpression out of the body.
+
+        Returns the UDF with every such subexpression replaced by a
+        fresh ``__hoisted_N`` name, and what each name stands for.
+        *Closed* means: no dependence on a name bound anywhere inside
+        the body, and every free name known to ``is_bound`` — the
+        engine evaluates it once and broadcasts the result.
+        """
+        locally_bound = set(self.params)
+        for node in walk(self.body):
+            if isinstance(node, Lambda):
+                locally_bound.update(node.params)
+            if isinstance(node, Comprehension):
+                locally_bound.update(g.var for g in node.generators())
+        hoisted: dict[str, Expr] = {}
+
+        def visit(node: Expr) -> Expr:
+            is_bag = node.is_bag_typed() or (
+                isinstance(node, Comprehension) and not node.is_fold()
+            )
+            if (
+                is_bag
+                and not isinstance(node, Ref)
+                and not (node.free_vars() & locally_bound)
+                and all(is_bound(name) for name in node.free_vars())
+            ):
+                name = f"__hoisted_{len(hoisted)}"
+                hoisted[name] = node
+                return Ref(name)
+            return node.rebuild(visit)
+
+        body = visit(self.body)
+        return (ScalarFn(self.params, body) if hoisted else self), hoisted
 
     @staticmethod
     def identity(var: str = "x") -> "ScalarFn":
@@ -535,6 +575,26 @@ _MOTION_MARKERS = {
 }
 
 
+def _interpreted_notes(node: Combinator) -> list[str]:
+    """Why UDFs or fold components of ``node`` will tree-walk (usually
+    nothing: the list is empty when everything compiles)."""
+    reasons = []
+    for fn in node.udfs():
+        reason = fallback_reason(fn.params, fn.body)
+        if reason is not None:
+            # Judge it as the engine will see it: with its closed bags
+            # hoisted out and broadcast.
+            fn, _hoisted = fn.hoist_closed_bags(lambda name: True)
+            reason = fallback_reason(fn.params, fn.body)
+        reasons.append(reason)
+    specs = (node.spec,) if isinstance(node, CFold) else getattr(node, "specs", ())
+    for spec in specs:
+        reasons.extend(
+            fallback_reason(params, body) for params, body in spec.components()
+        )
+    return [f"interpreted: {r}" for r in dict.fromkeys(reasons) if r]
+
+
 def explain(
     root: Combinator, indent: int = 0, task_width: int | None = None
 ) -> str:
@@ -543,7 +603,9 @@ def explain(
     With ``task_width`` (the scheduler's concurrent-slot count under a
     non-serial execution mode), stage-forming nodes — fused chains and
     shuffle sites — additionally carry a ``[tasks<=N]`` marker showing
-    how wide their partition tasks may fan out on the host.
+    how wide their partition tasks may fan out on the host.  An operator
+    with a UDF or fold component outside the natively compilable subset
+    carries ``[interpreted: <reason>]``.
     """
     flags = []
     if root.cache:
@@ -568,6 +630,7 @@ def explain(
         # Chaining preserves the original narrow operators in ``ops``,
         # so a moved filter's annotation survives fusion.
         notes.extend(op.reorder_note for op in root.ops if op.reorder_note)
+    notes.extend(_interpreted_notes(root))
     for note in notes:
         marker += f" [{note}]"
     lines = ["  " * indent + described + marker + suffix]

@@ -1,13 +1,21 @@
 """Tests for the native scalar-expression compiler.
 
 ``compile_scalar`` must agree with the tree-walking ``evaluate`` on the
-whole compilable subset, and must *refuse* (return ``None``) on anything
-outside it so callers keep the interpreting closure.
+whole compilable subset — scalars, comprehensions over ``NORMAL``
+generators, every fold alias — and must *refuse* (return ``None``, with
+``fallback_reason`` saying why) on anything outside it so callers keep
+the interpreting closure.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comprehension.exprs import (
+    FOLD_ALIASES,
+    AlgebraSpec,
     Attr,
     BagLiteral,
     BinOp,
@@ -28,8 +36,20 @@ from repro.comprehension.exprs import (
     UnaryOp,
     compile_scalar,
     compile_scalar_source,
+    fallback_reason,
+    fold_reducer,
 )
+from repro.comprehension.ir import (
+    Comprehension,
+    FoldKind,
+    Generator,
+    GenMode,
+    Guard,
+)
+from repro.core.databag import DataBag
+from repro.errors import ComprehensionError
 from repro.lowering.combinators import ScalarFn
+from tests.conftest import outcome
 
 
 def both(params, body, env, *args):
@@ -171,3 +191,154 @@ class TestScalarFnIntegration:
         compiled, native = fn.compile_native({})
         assert not native
         assert list(compiled(0)) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# Comprehensions and folds: the emitter against the interpreter oracle
+# ---------------------------------------------------------------------------
+
+
+def _fold_args(alias):
+    """Lifted arguments per alias; ``p`` is the enclosing UDF's parameter."""
+    y = Ref("y")
+    if alias == "fold":
+        return (
+            Const(()),
+            Lambda(("y",), TupleExpr((y,))),
+            Lambda(("a", "b"), BinOp("+", Ref("a"), Ref("b"))),
+        )
+    if alias in ("exists", "forall"):
+        return (Lambda(("y",), Compare(">", y, Ref("p"))),)
+    if alias in ("min_by", "max_by"):
+        # keyed on the outer element: the k-means shape
+        diff = BinOp("-", y, Ref("p"))
+        return (Lambda(("y",), BinOp("*", diff, diff)),)
+    return ()
+
+
+_values = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=8),
+    st.lists(st.fractions(-3, 3, max_denominator=5), max_size=8),
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.5, -2.25, math.inf, math.nan]),
+        max_size=8,
+    ),
+)
+
+
+class TestComprehensionEmit:
+    @pytest.mark.parametrize("alias", sorted(FOLD_ALIASES))
+    @settings(max_examples=30, deadline=None)
+    @given(_values, st.integers(-3, 3))
+    def test_fold_comprehension_matches_the_interpreter(self, alias, ys, p):
+        # \p -> [[ y + p | y <- ys, y != p ]]^fold(alias)
+        body = Comprehension(
+            BinOp("+", Ref("y"), Ref("p")),
+            (Generator("y", Ref("ys")), Guard(Compare("!=", Ref("y"), Ref("p")))),
+            FoldKind(AlgebraSpec(alias, _fold_args(alias))),
+        )
+        env = {"ys": DataBag(ys)}
+        native = compile_scalar(("p",), body, env)
+        assert native is not None
+        interp = Lambda(("p",), body).evaluate(Env.of(env))
+        assert outcome(lambda: native(p)) == outcome(lambda: interp(p))
+
+    @pytest.mark.parametrize("alias", sorted(FOLD_ALIASES))
+    @settings(max_examples=30, deadline=None)
+    @given(_values, st.integers(-3, 3))
+    def test_reducer_is_the_algebra_applied(self, alias, ys, p):
+        arity, build = FOLD_ALIASES[alias]
+        args = [
+            a.evaluate(Env.of({"p": p})) for a in _fold_args(alias)
+        ]
+        assert len(args) == arity
+        assert outcome(lambda: fold_reducer(alias)(ys, *args)) == outcome(
+            lambda: build(*args)(ys)
+        )
+
+    def test_bag_comprehension_with_dependent_generator(self):
+        # the PageRank flat-map body: \v -> [[ (v, n) | n <- v[1] ]]^Bag
+        body = Comprehension(
+            TupleExpr((Index(Ref("v"), Const(0)), Ref("n"))),
+            (
+                Generator("m", Index(Ref("v"), Const(1))),
+                Generator("n", Ref("m")),
+                Guard(Compare(">", Ref("n"), Const(0))),
+            ),
+        )
+        got = both(("v",), body, {}, ("a", [[1, -1], (), [2]]))
+        assert got == DataBag([("a", 1), ("a", 2)])
+
+    def test_generator_variables_cannot_capture_interned_constants(self):
+        # fold-group fusion renames generator variables to ``_cv0`` —
+        # also the name of the first interned constant
+        marker = object()
+        body = Comprehension(
+            TupleExpr((Ref("_cv0"), Const(marker))),
+            (Generator("_cv0", Ref("xs")),),
+        )
+        fn = compile_scalar(("xs",), body, {})
+        assert fn([1]) == DataBag([(1, marker)])
+
+    def test_fold_arguments_see_the_enclosing_scope_only(self):
+        # the generator variable is not in scope of the algebra's
+        # arguments: ``y`` there is the enclosing parameter
+        body = Comprehension(
+            Ref("y"),
+            (Generator("y", Ref("xs")),),
+            FoldKind(
+                AlgebraSpec(
+                    "exists", (Lambda(("e",), Compare("==", Ref("e"), Ref("y"))),)
+                )
+            ),
+        )
+        assert both(("xs", "y"), body, {}, [1, 2, 3], 2) is True
+        assert both(("xs", "y"), body, {}, [1, 2, 3], 7) is False
+
+    def test_non_bag_source_raises_the_interpreters_error(self):
+        body = Comprehension(Ref("y"), (Generator("y", Ref("x")),))
+        native = compile_scalar(("x",), body, {})
+        interp = Lambda(("x",), body).evaluate(Env())
+        with pytest.raises(ComprehensionError) as compiled:
+            native(5)
+        with pytest.raises(ComprehensionError) as oracle:
+            interp(5)
+        assert str(compiled.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("mode", [GenMode.EXISTS, GenMode.NOT_EXISTS])
+    def test_exists_generators_are_refused_with_a_reason(self, mode):
+        body = Comprehension(
+            Ref("x"),
+            (
+                Generator("x", Ref("xs")),
+                Generator("y", Ref("xs"), mode),
+                Guard(Compare("<", Ref("y"), Ref("x"))),
+            ),
+        )
+        assert compile_scalar(("xs",), body, {}) is None
+        assert fallback_reason(("xs",), body) == f"{mode.name} generator 'y'"
+
+
+class TestFallbackReason:
+    def test_compilable_has_none(self):
+        assert fallback_reason(("x",), BinOp("+", Ref("x"), Ref("k"))) is None
+
+    def test_unbound_name_only_with_an_environment(self):
+        body = BinOp("+", Ref("x"), Ref("k"))
+        assert fallback_reason(("x",), body, {}) == "unbound name 'k'"
+        assert fallback_reason(("x",), body, {"k": 1}) is None
+
+    def test_node_outside_the_subset_is_named(self):
+        body = MapCall(Ref("x"), Lambda(("y",), Ref("y")))
+        assert "MapCall" in fallback_reason(("x",), body)
+
+    def test_udf_carries_the_reason_but_does_not_ship_it(self):
+        import pickle
+
+        from repro.engines.chainkernel import Udf
+
+        body = MapCall(Ref("x"), Lambda(("y",), Ref("y")))
+        udf = Udf(("x",), body)
+        assert not udf.native and "MapCall" in udf.fallback
+        assert Udf(("x",), Ref("x")).fallback is None
+        assert "_compiled" not in vars(pickle.loads(pickle.dumps(udf)))

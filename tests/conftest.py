@@ -56,6 +56,16 @@ def all_engines(local, spark, flink):
     return [local, spark, flink]
 
 
+def outcome(thunk):
+    """``repr`` of what ``thunk()`` returns, or the exception that
+    stopped it — for parity checks of a compiled path against its
+    oracle, bit for bit (``-0.0`` is not ``0.0``, ``nan`` is ``nan``)."""
+    try:
+        return "ok", repr(thunk())
+    except Exception as exc:  # noqa: BLE001 - parity is the point
+        return "raise", type(exc).__name__, str(exc)
+
+
 def approx_value_equal(a, b, rel: float = 1e-9, abs_: float = 1e-9) -> bool:
     """Structural equality with float tolerance (fold order varies)."""
     from repro.workloads.linalg import Vec

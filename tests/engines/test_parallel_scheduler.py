@@ -4,8 +4,9 @@ Covers the scheduler's three modes, the flat fan-out of mixed task
 lists, deterministic by-position merging under out-of-order
 completion, speculative straggler re-execution, the source-shipping
 pickle layer (one ``Udf`` value), the EngineError-not-PicklingError
-doorway, the end-to-end serial fallback, and the ``stable_hash``
-coverage the worker-side memo fingerprints rely on.
+doorway, the end-to-end serial fallback, the ``stable_hash`` coverage
+partitioning relies on and the ``content_digest`` the worker-side memo
+fingerprints rely on.
 """
 
 import pickle
@@ -17,9 +18,11 @@ import pytest
 from repro.comprehension.exprs import BinOp, Compare, Const, Ref
 from repro.core.databag import DataBag
 from repro.engines.chainkernel import FILTER, MAP, KernelStep, Udf
-from repro.engines.cluster import ClusterConfig, stable_hash
+from repro.engines.cluster import ClusterConfig, content_digest, stable_hash
 from repro.engines.metrics import Metrics
 from repro.engines.scheduler import (
+    BroadcastProbeSpec,
+    BroadcastSemiSpec,
     KernelSpec,
     PartitionTask,
     TaskScheduler,
@@ -270,3 +273,52 @@ class TestStableHashCoverage:
     def test_unhashable_object_raises(self):
         with pytest.raises(EngineError, match="stable partition hash"):
             stable_hash(object())
+
+
+class TestContentDigest:
+    """What names *content* — the worker memo's key — must not collide
+    where the 32-bit partition hash does."""
+
+    def test_the_partition_hash_collides_and_the_digest_does_not(self):
+        sets = [set(), {0}, {0, 1, 2, 3}]
+        assert len({stable_hash(s) for s in sets}) == 1
+        assert len({content_digest(s) for s in sets}) == 3
+
+    def test_broadcast_semi_specs_with_different_key_sets_differ(self):
+        kx = Udf(("x",), Ref("x"))
+        stale = BroadcastSemiSpec(set(), kx, anti=False)
+        fresh = BroadcastSemiSpec({0}, kx, anti=False)
+        assert stale.fingerprint != fresh.fingerprint
+        assert (
+            fresh.fingerprint
+            == BroadcastSemiSpec({0}, kx, anti=False).fingerprint
+        )
+
+    def test_broadcast_probe_specs_hash_their_records_as_content(self):
+        k = Udf(("x",), Ref("x"))
+        a = BroadcastProbeSpec([0, 4294967296], k, k, small_first=True)
+        b = BroadcastProbeSpec([4294967296, 0], k, k, small_first=True)
+        assert a.fingerprint != b.fingerprint
+
+    def test_binding_digests_tell_bags_apart(self):
+        def udf(values):
+            return Udf(("x",), Ref("ys"), {"ys": DataBag(values)})
+
+        assert udf([{0}]).digest() != udf([set()]).digest()
+        assert udf([1, 2]).digest() == udf([1, 2]).digest()
+
+    def test_unordered_containers_ignore_order(self):
+        assert content_digest({3, 1, 2}) == content_digest(frozenset([2, 3, 1]))
+        assert content_digest({"x": 1, "y": 2}) == content_digest(
+            {"y": 2, "x": 1}
+        )
+
+    def test_types_and_framing_tell_values_apart(self):
+        values = [1, True, 1.0, "1", b"1", (1,), [1], {1}, {1: 1}, None]
+        assert len({content_digest(v) for v in values}) == len(values)
+        assert content_digest(("ab", "c")) != content_digest(("a", "bc"))
+        assert content_digest(0.0) != content_digest(-0.0)
+
+    def test_same_closed_type_set_as_the_partition_hash(self):
+        with pytest.raises(EngineError, match="content digest"):
+            content_digest(object())
