@@ -66,6 +66,8 @@ class NormalizeStats:
     head_unnests: int = 0
     generator_unnests: int = 0
     exists_unnests: int = 0
+    #: the ``unnest_exists`` parameter :func:`normalize` last ran with
+    unnest_exists: bool = True
 
     def total(self) -> int:
         """Total rule firings (fixpoint detection)."""
@@ -75,6 +77,21 @@ class NormalizeStats:
             + self.exists_unnests
         )
 
+    @property
+    def fired(self) -> bool:
+        return self.total() > 0
+
+    def summary(self) -> str:
+        """One-line provenance description of the rule firings."""
+        detail = (
+            f"exists={self.exists_unnests} "
+            f"generator={self.generator_unnests} "
+            f"head={self.head_unnests} unnests"
+        )
+        if not self.unnest_exists:
+            detail += " (exists-unnesting disabled by config)"
+        return detail
+
 
 def normalize(
     expr: Expr,
@@ -83,6 +100,7 @@ def normalize(
 ) -> Expr:
     """Apply the normalization rules to a fixpoint, bottom-up."""
     stats = stats if stats is not None else NormalizeStats()
+    stats.unnest_exists = unnest_exists
     current = expr
     for _ in range(_MAX_PASSES):
         before = stats.total()

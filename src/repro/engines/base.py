@@ -25,6 +25,7 @@ to the :class:`~repro.engines.costmodel.CostModel`.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import weakref
 from contextlib import nullcontext
@@ -173,25 +174,6 @@ class Engine:
     #: hoisting, and partitioner propagation through maps (toggled per
     #: run by ``EmmaConfig.physical_planning``)
     physical_planning = True
-    #: how the engine's :class:`~repro.engines.scheduler.TaskScheduler`
-    #: dispatches partition tasks: "serial" runs them inline, in order;
-    #: "threads"/"processes" fan the same pure per-partition work out
-    #: (results and ``simulated_seconds`` stay bit-identical — only
-    #: wall clock moves)
-    execution_mode = "serial"
-    #: concurrent partition-task slots (0 = one per host CPU core)
-    max_parallel_tasks = 0
-    #: re-launch straggler tasks speculatively (first result wins)
-    speculative_execution = True
-    #: columnar batch data plane for optimizer-selected chains:
-    #: "auto" (vectorize when numpy is available), "on" (force, with
-    #: the pure-Python column fallback), or "off"; results and
-    #: ``simulated_seconds`` are bit-identical in every mode
-    columnar_mode = "auto"
-    #: columnar exchange plane for optimizer-selected shuffles, joins,
-    #: and group-bys ("auto"/"on"/"off"); independent of
-    #: ``columnar_mode``, same bit-identical guarantees
-    columnar_exchange_mode = "auto"
 
     def __init__(
         self,
@@ -340,35 +322,33 @@ class Engine:
 
     def configure_execution(
         self,
-        mode: str,
+        mode: str | None = None,
         max_parallel_tasks: int | None = None,
         speculation: bool | None = None,
     ) -> None:
         """Select the host-parallel backend for partition tasks.
 
-        ``mode`` is one of ``"serial"`` (tasks run inline, in order, in
-        the driver), ``"threads"`` (in-process thread pool — useful for
-        testing the scheduler without pickling), or ``"processes"``
-        (a spawn-context ``ProcessPoolExecutor`` with source-shipped
-        chain kernels; the mode that buys real multi-core wall clock).
-        Any existing scheduler is torn down so the next job builds one
-        with the new settings.
+        ``mode`` is ``"serial"`` (tasks run inline, in order, in the
+        driver) or ``"processes"`` (a spawn-context
+        ``ProcessPoolExecutor`` with source-shipped chain kernels; the
+        mode that buys real multi-core wall clock).  An argument left
+        at ``None`` keeps its current setting.  Any existing scheduler
+        is dropped so the next job builds one with the new settings.
         """
         from repro.engines.scheduler import EXECUTION_MODES
 
-        if mode not in EXECUTION_MODES:
-            raise EngineError(
-                f"unknown execution_mode {mode!r}: expected one of "
-                f"{', '.join(EXECUTION_MODES)}"
-            )
-        self.execution_mode = mode
+        if mode is not None:
+            if mode not in EXECUTION_MODES:
+                raise EngineError(
+                    f"unknown execution_mode {mode!r}: expected one of "
+                    f"{', '.join(EXECUTION_MODES)}"
+                )
+            self.execution_mode = mode
         if max_parallel_tasks is not None:
             self.max_parallel_tasks = max_parallel_tasks
         if speculation is not None:
             self.speculative_execution = speculation
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
+        self._scheduler = None
 
     @property
     def scheduler(self) -> "TaskScheduler":
@@ -394,7 +374,7 @@ class Engine:
 
     def configure_faults(
         self,
-        plan: FaultPlan | None,
+        plan: FaultPlan | None = None,
         policy: RetryPolicy | None = None,
     ) -> None:
         """Install (or clear, with ``plan=None``) a fault schedule."""
@@ -408,35 +388,27 @@ class Engine:
         )
 
     def apply_runtime_config(self, config: "EmmaConfig") -> None:
-        """Adopt the runtime knobs of an :class:`EmmaConfig`.
+        """Adopt what an :class:`EmmaConfig` sets for the engine.
 
         Called by :meth:`Algorithm.run <repro.frontend.parallelize.
-        Algorithm.run>` so fault plans and checkpoint intervals can be
-        configured per run alongside the compiler switches.
+        Algorithm.run>`.  Every config field declares in its metadata
+        what takes its value here — an attribute of the engine, or a
+        (method, keyword) pair; fields that share a method go down in
+        one call.  A field left at ``None`` changes nothing: an engine
+        keeps what it was constructed with.
         """
-        if config.fault_plan is not None or config.retry_policy is not None:
-            self.configure_faults(config.fault_plan, config.retry_policy)
-        if config.checkpoint_interval:
-            self.checkpoint_interval = config.checkpoint_interval
-        if config.tracing:
-            self.enable_tracing()
-        self.physical_planning = config.physical_planning
-        if (
-            config.execution_mode != self.execution_mode
-            or config.max_parallel_tasks != self.max_parallel_tasks
-            or config.speculative_execution != self.speculative_execution
-        ):
-            self.configure_execution(
-                config.execution_mode,
-                config.max_parallel_tasks,
-                config.speculative_execution,
-            )
-        if config.columnar != self.columnar_mode:
-            self.configure_columnar(config.columnar)
-        if config.columnar_exchange != self.columnar_exchange_mode:
-            self.configure_columnar_exchange(config.columnar_exchange)
-        if config.memory_budget != self.spill.limit:
-            self.configure_memory(config.memory_budget)
+        calls: dict[str, dict[str, Any]] = {}
+        for f in dataclasses.fields(config):
+            target, value = f.metadata["engine"], getattr(config, f.name)
+            if target is None or value is None:
+                continue
+            if isinstance(target, str):
+                setattr(self, target, value)
+            else:
+                method, keyword = target
+                calls.setdefault(method, {})[keyword] = value
+        for method, kwargs in calls.items():
+            getattr(self, method)(**kwargs)
 
     def begin_run(self) -> None:
         """Reset per-run planner state (hoist cache, statistics).
@@ -449,9 +421,10 @@ class Engine:
         self._hoist_cache.clear()
         self.stats.clear()
 
-    def enable_tracing(self) -> RuntimeTracer:
-        """Install (idempotently) and return the engine's span tracer."""
-        if self.tracer is None:
+    def enable_tracing(self, on: bool = True) -> RuntimeTracer | None:
+        """Install (idempotently) and return the engine's span tracer;
+        ``on=False`` installs nothing and removes nothing."""
+        if on and self.tracer is None:
             self.tracer = RuntimeTracer(engine=self.name)
         return self.tracer
 

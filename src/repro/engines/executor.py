@@ -219,12 +219,12 @@ class JobExecutor:
     # -- task scheduling ----------------------------------------------------
     #
     # Operators hand their per-partition UDF work to the engine's
-    # scheduler as ``TaskSpec`` tasks — the same tasks in every
+    # scheduler as ``TaskSpec`` tasks — the same tasks in either
     # execution mode, run inline in ``serial`` and fanned out in
-    # ``threads``/``processes`` — and do *all* cost charging and fault
-    # injection afterwards in the driver, in ascending partition order.
-    # That is what keeps results, ``simulated_seconds`` and injected
-    # fault schedules bit-identical across the three modes.
+    # ``processes`` — and do *all* cost charging and fault injection
+    # afterwards in the driver, in ascending partition order.  That is
+    # what keeps results, ``simulated_seconds`` and injected fault
+    # schedules bit-identical across the two modes.
 
     def _run_stage(self, tasks: list[PartitionTask]) -> list[Any]:
         """One scheduler fan-out; results come back in task order, and

@@ -41,8 +41,7 @@ driver-side charging loops, which walk partitions in ascending index
 order *after* the :mod:`~repro.engines.scheduler` has collected the
 (out-of-order, possibly multi-process) task results — the task counter
 advances by logical task coordinate, never by wall-clock completion
-order, so serial, threaded, and process-pool runs draw identical fault
-schedules.
+order, so serial and process-pool runs draw identical fault schedules.
 """
 
 from __future__ import annotations

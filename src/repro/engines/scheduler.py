@@ -7,13 +7,10 @@ machine.  Each physical operator's per-partition work is one
 :class:`TaskSpec` subclass below (its only implementation: ``run``
 dispatches on a row-list or ``ColumnBatch`` payload), and a
 :class:`TaskScheduler` runs one flat fan-out of partition tasks at a
-time in one of three modes, which differ in dispatch only:
+time in one of two modes, which differ in dispatch only:
 
 * ``serial`` — the default: tasks run inline, in order, in the driver
   process.
-* ``threads`` — tasks fan out on a ``ThreadPoolExecutor``.  Kernels
-  and UDF closures are shared by reference; useful for I/O-bound UDFs
-  and as a GIL-bound sanity midpoint between serial and processes.
 * ``processes`` — tasks fan out on a shared spawn-context
   ``ProcessPoolExecutor``.  A spec ships its UDFs as *source* (one
   :class:`~repro.engines.chainkernel.Udf` each: IR + bindings, never
@@ -22,7 +19,7 @@ time in one of three modes, which differ in dispatch only:
   cross the boundary through a small pickle serialization layer with
   byte accounting (``Metrics.ipc_bytes_shipped`` / ``ipc_bytes_returned``).
 
-Three invariants make the parallel modes safe to enable anywhere:
+Three invariants make the parallel mode safe to enable anywhere:
 
 1. **Deterministic merge** — every task is a pure function of its
    payload, and stage results are merged by task index, so outputs are
@@ -32,7 +29,7 @@ Three invariants make the parallel modes safe to enable anywhere:
    function of the monotone task sequence number) happens in the
    driver *after* a stage returns, in deterministic partition order.
    ``Metrics.simulated_seconds`` and injected fault schedules are
-   therefore identical across modes; only wall-clock time changes.
+   therefore identical in both modes; only wall-clock time changes.
 3. **Serial fallback** — any failure of the parallel path (a UDF
    closure capturing an unpicklable object, a broken pool) falls back
    to inline serial execution of the same pure tasks, counted in
@@ -57,7 +54,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
@@ -91,20 +87,21 @@ from repro.engines.cluster import content_digest, stable_hash
 from repro.errors import EngineError
 from repro.lowering.combinators import AggResult
 
-#: the execution modes selectable via ``EmmaConfig(execution_mode=...)``
-EXECUTION_MODES = ("serial", "threads", "processes")
+#: the execution modes of an engine / ``EmmaConfig(execution_mode=...)``
+EXECUTION_MODES = ("serial", "processes")
 
 _TOKENS = itertools.count()
 
 
 def default_execution_mode() -> str:
-    """The execution mode adopted when a caller names none explicitly.
+    """The execution mode of an engine constructed without one.
 
     The ``REPRO_EXECUTION_MODE`` environment variable overrides the
     built-in ``"serial"`` default, so a whole test suite or CI job can
     run under the parallel backend without touching any call site (the
-    ``parallel-backend`` CI job sets it to ``"processes"``).  The value
-    is validated downstream by :class:`TaskScheduler`.
+    ``parallel-backend`` CI job sets it to ``"processes"``).  Read at
+    engine construction only: an ``EmmaConfig`` that leaves the mode
+    unset inherits it through the engine.
     """
     return os.environ.get("REPRO_EXECUTION_MODE", "serial")
 
@@ -145,7 +142,7 @@ class TaskSpec:
     """What a partition task *does* — shared by every task of a stage.
 
     A spec is the single implementation of one physical operator's
-    per-partition work: :meth:`run` is what ``serial``, ``threads`` and
+    per-partition work: :meth:`run` is what ``serial`` and
     ``processes`` mode all execute, over the artifact :meth:`build`
     constructs (a compiled kernel, a hash table).  In the driver
     :meth:`prepared` builds it on first use — or serves the
@@ -807,10 +804,10 @@ def ship_task(spec: TaskSpec, data: Any, label: str = "") -> bytes:
 
 
 class TaskScheduler:
-    """Executes partition-task fan-outs in serial/threads/processes mode.
+    """Executes partition-task fan-outs in serial or processes mode.
 
     The public surface is :meth:`run_stage`: one flat list of tasks,
-    all in flight together in the pooled modes, results merged by task
+    all in flight together in the pooled mode, results merged by task
     position.  Tasks of one fan-out may carry different specs and
     labels (the two bucket sides of a repartition join go down as one
     list).  Speculative re-execution of stragglers is controlled by the
@@ -854,7 +851,6 @@ class TaskScheduler:
         #: shuffle spill files shipped for the in-flight fan-out, deleted
         #: when it finishes (speculative copies re-read them)
         self._shipped_refs: list[Any] = []
-        self._thread_pool: ThreadPoolExecutor | None = None
 
     # -- public API --------------------------------------------------------
 
@@ -891,63 +887,41 @@ class TaskScheduler:
                     self.spill.delete_ref(ref)
             self._shipped_refs.clear()
 
-    def close(self) -> None:
-        """Release the scheduler's thread pool (process pool is shared)."""
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False, cancel_futures=True)
-            self._thread_pool = None
-
     # -- execution paths ---------------------------------------------------
 
     @staticmethod
     def _run_serial(tasks: list[PartitionTask]) -> list[Any]:
         """Inline execution, in order — the reference the parallel
-        modes must reproduce."""
+        mode must reproduce."""
         return [t.spec.run(t.spec.prepared(), t.data) for t in tasks]
 
-    def _pool(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
-        if self.mode == "threads":
-            if self._thread_pool is None:
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=self.width,
-                    thread_name_prefix="repro-task",
-                )
-            return self._thread_pool
-        return _shared_process_pool(self.width)
-
     def _submit(
-        self,
-        pool: ThreadPoolExecutor | ProcessPoolExecutor,
-        task: PartitionTask,
-        metrics: Any,
-    ) -> tuple[Future, bytes | None]:
+        self, pool: ProcessPoolExecutor, task: PartitionTask, metrics: Any
+    ) -> tuple[Future, bytes]:
         """Submit one task; returns the future plus its payload bytes
-        (kept for speculative resubmission in processes mode)."""
-        if self.mode == "processes":
-            if self.spill is not None:
-                payload, ref = self.spill.ship_task_payload(
-                    task.spec, task.data, task.label
-                )
-                if ref is not None:
-                    self._shipped_refs.append(ref)
-                    # Counted once per task at submit (driver-side) so
-                    # the metric stays deterministic under speculation.
-                    self.spill.count_ref_read(ref)
-            else:
-                payload = ship_task(task.spec, task.data, task.label)
-            if metrics is not None:
-                metrics.ipc_bytes_shipped += len(payload)
-            return pool.submit(_process_entry, payload), payload
-        spec = task.spec
-        return pool.submit(spec.run, spec.prepared(), task.data), None
+        (kept for speculative resubmission)."""
+        if self.spill is not None:
+            payload, ref = self.spill.ship_task_payload(
+                task.spec, task.data, task.label
+            )
+            if ref is not None:
+                self._shipped_refs.append(ref)
+                # Counted once per task at submit (driver-side) so
+                # the metric stays deterministic under speculation.
+                self.spill.count_ref_read(ref)
+        else:
+            payload = ship_task(task.spec, task.data, task.label)
+        if metrics is not None:
+            metrics.ipc_bytes_shipped += len(payload)
+        return pool.submit(_process_entry, payload), payload
 
     def _run_parallel(
         self, tasks: list[PartitionTask], metrics: Any
     ) -> list[Any]:
         """Out-of-order execution with speculative straggler re-runs."""
-        pool = self._pool()
+        pool = _shared_process_pool(self.width)
         results: dict[int, Any] = {}
-        payloads: list[bytes | None] = []
+        payloads: list[bytes] = []
         started: dict[int, float] = {}
         durations: list[float] = []
         speculated: set[int] = set()
@@ -973,15 +947,11 @@ class TaskScheduler:
             raw = fut.result()
             if pos in results:
                 return  # the other attempt won the race
-            if self.mode == "processes":
-                if metrics is not None:
-                    metrics.ipc_bytes_returned += len(raw)
-                value, rehydrated = pickle.loads(raw)
-                if rehydrated and metrics is not None:
-                    metrics.kernels_rehydrated += 1
-            else:
-                value = raw
-            results[pos] = value
+            if metrics is not None:
+                metrics.ipc_bytes_returned += len(raw)
+            results[pos], rehydrated = pickle.loads(raw)
+            if rehydrated and metrics is not None:
+                metrics.kernels_rehydrated += 1
             durations.append(time.perf_counter() - started.pop(pos))
             if attempt > 0 and metrics is not None:
                 metrics.speculative_wins += 1
@@ -1004,15 +974,9 @@ class TaskScheduler:
             for pos, since in list(started.items()):
                 if pos in speculated or now - since <= threshold:
                     continue
-                if self.mode == "processes":
-                    fut = pool.submit(_process_entry, payloads[pos])
-                    if metrics is not None:
-                        metrics.ipc_bytes_shipped += len(payloads[pos])
-                else:
-                    spec = tasks[pos].spec
-                    fut = pool.submit(
-                        spec.run, spec.prepared(), tasks[pos].data
-                    )
+                fut = pool.submit(_process_entry, payloads[pos])
+                if metrics is not None:
+                    metrics.ipc_bytes_shipped += len(payloads[pos])
                 in_flight[fut] = (pos, 1)
                 speculated.add(pos)
                 if metrics is not None:

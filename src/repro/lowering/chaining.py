@@ -53,6 +53,18 @@ class ChainStats:
     chains: int = 0
     chained_operators: int = 0
 
+    @property
+    def fired(self) -> bool:
+        return self.chains > 0
+
+    def summary(self) -> str:
+        """The provenance line of a site where nothing was fused (each
+        fusion and boundary is recorded by the pass as it happens)."""
+        return (
+            "no run of two or more adjacent record-wise operators "
+            "in this plan"
+        )
+
 
 def consumer_counts(root: Combinator) -> Counter:
     """Consumer-edge counts per node (by identity, sharing-aware)."""

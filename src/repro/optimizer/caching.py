@@ -47,6 +47,25 @@ class CacheDecision:
     reason: str  # "loop" | "multi-use"
 
 
+@dataclass
+class CachingStats:
+    """The names :func:`plan_caching` chose, as provenance."""
+
+    chosen: list[CacheDecision]
+
+    @property
+    def fired(self) -> bool:
+        return bool(self.chosen)
+
+    def summary(self) -> str | None:
+        """The idle line; a fired pass is told by its decisions."""
+        return None if self.fired else "no loop-invariant multi-use bags"
+
+    @property
+    def decisions(self) -> list[str]:
+        return [f"{d.name}: {d.reason}" for d in self.chosen]
+
+
 def plan_caching(program: DriverProgram) -> list[CacheDecision]:
     """Choose the names to cache (see module docstring)."""
     # Uses per name, split by whether they occur inside a loop, plus

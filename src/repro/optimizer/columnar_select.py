@@ -60,6 +60,28 @@ class ColumnarStats:
     row_chains: int = 0
     columnar_exchanges: int = 0
     row_exchanges: int = 0
+    #: the two knobs the chain half obeys (pass parameters, the way
+    #: ``unnest_exists`` is one of ``normalize``)
+    operator_chaining: bool = True
+    chain_plane: str = "auto"
+
+    @property
+    def selects_chains(self) -> bool:
+        return self.operator_chaining and self.chain_plane != "off"
+
+    @property
+    def fired(self) -> bool:
+        """Of the chain half, the rule :meth:`summary` speaks for."""
+        return self.columnar_chains > 0
+
+    def summary(self) -> str | None:
+        """Why the chain plane selected nothing (``None`` when it ran:
+        every chain and exchange decision is recorded by the pass)."""
+        if self.selects_chains:
+            return None
+        if self.operator_chaining:
+            return "disabled by config"
+        return "no fused chains without operator chaining"
 
 
 def chain_step_descs(

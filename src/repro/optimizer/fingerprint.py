@@ -31,41 +31,23 @@ import hashlib
 import weakref
 from dataclasses import fields, is_dataclass
 from types import ModuleType
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 from repro.core.databag import DataBag
 from repro.engines.cluster import stable_hash
 from repro.engines.dfs import SimulatedDFS
 from repro.errors import EngineError
 from repro.frontend.driver_ir import DriverProgram, pretty_program
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.optimizer.pipeline import EmmaConfig
+from repro.optimizer.pipeline import EmmaConfig
 
 #: The ``EmmaConfig`` fields that change what ``compile_program``
-#: produces.  Toggling any of these yields a different fingerprint and
-#: therefore a plan-cache miss; every other config field is a runtime
-#: knob that reuses the same cached plan.  ``columnar`` is listed
-#: because kernel *selection* (which chains get vector kernels) runs at
-#: compile time even though execution stays bit-identical.
-PLAN_KNOBS: tuple[str, ...] = (
-    "inlining",
-    "unnesting",
-    "fold_group_fusion",
-    "caching",
-    "partition_pulling",
-    "filter_pushdown",
-    "operator_chaining",
-    "physical_planning",
-    "udf_reordering",
-    "columnar",
-    "columnar_exchange",
+#: produces — those the config class declares as plan knobs.  Toggling
+#: any of these yields a different fingerprint and therefore a
+#: plan-cache miss; every other config field is a runtime knob that
+#: reuses the same cached plan.
+PLAN_KNOBS: tuple[str, ...] = tuple(
+    f.name for f in fields(EmmaConfig) if f.metadata["knob"] == "plan"
 )
-
-
-def plan_knob_items(config: "EmmaConfig") -> tuple[tuple[str, Any], ...]:
-    """The plan-affecting knobs of a config as sorted (name, value) pairs."""
-    return tuple((name, getattr(config, name)) for name in PLAN_KNOBS)
 
 
 def canonical_program_text(program: DriverProgram) -> str:
@@ -80,12 +62,13 @@ def canonical_program_text(program: DriverProgram) -> str:
 
 
 def plan_fingerprint(
-    program: DriverProgram, config: "EmmaConfig"
+    program: DriverProgram, config: EmmaConfig
 ) -> str:
     """The content fingerprint keying the plan cache (hex SHA-256)."""
     digest = hashlib.sha256()
     digest.update(canonical_program_text(program).encode("utf-8"))
-    for name, value in plan_knob_items(config):
+    for name in PLAN_KNOBS:
+        value = getattr(config, name)
         digest.update(f"\n::knob {name}={value!r}".encode("utf-8"))
     return digest.hexdigest()
 

@@ -61,6 +61,19 @@ class FusionStats:
     fused_groups: int = 0
     fused_folds: int = 0
 
+    @property
+    def fired(self) -> bool:
+        return self.fused_groups > 0
+
+    def summary(self) -> str:
+        """One-line provenance description of the fusions."""
+        if not self.fired:
+            return "no group consumed exclusively by folds"
+        return (
+            f"{self.fused_groups} group(s) with "
+            f"{self.fused_folds} fold(s) fused into agg_by"
+        )
+
 
 def fold_group_fusion(
     expr: Expr, stats: FusionStats | None = None

@@ -22,6 +22,8 @@ inlines into its consumer, and so on).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.comprehension.exprs import Expr, Ref, walk
 from repro.frontend.driver_ir import (
     DriverProgram,
@@ -88,6 +90,26 @@ def assigned_names(stmt: Stmt) -> set[str]:
     for child in stmt.children():
         names |= assigned_names(child)
     return names
+
+
+@dataclass
+class InlineStats:
+    """How many definitions :func:`inline_single_use` spliced."""
+
+    inlined: int = 0
+
+    @property
+    def fired(self) -> bool:
+        return self.inlined > 0
+
+    def summary(self) -> str:
+        """One-line provenance description of the inlining."""
+        if not self.fired:
+            return "no single-use bag definitions"
+        return (
+            f"{self.inlined} single-use definition(s) spliced into "
+            "their consumers"
+        )
 
 
 def inline_single_use(

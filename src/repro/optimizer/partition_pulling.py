@@ -54,6 +54,35 @@ class PartitionUse:
     kind: str = "join"  # "join" | "group"
 
 
+@dataclass
+class PartitionStats:
+    """The keys :func:`choose_partition_keys` enforced, as provenance."""
+
+    keys: dict[str, ScalarFn]
+    #: whether any name was cached (no cache site, nothing to partition)
+    cached: bool
+
+    @property
+    def fired(self) -> bool:
+        return bool(self.keys)
+
+    def summary(self) -> str | None:
+        """The idle line; a fired pass is told by its decisions."""
+        if self.fired:
+            return None
+        if not self.cached:
+            return "nothing cached to pre-partition"
+        return "no join/group key observed over cached names"
+
+    @property
+    def decisions(self) -> list[str]:
+        return [
+            f"{name} hash-partitioned on {key.describe()} at its "
+            "cache site"
+            for name, key in self.keys.items()
+        ]
+
+
 def collect_partition_uses(
     site_expr: Expr, in_loop: bool
 ) -> list[PartitionUse]:

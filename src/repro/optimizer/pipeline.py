@@ -1,30 +1,24 @@
 """The compiler pass manager (paper Figure 1, steps i-iii).
 
 ``compile_program`` takes lifted driver IR and a configuration and
-produces a :class:`CompiledProgram`:
-
-1. **Inlining** — single-use bag definitions collapse into their
-   consumers (Section 4.1).
-2. **Caching analysis** — loop-invariant multi-use bags get ``SCache``
-   statements (Section 4.4); disabled by ``EmmaConfig.caching=False``.
-3. **Per-site compilation** — every maximal DataBag expression in the
-   driver IR is resugared (``MC⁻¹``), normalized (unnesting; the
-   exists-rule obeys ``EmmaConfig.unnesting``), fold-group-fused
-   (``EmmaConfig.fold_group_fusion``), and lowered to a combinator
-   dataflow, which replaces the expression as a :class:`PlanExpr`.
-4. **Partition pulling** — join/group keys observed over cached names
-   in the normalized sites choose the enforced partitioning at each
-   cache site (``EmmaConfig.partition_pulling``).
-
-The :class:`OptimizationReport` records which optimizations actually
-fired — reproducing the paper's Table 1 is a matter of compiling each
-program and reading its report.
+produces a :class:`CompiledProgram` by running :data:`PASSES`, the
+compiler as one ordered table: the program passes (fingerprint,
+inlining, Section 4.1; caching analysis, Section 4.4), then for every
+maximal DataBag expression of the driver IR the site passes (resugar
+``MC⁻¹``, normalize, fold-group fusion, lowering to a combinator
+dataflow that replaces the expression as a :class:`PlanExpr`, and the
+physical rewrites of that plan), then the passes that need every site
+(partition pulling, physical planning).  One driver loop checks each
+row's ``EmmaConfig`` knob, records its provenance and folds its stats
+into the :class:`OptimizationReport` — reproducing the paper's Table 1
+is a matter of compiling each program and reading its report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+import time
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Mapping
 
 from repro.comprehension.exprs import (
     BagExpr,
@@ -45,12 +39,7 @@ from repro.engines.columnar import (
     default_columnar_exchange,
     default_columnar_mode,
 )
-from repro.engines.spill import default_memory_budget
 from repro.engines.faults import FaultPlan, RetryPolicy
-from repro.engines.scheduler import (
-    default_execution_mode,
-    default_max_parallel_tasks,
-)
 from repro.engines.sizes import estimate_bag_bytes
 from repro.engines.tracing import CompileTrace
 from repro.errors import EmmaError
@@ -70,13 +59,15 @@ from repro.lowering.combinators import Combinator, ScalarFn, explain
 from repro.lowering.rules import LoweringContext, lower
 from repro.optimizer.caching import (
     CacheDecision,
+    CachingStats,
     insert_cache_statements,
     plan_caching,
 )
 from repro.optimizer.columnar_select import ColumnarStats, select_columnar
 from repro.optimizer.fold_group_fusion import FusionStats, fold_group_fusion
-from repro.optimizer.inlining import inline_single_use
+from repro.optimizer.inlining import InlineStats, inline_single_use
 from repro.optimizer.partition_pulling import (
+    PartitionStats,
     PartitionUse,
     choose_partition_keys,
     collect_partition_uses,
@@ -90,29 +81,59 @@ from repro.optimizer.reorder import ReorderStats, reorder_operators
 from repro.optimizer.udf_analysis import default_udf_reordering
 
 
+#: the knobs that are rows of the paper's Table 1
+TABLE1 = ("unnesting", "fold_group_fusion", "caching", "partition_pulling")
+
+
+def _plan(default: Any, engine: str | tuple[str, str] | None = None) -> Any:
+    """An ``EmmaConfig`` *plan knob*: it shapes what ``compile_program``
+    builds, so it is part of the plan fingerprint.  A callable default
+    is a factory.  ``engine`` names what ``Engine.apply_runtime_config``
+    hands the value to — an attribute, or a (method, keyword) pair —
+    for the few knobs the executor reads as well."""
+    how = "default_factory" if callable(default) else "default"
+    metadata = {"knob": "plan", "engine": engine}
+    return field(**{how: default}, metadata=metadata)
+
+
+def _runtime(engine: str | tuple[str, str], default: Any = None) -> Any:
+    """An ``EmmaConfig`` *runtime knob*: it shapes only how an engine
+    runs the plan (one cached plan serves every value); left at ``None``
+    it leaves the engine as it was constructed."""
+    metadata = {"knob": "runtime", "engine": engine}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class EmmaConfig:
-    """Which optimizations the compiler pipeline applies."""
+    """Which optimizations the compiler applies and how a run executes.
 
-    inlining: bool = True
-    unnesting: bool = True
-    fold_group_fusion: bool = True
-    caching: bool = True
-    partition_pulling: bool = True
-    #: ablation knob: disable the Figure 3a filter-pushdown state
-    filter_pushdown: bool = True
+    Each field says once, through :func:`_plan` / :func:`_runtime`, which
+    of the two it is; the fingerprint's ``PLAN_KNOBS`` and the engine's
+    ``apply_runtime_config`` are derived from that declaration.
+    """
+
+    inlining: bool = _plan(True)
+    #: the exists-unnesting rule (a parameter of ``normalize``)
+    unnesting: bool = _plan(True)
+    fold_group_fusion: bool = _plan(True)
+    caching: bool = _plan(True)
+    partition_pulling: bool = _plan(True)
+    #: ablation knob: disable the Figure 3a filter-pushdown state (a
+    #: parameter of ``lower``)
+    filter_pushdown: bool = _plan(True)
     #: physical operator chaining: fuse maximal runs of record-wise
     #: operators into one per-partition kernel (not a Table 1 row —
     #: it is the physical layer the target engines apply below the
     #: logical rewrites)
-    operator_chaining: bool = True
+    operator_chaining: bool = _plan(True)
     #: partitioning-aware physical planning: the interesting-properties
     #: pass (:mod:`repro.optimizer.physical_props`) annotates shuffle
     #: sites as required/elidable/hoistable and joins with a plan-time
-    #: strategy; also a runtime knob — the engine's cost-based strategy
-    #: choice, loop-invariant hoist cache, and partitioner propagation
-    #: follow it (not a Table 1 row; a post-paper physical-layer pass)
-    physical_planning: bool = True
+    #: strategy; the engine's cost-based strategy choice, loop-invariant
+    #: hoist cache, and partitioner propagation follow it too (not a
+    #: Table 1 row; a post-paper physical-layer pass)
+    physical_planning: bool = _plan(True, "physical_planning")
     #: UDF-aware operator reordering (:mod:`repro.optimizer.reorder`):
     #: "auto" infers field-level read/write sets over lifted UDF bodies
     #: and pushes filters below joins/groupings (and before maps) the
@@ -120,28 +141,31 @@ class EmmaConfig:
     #: in place.  Results are bit-identical either way — only data
     #: volumes (shuffled bytes, operator input sizes) and therefore
     #: simulated costs move.  Default honours ``REPRO_UDF_REORDERING``.
-    udf_reordering: str = field(default_factory=default_udf_reordering)
+    udf_reordering: str = _plan(default_udf_reordering)
 
-    # Runtime (not compile-time) knobs, applied to the engine by
-    # ``Algorithm.run``: they do not change the compiled plans, only
-    # how the simulated cluster executes them.
     #: deterministic fault schedule for the simulated cluster
-    fault_plan: FaultPlan | None = None
+    fault_plan: FaultPlan | None = _runtime(("configure_faults", "plan"))
     #: scheduler reaction to injected task failures
-    retry_policy: RetryPolicy | None = None
+    retry_policy: RetryPolicy | None = _runtime(
+        ("configure_faults", "policy")
+    )
     #: stateful-bag checkpoint cadence (0 = initial snapshot only)
-    checkpoint_interval: int = 0
+    checkpoint_interval: int | None = _runtime("checkpoint_interval")
     #: collect hierarchical runtime spans (:mod:`repro.engines.tracing`);
     #: ``Algorithm.run`` then returns a :class:`~repro.engines.tracing.
-    #: TracedRun` instead of the bare result
-    tracing: bool = False
+    #: TracedRun` instead of the bare result (``False`` never switches
+    #: an engine's tracer off)
+    tracing: bool = _runtime(("enable_tracing", "on"), False)
     #: columnar batch data plane: "auto" vectorizes eligible chains
     #: when numpy is available, "on" forces the columnar path (with a
     #: pure-Python column fallback), "off" keeps every chain
     #: row-at-a-time.  Results and ``simulated_seconds`` are
     #: bit-identical either way — only wall clock and byte counters
-    #: move.  Default honours ``REPRO_COLUMNAR``.
-    columnar: str = field(default_factory=default_columnar_mode)
+    #: move.  A plan knob because kernel *selection* runs at compile
+    #: time.  Default honours ``REPRO_COLUMNAR``.
+    columnar: str = _plan(
+        default_columnar_mode, ("configure_columnar", "mode")
+    )
     #: columnar *exchange* plane: vectorized shuffle partitioning, hash
     #: join build/probe, and group-by over key columns ("auto" engages
     #: when numpy is available, "on" forces the PyColumn fallback,
@@ -149,36 +173,33 @@ class EmmaConfig:
     #: ``columnar`` — results, ``simulated_seconds``, and fault
     #: schedules are bit-identical either way.  Default honours
     #: ``REPRO_COLUMNAR_EXCHANGE``.
-    columnar_exchange: str = field(
-        default_factory=default_columnar_exchange
+    columnar_exchange: str = _plan(
+        default_columnar_exchange, ("configure_columnar_exchange", "mode")
     )
-    #: how the scheduler dispatches the operators' partition tasks
-    #: (the same ``TaskSpec`` per operator in every mode): "serial"
-    #: (inline, in order), "threads", or "processes" (true multi-core
-    #: via source-shipped chain kernels); results and
-    #: ``simulated_seconds`` stay bit-identical across modes — only
-    #: measured wall clock changes.  Default honours
-    #: ``REPRO_EXECUTION_MODE`` so CI can run whole suites under the
-    #: parallel backend.
-    execution_mode: str = field(default_factory=default_execution_mode)
-    #: concurrent partition-task slots (0 = one per host CPU core);
-    #: default honours ``REPRO_MAX_PARALLEL_TASKS``
-    max_parallel_tasks: int = field(
-        default_factory=default_max_parallel_tasks
+    #: how the scheduler dispatches the operators' partition tasks (the
+    #: same ``TaskSpec`` per operator in either mode): "serial" (inline,
+    #: in order) or "processes" (true multi-core via source-shipped
+    #: chain kernels); results and ``simulated_seconds`` stay
+    #: bit-identical — only measured wall clock changes
+    execution_mode: str | None = _runtime(("configure_execution", "mode"))
+    #: concurrent partition-task slots (0 = one per host CPU core)
+    max_parallel_tasks: int | None = _runtime(
+        ("configure_execution", "max_parallel_tasks")
     )
     #: re-launch straggler partition tasks (first result wins)
-    speculative_execution: bool = True
+    speculative_execution: bool | None = _runtime(
+        ("configure_execution", "speculation")
+    )
     #: driver memory budget in bytes for the out-of-core layer
     #: (:mod:`repro.engines.spill`): resident cached partitions, hoist
     #: caches, and columnar batches above the budget are LRU-spilled to
     #: real temp files and lazily reloaded; over-limit group
     #: materializations degrade to external run-merge instead of
-    #: raising ``SimulatedMemoryError``.  ``0`` (the default) keeps
-    #: everything resident.  Results, ``simulated_seconds``, and fault
-    #: schedules are bit-identical under any budget — only wall clock
-    #: and the ``spill_*`` metrics move.  Default honours
-    #: ``REPRO_MEMORY_BUDGET``.
-    memory_budget: int = field(default_factory=default_memory_budget)
+    #: raising ``SimulatedMemoryError``.  ``0`` keeps everything
+    #: resident.  Results, ``simulated_seconds``, and fault schedules
+    #: are bit-identical under any budget — only wall clock and the
+    #: ``spill_*`` metrics move.
+    memory_budget: int | None = _runtime(("configure_memory", "budget"))
 
     @staticmethod
     def none() -> "EmmaConfig":
@@ -200,16 +221,8 @@ class EmmaConfig:
 
     def label(self) -> str:
         """A short human-readable configuration name."""
-        parts = []
-        if self.unnesting:
-            parts.append("unnesting")
-        if self.fold_group_fusion:
-            parts.append("fold-group-fusion")
-        if self.caching:
-            parts.append("caching")
-        if self.partition_pulling:
-            parts.append("partition-pulling")
-        return "+".join(parts) if parts else "baseline"
+        rows = [r.replace("_", "-") for r in TABLE1 if getattr(self, r)]
+        return "+".join(rows) or "baseline"
 
 
 @dataclass
@@ -274,12 +287,7 @@ class OptimizationReport:
 
     def table1_row(self) -> dict[str, bool]:
         """The applicability row: optimization name -> applied."""
-        return {
-            "unnesting": self.unnesting_applied,
-            "fold_group_fusion": self.fold_group_fusion_applied,
-            "caching": self.caching_applied,
-            "partition_pulling": self.partition_pulling_applied,
-        }
+        return {r: getattr(self, f"{r}_applied") for r in TABLE1}
 
 
 @dataclass(frozen=True)
@@ -372,22 +380,22 @@ class CompiledProgram:
         """
         from repro.comprehension.pretty import pretty
 
+        # The runtime headers appear when the config sets the knob (an
+        # unset one inherits the engine's, which a plan does not know).
+        config = self.report.config
+        mode, budget = config.execution_mode, config.memory_budget
         blocks = []
         task_width = None
-        if self.report.config.execution_mode != "serial":
+        if mode not in (None, "serial"):
             import os
 
-            task_width = self.report.config.max_parallel_tasks or (
-                os.cpu_count() or 1
-            )
+            task_width = config.max_parallel_tasks or os.cpu_count() or 1
             blocks.append(
-                f"-- execution: mode={self.report.config.execution_mode}"
-                f" max-task-width={task_width} --"
+                f"-- execution: mode={mode} max-task-width={task_width} --"
             )
-        if self.report.config.memory_budget:
+        if budget:
             blocks.append(
-                "-- memory: budget="
-                f"{self.report.config.memory_budget}B"
+                f"-- memory: budget={budget}B"
                 " spill=lru-to-disk group-overflow=external-merge --"
             )
         if self.fingerprint:
@@ -407,222 +415,265 @@ class CompiledProgram:
         return "\n".join(blocks)
 
 
-class _SiteCompiler:
-    """Compiles driver expressions, replacing dataflow sites in place."""
+# -- the pass table ----------------------------------------------------------
 
-    def __init__(
-        self,
-        config: EmmaConfig,
-        report: OptimizationReport,
-        trace: CompileTrace | None = None,
-        loop_mutated: frozenset[str] = frozenset(),
-    ) -> None:
+#: a pass's scope: what its call rewrites, and when the driver runs it
+PROGRAM = "program"  # the driver program, before its sites compile
+SITE_EXPR = "site expression"  # one site's comprehension view
+SITE_PLAN = "site plan"  # the same site's combinator plan
+POST_PROGRAM = "post-site program"  # the program, all sites compiled
+POST_PLAN = "post-site plan"  # every site plan, all sites compiled
+
+
+@dataclass(frozen=True)
+class Pass:
+    """One row of :data:`PASSES`.
+
+    ``call(compiler, value, site)`` returns the rewritten value and the
+    pass's stats: ``fired``, ``summary()`` (its provenance line, ``None``
+    for nothing to add) and — read where ``decision_rule`` is set —
+    ``decisions`` (a further line each).
+    """
+
+    phase: str
+    rule: str
+    #: the ``EmmaConfig`` field that gates the pass (``None``: always on)
+    knob: str | None
+    scope: str
+    call: Callable[["_Compiler", Any, "int | None"], tuple[Any, Any]]
+    #: the ``OptimizationReport`` fields the stats add to, each as
+    #: ``report_field=stats_attribute`` (just the one name if equal)
+    folds: str = ""
+    #: the IR terms the event of a fired pass carries: "before after"
+    shows: str = ""
+    #: the pass records its decisions in the trace itself; the driver
+    #: adds the summary line only where it stayed silent
+    narrates: bool = False
+    #: rule name of the events made from ``stats.decisions``
+    decision_rule: str | None = None
+
+
+@dataclass
+class _Applied:
+    """Stats of a step that always applies: its provenance line."""
+
+    detail: str
+    fired = True
+
+    def summary(self) -> str:
+        return self.detail
+
+
+# The calls.  Each names its pass function as a module global, looked up
+# when the call runs: benchmarks/e2e/spans.py attributes compile time by
+# patching those names.
+
+
+def _fingerprint(c, program, site):
+    from repro.optimizer.fingerprint import PLAN_KNOBS, plan_fingerprint
+
+    c.fingerprint = plan_fingerprint(program, c.config)
+    return program, _Applied(
+        f"sha256:{c.fingerprint[:12]} over canonical IR + "
+        f"{len(PLAN_KNOBS)} plan-affecting knobs"
+    )
+
+
+def _inline(c, program, site):
+    program, inlined = inline_single_use(program)
+    return program, InlineStats(inlined)
+
+
+def _cache(c, program, site):
+    chosen = plan_caching(program)
+    return insert_cache_statements(program, chosen), CachingStats(chosen)
+
+
+def _resugar(c, expr, site):
+    return resugar(expr), _Applied("MC⁻¹ recovered the comprehension view")
+
+
+def _normalize(c, expr, site):
+    stats = NormalizeStats()
+    return normalize(expr, c.config.unnesting, stats), stats
+
+
+def _fuse(c, expr, site):
+    stats = FusionStats()
+    return fold_group_fusion(expr, stats), stats
+
+
+def _lower(c, expr, site):
+    ctx = LoweringContext(
+        frozenset(c.bag_names), c.config.filter_pushdown, c.trace, site
+    )
+    return lower(expr, ctx), _Applied(
+        "comprehension realized as a combinator dataflow"
+    )
+
+
+def _reorder(c, plan, site):
+    stats = ReorderStats()
+    plan = reorder_operators(plan, stats, c.plan_context(), c.trace, site)
+    return plan, stats
+
+
+def _chain(c, plan, site):
+    stats = ChainStats()
+    return chain_operators(plan, stats, c.trace, site), stats
+
+
+def _select_columnar(c, plan, site):
+    config = c.config
+    stats = ColumnarStats(
+        operator_chaining=config.operator_chaining,
+        chain_plane=config.columnar,
+    )
+    plan = select_columnar(
+        plan,
+        stats,
+        c.trace,
+        site,
+        exchange=config.columnar_exchange,
+        chains=stats.selects_chains,
+    )
+    return plan, stats
+
+
+def _pull_partitions(c, program, site):
+    cached = {d.name for d in c.report.cache_decisions}
+    keys = choose_partition_keys(c.partition_uses, cached) if cached else {}
+    return program, PartitionStats(keys, bool(cached))
+
+
+def _plan_physical(c, plan, site):
+    return annotate_physical(plan, c.plan_context())
+
+
+#: The compiler, in order.  ``unnesting`` and ``filter_pushdown`` gate no
+#: row — they are parameters of ``normalize`` and ``lower`` — nor do the
+#: plane knobs of the columnar selection, one traversal for both planes.
+PASSES: tuple[Pass, ...] = (
+    Pass("fingerprint", "plan-fingerprint", None, PROGRAM, _fingerprint),
+    Pass("inlining", "inline-single-use", "inlining", PROGRAM, _inline,
+         "inlined_definitions=inlined", "before after"),
+    Pass("caching", "cache-insert", "caching", PROGRAM, _cache,
+         "cache_decisions=chosen", decision_rule="cache-insert"),
+    Pass("site compilation", "resugar", None, SITE_EXPR, _resugar,
+         shows="before after"),
+    Pass("site compilation", "normalize", None, SITE_EXPR, _normalize,
+         "exists_unnests generator_unnests head_unnests", "before after"),
+    Pass("site compilation", "fold-group-fusion", "fold_group_fusion",
+         SITE_EXPR, _fuse, "fused_groups fused_folds", "before after"),
+    Pass("site compilation", "lower", None, SITE_PLAN, _lower, shows="after"),
+    Pass("udf reordering", "push-filter", "udf_reordering", SITE_PLAN,
+         _reorder,
+         "udfs_analyzed reorders_applied=applied reorders_rejected=rejected",
+         narrates=True),
+    Pass("operator chaining", "chain-fuse", "operator_chaining", SITE_PLAN,
+         _chain, "operator_chains=chains chained_operators", narrates=True),
+    Pass("columnar selection", "vectorize-chain", None, SITE_PLAN,
+         _select_columnar, "columnar_chains columnar_exchanges"),
+    Pass("partition pulling", "partition-key", "partition_pulling",
+         POST_PROGRAM, _pull_partitions, "partition_keys=keys",
+         decision_rule="partition-key"),
+    Pass("physical planning", "interesting-properties", "physical_planning",
+         POST_PLAN, _plan_physical,
+         "physical_joins=annotated_joins"
+         " elidable_shuffle_inputs=elidable_inputs"
+         " hoistable_shuffle_inputs=hoistable_inputs",
+         "after", decision_rule="join-strategy"),
+)
+
+
+class _Compiler:
+    """Drives :data:`PASSES` over a program and its dataflow sites."""
+
+    def __init__(self, config: EmmaConfig) -> None:
         self.config = config
-        self.report = report
-        self.trace = trace
-        self.loop_mutated = loop_mutated
+        self.report = OptimizationReport(config=config)
+        self.trace = CompileTrace()
+        self.fingerprint: str | None = None
+        self.loop_mutated: frozenset[str] = frozenset()
         self.bag_names: set[str] = set()
         self.stateful_names: set[str] = set()
         self.partition_uses: list[PartitionUse] = []
         self.sites: list[tuple[Expr, Combinator, bool]] = []
-        self._in_loop = False
+        self.in_loop = False
 
-    # -- site pipeline ------------------------------------------------------
+    def enabled(self, p: Pass, site: int | None = None) -> bool:
+        """Whether ``config`` lets the pass run — the one place a knob
+        is checked; a disabled pass leaves its one event."""
+        value = True if p.knob is None else getattr(self.config, p.knob)
+        if value not in (False, "off"):
+            return True
+        self.trace.record(
+            p.phase, p.rule, False, detail="disabled by config", site=site
+        )
+        return False
+
+    def run(self, scope: str, value: Any, site: int | None = None) -> Any:
+        """``value`` after every enabled pass of ``scope``, in order."""
+        for p in PASSES:
+            if p.scope == scope and self.enabled(p, site):
+                value = self.apply(p, value, site)
+        return value
+
+    def apply(self, p: Pass, value: Any, site: int | None) -> Any:
+        """Run one pass: fold its stats into the report and record its
+        provenance (for a narrating pass, only if it recorded none)."""
+        report, trace = self.report, self.trace
+        mark = len(trace)
+        result, stats = p.call(self, value, site)
+        for fold in p.folds.split():
+            total, _, part = fold.partition("=")
+            old, new = getattr(report, total), getattr(stats, part or total)
+            merged = {**old, **new} if isinstance(old, dict) else old + new
+            setattr(report, total, merged)
+        if p.narrates and len(trace) > mark:
+            return result
+        detail = stats.summary()
+        if detail is not None:
+            shown = p.shows if stats.fired else ""
+            trace.record(
+                p.phase,
+                p.rule,
+                stats.fired,
+                detail=detail,
+                site=site,
+                before=value if "before" in shown else None,
+                after=result if "after" in shown else None,
+            )
+        if p.decision_rule is not None:
+            for decision in stats.decisions:
+                trace.record(
+                    p.phase, p.decision_rule, True, detail=decision, site=site
+                )
+        return result
+
+    def plan_context(self) -> PlanContext:
+        """What the plan-level passes may assume around the current site."""
+        return PlanContext(
+            in_loop=self.in_loop,
+            cached_names=frozenset(
+                d.name for d in self.report.cache_decisions
+            ),
+            stateful_names=frozenset(self.stateful_names),
+            partition_keys=self.report.partition_keys,
+            loop_mutated=self.loop_mutated,
+        )
 
     def compile_site(self, expr: Expr) -> Combinator:
         site = self.report.dataflow_sites
-        trace = self.trace
-        norm_stats = NormalizeStats()
-        rewritten = resugar(expr)
-        if trace is not None:
-            trace.record(
-                "site compilation",
-                "resugar",
-                True,
-                detail="MC⁻¹ recovered the comprehension view",
-                site=site,
-                before=expr,
-                after=rewritten,
-            )
-        normalized = normalize(
-            rewritten,
-            unnest_exists=self.config.unnesting,
-            stats=norm_stats,
-        )
-        if trace is not None:
-            total = (
-                norm_stats.exists_unnests
-                + norm_stats.generator_unnests
-                + norm_stats.head_unnests
-            )
-            detail = (
-                f"exists={norm_stats.exists_unnests} "
-                f"generator={norm_stats.generator_unnests} "
-                f"head={norm_stats.head_unnests} unnests"
-            )
-            if not self.config.unnesting:
-                detail += " (exists-unnesting disabled by config)"
-            trace.record(
-                "site compilation",
-                "normalize",
-                total > 0,
-                detail=detail,
-                site=site,
-                before=rewritten if total else None,
-                after=normalized if total else None,
-            )
-        rewritten = normalized
-        self.report.exists_unnests += norm_stats.exists_unnests
-        self.report.generator_unnests += norm_stats.generator_unnests
-        self.report.head_unnests += norm_stats.head_unnests
-        if self.config.fold_group_fusion:
-            fusion = FusionStats()
-            fused = fold_group_fusion(rewritten, fusion)
-            if trace is not None:
-                fired = fusion.fused_groups > 0
-                trace.record(
-                    "site compilation",
-                    "fold-group-fusion",
-                    fired,
-                    detail=(
-                        f"{fusion.fused_groups} group(s) with "
-                        f"{fusion.fused_folds} fold(s) fused into agg_by"
-                        if fired
-                        else "no group consumed exclusively by folds"
-                    ),
-                    site=site,
-                    before=rewritten if fired else None,
-                    after=fused if fired else None,
-                )
-            rewritten = fused
-            self.report.fused_groups += fusion.fused_groups
-            self.report.fused_folds += fusion.fused_folds
-        elif trace is not None:
-            trace.record(
-                "site compilation",
-                "fold-group-fusion",
-                False,
-                detail="disabled by config",
-                site=site,
-            )
-        self.partition_uses.extend(
-            collect_partition_uses(rewritten, self._in_loop)
-        )
-        plan = lower(
-            rewritten,
-            LoweringContext(
-                driver_vars=frozenset(self.bag_names),
-                push_filters=self.config.filter_pushdown,
-                trace=trace,
-                site=site,
-            ),
-        )
-        if trace is not None:
-            trace.record(
-                "site compilation",
-                "lower",
-                True,
-                detail="comprehension realized as a combinator dataflow",
-                site=site,
-                after=plan,
-            )
-        if self.config.udf_reordering != "off":
-            reorder_stats = ReorderStats()
-            reorder_ctx = PlanContext(
-                in_loop=self._in_loop,
-                cached_names=frozenset(
-                    d.name for d in self.report.cache_decisions
-                ),
-                stateful_names=frozenset(self.stateful_names),
-                loop_mutated=self.loop_mutated,
-            )
-            before_events = len(trace) if trace is not None else 0
-            plan = reorder_operators(
-                plan, reorder_stats, reorder_ctx, trace=trace, site=site
-            )
-            self.report.udfs_analyzed += reorder_stats.udfs_analyzed
-            self.report.reorders_applied += reorder_stats.applied
-            self.report.reorders_rejected += reorder_stats.rejected
-            if trace is not None and len(trace) == before_events:
-                trace.record(
-                    "udf reordering",
-                    "push-filter",
-                    False,
-                    detail=(
-                        "no movable filter above a join/grouping/map "
-                        "in this plan"
-                    ),
-                    site=site,
-                )
-        elif trace is not None:
-            trace.record(
-                "udf reordering",
-                "push-filter",
-                False,
-                detail="disabled by config",
-                site=site,
-            )
-        if self.config.operator_chaining:
-            chain_stats = ChainStats()
-            before_events = len(trace) if trace is not None else 0
-            plan = chain_operators(
-                plan, chain_stats, trace=trace, site=site
-            )
-            self.report.operator_chains += chain_stats.chains
-            self.report.chained_operators += (
-                chain_stats.chained_operators
-            )
-            if trace is not None and len(trace) == before_events:
-                trace.record(
-                    "operator chaining",
-                    "chain-fuse",
-                    False,
-                    detail=(
-                        "no run of two or more adjacent record-wise "
-                        "operators in this plan"
-                    ),
-                    site=site,
-                )
-        elif trace is not None:
-            trace.record(
-                "operator chaining",
-                "chain-fuse",
-                False,
-                detail="disabled by config",
-                site=site,
-            )
-        chains_on = (
-            self.config.operator_chaining and self.config.columnar != "off"
-        )
-        if chains_on or self.config.columnar_exchange != "off":
-            col_stats = ColumnarStats()
-            plan = select_columnar(
-                plan,
-                col_stats,
-                trace=trace,
-                site=site,
-                exchange=self.config.columnar_exchange,
-                chains=chains_on,
-            )
-            self.report.columnar_chains += col_stats.columnar_chains
-            self.report.columnar_exchanges += col_stats.columnar_exchanges
-        if not chains_on and trace is not None:
-            trace.record(
-                "columnar selection",
-                "vectorize-chain",
-                False,
-                detail=(
-                    "disabled by config"
-                    if self.config.operator_chaining
-                    else "no fused chains without operator chaining"
-                ),
-                site=site,
-            )
+        view = self.run(SITE_EXPR, expr, site)
+        uses = collect_partition_uses(view, self.in_loop)
+        self.partition_uses.extend(uses)
+        plan = self.run(SITE_PLAN, view, site)
         self.report.dataflow_sites += 1
-        self.sites.append((rewritten, plan, self._in_loop))
+        self.sites.append((view, plan, self.in_loop))
         return plan
 
-    # -- expression walk ------------------------------------------------------
+    # -- expression walk ----------------------------------------------------
 
     def compile_expr(self, expr: Expr) -> Expr:
         if isinstance(expr, WriteCall):
@@ -662,13 +713,10 @@ class _SiteCompiler:
             return expr.name in self.bag_names
         return False
 
-    # -- statement walk -----------------------------------------------------------
+    # -- statement walk -----------------------------------------------------
 
     def compile_block(self, stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
-        out: list[Stmt] = []
-        for stmt in stmts:
-            out.append(self.compile_stmt(stmt))
-        return tuple(out)
+        return tuple(self.compile_stmt(stmt) for stmt in stmts)
 
     def compile_stmt(self, stmt: Stmt) -> Stmt:
         if isinstance(stmt, SAssign):
@@ -690,15 +738,15 @@ class _SiteCompiler:
             return replace(stmt, value=self.compile_expr(stmt.value))
         if isinstance(stmt, SWhile):
             cond = self.compile_expr(stmt.cond)
-            prev, self._in_loop = self._in_loop, True
+            prev, self.in_loop = self.in_loop, True
             body = self.compile_block(stmt.body)
-            self._in_loop = prev
+            self.in_loop = prev
             return replace(stmt, cond=cond, body=body)
         if isinstance(stmt, SFor):
             iterable = self.compile_expr(stmt.iterable)
-            prev, self._in_loop = self._in_loop, True
+            prev, self.in_loop = self.in_loop, True
             body = self.compile_block(stmt.body)
-            self._in_loop = prev
+            self.in_loop = prev
             return replace(stmt, iterable=iterable, body=body)
         if isinstance(stmt, SIf):
             return replace(
@@ -718,198 +766,34 @@ def compile_program(
     program: DriverProgram, config: EmmaConfig | None = None
 ) -> CompiledProgram:
     """Run the full pipeline; see the module docstring."""
-    import time
-
-    from repro.optimizer.fingerprint import (
-        PLAN_KNOBS,
-        plan_fingerprint,
-    )
-
     started = time.perf_counter()
-    config = config or EmmaConfig()
-    report = OptimizationReport(config=config)
-    trace = CompileTrace()
-
-    # 0. Fingerprint: the content identity of (lifted IR, plan knobs),
-    # computed *before* any rewriting so a plan cache can key lookups
-    # without compiling (:mod:`repro.engines.plancache`).
-    fingerprint = plan_fingerprint(program, config)
-    trace.record(
-        "fingerprint",
-        "plan-fingerprint",
-        True,
-        detail=(
-            f"sha256:{fingerprint[:12]} over canonical IR + "
-            f"{len(PLAN_KNOBS)} plan-affecting knobs"
-        ),
-    )
-
-    # 1. Inlining.
-    if config.inlining:
-        before_program = program
-        program, inlined = inline_single_use(program)
-        report.inlined_definitions = inlined
-        trace.record(
-            "inlining",
-            "inline-single-use",
-            inlined > 0,
-            detail=(
-                f"{inlined} single-use definition(s) spliced into "
-                "their consumers"
-                if inlined
-                else "no single-use bag definitions"
-            ),
-            before=before_program if inlined else None,
-            after=program if inlined else None,
-        )
-    else:
-        trace.record(
-            "inlining",
-            "inline-single-use",
-            False,
-            detail="disabled by config",
-        )
-
-    # 2. Caching analysis (before sites are replaced by plans).
-    if config.caching:
-        decisions = plan_caching(program)
-        report.cache_decisions = decisions
-        if decisions:
-            for d in decisions:
-                trace.record(
-                    "caching",
-                    "cache-insert",
-                    True,
-                    detail=f"{d.name}: {d.reason}",
-                )
-        else:
-            trace.record(
-                "caching",
-                "cache-insert",
-                False,
-                detail="no loop-invariant multi-use bags",
+    c = _Compiler(config or EmmaConfig())
+    # The fingerprint is taken first, before any rewriting, so a plan
+    # cache can key lookups without compiling.
+    program = c.run(PROGRAM, program)
+    # Collected up front for the per-site reordering pass (replacing
+    # sites by plans does not change which names loops assign).
+    c.loop_mutated = loop_mutated_names(program)
+    c.bag_names |= set(program.bag_params)
+    program = program.with_body(c.compile_block(program.body))
+    program = c.run(POST_PROGRAM, program)
+    for p in PASSES:
+        if p.scope == POST_PLAN and c.enabled(p):
+            plan_map: dict[int, Combinator] = {}
+            for idx, (expr, plan, in_loop) in enumerate(c.sites):
+                c.in_loop = in_loop
+                annotated = plan_map[id(plan)] = c.apply(p, plan, idx)
+                c.sites[idx] = (expr, annotated, in_loop)
+            program = program.with_body(
+                _replace_site_plans(program.body, plan_map)
             )
-        program = insert_cache_statements(program, decisions)
-    else:
-        trace.record(
-            "caching", "cache-insert", False, detail="disabled by config"
-        )
-
-    # 3. Per-site compilation.  Loop-mutated names are collected up
-    # front so the per-site reordering pass can consult them (the
-    # mutation structure of the driver IR does not change when sites
-    # are replaced by plans).
-    compiler = _SiteCompiler(
-        config,
-        report,
-        trace=trace,
-        loop_mutated=loop_mutated_names(program),
-    )
-    compiler.bag_names |= set(program.bag_params)
-    compiled_body = compiler.compile_block(program.body)
-    compiled = program.with_body(compiled_body)
-
-    # 4. Partition pulling.
-    partition_keys: dict[str, ScalarFn] = {}
-    if config.partition_pulling and report.cache_decisions:
-        cached = {d.name for d in report.cache_decisions}
-        partition_keys = choose_partition_keys(
-            compiler.partition_uses, cached
-        )
-        report.partition_keys = partition_keys
-        if partition_keys:
-            for name, key in partition_keys.items():
-                trace.record(
-                    "partition pulling",
-                    "partition-key",
-                    True,
-                    detail=(
-                        f"{name} hash-partitioned on "
-                        f"{key.describe()} at its cache site"
-                    ),
-                )
-        else:
-            trace.record(
-                "partition pulling",
-                "partition-key",
-                False,
-                detail="no join/group key observed over cached names",
-            )
-    elif config.partition_pulling:
-        trace.record(
-            "partition pulling",
-            "partition-key",
-            False,
-            detail="nothing cached to pre-partition",
-        )
-    else:
-        trace.record(
-            "partition pulling",
-            "partition-key",
-            False,
-            detail="disabled by config",
-        )
-
-    # 5. Physical planning: the interesting-properties pass annotates
-    # every site plan with delivered/required partitionings, shuffle-
-    # input motion classes, and plan-time join strategies.
-    sites = compiler.sites
-    if config.physical_planning:
-        cached_names = frozenset(
-            d.name for d in report.cache_decisions
-        )
-        mutated = compiler.loop_mutated
-        plan_map: dict[int, Combinator] = {}
-        new_sites: list[tuple[Expr, Combinator, bool]] = []
-        for idx, (expr, plan, in_loop) in enumerate(sites):
-            ctx = PlanContext(
-                in_loop=in_loop,
-                cached_names=cached_names,
-                stateful_names=frozenset(compiler.stateful_names),
-                partition_keys=partition_keys,
-                loop_mutated=mutated,
-            )
-            annotated, stats = annotate_physical(plan, ctx)
-            plan_map[id(plan)] = annotated
-            new_sites.append((expr, annotated, in_loop))
-            report.physical_joins += stats.annotated_joins
-            report.elidable_shuffle_inputs += stats.elidable_inputs
-            report.hoistable_shuffle_inputs += stats.hoistable_inputs
-            trace.record(
-                "physical planning",
-                "interesting-properties",
-                stats.fired,
-                detail=stats.summary(),
-                site=idx,
-                after=annotated if stats.fired else None,
-            )
-            for decision in stats.decisions:
-                trace.record(
-                    "physical planning",
-                    "join-strategy",
-                    True,
-                    detail=decision,
-                    site=idx,
-                )
-        sites = new_sites
-        compiled = compiled.with_body(
-            _replace_site_plans(compiled.body, plan_map)
-        )
-    else:
-        trace.record(
-            "physical planning",
-            "interesting-properties",
-            False,
-            detail="disabled by config",
-        )
-
     return CompiledProgram(
-        program=compiled,
-        partition_keys=partition_keys,
-        report=report,
-        sites=sites,
-        trace=trace,
-        fingerprint=fingerprint,
+        program=program,
+        partition_keys=c.report.partition_keys,
+        report=c.report,
+        sites=c.sites,
+        trace=c.trace,
+        fingerprint=c.fingerprint,
         compile_seconds=time.perf_counter() - started,
     )
 
@@ -920,43 +804,17 @@ def _replace_site_plans(
     """Swap every embedded :class:`PlanExpr`'s plan for its annotated
     copy (matched by the original plan object's identity)."""
 
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, PlanExpr):
-            changes: dict[str, Any] = {}
-            annotated = plan_map.get(id(expr.plan))
-            if annotated is not None:
-                changes["plan"] = annotated
-            if expr.path is not None:
-                changes["path"] = rewrite_expr(expr.path)
-            return replace(expr, **changes) if changes else expr
-        return expr.rebuild(rewrite_expr)
+    def rewrite(node: Any) -> Any:
+        if isinstance(node, Expr):
+            node = node.rebuild(rewrite)
+            if isinstance(node, PlanExpr):
+                plan = plan_map.get(id(node.plan), node.plan)
+                node = replace(node, plan=plan)
+        elif isinstance(node, tuple):
+            node = tuple(rewrite(item) for item in node)
+        elif isinstance(node, Stmt):
+            values = ((f.name, getattr(node, f.name)) for f in fields(node))
+            node = replace(node, **{k: rewrite(v) for k, v in values})
+        return node
 
-    def rewrite_stmt(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, (SAssign, SExpr)):
-            return replace(stmt, value=rewrite_expr(stmt.value))
-        if isinstance(stmt, SReturn):
-            if stmt.value is None:
-                return stmt
-            return replace(stmt, value=rewrite_expr(stmt.value))
-        if isinstance(stmt, SWhile):
-            return replace(
-                stmt,
-                cond=rewrite_expr(stmt.cond),
-                body=tuple(rewrite_stmt(s) for s in stmt.body),
-            )
-        if isinstance(stmt, SFor):
-            return replace(
-                stmt,
-                iterable=rewrite_expr(stmt.iterable),
-                body=tuple(rewrite_stmt(s) for s in stmt.body),
-            )
-        if isinstance(stmt, SIf):
-            return replace(
-                stmt,
-                cond=rewrite_expr(stmt.cond),
-                then=tuple(rewrite_stmt(s) for s in stmt.then),
-                orelse=tuple(rewrite_stmt(s) for s in stmt.orelse),
-            )
-        return stmt
-
-    return tuple(rewrite_stmt(s) for s in stmts)
+    return rewrite(stmts)

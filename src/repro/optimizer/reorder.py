@@ -101,6 +101,15 @@ class ReorderStats:
     udfs_analyzed: int = 0
     decisions: list[str] = field(default_factory=list)
 
+    @property
+    def fired(self) -> bool:
+        return self.applied > 0
+
+    def summary(self) -> str:
+        """The provenance line of a site with no candidate at all
+        (every push and rejection is recorded by the pass itself)."""
+        return "no movable filter above a join/grouping/map in this plan"
+
 
 class _Reorderer:
     def __init__(

@@ -23,7 +23,7 @@ from repro.workloads.kmeans import initial_centroids, kmeans
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 PLANES = ("off", "on")
 
 #: Beyond ``metrics.HOST_DEPENDENT``, this suite's axis is the columnar

@@ -28,7 +28,7 @@ from repro.workloads import graphs
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 PLANES = ("off", "on")
 
 #: Beyond ``metrics.HOST_DEPENDENT``, the accounting of the layers this
@@ -152,16 +152,13 @@ def _run_matrix(
             assert _engagement(raw) > 0, f"{key}: plane never engaged"
     if engages:
         on_serial = outcomes[("on", "serial")][2]
-        on_threads = outcomes[("on", "threads")][2]
         on_procs = outcomes[("on", "processes")][2]
         # Engagement is decided driver-side from partition content, so
         # the counts themselves are mode-invariant.
-        assert _engagement(on_serial) == _engagement(on_threads)
         assert _engagement(on_serial) == _engagement(on_procs)
         # Blocks only "ship" across a process boundary.
         assert on_procs.columnar_blocks_shipped > 0
         assert on_serial.columnar_blocks_shipped == 0
-        assert on_threads.columnar_blocks_shipped == 0
     return outcomes
 
 

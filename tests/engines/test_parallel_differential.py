@@ -51,7 +51,7 @@ from repro.workloads.kmeans import initial_centroids, kmeans
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 
 
 @pytest.fixture(scope="module")
@@ -121,15 +121,14 @@ def _run_all_modes(world, algo, fault_plan=None, **params):
         submitted[mode] = engine.scheduler.submitted
     base_records, base_metrics, _ = outcomes["serial"]
     assert submitted["serial"], "serial mode ran no task specs"
-    for mode in ("threads", "processes"):
-        records, metrics, raw = outcomes[mode]
-        assert records == base_records, f"{mode} diverged from serial"
-        assert metrics == base_metrics, f"{mode} metrics diverged"
-        assert submitted[mode] == submitted["serial"], (
-            f"{mode} scheduled a different task sequence than serial"
-        )
-        assert raw.parallel_tasks > 0
-        assert raw.serial_fallbacks == 0
+    records, metrics, raw = outcomes["processes"]
+    assert records == base_records, "processes diverged from serial"
+    assert metrics == base_metrics, "processes metrics diverged"
+    assert submitted["processes"] == submitted["serial"], (
+        "processes scheduled a different task sequence than serial"
+    )
+    assert raw.parallel_tasks > 0
+    assert raw.serial_fallbacks == 0
     return outcomes
 
 
@@ -341,5 +340,4 @@ class TestEveryOperatorOnePath:
             )
             assert engine.metrics.serial_fallbacks == 0
         assert {label for label, _ in runs["serial"][2]} == labels
-        assert runs["threads"] == runs["serial"]
         assert runs["processes"] == runs["serial"]

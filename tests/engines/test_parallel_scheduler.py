@@ -1,6 +1,6 @@
 """Unit tests for the host-parallel partition-task scheduler.
 
-Covers the scheduler's three modes, the flat fan-out of mixed task
+Covers the scheduler's two modes, the flat fan-out of mixed task
 lists, deterministic by-position merging under out-of-order
 completion, speculative straggler re-execution, the source-shipping
 pickle layer (one ``Udf`` value), the EngineError-not-PicklingError
@@ -89,45 +89,43 @@ class TestSchedulerModes:
             cluster=ClusterConfig(num_workers=2), execution_mode="serial"
         )
         assert engine.scheduler.mode == "serial"
-        engine.configure_execution("threads", max_parallel_tasks=3)
+        engine.configure_execution("processes", max_parallel_tasks=3)
         scheduler = engine.scheduler
-        assert scheduler.mode == "threads" and scheduler.width == 3
+        assert scheduler.mode == "processes" and scheduler.width == 3
         engine.configure_execution("serial")
         assert engine.scheduler is not scheduler
 
-    @pytest.mark.parametrize("mode", ["serial", "threads"])
+    @pytest.mark.parametrize("mode", ["serial", "processes"])
     def test_run_stage_merges_by_task_index(self, mode):
-        scheduler = TaskScheduler(mode=mode, max_parallel_tasks=4)
+        scheduler = TaskScheduler(mode=mode, max_parallel_tasks=2)
         spec = EchoSpec()
         tasks = [
             PartitionTask(i, spec, [i, i + 1]) for i in range(6)
         ]
-        try:
-            out = scheduler.run_stage(tasks)
-        finally:
-            scheduler.close()
+        metrics = Metrics()
+        out = scheduler.run_stage(tasks, metrics=metrics)
         assert out == [[i, i + 1] * 2 for i in range(6)]
+        assert metrics.serial_fallbacks == 0
 
     def test_out_of_order_completion_keeps_order(self):
         # Later tasks finish first; the merge must stay positional.
         scheduler = TaskScheduler(
-            mode="threads", max_parallel_tasks=4, speculation=False
+            mode="processes", max_parallel_tasks=2, speculation=False
         )
         spec = SleepSpec()
-        delays = [0.15, 0.1, 0.05, 0.0]
+        delays = [0.3, 0.0, 0.0, 0.0]
         tasks = [
             PartitionTask(i, spec, (d, i))
             for i, d in enumerate(delays)
         ]
-        try:
-            out = scheduler.run_stage(tasks)
-        finally:
-            scheduler.close()
+        metrics = Metrics()
+        out = scheduler.run_stage(tasks, metrics=metrics)
         assert out == [0, 1, 2, 3]
+        assert metrics.serial_fallbacks == 0
 
 
 class TestMixedFanOut:
-    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("mode", ["serial", "processes"])
     def test_two_task_lists_keep_order(self, mode):
         # The repartition join's shape: left tasks then right tasks go
         # down as one list and come back split by position.
@@ -141,10 +139,7 @@ class TestMixedFanOut:
         ]
         scheduler = TaskScheduler(mode=mode, max_parallel_tasks=2)
         metrics = Metrics()
-        try:
-            out = scheduler.run_stage(left + right, metrics=metrics)
-        finally:
-            scheduler.close()
+        out = scheduler.run_stage(left + right, metrics=metrics)
         assert out[: len(left)] == [[0, 0], [1, 1], [2, 2]]
         assert out[len(left) :] == [([1], ()), ([11], ())]
         assert metrics.serial_fallbacks == 0
@@ -154,25 +149,28 @@ class TestMixedFanOut:
 class TestSpeculation:
     def test_straggler_is_relaunched(self):
         scheduler = TaskScheduler(
-            mode="threads",
-            max_parallel_tasks=4,
+            mode="processes",
+            max_parallel_tasks=2,
             speculation=True,
             speculation_quantile=0.5,
             speculation_factor=1.0,
             min_speculation_seconds=0.05,
         )
         spec = SleepSpec()
+        # Start the pool's workers first: a worker's spawn time would
+        # otherwise count into the durations the threshold is set from.
+        scheduler.run_stage(
+            [PartitionTask(i, spec, (0.0, i)) for i in range(2)]
+        )
         delays = [0.0, 0.0, 0.0, 0.6]
         tasks = [
             PartitionTask(i, spec, (d, i))
             for i, d in enumerate(delays)
         ]
         metrics = Metrics()
-        try:
-            out = scheduler.run_stage(tasks, metrics=metrics)
-        finally:
-            scheduler.close()
+        out = scheduler.run_stage(tasks, metrics=metrics)
         assert out == [0, 1, 2, 3]
+        assert metrics.serial_fallbacks == 0
         assert metrics.speculative_launches >= 1
         assert any(
             name == "speculative-launch"

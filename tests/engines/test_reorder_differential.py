@@ -17,7 +17,7 @@ from repro.engines.sparklike import SparkLikeEngine
 from repro.optimizer.pipeline import EmmaConfig
 from repro.workloads.tpch import stage_tpch, tpch_q4, tpch_q4_udf
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 
 #: Small enough that neither the raw nor the filtered build side can
 #: be broadcast: both configurations realize the join by

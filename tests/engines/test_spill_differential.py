@@ -22,7 +22,7 @@ from repro.workloads import graphs
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 
 #: Driver budget tight enough to force real evictions on these
 #: workloads, loose enough that pinned working sets still fit.

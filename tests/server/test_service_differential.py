@@ -31,7 +31,7 @@ from repro.workloads import graphs
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 
 #: The acceptance budget: tight enough to evict, roomy enough to run.
 BUDGET = 256 * 1024
@@ -252,7 +252,7 @@ class TestResultHitServesIdentically:
         plan = FaultPlan.aggressive()
         svc = JobService(
             lambda dfs: _engine(
-                {"dfs": dfs}, "threads", fault_plan=plan
+                {"dfs": dfs}, "processes", fault_plan=plan
             ),
             dfs=world["dfs"],
             cache=PlanCache(cache_dir=str(tmp_path)),
@@ -264,7 +264,7 @@ class TestResultHitServesIdentically:
                 "num_pages": n,
                 "max_iterations": 4,
             }
-            config = _config("threads", budget=BUDGET)
+            config = _config("processes", budget=BUDGET)
             cold = svc.submit(pagerank, params, config=config).result(
                 timeout=120
             )

@@ -226,11 +226,11 @@ int_bags = st.lists(
 )
 
 
-#: how the scheduler dispatches partition tasks: inline or on a thread
-#: pool, plus whatever ``REPRO_EXECUTION_MODE`` makes the default (the
-#: parallel-backend CI job runs this file under ``processes``)
+#: how the scheduler dispatches partition tasks: inline, plus whatever
+#: ``REPRO_EXECUTION_MODE`` makes the default (the parallel-backend CI
+#: job runs this file under ``processes``)
 execution_modes = st.sampled_from(
-    sorted({"serial", "threads", default_execution_mode()})
+    sorted({"serial", default_execution_mode()})
 )
 
 
