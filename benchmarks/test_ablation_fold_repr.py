@@ -17,7 +17,7 @@ distributed engine would have to move: partials vs full partitions.
 import pytest
 
 from repro.algebra.adt import ins_tree_of
-from repro.algebra.fold import fold_ins_tree, sum_algebra
+from repro.algebra.fold import FOLD_ALIASES, fold_ins_tree
 from repro.engines.sizes import estimate_record_bytes
 
 N = 40_000
@@ -32,7 +32,7 @@ def partitions():
 
 
 def test_union_fold_ships_partials(benchmark, partitions):
-    algebra = sum_algebra()
+    algebra = FOLD_ALIASES["sum"][1]()
 
     def run():
         partials = [algebra(p) for p in partitions]

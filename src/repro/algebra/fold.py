@@ -11,10 +11,14 @@ used by the paper's fold-group fusion): a tuple of folds over the same
 bag equals a single fold over tuples, with the component algebras applied
 pointwise.  ``product_algebra`` builds that combined algebra and is the
 workhorse behind ``groupBy -> aggBy`` rewriting.
+
+``FOLD_ALIASES`` gives each of ``DataBag``'s fold aliases (``sum``,
+``count``, ``min_by`` ...) its algebra, once, for every reader.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
@@ -165,91 +169,84 @@ def product_algebra(
 
 
 # ---------------------------------------------------------------------------
-# A small catalogue of common fold algebras (the DataBag aliases build on
-# these; they are also handy in tests).
+# The fold aliases (paper Listing 3).  ``FOLD_ALIASES`` is the one place
+# an alias's zero, singleton and union are written: ``DataBag``'s alias
+# methods, the lifted interpreter (``AlgebraSpec.make_algebra``) and the
+# law tests all read it.  ``FOLD_TEMPLATES`` in
+# :mod:`repro.comprehension.exprs` is its compiled form, kept as separate
+# source so that generated kernels are checked against a reference that
+# is not generated from the code under test.
 # ---------------------------------------------------------------------------
 
 
-def sum_algebra(key: Callable[[A], object] = lambda x: x) -> FoldAlgebra:
-    """``sum`` as a fold: ``(0, key, +)``."""
+def zero_factory(zero: B | Callable[[], B]) -> Callable[[], B]:
+    """A ``fold`` zero as a factory: a 0-ary callable already is one
+    (pass one when the zero is mutable); any other value is wrapped."""
+    return zero if callable(zero) else lambda: zero
+
+
+def _identity(x: A) -> A:
+    return x
+
+
+def _option(name: str, keep: Callable[[A, A], bool]) -> FoldAlgebra:
+    """``name`` over the option monoid: ``None`` is the zero, otherwise
+    ``union(a, b)`` is ``a`` if ``keep(a, b)`` and ``b`` if not."""
     return FoldAlgebra(
-        zero=lambda: 0,
-        singleton=key,
-        union=lambda x, y: x + y,
-        name="sum",
+        lambda: None,
+        _identity,
+        lambda a, b: (
+            b if a is None else a if b is None else a if keep(a, b) else b
+        ),
+        name,
     )
 
 
-def count_algebra() -> FoldAlgebra:
-    """``count`` as a fold: ``(0, const 1, +)``."""
-    return FoldAlgebra(
-        zero=lambda: 0,
-        singleton=lambda _x: 1,
-        union=lambda x, y: x + y,
-        name="count",
-    )
-
-
-def min_algebra(key: Callable[[A], object] = lambda x: x) -> FoldAlgebra:
-    """``min`` as a fold over the option monoid (``None`` is the zero)."""
-
-    def union(x: object, y: object) -> object:
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return x if x <= y else y  # type: ignore[operator]
-
-    return FoldAlgebra(
-        zero=lambda: None, singleton=key, union=union, name="min"
-    )
-
-
-def max_algebra(key: Callable[[A], object] = lambda x: x) -> FoldAlgebra:
-    """``max`` as a fold over the option monoid (``None`` is the zero)."""
-
-    def union(x: object, y: object) -> object:
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return x if x >= y else y  # type: ignore[operator]
-
-    return FoldAlgebra(
-        zero=lambda: None, singleton=key, union=union, name="max"
-    )
-
-
-def exists_algebra(predicate: Callable[[A], bool]) -> FoldAlgebra:
-    """``exists p`` as a fold: ``(False, p, or)``."""
-    return FoldAlgebra(
-        zero=lambda: False,
-        singleton=lambda x: bool(predicate(x)),
-        union=lambda x, y: x or y,
-        name="exists",
-    )
-
-
-def forall_algebra(predicate: Callable[[A], bool]) -> FoldAlgebra:
-    """``forall p`` as a fold: ``(True, p, and)``."""
-    return FoldAlgebra(
-        zero=lambda: True,
-        singleton=lambda x: bool(predicate(x)),
-        union=lambda x, y: x and y,
-        name="forall",
-    )
-
-
-def bag_algebra() -> FoldAlgebra:
-    """The identity fold — rebuilds the bag itself (as a list).
-
-    Fold-build fusion (Section 4.2.2) replaces this algebra, used
-    implicitly by ``groupBy`` to *construct* group values, with the
-    consuming fold's algebra.
-    """
-    return FoldAlgebra(
-        zero=list,
-        singleton=lambda x: [x],
-        union=lambda x, y: x + y,
-        name="bag",
-    )
+#: alias name -> (argument count, algebra builder over the evaluated
+#: arguments).  ``min`` / ``max`` are ``min_by`` / ``max_by`` with the
+#: identity key — the option monoid on ``<=`` / ``>=`` — so a value
+#: that compares false both ways (``nan``) is kept or dropped alike
+#: natively, lifted and compiled.
+FOLD_ALIASES: dict[str, tuple[int, Callable[..., FoldAlgebra]]] = {
+    "fold": (3, lambda e, s, u: FoldAlgebra(zero_factory(e), s, u, "fold")),
+    "sum": (
+        0,
+        lambda: FoldAlgebra(lambda: 0, _identity, operator.add, "sum"),
+    ),
+    "product": (
+        0,
+        lambda: FoldAlgebra(lambda: 1, _identity, operator.mul, "product"),
+    ),
+    "count": (
+        0,
+        lambda: FoldAlgebra(lambda: 0, lambda _x: 1, operator.add, "count"),
+    ),
+    "is_empty": (
+        0,
+        lambda: FoldAlgebra(
+            lambda: True, lambda _x: False, lambda a, b: a and b, "is_empty"
+        ),
+    ),
+    "non_empty": (
+        0,
+        lambda: FoldAlgebra(
+            lambda: False, lambda _x: True, lambda a, b: a or b, "non_empty"
+        ),
+    ),
+    "min": (0, lambda: _option("min", operator.le)),
+    "max": (0, lambda: _option("max", operator.ge)),
+    "exists": (
+        1,
+        lambda p: FoldAlgebra(
+            lambda: False, lambda x: bool(p(x)), lambda a, b: a or b, "exists"
+        ),
+    ),
+    "forall": (
+        1,
+        lambda p: FoldAlgebra(
+            lambda: True, lambda x: bool(p(x)), lambda a, b: a and b, "forall"
+        ),
+    ),
+    "min_by": (1, lambda k: _option("min_by", lambda a, b: k(a) <= k(b))),
+    "max_by": (1, lambda k: _option("max_by", lambda a, b: k(a) >= k(b))),
+}

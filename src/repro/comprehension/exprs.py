@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.algebra.fold import FoldAlgebra, product_algebra
+from repro.algebra.fold import FOLD_ALIASES, FoldAlgebra, zero_factory
 from repro.core.databag import DataBag
 from repro.errors import ComprehensionError
 
@@ -721,136 +721,22 @@ def compile_scalar_source(
 # ---------------------------------------------------------------------------
 
 
-def _as_zero_factory(value: Any) -> Callable[[], Any]:
-    """Interpret a fold zero argument: 0-ary callables act as factories."""
-    if callable(value):
-        return value
-    return lambda: value
-
-
-def _build_fold(zero: Any, sng: Callable, uni: Callable) -> FoldAlgebra:
-    return FoldAlgebra(
-        zero=_as_zero_factory(zero), singleton=sng, union=uni, name="fold"
-    )
-
-
-#: alias name -> (argument count, algebra builder over evaluated args)
-FOLD_ALIASES: dict[str, tuple[int, Callable[..., FoldAlgebra]]] = {
-    "fold": (3, _build_fold),
-    "sum": (
-        0,
-        lambda: FoldAlgebra(
-            lambda: 0, lambda x: x, lambda a, b: a + b, name="sum"
-        ),
-    ),
-    "product": (
-        0,
-        lambda: FoldAlgebra(
-            lambda: 1, lambda x: x, lambda a, b: a * b, name="product"
-        ),
-    ),
-    "count": (
-        0,
-        lambda: FoldAlgebra(
-            lambda: 0, lambda _x: 1, lambda a, b: a + b, name="count"
-        ),
-    ),
-    "is_empty": (
-        0,
-        lambda: FoldAlgebra(
-            lambda: True,
-            lambda _x: False,
-            lambda a, b: a and b,
-            name="is_empty",
-        ),
-    ),
-    "non_empty": (
-        0,
-        lambda: FoldAlgebra(
-            lambda: False,
-            lambda _x: True,
-            lambda a, b: a or b,
-            name="non_empty",
-        ),
-    ),
-    "min": (
-        0,
-        lambda: FoldAlgebra(
-            lambda: None,
-            lambda x: x,
-            lambda a, b: b if a is None else a if b is None else min(a, b),
-            name="min",
-        ),
-    ),
-    "max": (
-        0,
-        lambda: FoldAlgebra(
-            lambda: None,
-            lambda x: x,
-            lambda a, b: b if a is None else a if b is None else max(a, b),
-            name="max",
-        ),
-    ),
-    "exists": (
-        1,
-        lambda p: FoldAlgebra(
-            lambda: False,
-            lambda x: bool(p(x)),
-            lambda a, b: a or b,
-            name="exists",
-        ),
-    ),
-    "forall": (
-        1,
-        lambda p: FoldAlgebra(
-            lambda: True,
-            lambda x: bool(p(x)),
-            lambda a, b: a and b,
-            name="forall",
-        ),
-    ),
-    "min_by": (
-        1,
-        lambda key: FoldAlgebra(
-            lambda: None,
-            lambda x: x,
-            lambda a, b: (
-                b
-                if a is None
-                else a
-                if b is None
-                else (a if key(a) <= key(b) else b)
-            ),
-            name="min_by",
-        ),
-    ),
-    "max_by": (
-        1,
-        lambda key: FoldAlgebra(
-            lambda: None,
-            lambda x: x,
-            lambda a, b: (
-                b
-                if a is None
-                else a
-                if b is None
-                else (a if key(a) >= key(b) else b)
-            ),
-            name="max_by",
-        ),
-    ),
-}
-
-
-#: option-monoid union: ``None`` is the zero, ``{pick}`` chooses otherwise
-_OPTION = "({b} if {a} is None else {a} if {b} is None else {pick})"
+#: option-monoid union: ``None`` is the zero, otherwise ``{a}`` is kept
+#: when ``{keep}`` holds and ``{b}`` when it does not
+_OPTION = (
+    "({b} if {a} is None else {a} if {b} is None"
+    " else ({a} if {keep} else {b}))"
+)
 
 #: alias name -> (zero, singleton, union) as *source templates* — what
 #: the code generators inline where the interpreter calls the
-#: ``FOLD_ALIASES`` algebra, entry for entry the same functions.
-#: ``{x}`` is the element, ``{a}``/``{b}`` the union's operands, and
-#: ``{a0}``.. the alias's evaluated arguments; helpers are spelled
-#: ``_cv_*`` (see ``_FOLD_HELPERS``) so no user binding can shadow them.
+#: :data:`~repro.algebra.fold.FOLD_ALIASES` algebra, entry for entry the
+#: same functions.  Written out here rather than generated from that
+#: table, so the compiled kernels are checked against an independent
+#: reference.  ``{x}`` is the element, ``{a}``/``{b}`` the union's
+#: operands, and ``{a0}``.. the alias's evaluated arguments; helpers are
+#: spelled ``_cv_*`` (see ``_FOLD_HELPERS``) so no user binding can
+#: shadow them.
 FOLD_TEMPLATES: dict[str, tuple[str, str, str]] = {
     "fold": ("_cv_zero({a0})()", "{a1}({x})", "{a2}({a}, {b})"),
     "sum": ("0", "{x}", "({a} + {b})"),
@@ -858,28 +744,23 @@ FOLD_TEMPLATES: dict[str, tuple[str, str, str]] = {
     "count": ("0", "1", "({a} + {b})"),
     "is_empty": ("True", "False", "({a} and {b})"),
     "non_empty": ("False", "True", "({a} or {b})"),
-    "min": ("None", "{x}", _OPTION.replace("{pick}", "_cv_min({a}, {b})")),
-    "max": ("None", "{x}", _OPTION.replace("{pick}", "_cv_max({a}, {b})")),
+    "min": ("None", "{x}", _OPTION.replace("{keep}", "{a} <= {b}")),
+    "max": ("None", "{x}", _OPTION.replace("{keep}", "{a} >= {b}")),
     "exists": ("False", "_cv_bool({a0}({x}))", "({a} or {b})"),
     "forall": ("True", "_cv_bool({a0}({x}))", "({a} and {b})"),
     "min_by": (
         "None",
         "{x}",
-        _OPTION.replace("{pick}", "({a} if {a0}({a}) <= {a0}({b}) else {b})"),
+        _OPTION.replace("{keep}", "{a0}({a}) <= {a0}({b})"),
     ),
     "max_by": (
         "None",
         "{x}",
-        _OPTION.replace("{pick}", "({a} if {a0}({a}) >= {a0}({b}) else {b})"),
+        _OPTION.replace("{keep}", "{a0}({a}) >= {a0}({b})"),
     ),
 }
 
-_FOLD_HELPERS: dict[str, Any] = {
-    "_cv_zero": _as_zero_factory,
-    "_cv_min": min,
-    "_cv_max": max,
-    "_cv_bool": bool,
-}
+_FOLD_HELPERS: dict[str, Any] = {"_cv_zero": zero_factory, "_cv_bool": bool}
 
 
 @dataclass(frozen=True)
@@ -1058,13 +939,6 @@ class AlgebraSpec:
         return dataclasses.replace(
             self, var=var, head=head, guards=guards
         )
-
-
-def make_product_spec_algebra(
-    specs: tuple[AlgebraSpec, ...], env: Env
-) -> FoldAlgebra:
-    """Banana-split at runtime: product of the specs' concrete algebras."""
-    return product_algebra([spec.make_algebra(env) for spec in specs])
 
 
 # ---------------------------------------------------------------------------

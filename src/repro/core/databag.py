@@ -9,13 +9,17 @@ faithful Python rendering of the paper's Listing 3:
 * nesting via ``group_by`` — group values are first-class DataBags;
 * ``plus`` (bag union), ``minus`` (bag difference), ``distinct``;
 * structural recursion via ``fold`` and a family of aliases
-  (``sum``, ``count``, ``min``, ``max``, ``min_by``, ``exists`` ...);
+  (``sum``, ``count``, ``min``, ``max``, ``min_by``, ``exists`` ...),
+  each the algebra of its row in :data:`repro.algebra.fold.FOLD_ALIASES`
+  — the row a lifted program evaluates and compiles too, so a fold
+  means the same natively and lifted (``min`` / ``max`` are the option
+  monoid on ``<=`` / ``>=``, not the builtins);
 * conversion to and from host-language sequences.
 
-Everything here executes directly with host-language semantics: the bag
-is list-backed and operators are eager.  This is the "incremental
-development and debugging at small scale" mode of the paper, and it is
-the semantic oracle against which the simulated parallel engines are
+Everything here executes directly on the host: the bag is list-backed
+and operators are eager.  This is the "incremental development and
+debugging at small scale" mode of the paper, and part of the semantic
+oracle against which the simulated parallel engines are
 differential-tested.
 
 Equality between bags is multiset equality — element order never
@@ -34,7 +38,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.algebra.fold import FoldAlgebra
+from repro.algebra.fold import FOLD_ALIASES, FoldAlgebra
 from repro.core.grp import Grp
 
 A = TypeVar("A")
@@ -171,84 +175,70 @@ class DataBag(Generic[A]):
         :func:`repro.algebra.laws.check_fold_well_defined` can spot-check
         it during development.
         """
-        make_zero = zero if callable(zero) else (lambda: zero)
-        algebra: FoldAlgebra[A, B] = FoldAlgebra(
-            zero=make_zero, singleton=singleton, union=union
-        )
-        return algebra(self._data)
+        return self._alias("fold", zero, singleton, union)
 
     def fold_algebra(self, algebra: FoldAlgebra[A, B]) -> B:
         """Apply a prebuilt :class:`FoldAlgebra` to this bag."""
         return algebra(self._data)
 
     # -- fold aliases ----------------------------------------------------
+    #
+    # Each is the ``FOLD_ALIASES`` row of its name — the algebra a lifted
+    # program runs too.
+
+    def _alias(self, alias: str, *args: object) -> B:
+        return FOLD_ALIASES[alias][1](*args)(self._data)
 
     def sum(self) -> A:
         """Sum of the elements: ``fold(0, id, +)``."""
-        return self.fold(0, lambda x: x, lambda x, y: x + y)
+        return self._alias("sum")
 
     def product(self) -> A:
         """Product of the elements: ``fold(1, id, *)``."""
-        return self.fold(1, lambda x: x, lambda x, y: x * y)
+        return self._alias("product")
 
     def count(self) -> int:
         """Number of elements: ``fold(0, const 1, +)``."""
-        return self.fold(0, lambda _x: 1, lambda x, y: x + y)
+        return self._alias("count")
 
     # ``size`` is an alias used in some Emma code samples.
     size = count
 
     def is_empty(self) -> bool:
         """True iff the bag has no elements: ``fold(True, const False, and)``."""
-        return self.fold(True, lambda _x: False, lambda x, y: x and y)
+        return self._alias("is_empty")
 
     def non_empty(self) -> bool:
-        """True iff the bag has at least one element."""
-        return not self.is_empty()
+        """True iff the bag has an element: ``fold(False, const True, or)``."""
+        return self._alias("non_empty")
 
     def exists(self, p: Callable[[A], bool]) -> bool:
         """Existential qualifier: ``fold(False, p, or)``."""
-        return self.fold(False, lambda x: bool(p(x)), lambda x, y: x or y)
+        return self._alias("exists", p)
 
     def forall(self, p: Callable[[A], bool]) -> bool:
         """Universal qualifier: ``fold(True, p, and)``."""
-        return self.fold(True, lambda x: bool(p(x)), lambda x, y: x and y)
+        return self._alias("forall", p)
 
     def min(self) -> A | None:
-        """Minimum element, or ``None`` for the empty bag."""
-        return self.min_by(lambda x: x)
+        """Minimum element, or ``None`` for the empty bag: ``min_by(id)``."""
+        return self._alias("min")
 
     def max(self) -> A | None:
-        """Maximum element, or ``None`` for the empty bag."""
-        return self.max_by(lambda x: x)
+        """Maximum element, or ``None`` for the empty bag: ``max_by(id)``."""
+        return self._alias("max")
 
     def min_by(self, key: Callable[[A], object]) -> A | None:
         """Element with the minimal ``key``, or ``None`` if empty.
 
-        Written as a fold over the option monoid, mirroring the paper's
-        ``minBy`` (the k-means nearest-centroid step uses it).
+        A fold over the option monoid, mirroring the paper's ``minBy``
+        (the k-means nearest-centroid step uses it).
         """
-
-        def union(x: A | None, y: A | None) -> A | None:
-            if x is None:
-                return y
-            if y is None:
-                return x
-            return x if key(x) <= key(y) else y  # type: ignore[operator]
-
-        return self.fold(None, lambda x: x, union)
+        return self._alias("min_by", key)
 
     def max_by(self, key: Callable[[A], object]) -> A | None:
         """Element with the maximal ``key``, or ``None`` if empty."""
-
-        def union(x: A | None, y: A | None) -> A | None:
-            if x is None:
-                return y
-            if y is None:
-                return x
-            return x if key(x) >= key(y) else y  # type: ignore[operator]
-
-        return self.fold(None, lambda x: x, union)
+        return self._alias("max_by", key)
 
     def sample(self, n: int) -> list[A]:
         """Up to ``n`` arbitrary elements (deterministic here: a prefix)."""

@@ -13,6 +13,7 @@ shuffles.
 from __future__ import annotations
 
 import array as _array
+import functools
 import hashlib
 import sys
 import zlib
@@ -72,17 +73,8 @@ def stable_hash(value: Any) -> int:
     order-independently, and dataclass records field-wise (tagged with
     the class name, so two record types with equal field values
     partition differently).  Dicts hash as their ``(key, value)`` item
-    set, which is what lets worker-shipped closure *bindings* (name →
-    captured value mappings) be fingerprinted for the per-worker-process
-    kernel memo of :mod:`repro.engines.scheduler`.
-
-    Typed buffers hash by content: ``array.array`` over its typecode
-    plus raw bytes, numpy arrays over dtype + shape + contiguous
-    bytes, and :class:`~repro.engines.columnar.ColumnBatch` over its
-    schema signature plus per-column Python values — which is what lets
-    input *snapshots* (staged datasets, columnar partitions) be
-    fingerprinted for the result cache of
-    :mod:`repro.engines.plancache`.
+    set.  It places records and nothing else: where a hash must say
+    whether two values *are the same*, use :func:`content_digest`.
 
     Values outside this closed set raise :class:`EngineError` rather
     than falling back to ``repr``: object reprs that embed ``id()``
@@ -119,35 +111,10 @@ def stable_hash(value: Any) -> int:
         return acc & 0xFFFFFFFF
     if value is None:
         return 0
-    if isinstance(value, _array.array):
-        return _combine(0x545950, (value.typecode, value.tobytes()))
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(value, np.ndarray):
-        if not value.dtype.hasobject:
-            contiguous = np.ascontiguousarray(value)
-            return _combine(
-                0x4E4441,
-                (
-                    str(contiguous.dtype),
-                    contiguous.shape,
-                    contiguous.tobytes(),
-                ),
-            )
     if is_dataclass(value) and not isinstance(value, type):
         tag = zlib.crc32(type(value).__qualname__.encode("utf-8"))
         return _combine(
             tag, (getattr(value, f.name) for f in fields(value))
-        )
-    from repro.engines.columnar import ColumnBatch, _column_list
-
-    if isinstance(value, ColumnBatch):
-        columns = tuple(
-            None if col is None else _column_list(col)
-            for col in value.columns
-        )
-        return _combine(
-            0x434F4C,
-            (value.schema.signature(), value.nrows, columns),
         )
     from repro.errors import EngineError
 
@@ -164,8 +131,14 @@ def _frame(tag: bytes, payload: bytes) -> bytes:
     return tag + len(payload).to_bytes(8, "big") + payload
 
 
-def _canonical(value: Any) -> bytes:
-    """A tagged, length-prefixed encoding: equal bytes iff equal content."""
+def canonical_bytes(value: Any) -> bytes:
+    """A tagged, length-prefixed encoding: equal bytes iff equal content.
+
+    Self-delimiting, so a concatenation of encodings still names its
+    parts: a long sequence can be digested item by item
+    (``sha256.update`` per item) without ever holding its whole
+    encoding.
+    """
     if isinstance(value, bool):
         return _frame(b"b", b"1" if value else b"0")
     if isinstance(value, int):
@@ -180,25 +153,25 @@ def _canonical(value: Any) -> bytes:
         return _frame(b"n", b"")
     if isinstance(value, (tuple, list)):
         tag = b"t" if isinstance(value, tuple) else b"l"
-        return _frame(tag, b"".join(_canonical(item) for item in value))
+        return _frame(tag, b"".join(canonical_bytes(item) for item in value))
     if isinstance(value, (set, frozenset, dict)):
         # Unordered: the sorted digests of the elements (a dict is its
         # item set).
         items = value.items() if isinstance(value, dict) else value
         digests = sorted(
-            hashlib.sha256(_canonical(item)).digest() for item in items
+            hashlib.sha256(canonical_bytes(item)).digest() for item in items
         )
         tag = b"d" if isinstance(value, dict) else b"e"
         return _frame(tag, b"".join(digests))
     if isinstance(value, _array.array):
-        return _frame(b"a", _canonical((value.typecode, value.tobytes())))
+        return _frame(b"a", canonical_bytes((value.typecode, value.tobytes())))
     np = sys.modules.get("numpy")
     if np is not None and isinstance(value, np.ndarray):
         if not value.dtype.hasobject:
             contiguous = np.ascontiguousarray(value)
             return _frame(
                 b"N",
-                _canonical(
+                canonical_bytes(
                     (
                         str(contiguous.dtype),
                         contiguous.shape,
@@ -207,17 +180,11 @@ def _canonical(value: Any) -> bytes:
                 ),
             )
     if is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        return _frame(
-            b"r",
-            _canonical(
-                (
-                    cls.__module__,
-                    cls.__qualname__,
-                    tuple(getattr(value, f.name) for f in fields(value)),
-                )
-            ),
-        )
+        # The encoding of ``(module, qualname, field values)``, with the
+        # per-class part built once per class.
+        head, names = _record_layout(type(value))
+        values = b"".join(canonical_bytes(getattr(value, n)) for n in names)
+        return _frame(b"r", _frame(b"t", head + _frame(b"t", values)))
     from repro.engines.columnar import ColumnBatch, _column_list
 
     if isinstance(value, ColumnBatch):
@@ -227,15 +194,24 @@ def _canonical(value: Any) -> bytes:
         )
         return _frame(
             b"c",
-            _canonical((value.schema.signature(), value.nrows, columns)),
+            canonical_bytes((value.schema.signature(), value.nrows, columns)),
         )
     from repro.errors import EngineError
 
     raise EngineError(
         f"cannot compute a content digest for a {type(value).__name__}: "
-        f"only the value types stable_hash accepts have a "
-        f"process-independent content identity"
+        f"only scalars, containers, dataclass records and typed buffers "
+        f"of those have a process-independent content identity"
     )
+
+
+@functools.cache
+def _record_layout(cls: type) -> tuple[bytes, tuple[str, ...]]:
+    """A record class's encoded module and qualified name, and its field
+    names: all of a record's encoding that does not depend on the
+    record."""
+    head = canonical_bytes(cls.__module__) + canonical_bytes(cls.__qualname__)
+    return head, tuple(f.name for f in fields(cls))
 
 
 def content_digest(value: Any) -> str:
@@ -246,11 +222,13 @@ def content_digest(value: Any) -> str:
     all hash alike, which is fine for a destination and wrong for an
     identity.  Wherever a hash decides whether two values *are the
     same* (the worker-process artifact memo: a stale hit would probe
-    yesterday's broadcast key set) use this instead: SHA-256 over a
-    canonical encoding of the same closed set of value types, raising
-    the same :class:`EngineError` on anything else.
+    yesterday's broadcast key set; the result cache's input snapshots)
+    use this instead: SHA-256 over :func:`canonical_bytes` — the value
+    types ``stable_hash`` accepts plus typed buffers (``array.array``,
+    numpy arrays, :class:`~repro.engines.columnar.ColumnBatch`) —
+    raising :class:`EngineError` on anything else.
     """
-    return hashlib.sha256(_canonical(value)).hexdigest()
+    return hashlib.sha256(canonical_bytes(value)).hexdigest()
 
 
 def hash_partition_index(key_value: Any, num_partitions: int) -> int:

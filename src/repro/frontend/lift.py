@@ -27,8 +27,8 @@ import textwrap
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.algebra.fold import FOLD_ALIASES
 from repro.comprehension.exprs import (
-    FOLD_ALIASES,
     AlgebraSpec,
     Attr,
     BagLiteral,

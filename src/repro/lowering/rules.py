@@ -237,21 +237,14 @@ def _lower_comprehension(
 
     # State 1: push single-generator filters down.  (Existential
     # guards always push: the semi-join construction depends on it.)
-    if ctx.push_filters:
-        guards = _push_filters(
-            slots, existentials, guards, ctx, exists_vars
+    if not ctx.push_filters and guards:
+        ctx.record(
+            "filter-pushdown",
+            False,
+            "disabled by config; single-generator guards run as "
+            "residual filters above the joins",
         )
-    else:
-        if guards:
-            ctx.record(
-                "filter-pushdown",
-                False,
-                "disabled by config; single-generator guards run as "
-                "residual filters above the joins",
-            )
-        guards = _push_filters(
-            [], existentials, guards, ctx, exists_vars
-        )
+    guards = _push_filters(slots, existentials, guards, ctx, exists_vars)
 
     # State 2a: resolve existential generators into semi-/anti-joins.
     guards = _apply_existentials(slots, existentials, guards, ctx)
@@ -347,7 +340,12 @@ def _push_filters(
     ctx: LoweringContext,
     exists_vars: frozenset[str],
 ) -> list[Expr]:
-    """Attach guards referencing a single generator to that generator."""
+    """Attach guards referencing a single generator to that generator.
+
+    A guard counts every generator it names, normal or existential, so
+    an equi-guard between a slot and an existential stays behind for the
+    semi-join.  With filter pushdown off only exists-only guards move.
+    """
     remaining: list[Expr] = []
     slot_by_name: dict[str, _Slot] = {}
     for s in slots:
@@ -378,7 +376,7 @@ def _push_filters(
                 before=predicate,
             )
             continue
-        if names and not exists_names:
+        if names and not exists_names and ctx.push_filters:
             owners = {id(slot_by_name[n]) for n in names}
             if len(owners) == 1:
                 slot = slot_by_name[next(iter(names))]

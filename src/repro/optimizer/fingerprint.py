@@ -14,8 +14,9 @@ fingerprints behind :mod:`repro.engines.plancache`:
   plan, memory budget, tracing...) are deliberately excluded: the same
   cached plan serves every backend because results are bit-identical
   across them.
-* :func:`snapshot_fingerprint` — SHA-256 over the digests of a run's
-  actual inputs: parameter values, captured closure bindings, and the
+* :func:`snapshot_fingerprint` — SHA-256 over the content digests
+  (:func:`~repro.engines.cluster.content_digest`) of a run's actual
+  inputs: parameter values, captured closure bindings, and the
   *contents* of every simulated-DFS file a string parameter points at.
   Returns ``None`` when any input has no stable content identity, in
   which case the run is simply not result-cacheable.
@@ -34,7 +35,7 @@ from types import ModuleType
 from typing import Any, Mapping
 
 from repro.core.databag import DataBag
-from repro.engines.cluster import stable_hash
+from repro.engines.cluster import canonical_bytes, content_digest
 from repro.engines.dfs import SimulatedDFS
 from repro.errors import EngineError
 from repro.frontend.driver_ir import DriverProgram, pretty_program
@@ -48,6 +49,12 @@ from repro.optimizer.pipeline import EmmaConfig
 PLAN_KNOBS: tuple[str, ...] = tuple(
     f.name for f in fields(EmmaConfig) if f.metadata["knob"] == "plan"
 )
+
+#: Leads every snapshot payload; bumped whenever a digest changes
+#: meaning, so result blobs keyed by an older scheme miss rather than
+#: being served.  (v1 digested with the 32-bit partition hash, under
+#: which ``set()``, ``{0}`` and ``{0, 1, 2, 3}`` were one input.)
+SNAPSHOT_FORMAT = "snapshot-v2"
 
 
 def canonical_program_text(program: DriverProgram) -> str:
@@ -98,29 +105,36 @@ def snapshot_fingerprint(
         if digest is None:
             return None
         parts.append(("captured", name, digest))
-    payload = repr(tuple(parts)).encode("utf-8")
+    payload = repr((SNAPSHOT_FORMAT, tuple(parts))).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 
 #: Per-``DfsFile`` content-digest memo.  ``dfs.put`` replaces the
 #: whole ``DfsFile`` object, so keying on object identity caches the
-#: O(records) hash across repeated snapshot fingerprints of unchanged
+#: O(records) digest across repeated snapshot fingerprints of unchanged
 #: inputs while re-staged data naturally misses.  Keys are ``id()``s
 #: (``DfsFile`` is an eq-dataclass, hence unhashable) with a finalizer
 #: evicting each entry when its file dies, so recycled ids can never
 #: serve a stale digest.
-_FILE_DIGESTS: dict[int, int] = {}
+_FILE_DIGESTS: dict[int, str] = {}
 
 
-def _memoized_file_digest(stored: Any) -> int | None:
-    """The content hash of one ``DfsFile``, memoized per object."""
+def _memoized_file_digest(stored: Any) -> str | None:
+    """The content digest of one ``DfsFile``, memoized per object.
+
+    Streamed: one SHA-256 fed each record's canonical encoding in turn,
+    so digesting a large staged table never holds its whole encoding.
+    """
     key = id(stored)
     if key in _FILE_DIGESTS:
         return _FILE_DIGESTS[key]
+    digest = hashlib.sha256()
     try:
-        content = stable_hash(stored.records)
+        for record in stored.records:
+            digest.update(canonical_bytes(record))
     except EngineError:
         return None
+    content = digest.hexdigest()
     _FILE_DIGESTS[key] = content
     weakref.finalize(stored, _FILE_DIGESTS.pop, key, None)
     return content
@@ -132,7 +146,7 @@ def value_digest(
     """A process-independent content digest of one input value.
 
     Extends the closed set of :func:`~repro.engines.cluster.
-    stable_hash` with the shapes that appear in captured driver
+    content_digest` with the shapes that appear in captured driver
     bindings: classes and named functions digest by qualified name,
     modules by name, ``DataBag``s by content, and repo-internal value
     objects (e.g. I/O formats) by class plus instance attributes.
@@ -153,7 +167,7 @@ def value_digest(
         return ("module", value.__name__)
     if isinstance(value, DataBag):
         try:
-            return ("bag", stable_hash(value.fetch()))
+            return ("bag", content_digest(value.fetch()))
         except EngineError:
             return None
     if callable(value):
@@ -163,7 +177,7 @@ def value_digest(
             return ("fn", module, qualname)
         return None
     try:
-        return ("value", stable_hash(value))
+        return ("value", content_digest(value))
     except EngineError:
         pass
     # Containers/records mixing plain data with classes or callables

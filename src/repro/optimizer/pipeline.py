@@ -78,7 +78,6 @@ from repro.optimizer.physical_props import (
     loop_mutated_names,
 )
 from repro.optimizer.reorder import ReorderStats, reorder_operators
-from repro.optimizer.udf_analysis import default_udf_reordering
 
 
 #: the knobs that are rows of the paper's Table 1
@@ -140,8 +139,8 @@ class EmmaConfig:
     #: comprehension calculus cannot move; "off" leaves black-box UDFs
     #: in place.  Results are bit-identical either way — only data
     #: volumes (shuffled bytes, operator input sizes) and therefore
-    #: simulated costs move.  Default honours ``REPRO_UDF_REORDERING``.
-    udf_reordering: str = _plan(default_udf_reordering)
+    #: simulated costs move.
+    udf_reordering: str = _plan("auto")
 
     #: deterministic fault schedule for the simulated cluster
     fault_plan: FaultPlan | None = _runtime(("configure_faults", "plan"))

@@ -29,7 +29,6 @@ past maps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -48,17 +47,6 @@ from repro.lowering.combinators import ScalarFn
 
 #: the ``Call.kwargs`` key the frontend uses for ``**`` expansion
 DOUBLE_STAR = "**"
-
-
-def default_udf_reordering() -> str:
-    """The ``EmmaConfig.udf_reordering`` default: ``REPRO_UDF_REORDERING``
-    when set (``auto``/``on``/``off``), else ``"auto"``."""
-    mode = os.environ.get("REPRO_UDF_REORDERING", "auto").lower()
-    if mode not in ("auto", "on", "off"):
-        raise ValueError(
-            f"REPRO_UDF_REORDERING must be auto/on/off, got {mode!r}"
-        )
-    return mode
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,34 @@
 """Tests for structural recursion on bags (paper Section 2.2.2)."""
 
+import math
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algebra.adt import Uni, ins_tree_of, union_tree_of
 from repro.algebra.fold import (
+    FOLD_ALIASES,
     FoldAlgebra,
-    bag_algebra,
     banana_split,
-    count_algebra,
-    exists_algebra,
     fold_ins_tree,
     fold_union_tree,
-    forall_algebra,
-    max_algebra,
-    min_algebra,
     product_algebra,
-    sum_algebra,
 )
+
+
+def alias(name, *args):
+    """The algebra of the ``FOLD_ALIASES`` row ``name`` over ``args``."""
+    return FOLD_ALIASES[name][1](*args)
 
 
 class TestFoldAlgebra:
     def test_sum_by_iteration(self):
-        assert sum_algebra()([3, 5, 7]) == 15
+        assert alias("sum")([3, 5, 7]) == 15
 
     def test_sum_empty(self):
-        assert sum_algebra()([]) == 0
+        assert alias("sum")([]) == 0
 
     def test_mutable_zero_is_not_shared(self):
         collect = FoldAlgebra(
@@ -40,25 +42,26 @@ class TestFoldAlgebra:
         assert first == [1] and second == [2]
 
     def test_merge_combines_partials(self):
-        algebra = sum_algebra()
+        algebra = alias("sum")
         partials = [algebra([1, 2]), algebra([3]), algebra([])]
         assert algebra.merge(partials) == 6
 
     def test_key_projection(self):
-        assert sum_algebra(key=lambda p: p[1])([("a", 1), ("b", 2)]) == 3
+        sum_of_values = alias("fold", 0, lambda p: p[1], operator.add)
+        assert sum_of_values([("a", 1), ("b", 2)]) == 3
 
 
 class TestFoldUnionTree:
     def test_substitution_semantics(self):
         # The paper's worked example: sum of {{3, 5, 7}} via (0, id, +).
         tree = union_tree_of([3, 5, 7])
-        assert fold_union_tree(sum_algebra(), tree) == 15
+        assert fold_union_tree(alias("sum"), tree) == 15
 
     def test_empty_tree_gives_zero(self):
-        assert fold_union_tree(sum_algebra(), union_tree_of([])) == 0
+        assert fold_union_tree(alias("sum"), union_tree_of([])) == 0
 
     def test_singleton(self):
-        assert fold_union_tree(count_algebra(), union_tree_of([9])) == 1
+        assert fold_union_tree(alias("count"), union_tree_of([9])) == 1
 
     def test_deep_spine_no_recursion_error(self):
         from repro.algebra.adt import EmpUnion, Sng
@@ -66,7 +69,7 @@ class TestFoldUnionTree:
         tree = EmpUnion()
         for i in range(20_000):
             tree = Uni(tree, Sng(1))
-        assert fold_union_tree(count_algebra(), tree) == 20_000
+        assert fold_union_tree(alias("count"), tree) == 20_000
 
     def test_distributed_evaluation_matches_local(self):
         # Fold pushed below the partition-level uni nodes (the paper's
@@ -75,7 +78,7 @@ class TestFoldUnionTree:
 
         partitions = [[3, 5], [7], [], [11, 13]]
         tree = union_tree_of_partitions(partitions)
-        algebra = sum_algebra()
+        algebra = alias("sum")
         local = fold_union_tree(algebra, tree)
         shipped = algebra.merge(algebra(p) for p in partitions)
         assert local == shipped == 39
@@ -100,44 +103,57 @@ class TestFoldInsTree:
 
 
 class TestCatalogue:
+    """The ``FOLD_ALIASES`` rows, one alias at a time."""
+
     def test_count(self):
-        assert count_algebra()([5, 5, 5]) == 3
+        assert alias("count")([5, 5, 5]) == 3
 
     def test_min_max(self):
-        assert min_algebra()([4, 2, 9]) == 2
-        assert max_algebra()([4, 2, 9]) == 9
+        assert alias("min")([4, 2, 9]) == 2
+        assert alias("max")([4, 2, 9]) == 9
 
     def test_min_empty_is_none(self):
-        assert min_algebra()([]) is None
-        assert max_algebra()([]) is None
+        assert alias("min")([]) is None
+        assert alias("max")([]) is None
 
     def test_min_by_key(self):
-        assert min_algebra(key=lambda x: -x)([4, 2, 9]) == -9
+        assert alias("min_by", lambda x: -x)([4, 2, 9]) == 9
 
     def test_exists(self):
-        assert exists_algebra(lambda x: x > 8)([4, 2, 9]) is True
-        assert exists_algebra(lambda x: x > 80)([4, 2, 9]) is False
-        assert exists_algebra(lambda x: True)([]) is False
+        assert alias("exists", lambda x: x > 8)([4, 2, 9]) is True
+        assert alias("exists", lambda x: x > 80)([4, 2, 9]) is False
+        assert alias("exists", lambda x: True)([]) is False
 
     def test_forall(self):
-        assert forall_algebra(lambda x: x > 1)([4, 2, 9]) is True
-        assert forall_algebra(lambda x: x > 2)([4, 2, 9]) is False
-        assert forall_algebra(lambda x: False)([]) is True
+        assert alias("forall", lambda x: x > 1)([4, 2, 9]) is True
+        assert alias("forall", lambda x: x > 2)([4, 2, 9]) is False
+        assert alias("forall", lambda x: False)([]) is True
 
     def test_bag_algebra_rebuilds(self):
-        assert sorted(bag_algebra()([3, 1, 2])) == [1, 2, 3]
+        # the identity fold: a list factory as the zero, so partial
+        # results never share it
+        rebuild = alias("fold", list, lambda x: [x], operator.add)
+        assert sorted(rebuild([3, 1, 2])) == [1, 2, 3]
+        assert rebuild([]) == [] and rebuild([]) is not rebuild([])
 
+    def test_min_max_are_min_by_max_by_on_the_identity(self):
+        # nan compares false both ways: the union keeps the right
+        # operand, exactly as min_by / max_by with ``key=id`` do
+        xs = [2.0, math.nan, 1.0]
+        ident = lambda x: x  # noqa: E731
+        assert alias("max")(xs) == alias("max_by", ident)(xs) == 1.0
+        assert alias("min")(xs) == alias("min_by", ident)(xs) == 1.0
 
 class TestBananaSplit:
     def test_tuple_of_folds_equals_fold_of_tuples(self):
         xs = [3, 5, 7, 7]
         separate = (
-            sum_algebra()(xs),
-            count_algebra()(xs),
-            min_algebra()(xs),
+            alias("sum")(xs),
+            alias("count")(xs),
+            alias("min")(xs),
         )
         fused = banana_split(
-            [sum_algebra(), count_algebra(), min_algebra()]
+            [alias("sum"), alias("count"), alias("min")]
         )(xs)
         assert fused == separate == (22, 4, 3)
 
@@ -146,20 +162,20 @@ class TestBananaSplit:
             product_algebra([])
 
     def test_product_merge(self):
-        algebra = product_algebra([sum_algebra(), count_algebra()])
+        algebra = product_algebra([alias("sum"), alias("count")])
         partials = [algebra([1, 2]), algebra([3])]
         assert algebra.merge(partials) == (6, 3)
 
     def test_product_name(self):
-        algebra = product_algebra([sum_algebra(), count_algebra()])
+        algebra = product_algebra([alias("sum"), alias("count")])
         assert algebra.name == "sumxcount"
 
 
 @given(st.lists(st.integers(), max_size=50))
 def test_fold_union_tree_matches_direct_application(xs):
     tree = union_tree_of(xs)
-    assert fold_union_tree(sum_algebra(), tree) == sum(xs)
-    assert fold_union_tree(count_algebra(), tree) == len(xs)
+    assert fold_union_tree(alias("sum"), tree) == sum(xs)
+    assert fold_union_tree(alias("count"), tree) == len(xs)
 
 
 @given(
@@ -167,7 +183,7 @@ def test_fold_union_tree_matches_direct_application(xs):
     st.integers(min_value=1, max_value=5),
 )
 def test_partitioned_fold_equals_global_fold(xs, num_partitions):
-    algebra = sum_algebra()
+    algebra = alias("sum")
     partitions = [
         xs[i::num_partitions] for i in range(num_partitions)
     ]
@@ -176,5 +192,5 @@ def test_partitioned_fold_equals_global_fold(xs, num_partitions):
 
 @given(st.lists(st.integers(), min_size=1, max_size=30))
 def test_banana_split_law(xs):
-    fused = banana_split([sum_algebra(), max_algebra()])(xs)
+    fused = banana_split([alias("sum"), alias("max")])(xs)
     assert fused == (sum(xs), max(xs))

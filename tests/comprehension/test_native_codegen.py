@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.fold import FOLD_ALIASES
 from repro.comprehension.exprs import (
-    FOLD_ALIASES,
     AlgebraSpec,
     Attr,
     BagLiteral,

@@ -1,11 +1,20 @@
 """Tests for the DataBag abstraction (paper Listing 3)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.fold import FOLD_ALIASES
+from repro.comprehension.exprs import (
+    AlgebraSpec,
+    Env,
+    FoldCall,
+    Ref,
+    fold_reducer,
+)
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
+from tests.conftest import outcome
 
 ints = st.lists(st.integers(min_value=-50, max_value=50), max_size=30)
 
@@ -175,6 +184,46 @@ class TestFolds:
         assert DataBag([1]).sample(5) == [1]
         with pytest.raises(ValueError):
             DataBag([1]).sample(-1)
+
+
+#: exact element families: no rounding, so "equal" means equal
+exact = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=8),
+    st.lists(st.fractions(-3, 3, max_denominator=5), max_size=8),
+    st.lists(st.text(alphabet="abz", max_size=3), max_size=8),
+)
+
+
+def alias_args(alias):
+    """Host arguments for ``alias`` (``fold``: tuple concatenation, so
+    the result spells out the order the elements were folded in)."""
+    if alias == "fold":
+        return (tuple, lambda x: (x,), lambda a, b: a + b)
+    if alias in ("exists", "forall"):
+        return (bool,)
+    if alias in ("min_by", "max_by"):
+        return (repr,)
+    return ()
+
+
+class TestNativeEqualsLifted:
+    """A fold alias means one thing: the ``DataBag`` method, the lifted
+    interpreter and the compiled reduction loop agree, exceptions
+    included."""
+
+    @pytest.mark.parametrize("alias", sorted(FOLD_ALIASES))
+    @settings(max_examples=40, deadline=None)
+    @given(exact)
+    def test_method_interpreter_and_reducer_agree(self, alias, xs):
+        args = alias_args(alias)
+        names = tuple(f"arg{i}" for i in range(len(args)))
+        spec = AlgebraSpec(alias, tuple(Ref(n) for n in names))
+        env = Env.of({"xs": DataBag(xs), **dict(zip(names, args))})
+        native = outcome(lambda: getattr(DataBag(xs), alias)(*args))
+        lifted = outcome(lambda: FoldCall(Ref("xs"), spec).evaluate(env))
+        compiled = outcome(lambda: fold_reducer(alias)(xs, *args))
+        assert lifted == native
+        assert compiled == native
 
 
 class TestMonadLaws:

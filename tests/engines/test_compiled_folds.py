@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.fold import FOLD_ALIASES
 from repro.comprehension.exprs import (
-    FOLD_ALIASES,
     AggByCall,
     AlgebraSpec,
     BinOp,

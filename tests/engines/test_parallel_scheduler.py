@@ -317,6 +317,13 @@ class TestContentDigest:
         assert content_digest(("ab", "c")) != content_digest(("a", "bc"))
         assert content_digest(0.0) != content_digest(-0.0)
 
+    def test_record_digests_are_pinned(self):
+        # a record encodes as (module, qualname, field values); the
+        # per-class part is built once per class and must not drift
+        assert content_digest(ClusterConfig(num_workers=3)) == (
+            "b06dfe9e12990e6726d14fa3c0dfb3ab23efd81a380c8ee5f0cd5b6a19ee86e4"
+        )
+
     def test_same_closed_type_set_as_the_partition_hash(self):
         with pytest.raises(EngineError, match="content digest"):
             content_digest(object())

@@ -19,7 +19,7 @@ from repro.engines.plancache import (
     default_plan_cache,
 )
 from repro.engines.sparklike import SparkLikeEngine
-from repro.optimizer.fingerprint import plan_fingerprint
+from repro.optimizer.fingerprint import plan_fingerprint, snapshot_fingerprint
 from repro.optimizer.pipeline import EmmaConfig
 from repro.workloads.tpch.datagen import stage_tpch
 from repro.workloads.tpch.q1 import tpch_q1
@@ -137,6 +137,20 @@ class TestResultCaching:
         assert cache.stats.store_skips == 1
         hit, _ = cache.lookup_result("fp", "snap")
         assert not hit
+
+    def test_inputs_the_partition_hash_confuses_never_share_a_result(
+        self, tmp_path
+    ):
+        # set(), {0} and {0, 1, 2, 3} hash alike for placement; as
+        # result keys they are three inputs with three results
+        cache = PlanCache(cache_dir=str(tmp_path))
+        fp = plan_fingerprint(tpch_q1.lifted.program, EmmaConfig())
+        cache.store_result(fp, snapshot_fingerprint({"k": set()}), "empty")
+        for other in ({0}, {0, 1, 2, 3}):
+            snap = snapshot_fingerprint({"k": other})
+            assert cache.lookup_result(fp, snap) == (False, None)
+        snap = snapshot_fingerprint({"k": set()})
+        assert cache.lookup_result(fp, snap) == (True, "empty")
 
 
 class TestEviction:

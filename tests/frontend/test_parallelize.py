@@ -1,5 +1,6 @@
 """Tests for the @parallelize decorator and the Algorithm object."""
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -59,6 +60,11 @@ def branching(xs: DataBag, flag):
     else:
         result = xs.map(lambda x: x - 1)
     return result
+
+
+@parallelize
+def bag_extremes(xs: DataBag):
+    return (xs.min(), xs.max())
 
 
 @parallelize
@@ -164,6 +170,19 @@ class TestExecutionAcrossBackends:
         assert branching.run(
             engine_factory(), xs=xs, flag=False
         ) == DataBag([9])
+
+    @pytest.mark.parametrize(
+        "engine_factory",
+        [LocalEngine, SparkLikeEngine, FlinkLikeEngine],
+        ids=["local", "spark", "flink"],
+    )
+    def test_min_max_mean_what_the_databag_methods_mean(self, engine_factory):
+        # nan compares false both ways, so min / max keep whichever side
+        # their union keeps: lifted, they must keep what DataBag keeps
+        xs = DataBag([2.0, math.nan, 1.0])
+        native = (xs.min(), xs.max())
+        assert native == (1.0, 1.0)
+        assert bag_extremes.run(engine_factory(), xs=xs) == native
 
     def test_bags_argument_variant(self):
         assert (

@@ -10,9 +10,12 @@ backend because results are bit-identical across them).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro.core.databag import DataBag
+from repro.engines.cluster import stable_hash
 from repro.engines.dfs import SimulatedDFS
 from repro.optimizer.fingerprint import (
     PLAN_KNOBS,
@@ -98,6 +101,26 @@ class TestSnapshotFingerprint:
         assert a is not None and b is not None
         # Re-staging different records at the same path invalidates.
         assert a != b
+
+    def test_values_the_partition_hash_confuses_are_different_inputs(self):
+        # one 32-bit placement hash for all three; three snapshots here,
+        # as parameters, inside bags and inside staged files alike
+        sets = [set(), {0}, {0, 1, 2, 3}]
+        assert len({stable_hash(s) for s in sets}) == 1
+        dfs = SimulatedDFS()
+        seen = set()
+        for s in sets:
+            dfs.put("data/in", [s])
+            seen.add(snapshot_fingerprint({"k": s}))
+            seen.add(snapshot_fingerprint({"k": DataBag([s])}))
+            seen.add(snapshot_fingerprint({"path": "data/in"}, dfs=dfs))
+        assert None not in seen and len(seen) == 9
+
+    def test_the_format_tag_retires_earlier_keys(self):
+        # no inputs: under the earlier scheme the payload was ``()``,
+        # and only the format tag can tell this key from that one
+        earlier = hashlib.sha256(repr(()).encode("utf-8")).hexdigest()
+        assert snapshot_fingerprint({}) != earlier
 
     def test_plain_value_params(self):
         a = snapshot_fingerprint({"k": 3, "eps": 0.5})

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import LoweringError
 from repro.optimizer.fingerprint import PLAN_KNOBS
 from repro.optimizer.pipeline import EmmaConfig, compile_program
 from repro.workloads.connected_components import connected_components
@@ -56,8 +55,8 @@ PROGRAMS = {
 }
 
 #: the plane knobs are pinned to "auto" so the goldens do not depend on
-#: REPRO_COLUMNAR / REPRO_COLUMNAR_EXCHANGE / REPRO_UDF_REORDERING
-_BASE = dict(udf_reordering="auto", columnar="auto", columnar_exchange="auto")
+#: REPRO_COLUMNAR / REPRO_COLUMNAR_EXCHANGE
+_BASE = dict(columnar="auto", columnar_exchange="auto")
 
 
 def _off(knob: str) -> dict:
@@ -90,18 +89,10 @@ def canonical(text: str) -> str:
 
 
 def snapshot(program: str, config: str) -> dict:
-    """What one compile produced, JSON-ready.
-
-    Two grid points do not compile (``filter_pushdown=False`` leaves
-    the unnested exists of ``tpch_q4`` / ``select_classifier`` without
-    its equi-join predicate); the error is pinned like any output.
-    """
-    try:
-        compiled = compile_program(
-            PROGRAMS[program].lifted.program, CONFIGS[config]
-        )
-    except LoweringError as exc:
-        return {"error": canonical(str(exc))}
+    """What one compile produced, JSON-ready."""
+    compiled = compile_program(
+        PROGRAMS[program].lifted.program, CONFIGS[config]
+    )
     report = {}
     for f in dataclasses.fields(compiled.report):
         value = getattr(compiled.report, f.name)

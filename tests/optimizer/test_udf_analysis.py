@@ -6,8 +6,6 @@ closures over driver variables, and the conservative TOP fallback on
 ``getattr``/``**`` expansion.
 """
 
-import pytest
-
 from repro.comprehension.exprs import (
     Attr,
     BinOp,
@@ -24,7 +22,6 @@ from repro.optimizer.udf_analysis import (
     FieldPath,
     analyze_emit_set,
     analyze_read_set,
-    default_udf_reordering,
     render_paths,
     simplify_projections,
 )
@@ -315,12 +312,3 @@ class TestHelpers:
     def test_field_path_prefix(self):
         assert path(idx(0), attr("x")).starts_with(path(idx(0)))
         assert not path(idx(1)).starts_with(path(idx(0)))
-
-    def test_default_mode_honours_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_UDF_REORDERING", raising=False)
-        assert default_udf_reordering() == "auto"
-        monkeypatch.setenv("REPRO_UDF_REORDERING", "off")
-        assert default_udf_reordering() == "off"
-        monkeypatch.setenv("REPRO_UDF_REORDERING", "bogus")
-        with pytest.raises(ValueError):
-            default_udf_reordering()
