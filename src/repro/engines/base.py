@@ -257,6 +257,10 @@ class Engine:
             if columnar_exchange is not None
             else default_columnar_exchange()
         )
+        #: optional cross-run plan/result cache; ``None`` falls back to
+        #: the ``REPRO_PLAN_CACHE_DIR`` environment default (see
+        #: :func:`repro.engines.plancache.default_plan_cache`)
+        self.plan_cache = None
         from repro.engines.spill import SpillManager, default_memory_budget
 
         #: the driver's out-of-core layer: residency tracking, LRU
@@ -267,18 +271,15 @@ class Engine:
             if memory_budget is not None
             else default_memory_budget()
         )
-        #: optional cross-run plan/result cache; ``None`` falls back to
-        #: the ``REPRO_PLAN_CACHE_DIR`` environment default (see
-        #: :func:`repro.engines.plancache.default_plan_cache`)
-        self.plan_cache = None
 
     def attach_plan_cache(self, cache) -> None:
         """Serve this engine's compiles from a shared fingerprint cache.
 
         If the cache has no memory limit of its own but this engine
-        runs under a memory budget, the budget bounds the cache's
-        resident bytes too — cold entries drop to their disk tier like
-        any other spillable state (PR 7 discipline).
+        runs under a memory budget — set now or later, through
+        :meth:`configure_memory` — the budget bounds the cache's
+        resident bytes too: cold entries drop to their disk tier like
+        any other spillable state.
         """
         self.plan_cache = cache
         if cache is not None and not cache.memory_limit and self.spill.limit:
@@ -293,6 +294,7 @@ class Engine:
         fault schedules are bit-identical under any budget.
         """
         self.spill.configure(budget)
+        self.attach_plan_cache(self.plan_cache)
         if self._scheduler is not None:
             self._scheduler.spill = self.spill if self.spill.active else None
 

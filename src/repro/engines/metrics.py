@@ -17,29 +17,20 @@ the engine metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import dataclass, field, fields
+from typing import Any
 
-#: Counters that measure the host running the job rather than the
-#: program: measured wall clock and the task scheduler's own accounting
-#: (a batch only "ships" across a process boundary).  They may differ
-#: between execution modes; every other counter must not.  A new
-#: host-side counter is declared here, once — the differential suites
-#: all compare :meth:`Metrics.invariant`.
-HOST_DEPENDENT = frozenset(
-    {
-        "wall_clock_seconds",
-        "parallel_tasks",
-        "parallel_stages",
-        "ipc_bytes_shipped",
-        "ipc_bytes_returned",
-        "kernels_rehydrated",
-        "speculative_launches",
-        "speculative_wins",
-        "serial_fallbacks",
-        "columnar_blocks_shipped",
-    }
-)
+
+def _moved_by(axis: str, default: Any = 0) -> Any:
+    """A counter that the physical knob ``axis`` may move without
+    changing the program's meaning: ``mode`` (it measures the host —
+    wall clock, the scheduler's own accounting — so it is never
+    compared), ``plane`` (the columnar chain and exchange planes),
+    ``budget`` (the driver memory budget) or ``cache`` (plan/result
+    cache state).  Every undeclared counter must be identical across
+    all of them; the physical-lattice harness compares
+    :meth:`Metrics.invariant` over exactly the axes a run varies."""
+    return field(default=default, metadata={"axis": axis})
 
 
 @dataclass
@@ -117,54 +108,54 @@ class Metrics:
     #: *measured* host wall-clock seconds across jobs — the one metric
     #: that may legitimately differ between execution modes (and between
     #: runs); everything else above stays bit-identical
-    wall_clock_seconds: float = 0.0
+    wall_clock_seconds: float = _moved_by("mode", 0.0)
     #: partition tasks executed through the task scheduler
-    parallel_tasks: int = 0
+    parallel_tasks: int = _moved_by("mode")
     #: scheduler stage launches (one per fan-out of partition tasks)
-    parallel_stages: int = 0
+    parallel_stages: int = _moved_by("mode")
     #: pickled bytes shipped to worker processes (task specs + data)
-    ipc_bytes_shipped: int = 0
+    ipc_bytes_shipped: int = _moved_by("mode")
     #: pickled bytes returned from worker processes (task results)
-    ipc_bytes_returned: int = 0
+    ipc_bytes_returned: int = _moved_by("mode")
     #: kernels/UDFs rebuilt from source in a worker process (memo miss)
-    kernels_rehydrated: int = 0
+    kernels_rehydrated: int = _moved_by("mode")
     #: straggler tasks speculatively re-launched
-    speculative_launches: int = 0
+    speculative_launches: int = _moved_by("mode")
     #: speculative copies that beat the original attempt
-    speculative_wins: int = 0
+    speculative_wins: int = _moved_by("mode")
     #: parallel stages that fell back to in-process serial execution
-    serial_fallbacks: int = 0
+    serial_fallbacks: int = _moved_by("mode")
 
     # -- columnar batch data plane ------------------------------------------
     #: partitions converted to ColumnBatch form for a vector kernel
-    columnar_batches_built: int = 0
+    columnar_batches_built: int = _moved_by("plane")
     #: vectorized (batch-at-a-time) chain kernels compiled
-    columnar_kernels: int = 0
+    columnar_kernels: int = _moved_by("plane")
     #: chains or partitions that fell back to the row kernel at runtime
     #: (unsupported record layout, binding values, mixed partitions)
-    columnar_fallbacks: int = 0
+    columnar_fallbacks: int = _moved_by("plane")
     # Fallbacks broken down by reason family (they sum to
     # ``columnar_fallbacks``), so exchange fallbacks are diagnosable
     # from the summary line alone:
     #: ... because the UDF is outside the vectorizable scalar subset
-    columnar_fallbacks_udf: int = 0
+    columnar_fallbacks_udf: int = _moved_by("plane")
     #: ... because the partition's record layout defeated the batch
     #: build (mixed record types, ragged tuples, column build errors)
-    columnar_fallbacks_schema: int = 0
+    columnar_fallbacks_schema: int = _moved_by("plane")
     #: ... because the input was not columnar-at-rest (empty partition,
     #: unsupported record type, no batch available)
-    columnar_fallbacks_input: int = 0
+    columnar_fallbacks_input: int = _moved_by("plane")
 
     # -- columnar exchange plane --------------------------------------------
     #: shuffles that partitioned batch-at-a-time over a key column
-    columnar_shuffles: int = 0
+    columnar_shuffles: int = _moved_by("plane")
     #: repartition joins that built/probed over key columns
-    columnar_joins: int = 0
+    columnar_joins: int = _moved_by("plane")
     #: group-bys that grouped over a key column
-    columnar_groups: int = 0
+    columnar_groups: int = _moved_by("plane")
     #: exchange payloads shipped to process-pool workers as typed
     #: column buffers instead of pickled row lists
-    columnar_blocks_shipped: int = 0
+    columnar_blocks_shipped: int = _moved_by("mode")
 
     # -- UDF-aware operator reordering --------------------------------------
     # Compile-time decisions copied from the OptimizationReport by
@@ -186,50 +177,49 @@ class Metrics:
     # bit-identical spill-on vs spill-off.
     #: real bytes written to the DFS spill tier (evictions, external
     #: merge runs, file-backed shuffle payloads)
-    spill_bytes_written: int = 0
+    spill_bytes_written: int = _moved_by("budget")
     #: real bytes read back from the spill tier (reloads, merges,
     #: worker-side shuffle-file resolution)
-    spill_bytes_read: int = 0
+    spill_bytes_read: int = _moved_by("budget")
     #: resident partitions evicted to spill files under budget pressure
-    partitions_spilled: int = 0
+    partitions_spilled: int = _moved_by("budget")
     #: spilled partitions lazily reloaded on their next access
-    partitions_reloaded: int = 0
+    partitions_reloaded: int = _moved_by("budget")
     #: group-by partitions grouped through external run-merge instead
     #: of all-in-memory materialization (graceful degradation)
-    external_merge_passes: int = 0
+    external_merge_passes: int = _moved_by("budget")
     #: budget-pressure evictions performed (any owner kind)
-    budget_evictions: int = 0
+    budget_evictions: int = _moved_by("budget")
 
     # -- cross-run fingerprint caching --------------------------------------
     # Cache traffic is driver mechanics, like spill: hits skip host
     # work (compilation, whole executions) without moving results or
     # ``simulated_seconds`` of the runs that do execute.
     #: compiled plans served from the fingerprint plan cache
-    plan_cache_hits: int = 0
+    plan_cache_hits: int = _moved_by("cache")
     #: plan-cache lookups that fell through to a fresh compile
-    plan_cache_misses: int = 0
+    plan_cache_misses: int = _moved_by("cache")
     #: submissions answered from the memoized result cache (no job ran)
-    result_cache_hits: int = 0
+    result_cache_hits: int = _moved_by("cache")
     #: result-cache lookups that fell through to a real execution
-    result_cache_misses: int = 0
+    result_cache_misses: int = _moved_by("cache")
     #: host compile seconds skipped thanks to plan-cache hits
-    compile_seconds_saved: float = 0.0
+    compile_seconds_saved: float = _moved_by("cache", 0.0)
     #: batch-submission members executed to backfill a partial
     #: result-cache hit (the rest were served memoized)
-    backfill_partitions: int = 0
+    backfill_partitions: int = _moved_by("cache")
     #: cold cache entries dropped from driver memory to their disk tier
-    cache_entries_evicted: int = 0
+    cache_entries_evicted: int = _moved_by("cache")
 
     def snapshot(self) -> "Metrics":
         """A copy of the current counters (for before/after deltas)."""
         return Metrics(**vars(self))
 
-    def invariant(self, varying: Iterable[str] = ()) -> dict[str, Any]:
+    def invariant(self, *axes: str) -> dict[str, Any]:
         """The counters that must be identical between two runs of one
-        program that differ only in execution mode — plus, for a
-        comparison that also varies a data plane, a memory budget or
-        cache state, in that layer's own accounting (``varying``)."""
-        skip = HOST_DEPENDENT.union(varying)
+        program that differ only in the physical knobs ``axes`` (see
+        :func:`_moved_by`); host measurements are never included."""
+        skip = counters_moved_by("mode", *axes)
         return {
             name: value
             for name, value in vars(self).items()
@@ -393,6 +383,18 @@ class Metrics:
             f"replayed={self.state_updates_replayed} "
             f"recovery_t={self.recovery_seconds:.3f}s"
         )
+
+
+def counters_moved_by(*axes: str) -> frozenset[str]:
+    """The :class:`Metrics` counters declared on any of ``axes``."""
+    return frozenset(
+        f.name for f in fields(Metrics) if f.metadata.get("axis") in axes
+    )
+
+
+#: Counters that measure the host running the job rather than the
+#: program; they may differ between any two runs.
+HOST_DEPENDENT = counters_moved_by("mode")
 
 
 def _fmt_bytes(n: int) -> str:

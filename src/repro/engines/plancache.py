@@ -215,7 +215,8 @@ class PlanCache:
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         except Exception:
-            self.stats.store_skips += 1
+            with self._lock:
+                self.stats.store_skips += 1
             return False
         path = os.path.join(
             self.cache_dir, f"{_PLAN_PREFIX}{fingerprint}{_SUFFIX}"
@@ -268,24 +269,26 @@ class PlanCache:
         with self._lock:
             entry = self._results.get(key)
             payload = self._entry_blob(entry) if entry else None
-        if payload is None:
-            self.stats.result_misses += 1
-            if metrics is not None:
-                metrics.result_cache_misses += 1
-            return False, None
-        try:
-            value = _decode_result(pickle.loads(payload))
-        except Exception:
-            with self._lock:
-                self._drop_entry(self._results, key)
-            self.stats.result_misses += 1
-            if metrics is not None:
-                metrics.result_cache_misses += 1
-            return False, None
-        self.stats.result_hits += 1
+        hit, value = payload is not None, None
+        if hit:
+            try:
+                value = _decode_result(pickle.loads(payload))
+            except Exception:
+                # A corrupt or version-skewed file is a miss, not a crash.
+                hit = False
+                with self._lock:
+                    self._drop_entry(self._results, key)
+        with self._lock:
+            if hit:
+                self.stats.result_hits += 1
+            else:
+                self.stats.result_misses += 1
         if metrics is not None:
-            metrics.result_cache_hits += 1
-        return True, value
+            if hit:
+                metrics.result_cache_hits += 1
+            else:
+                metrics.result_cache_misses += 1
+        return hit, value
 
     def store_result(
         self, plan_fp: str, snapshot_fp: str, value: Any
@@ -296,7 +299,8 @@ class PlanCache:
                 _encode_result(value), protocol=pickle.HIGHEST_PROTOCOL
             )
         except Exception:
-            self.stats.store_skips += 1
+            with self._lock:
+                self.stats.store_skips += 1
             return False
         path = os.path.join(
             self.cache_dir,

@@ -1,12 +1,10 @@
-"""Differential suite for the columnar batch data plane.
+"""The columnar batch plane must actually engage, and say so.
 
-The contract of :mod:`repro.engines.columnar` mirrors the parallel
-backend's: the execution *plane* is observably irrelevant.  For any
-workload — including one under aggressive fault injection — columnar
-``on`` and ``off``, across serial, threaded, and process-pool modes,
-must produce bit-identical results, identical ``simulated_seconds``,
-and identical fault/recovery schedules.  Only wall clock, IPC bytes,
-and the columnar counters themselves may move.
+A synthetic scan chain squarely in the vectorizable subset must compile
+to a vector kernel when the plane is on (and only then), with the row
+plane's results and simulated costs; ``explain`` must name each chain's
+plane.  Whole workloads across both planes and every other physical
+knob are checked by ``test_physical_lattice.py``.
 """
 
 import pytest
@@ -14,33 +12,10 @@ import pytest
 from repro.api import DataBag, parallelize
 from repro.engines.cluster import ClusterConfig
 from repro.engines.columnar import HAS_NUMPY
-from repro.engines.dfs import SimulatedDFS
-from repro.engines.faults import FaultPlan
 from repro.engines.sparklike import SparkLikeEngine
 from repro.optimizer.pipeline import EmmaConfig
-from repro.workloads import datagen, graphs
-from repro.workloads.kmeans import initial_centroids, kmeans
-from repro.workloads.pagerank import pagerank
-from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 
 MODES = ("serial", "processes")
-PLANES = ("off", "on")
-
-#: Beyond ``metrics.HOST_DEPENDENT``, this suite's axis is the columnar
-#: plane, so the plane's own accounting may differ between variants.
-_PLANE_DEPENDENT = {
-    "columnar_batches_built",
-    "columnar_kernels",
-    "columnar_fallbacks",
-    "columnar_fallbacks_udf",
-    "columnar_fallbacks_schema",
-    "columnar_fallbacks_input",
-    # Under REPRO_MEMORY_BUDGET the at-rest ColumnBatch cache is itself
-    # a budgeted entry (``spill.register_batches``: dropping it *is* the
-    # eviction), and it exists only when a plane built batches — so the
-    # eviction count depends on the plane by construction.
-    "budget_evictions",
-}
 
 
 @parallelize
@@ -58,144 +33,14 @@ def row_only_chain(xs: DataBag):
     return [y * 2.0 for y in ys if y > 3.0]
 
 
-@pytest.fixture(scope="module")
-def world():
-    """Small staged datasets shared by every differential case."""
-    dfs = SimulatedDFS()
-    graph_path = graphs.stage_follower_graph(dfs, num_vertices=48)
-    points_path = datagen.stage_points(dfs, n=90, centers=3, dim=2)
-    orders_path, lineitem_path = stage_tpch(dfs, sf=0.05)
-    return {
-        "dfs": dfs,
-        "graph": graph_path,
-        "points": points_path,
-        "orders": orders_path,
-        "lineitem": lineitem_path,
-    }
-
-
-def _engine(world, mode, fault_plan=None):
-    return SparkLikeEngine(
-        cluster=ClusterConfig(num_workers=4),
-        dfs=world["dfs"],
-        execution_mode=mode,
-        max_parallel_tasks=2,
-        fault_plan=fault_plan,
-    )
-
-
 def _config(plane, mode):
     return EmmaConfig(
         columnar=plane, execution_mode=mode, max_parallel_tasks=2
     )
 
 
-def _run_matrix(world, algo, fault_plan=None, **params):
-    """Run ``algo`` under every (plane, mode); assert bit-identity.
-
-    Results are compared by exact ``repr`` in collection order (not
-    sorted): the columnar round-trip must reproduce the row plane's
-    record order and value types, not merely the same multiset.
-    """
-    outcomes = {}
-    for plane in PLANES:
-        for mode in MODES:
-            engine = _engine(world, mode, fault_plan=fault_plan)
-            result = algo.run(
-                engine, config=_config(plane, mode), **params
-            )
-            records = (
-                result.fetch() if hasattr(result, "fetch") else result
-            )
-            outcomes[(plane, mode)] = (
-                [repr(r) for r in records],
-                engine.metrics.invariant(_PLANE_DEPENDENT),
-                engine.metrics,
-            )
-    base_records, base_metrics, _ = outcomes[("off", "serial")]
-    for key, (records, metrics, _raw) in outcomes.items():
-        assert records == base_records, f"{key} diverged from baseline"
-        assert metrics == base_metrics, f"{key} metrics diverged"
-    return outcomes
-
-
-class TestWorkloadsBitIdentical:
-    def test_pagerank(self, world):
-        n = len(world["dfs"].get(world["graph"]).records)
-        _run_matrix(
-            world,
-            pagerank,
-            graph_path=world["graph"],
-            num_pages=n,
-            max_iterations=3,
-        )
-
-    def test_kmeans(self, world):
-        init = initial_centroids(
-            world["dfs"].get(world["points"]).records, 3
-        )
-        _run_matrix(
-            world,
-            kmeans,
-            points_path=world["points"],
-            initial=init,
-            epsilon=1e-6,
-            max_iterations=4,
-        )
-
-    def test_tpch_q1(self, world):
-        _run_matrix(
-            world,
-            tpch_q1,
-            lineitem_path=world["lineitem"],
-            ship_date_max="1996-12-01",
-        )
-
-    def test_tpch_q4(self, world):
-        _run_matrix(
-            world,
-            tpch_q4,
-            orders_path=world["orders"],
-            lineitem_path=world["lineitem"],
-            date_min="1995-01-01",
-            date_max="1996-07-01",
-        )
-
-
-class TestFaultedRunsBitIdentical:
-    """Fault schedules draw from the monotone task counter, which the
-    driver advances in partition order after each stage — so injected
-    chaos must land identically on both planes, in every mode."""
-
-    def test_pagerank_under_aggressive_faults(self, world):
-        n = len(world["dfs"].get(world["graph"]).records)
-        outcomes = _run_matrix(
-            world,
-            pagerank,
-            fault_plan=FaultPlan.aggressive(seed=23),
-            graph_path=world["graph"],
-            num_pages=n,
-            max_iterations=3,
-        )
-        _, metrics, _ = outcomes[("off", "serial")]
-        assert metrics["tasks_retried"] > 0
-        assert metrics["workers_lost"] > 0
-
-    def test_tpch_q1_under_aggressive_faults(self, world):
-        outcomes = _run_matrix(
-            world,
-            tpch_q1,
-            fault_plan=FaultPlan.aggressive(seed=5),
-            lineitem_path=world["lineitem"],
-            ship_date_max="1996-12-01",
-        )
-        _, metrics, _ = outcomes[("off", "serial")]
-        assert metrics["tasks_retried"] > 0
-
-
 class TestColumnarPlaneEngages:
-    """The matrix above proves nothing if the columnar plane never ran;
-    this pins that the synthetic scan chain actually vectorizes."""
+    """The synthetic scan chain actually vectorizes."""
 
     DATA = [float(i) for i in range(200)]
 

@@ -9,6 +9,8 @@ in-process equivalent of the cross-driver warm start CI exercises via
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -181,6 +183,56 @@ class TestEviction:
         )
         engine.attach_plan_cache(cache)
         assert cache.memory_limit == 262144
+
+    def test_config_budget_bounds_attached_cache(self, world, tmp_path):
+        # The job service attaches its cache first and only then runs
+        # with the submission's EmmaConfig(memory_budget=...).
+        cache = PlanCache(cache_dir=str(tmp_path))
+        engine = SparkLikeEngine(
+            cluster=ClusterConfig(num_workers=4),
+            dfs=world["dfs"],
+            memory_budget=0,
+        )
+        engine.attach_plan_cache(cache)
+        tpch_q1.run(
+            engine,
+            config=EmmaConfig(memory_budget=4096),
+            lineitem_path=world["lineitem"],
+            **Q1_PARAMS,
+        )
+        assert cache.memory_limit == 4096
+        assert cache.resident_bytes() <= 4096
+        assert cache.stats.evictions >= 1
+
+
+class TestConcurrentStats:
+    def test_no_lookup_is_lost(self, tmp_path):
+        cache = PlanCache(cache_dir=str(tmp_path))
+        cache.store_result("plan", "hit", [1, 2, 3])
+        threads, rounds = 16, 300
+
+        def lookups():
+            for i in range(rounds):
+                cache.lookup_result("plan", "hit" if i % 2 else "miss")
+                cache.lookup_plan("absent")
+                cache.store_result("plan", "skip", lambda: None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=lookups) for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        stats, total = cache.stats, threads * rounds
+        assert stats.result_hits + stats.result_misses == total
+        assert stats.plan_misses == total
+        assert stats.store_skips == total
 
 
 class TestEnvironmentDefault:

@@ -9,8 +9,8 @@ guarded group-aggregations — and the resulting IR is executed:
 * compiled (resugar -> normalize -> fold-group fusion -> lower ->
   operator chaining) and run on the Spark-like and Flink-like engines,
   with unnesting, fusion, and physical chaining independently toggled
-  and the execution mode (inline or thread-pool dispatch of the same
-  partition tasks) sampled per example.
+  and the runtime point — execution mode and driver memory budget,
+  drawn from the physical lattice's axis table — sampled per example.
 
 Every combination must produce the same multiset.  This is the
 paper's central soundness claim — the rewrites and the parallel
@@ -52,12 +52,12 @@ from repro.engines.faults import (
     FaultPlan,
 )
 from repro.engines.flinklike import FlinkLikeEngine
-from repro.engines.scheduler import default_execution_mode
 from repro.engines.sparklike import SparkLikeEngine
 from repro.lowering.chaining import chain_operators
 from repro.lowering.combinators import CFold
 from repro.lowering.rules import lower
 from repro.optimizer.fold_group_fusion import fold_group_fusion
+from tests.engines.test_physical_lattice import LATTICE
 
 # ---------------------------------------------------------------------------
 # Pipeline stages: each maps a bag-of-ints IR expression to another one.
@@ -226,19 +226,21 @@ int_bags = st.lists(
 )
 
 
-#: how the scheduler dispatches partition tasks: inline, plus whatever
-#: ``REPRO_EXECUTION_MODE`` makes the default (the parallel-backend CI
-#: job runs this file under ``processes``)
-execution_modes = st.sampled_from(
-    sorted({"serial", default_execution_mode()})
+#: the runtime half of the physical lattice: (execution mode, driver
+#: memory budget), each value drawn from the harness's axis table
+runtime_points = st.tuples(
+    st.sampled_from(LATTICE["execution_mode"][:2]),
+    st.sampled_from(LATTICE["memory_budget"][:2]),
 )
 
 
-def make_engine(engine_cls, mode, num_workers=3, **kwargs):
+def make_engine(engine_cls, runtime, num_workers=3, **kwargs):
+    mode, budget = runtime
     return engine_cls(
         cluster=ClusterConfig(num_workers=num_workers),
         execution_mode=mode,
         max_parallel_tasks=2,
+        memory_budget=budget,
         **kwargs,
     )
 
@@ -263,9 +265,9 @@ def run_compiled(expr, env, engine, unnest, fuse, chain=False):
 
 
 @settings(max_examples=40, deadline=None)
-@given(stage_descriptors, int_bags, int_bags, execution_modes)
+@given(stage_descriptors, int_bags, int_bags, runtime_points)
 def test_every_backend_and_config_matches_the_oracle(
-    descriptors, xs, ys, mode
+    descriptors, xs, ys, runtime
 ):
     expr = build_pipeline(descriptors)
     env = {"xs": DataBag(xs), "ys": DataBag(ys)}
@@ -274,23 +276,23 @@ def test_every_backend_and_config_matches_the_oracle(
     for engine_cls in (SparkLikeEngine, FlinkLikeEngine):
         for unnest in (False, True):
             for fuse in (False, True):
-                engine = make_engine(engine_cls, mode)
+                engine = make_engine(engine_cls, runtime)
                 result = run_compiled(
                     expr, dict(env), engine, unnest, fuse
                 )
                 assert result == oracle, (
                     f"{engine_cls.__name__} unnest={unnest} "
-                    f"fuse={fuse} mode={mode} diverged"
+                    f"fuse={fuse} runtime={runtime} diverged"
                 )
 
 
 @settings(max_examples=25, deadline=None)
-@given(stage_descriptors, int_bags, int_bags, execution_modes)
-def test_terminal_folds_match_the_oracle(descriptors, xs, ys, mode):
+@given(stage_descriptors, int_bags, int_bags, runtime_points)
+def test_terminal_folds_match_the_oracle(descriptors, xs, ys, runtime):
     expr = FoldCall(build_pipeline(descriptors), AlgebraSpec("sum"))
     env = {"xs": DataBag(xs), "ys": DataBag(ys)}
     oracle = evaluate(expr, dict(env))
-    engine = make_engine(SparkLikeEngine, mode, num_workers=4)
+    engine = make_engine(SparkLikeEngine, runtime, num_workers=4)
     assert run_compiled(expr, dict(env), engine, True, True) == oracle
 
 
@@ -326,7 +328,7 @@ fault_plans = st.builds(
 
 
 @settings(max_examples=25, deadline=None)
-@given(stage_descriptors, int_bags, int_bags, fault_plans, execution_modes)
+@given(stage_descriptors, int_bags, int_bags, fault_plans, runtime_points)
 # The worker-memo collision: a broadcast semi-join's key set {0} once
 # fingerprinted like set() and {0, 1, 2, 3} (the 32-bit partition hash
 # as a content identity), so a warmed pool worker answered from a stale
@@ -336,22 +338,22 @@ fault_plans = st.builds(
     xs=[0],
     ys=[0],
     plan=FaultPlan(),
-    mode=default_execution_mode(),
+    runtime=("processes", 0),
 )
 def test_fault_injection_never_changes_results(
-    descriptors, xs, ys, plan, mode
+    descriptors, xs, ys, plan, runtime
 ):
     expr = build_pipeline(descriptors)
     env = {"xs": DataBag(xs), "ys": DataBag(ys)}
     oracle = evaluate(expr, dict(env))
 
     for engine_cls in (SparkLikeEngine, FlinkLikeEngine):
-        engine = make_engine(engine_cls, mode, fault_plan=plan)
+        engine = make_engine(engine_cls, runtime, fault_plan=plan)
         result = run_compiled(
             expr, dict(env), engine, True, True, chain=True
         )
         assert result == oracle, (
-            f"{engine_cls.__name__} mode={mode} diverged under fault "
+            f"{engine_cls.__name__} runtime={runtime} diverged under fault "
             f"plan seed={plan.seed}"
         )
 
@@ -383,9 +385,9 @@ def test_fault_schedule_is_reproducible(descriptors, xs, ys):
 
 
 @settings(max_examples=40, deadline=None)
-@given(stage_descriptors, int_bags, int_bags, execution_modes)
+@given(stage_descriptors, int_bags, int_bags, runtime_points)
 def test_operator_chaining_never_changes_results(
-    descriptors, xs, ys, mode
+    descriptors, xs, ys, runtime
 ):
     """Physical chaining on vs off, on every engine, vs the oracle.
 
@@ -400,7 +402,7 @@ def test_operator_chaining_never_changes_results(
     for engine_cls in (SparkLikeEngine, FlinkLikeEngine):
         results = {}
         for chain in (False, True):
-            engine = make_engine(engine_cls, mode)
+            engine = make_engine(engine_cls, runtime)
             results[chain] = run_compiled(
                 expr, dict(env), engine, True, True, chain=chain
             )
