@@ -4,7 +4,8 @@
 a batch cached for a bag at rest shares (never ships) its rows.  Whole
 workloads across both exchange planes and every other physical knob —
 including the skewed-key join — are checked by
-``test_physical_lattice.py``.
+``test_physical_lattice.py``; the exchange plane under a memory budget
+alone is checked here on the same harness.
 """
 
 import pickle
@@ -18,6 +19,11 @@ from repro.lowering.combinators import CBagRef
 from repro.optimizer.pipeline import EmmaConfig
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import tpch_q4
+from tests.engines.test_physical_lattice import (
+    assert_agrees,
+    lattice_world,
+    run_point,
+)
 
 
 def _config(exchange):
@@ -81,3 +87,19 @@ class TestCachedBatchRows:
             rebuilt = shipped.to_records()
             assert rebuilt == bag.partitions[i]
             assert rebuilt is not bag.partitions[i]
+
+
+class TestBudgetedRunsBitIdentical:
+    """The 16 KiB driver budget forces shuffle state — columnar batches
+    included — through the spill store; reloads take the same lineage
+    path as resident partitions, so the squeeze plus the exchange plane
+    must still change nothing observable."""
+
+    def test_pagerank_under_budget(self, run_point):
+        # Against the budgeted row-plane run: only the plane differs.
+        # The oracle also demands spills, reloads and columnar exchanges.
+        assert_agrees(run_point, "pagerank", "00110", base="00010")
+
+    def test_budgeted_matches_unbudgeted(self, run_point):
+        # Against a run with no budget at all: the contract is transitive.
+        assert_agrees(run_point, "pagerank", "00110")

@@ -5,7 +5,8 @@ Each ``JobExecutor`` handler must hand the scheduler the identical
 identical results and invariant metrics: the mode only picks how the
 same tasks are dispatched.  Whole workloads across every execution
 mode, plane, budget and cache state are checked by
-``test_physical_lattice.py``.
+``test_physical_lattice.py``; the mode alone, with every other knob at
+its baseline, is checked here on the same harness.
 """
 
 import pytest
@@ -43,7 +44,12 @@ from repro.lowering.combinators import (
     CUnion,
     ScalarFn,
 )
-from tests.engines.test_physical_lattice import RecordingScheduler
+from tests.engines.test_physical_lattice import (
+    RecordingScheduler,
+    assert_agrees,
+    lattice_world,
+    run_point,
+)
 
 MODES = ("serial", "processes")
 
@@ -188,3 +194,15 @@ class TestEveryOperatorOnePath:
             assert engine.metrics.serial_fallbacks == 0
         assert {label for label, _ in runs["serial"][2]} == labels
         assert runs["processes"] == runs["serial"]
+
+
+class TestWorkloadsBitIdentical:
+    """Processes mode with every other knob at its baseline — a point
+    the covering array never runs, since its processes rows also flip
+    a plane, the budget or the cache."""
+
+    def test_pagerank(self, run_point):
+        assert_agrees(run_point, "pagerank", "10000")
+
+    def test_tpch_q1(self, run_point):
+        assert_agrees(run_point, "tpch_q1", "10000")

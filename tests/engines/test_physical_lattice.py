@@ -6,10 +6,11 @@ across the five two-valued knobs of :data:`LATTICE` — execution mode,
 the columnar chain plane, the columnar exchange plane, the driver
 memory budget and the plan-cache state: a run at any point must return
 ``repr``-identical results, in collection order, to the baseline point,
-and :meth:`Metrics.invariant` over the axes the two differ on —
+and :meth:`Metrics.invariant` over the axes of the knobs it sets —
 simulated seconds, byte counts, fault and recovery schedules — must be
 bit-identical.  Which counters a knob may move is declared once, on the
-counter, in :mod:`repro.engines.metrics`.
+counter, in :mod:`repro.engines.metrics`.  :func:`assert_agrees` is the
+oracle; other suites call it to compare two points off the array.
 
 :data:`POINTS` is the baseline plus a pairwise covering array, so every
 pair of axis values meets in at least one point.  Each point sets every
@@ -81,7 +82,7 @@ SKEW_RIGHT = [(i % 7, float(i) * 0.5) for i in range(300)]
 
 #: workload -> the non-baseline knobs it must visibly engage (the
 #: exchange plane engages everywhere; Q4 alone has a vectorizable chain;
-#: PageRank alone keeps enough state resident to spill)
+#: PageRank alone keeps enough state resident to spill and reload)
 ENGAGES = {
     "pagerank": {"columnar_exchange", "memory_budget"},
     "kmeans": {"columnar_exchange"},
@@ -122,10 +123,10 @@ class Outcome:
 
 
 @pytest.fixture(scope="module")
-def world():
+def lattice_world():
     """Each workload as ``(algorithm, parameters)`` over one staged DFS."""
     dfs = SimulatedDFS()
-    graph = graphs.stage_follower_graph(dfs, num_vertices=90)
+    graph = graphs.stage_follower_graph(dfs, num_vertices=200)
     points = datagen.stage_points(dfs, n=90, centers=3, dim=2)
     orders, lineitem = stage_tpch(dfs, sf=0.05)
     return dfs, {
@@ -167,9 +168,9 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def run_point(world, tmp_path_factory):
+def run_point(lattice_world, tmp_path_factory):
     """``run_point(workload, bits, fault_plan)``, each run done once."""
-    dfs, workloads = world
+    dfs, workloads = lattice_world
     runs = {}
 
     def run(workload, bits, fault_plan):
@@ -230,11 +231,26 @@ def _assert_engaged(run_point, workload, bits, fault_plan, got):
     elif "columnar_exchange" in engages:
         assert exchanged > 0
     if knobs["memory_budget"] and "memory_budget" in engages:
-        assert m.partitions_spilled > 0
+        assert m.partitions_spilled > 0 and m.partitions_reloaded > 0
     if knobs["plan_cache"] == "hit":
         assert m.plan_cache_hits == 1 and got.cache.disk_loads == 1
     else:
         assert m.plan_cache_misses == 1
+
+
+def assert_agrees(run_point, workload, bits, fault_plan=None, base=POINTS[0]):
+    """The oracle: the run at ``bits`` matches the run at ``base`` —
+    ``repr``-identical records, and equal :meth:`Metrics.invariant` over
+    the axes of every knob either point sets (a budget's spill counters
+    also follow the plane that fills it) — and every non-baseline knob
+    of ``bits`` took effect.  Returns the run at ``bits``."""
+    before = run_point(workload, base, fault_plan)
+    got = run_point(workload, bits, fault_plan)
+    axes = {LATTICE[k][2] for k, b, a in zip(LATTICE, bits, base) if "1" in b + a}
+    assert got.records == before.records
+    assert got.metrics.invariant(*axes) == before.metrics.invariant(*axes)
+    _assert_engaged(run_point, workload, bits, fault_plan, got)
+    return got
 
 
 def test_points_cover_every_pair():
@@ -249,12 +265,7 @@ def test_points_cover_every_pair():
     ids=[name + ("-faults" if plan else "") for name, plan in CASES],
 )
 def test_point(run_point, workload, fault_plan, bits):
-    base = run_point(workload, POINTS[0], fault_plan)
-    got = run_point(workload, bits, fault_plan)
-    axes = {LATTICE[k][2] for k, bit in zip(LATTICE, bits) if bit == "1"}
-    assert got.records == base.records
-    assert got.metrics.invariant(*axes) == base.metrics.invariant(*axes)
-    _assert_engaged(run_point, workload, bits, fault_plan, got)
+    got = assert_agrees(run_point, workload, bits, fault_plan)
     if fault_plan is not None:
         assert got.metrics.tasks_retried > 0
         assert got.metrics.workers_lost > 0

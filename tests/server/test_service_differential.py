@@ -4,7 +4,8 @@ A result-cache hit runs no job at all, so its value must be
 ``repr``-identical to the cold run that memoized it — across execution
 modes, under aggressive fault injection and inside a driver memory
 budget.  A *plan*-cache hit executes, and is one axis of
-``test_physical_lattice.py``.
+``test_physical_lattice.py``; a hit against a cold compile in the same
+mode and budget is checked here on the same harness.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from repro.server import JobService
 from repro.workloads import graphs
 from repro.workloads.pagerank import pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1
+from tests.engines.test_physical_lattice import (
+    assert_agrees,
+    lattice_world,
+    run_point,
+)
 
 MODES = ("serial", "processes")
 
@@ -113,3 +119,23 @@ class TestResultHitServesIdentically:
             config,
             fault_plan=FaultPlan.aggressive(),
         )
+
+
+def _cold_vs_hit(run_point, workload, mode, budget="0"):
+    """A disk-reloaded plan against a fresh compile, all else equal."""
+    bits = ("1" if mode == "processes" else "0") + "00" + budget
+    assert_agrees(run_point, workload, bits + "1", base=bits + "0")
+
+
+class TestPlanHitExecutesIdentically:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pagerank_all_modes(self, run_point, mode):
+        _cold_vs_hit(run_point, "pagerank", mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tpch_q1_all_modes(self, run_point, mode):
+        _cold_vs_hit(run_point, "tpch_q1", mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_under_memory_budget(self, run_point, mode):
+        _cold_vs_hit(run_point, "pagerank", mode, budget="1")
