@@ -236,10 +236,19 @@ def hash_partition_index(key_value: Any, num_partitions: int) -> int:
     return stable_hash(key_value) % num_partitions
 
 
+def _partition_nbytes(partition: Sequence[Any]) -> int:
+    """One partition's byte estimate (a spill sentinel carries its own)."""
+    if not partition:
+        return 0
+    if isinstance(partition, list):
+        return estimate_bag_bytes(partition)
+    return partition.nbytes
+
+
 class PartitionedBag:
     """A distributed bag: one record list per partition."""
 
-    __slots__ = ("partitions", "partitioner", "__weakref__")
+    __slots__ = ("partitions", "partitioner", "_sizes", "__weakref__")
 
     def __init__(
         self,
@@ -248,6 +257,8 @@ class PartitionedBag:
     ) -> None:
         self.partitions: list[list[Any]] = [list(p) for p in partitions]
         self.partitioner = partitioner
+        #: ``(stamp, per-partition bytes)`` as of the last sizing
+        self._sizes: tuple[tuple, list[int]] | None = None
 
     @staticmethod
     def from_records(
@@ -292,13 +303,44 @@ class PartitionedBag:
         """All records as one list (driver-side materialization)."""
         return [r for p in self.partitions for r in p]
 
+    def stamp(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The identities and lengths of the partition lists.
+
+        Whatever is memoized about the bag's contents (its byte
+        estimates, its at-rest column batches) is valid exactly while
+        the stamp is unchanged: replacing a slot — a spill sentinel, a
+        reload, a lineage-recovered list — changes its identity.
+        """
+        parts = self.partitions
+        return tuple(map(id, parts)), tuple(map(len, parts))
+
     def nbytes(self) -> int:
         """Estimated serialized bytes of the whole bag."""
-        return sum(estimate_bag_bytes(p) for p in self.partitions)
+        return sum(self.partition_bytes())
 
     def partition_bytes(self) -> list[int]:
-        """Estimated bytes per partition (skew diagnostics)."""
-        return [estimate_bag_bytes(p) for p in self.partitions]
+        """Estimated bytes per partition, sized once per partition list.
+
+        The estimates are a memo on the bag under :meth:`stamp`; a
+        partition whose slot changed since is re-sized, every other one
+        is read back.  A spilled slot reports the bytes of the records
+        it stands for.  The list is the memo itself: read it, never
+        mutate it.
+        """
+        stamp = self.stamp()
+        memo = self._sizes
+        if memo is not None and memo[0] == stamp:
+            return memo[1]
+        (old_ids, old_lens), old_sizes = memo or (((), ()), [])
+        ids, lens = stamp
+        sizes = [
+            old_sizes[i]
+            if i < len(old_ids) and (old_ids[i], old_lens[i]) == (ids[i], lens[i])
+            else _partition_nbytes(p)
+            for i, p in enumerate(self.partitions)
+        ]
+        self._sizes = (stamp, sizes)
+        return sizes
 
     def trace_attrs(self) -> dict[str, int]:
         """Size and skew measurements for a trace span.

@@ -407,15 +407,17 @@ class JobExecutor:
         self,
         steps: tuple[KernelStep, ...],
         partition_index: int,
-        partition: list[Any],
+        n_records: int,
+        nbytes: int,
         counts: tuple,
     ) -> tuple[list[int], int]:
         """Charge one completed kernel task from its counters alone:
         exactly what the unfused operators would cost, minus the
-        per-operator materialization (``_record_ops`` is paid once per
-        chain)."""
-        entered, emitted = entered_counts(steps, len(partition), counts)
-        ops = self._record_ops(partition)
+        per-operator materialization (the input's byte-proportional
+        processing cost, ``nbytes`` from the source bag's size memo, is
+        paid once per chain)."""
+        entered, emitted = entered_counts(steps, n_records, counts)
+        ops = nbytes / self.engine.cost.cpu_bytes_per_op
         ci = 0
         for s, step in enumerate(steps):
             ops += entered[s] * (1 + step.udf.extra)
@@ -585,10 +587,7 @@ class JobExecutor:
         """``bag``'s batch-cache entry (``key -> batches``), emptied
         first if any partition list was replaced since it was stamped."""
         cache = self.engine._batch_cache
-        stamp = (
-            tuple(map(id, bag.partitions)),
-            tuple(map(len, bag.partitions)),
-        )
+        stamp = bag.stamp()
         entry = cache.get(bag)
         if entry is None or entry[0] != stamp:
             entry = cache[bag] = (stamp, {})
@@ -737,6 +736,7 @@ class JobExecutor:
         out: list[list[Any]] = []
         out_batches: dict[int, ColumnBatch] = {}
         row_out = False
+        sizes = source.partition_bytes()
         for i, (p, (payload, counts)) in enumerate(
             zip(source.partitions, results)
         ):
@@ -747,7 +747,9 @@ class JobExecutor:
             else:
                 rows = payload
                 row_out = row_out or bool(rows)
-            entered, _emitted = self._charge_kernel(steps, i, p, counts)
+            entered, _emitted = self._charge_kernel(
+                steps, i, len(p), sizes[i], counts
+            )
             out.append(rows)
             invocations += sum(entered)
         self.engine.metrics.udf_invocations += invocations
@@ -864,10 +866,11 @@ class JobExecutor:
             [] for _ in range(n_parts)
         ]
         trace_blocks: list[ColumnBatch] = []
+        sent_sizes = bag.partition_bytes()
         for i, p in enumerate(bag.partitions):
             if not p:
                 continue
-            part_bytes = estimate_bag_bytes(p)
+            part_bytes = sent_sizes[i]
             bucketed = buckets[i]
             if isinstance(bucketed[0], ColumnBatch):
                 columnar_parts += 1
@@ -890,12 +893,19 @@ class JobExecutor:
             if self.engine.shuffle_via_disk:
                 seconds += self.engine.cost.disk_seconds(part_bytes)
             self.job.charge_worker(self._worker_of(i), seconds)
-        # Receive side: charged exactly from the skew of new partitions.
+        # Receive side: charged exactly from the skew of new partitions,
+        # sized through the result bag's memo (so a later ``nbytes()``
+        # of the shuffled bag is free).
+        result = PartitionedBag(
+            new_partitions, Partitioner(key_ir, n_parts)
+        )
         locality = (self.num_workers - 1) / max(self.num_workers, 1)
-        for j, p in enumerate(new_partitions):
+        for j, (p, nbytes) in enumerate(
+            zip(result.partitions, result.partition_bytes())
+        ):
             if not p:
                 continue
-            recv = estimate_bag_bytes(p) * locality
+            recv = nbytes * locality
             seconds = self.engine.cost.network_seconds(recv)
             if self.engine.shuffle_via_disk:
                 seconds += self.engine.cost.disk_seconds(recv)
@@ -922,9 +932,6 @@ class JobExecutor:
                 records=bag.count(),
                 columnar_parts=columnar_parts,
             )
-        result = PartitionedBag(
-            new_partitions, Partitioner(key_ir, n_parts)
-        )
         if columnar_parts and not row_contrib:
             self._seed_shuffled_batches(result, dest_blocks)
         return result
@@ -1153,12 +1160,6 @@ class JobExecutor:
                 bindings[name] = value
         self._bindings_memo[names] = (dict(bindings), extra)
         return bindings, extra
-
-    def _record_ops(self, partition: list[Any]) -> float:
-        """Byte-proportional processing cost for record-wise UDFs."""
-        if not partition:
-            return 0.0
-        return estimate_bag_bytes(partition) / self.engine.cost.cpu_bytes_per_op
 
     def _charge_cpu(self, partition_index: int, ops: float) -> None:
         worker = self._worker_of(partition_index)
@@ -1637,7 +1638,8 @@ class JobExecutor:
         # only when a driver memory budget opted the run into the
         # out-of-core layer, so budget-less runs keep the paper's hard
         # failure mode bit-for-bit.
-        external = self._plan_external_groups(shuffled.partitions)
+        sizes = shuffled.partition_bytes()
+        external = self._plan_external_groups(sizes)
         spec = GroupSpec(
             key,
             gvk.schema if gvk is not None else None,
@@ -1659,7 +1661,9 @@ class JobExecutor:
         out: list[list[Any]] = []
         for i, p in enumerate(shuffled.partitions):
             if i in external:
-                out.append(self._external_group_partition(i, p, key_fn))
+                out.append(
+                    self._external_group_partition(i, p, sizes[i], key_fn)
+                )
                 ops = len(p) * (1 + extra) * factor
                 if len(p) > 1:
                     # External grouping sorts runs: n log n, like the
@@ -1671,9 +1675,7 @@ class JobExecutor:
                 # nothing lands in ``_worker_group_bytes``.
                 self.job.charge_worker(
                     self._worker_of(i),
-                    self.engine.cost.disk_seconds(
-                        2 * estimate_bag_bytes(p)
-                    ),
+                    self.engine.cost.disk_seconds(2 * sizes[i]),
                 )
                 continue
             out.append(group_rows[i])
@@ -1682,10 +1684,10 @@ class JobExecutor:
                 # Sort-based grouping costs n log n, not n.
                 ops *= math.log2(len(p))
             self._charge_cpu(i, ops)
-            self._account_group_memory(i, p)
+            self._account_group_memory(i, sizes[i])
         return PartitionedBag(out, _grp_partitioner(shuffled, "key"))
 
-    def _plan_external_groups(self, partitions: list[list[Any]]) -> set[int]:
+    def _plan_external_groups(self, sizes: list[int]) -> set[int]:
         """Partition indexes that must group externally, or empty.
 
         Mirrors :meth:`_account_group_memory` exactly: walking the
@@ -1707,9 +1709,8 @@ class JobExecutor:
         limit = engine.cost.memory_per_worker
         projected = list(self._worker_group_bytes)
         external: set[int] = set()
-        for i, p in enumerate(partitions):
+        for i, nbytes in enumerate(sizes):
             worker = self._worker_of(i)
-            nbytes = estimate_bag_bytes(p)
             if projected[worker] + nbytes > limit:
                 external.add(i)
             else:
@@ -1717,7 +1718,7 @@ class JobExecutor:
         return external
 
     def _external_group_partition(
-        self, partition_index: int, p: list, key_fn: Any
+        self, partition_index: int, p: list, nbytes: int, key_fn: Any
     ) -> list[Any]:
         """Group one partition through spill-file runs + merge.
 
@@ -1733,7 +1734,6 @@ class JobExecutor:
         engine = self.engine
         dfs = engine.dfs
         metrics = engine.metrics
-        nbytes = estimate_bag_bytes(p)
         # Runs sized to a quarter of the worker's allowance, so the
         # merge keeps at most one run plus the result map in flight.
         run_budget = max(1, engine.cost.memory_per_worker // 4)
@@ -1772,8 +1772,7 @@ class JobExecutor:
             )
         return [Grp(k, DataBag(vs)) for k, vs in merged.items()]
 
-    def _account_group_memory(self, partition_index: int, p: list) -> None:
-        nbytes = estimate_bag_bytes(p)
+    def _account_group_memory(self, partition_index: int, nbytes: int) -> None:
         if self.engine.group_spill_to_disk:
             # Streaming/sort-based grouping spills through local disk.
             seconds = self.engine.cost.disk_seconds(2 * nbytes)
@@ -1847,6 +1846,7 @@ class JobExecutor:
             PartitionTask(i, mspec, p, "agg-map")
             for i, p in enumerate(source.partitions)
         ]
+        sizes = source.partition_bytes() if steps is not None else None
         for i, (p, (pairs, counts)) in enumerate(
             zip(source.partitions, self._run_stage(tasks))
         ):
@@ -1854,7 +1854,7 @@ class JobExecutor:
                 n_agg_inputs = len(p)
             else:
                 entered, n_agg_inputs = self._charge_kernel(
-                    steps, i, p, counts
+                    steps, i, len(p), sizes[i], counts
                 )
                 chain_invocations += sum(entered)
             partials.append(pairs)

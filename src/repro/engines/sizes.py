@@ -4,75 +4,169 @@ The engines operate on real Python records but the cost model charges
 *serialized* bytes, estimated from the record structure: fixed widths
 for numbers, content length for strings, recursion for containers and
 dataclass-like records.  For large homogeneous collections
-:func:`estimate_bag_bytes` samples a prefix and extrapolates, which
-keeps accounting cheap relative to the simulated work itself.
+:func:`estimate_bag_bytes` samples a 32-record prefix and extrapolates,
+which keeps accounting cheap relative to the simulated work itself.
+
+Two things keep it off the host's hot path.  The per-record rule is a
+*sizer* looked up by the record's exact type: built once per class, on
+first sight, from the rules below (scalars first, so ``bool`` before
+``int`` and subclasses by their base; the depth cap collapses
+containers and records, never scalars), with a dataclass's field names
+and a slotted class's slot layout read once.  And the engine sizes each
+partition list once: :meth:`PartitionedBag.partition_bytes
+<repro.engines.cluster.PartitionedBag.partition_bytes>` keeps the
+estimates as a memo on the bag, validated by the same partition-list
+stamp as the at-rest batch cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 _SAMPLE = 32
 _RECORD_OVERHEAD = 8
+#: containers and records nested deeper than this size as the overhead
+_MAX_DEPTH = 6
+
+Sizer = Callable[[Any, int], int]
+
+#: exact type -> its sizer, filled on first sight of each class
+_SIZERS: dict[type, Sizer] = {}
 
 
 def estimate_record_bytes(record: Any) -> int:
     """Estimated serialized size of one record, in bytes."""
-    return _estimate(record, depth=0)
+    return _estimate(record, 0)
 
 
 def _estimate(value: Any, depth: int) -> int:
-    # Scalars are type-dispatched at any depth: their width is known
-    # without recursion, so the depth cap (which exists to bound
-    # traversal of pathologically nested containers) must not flatten
-    # a deeply nested bool/str to the generic record overhead.
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, str):
-        return 4 + len(value)
-    if isinstance(value, bytes):
-        return 4 + len(value)
-    if depth > 6:
+    return (_SIZERS.get(type(value)) or _learn(type(value)))(value, depth)
+
+
+def _learn(cls: type) -> Sizer:
+    sizer = _SIZERS[cls] = _sizer_for(cls)
+    return sizer
+
+
+def _sum(values: Iterable[Any], depth: int) -> int:
+    """Total estimate of ``values``, each sized at ``depth``."""
+    total = 0
+    for v in values:
+        total += (_SIZERS.get(type(v)) or _learn(type(v)))(v, depth)
+    return total
+
+
+# -- per-type sizers -----------------------------------------------------------
+
+
+def _one(value: Any, depth: int) -> int:
+    return 1
+
+
+def _fixed8(value: Any, depth: int) -> int:
+    return 8
+
+
+def _length(value: Any, depth: int) -> int:
+    return 4 + len(value)
+
+
+def _items(value: Any, depth: int) -> int:
+    if depth > _MAX_DEPTH:
         return _RECORD_OVERHEAD
-    if isinstance(value, (tuple, list)):
-        return _RECORD_OVERHEAD + sum(
-            _estimate(v, depth + 1) for v in value
-        )
-    if isinstance(value, (set, frozenset)):
-        return _RECORD_OVERHEAD + sum(
-            _estimate(v, depth + 1) for v in value
-        )
-    if isinstance(value, dict):
-        return _RECORD_OVERHEAD + sum(
-            _estimate(k, depth + 1) + _estimate(v, depth + 1)
-            for k, v in value.items()
-        )
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _RECORD_OVERHEAD + sum(
-            _estimate(getattr(value, f.name), depth + 1)
-            for f in dataclasses.fields(value)
-        )
-    # Grp / AggResult / other slotted records.
-    slots = getattr(type(value), "__slots__", None)
-    if slots:
-        return _RECORD_OVERHEAD + sum(
-            _estimate(getattr(value, s), depth + 1)
-            for s in slots
-            if hasattr(value, s)
-        )
+    return _RECORD_OVERHEAD + _sum(value, depth + 1)
+
+
+def _mapping(value: Any, depth: int) -> int:
+    if depth > _MAX_DEPTH:
+        return _RECORD_OVERHEAD
+    depth += 1
+    total = _RECORD_OVERHEAD
+    for k, v in value.items():
+        total += _estimate(k, depth) + _estimate(v, depth)
+    return total
+
+
+def _instance_dict(value: Any, depth: int) -> int:
+    if depth > _MAX_DEPTH:
+        return _RECORD_OVERHEAD
     attrs = getattr(value, "__dict__", None)
-    if attrs is not None:
-        return _RECORD_OVERHEAD + sum(
-            _estimate(v, depth + 1) for v in attrs.values()
-        )
-    return _RECORD_OVERHEAD
+    if attrs is None:
+        return _RECORD_OVERHEAD
+    return _RECORD_OVERHEAD + _sum(attrs.values(), depth + 1)
+
+
+def _fields(names: tuple[str, ...]) -> Sizer:
+    """The sizer of a dataclass with the field names ``names``."""
+
+    def size(value: Any, depth: int) -> int:
+        if depth > _MAX_DEPTH:
+            return _RECORD_OVERHEAD
+        depth += 1
+        total = _RECORD_OVERHEAD
+        for name in names:
+            attr = getattr(value, name)
+            total += (_SIZERS.get(type(attr)) or _learn(type(attr)))(
+                attr, depth
+            )
+        return total
+
+    return size
+
+
+def _slots(names: tuple[str, ...]) -> Sizer:
+    """The sizer of a slotted class with the slots ``names`` (an unset
+    slot is skipped)."""
+
+    def size(value: Any, depth: int) -> int:
+        if depth > _MAX_DEPTH:
+            return _RECORD_OVERHEAD
+        depth += 1
+        total = _RECORD_OVERHEAD
+        for name in names:
+            if hasattr(value, name):
+                total += _estimate(getattr(value, name), depth)
+        return total
+
+    return size
+
+
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """Every slot a class's instances carry, over its whole MRO.
+
+    A string ``__slots__`` declares one name, not one per character.
+    """
+    names: list[str] = []
+    for klass in reversed(cls.__mro__):
+        declared = klass.__dict__.get("__slots__", ())
+        if isinstance(declared, str):
+            declared = (declared,)
+        names += [n for n in declared if n not in names]
+    return tuple(names)
+
+
+def _sizer_for(cls: type) -> Sizer:
+    """Build ``cls``'s sizer: the first rule that claims the class."""
+    if cls is type(None) or issubclass(cls, bool):
+        return _one
+    if issubclass(cls, (int, float)):
+        return _fixed8
+    if issubclass(cls, (str, bytes)):
+        return _length
+    if issubclass(cls, (tuple, list, set, frozenset)):
+        return _items
+    if issubclass(cls, dict):
+        return _mapping
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _fields(tuple(f.name for f in dataclasses.fields(cls)))
+    slots = _slot_names(cls)
+    if slots:
+        return _slots(slots)
+    return _instance_dict
+
+
+# -- collections ---------------------------------------------------------------
 
 
 def estimate_bag_bytes(records: Sequence[Any]) -> int:
@@ -81,9 +175,8 @@ def estimate_bag_bytes(records: Sequence[Any]) -> int:
     if n == 0:
         return 0
     if n <= _SAMPLE:
-        return sum(estimate_record_bytes(r) for r in records)
-    sample = records[:_SAMPLE]
-    avg = sum(estimate_record_bytes(r) for r in sample) / len(sample)
+        return _sum(records, 0)
+    avg = _sum(records[:_SAMPLE], 0) / _SAMPLE
     return int(avg * n)
 
 
@@ -105,8 +198,8 @@ def estimate_column_bytes(values: Sequence[Any]) -> int:
     if n == 0:
         return 0
     if n <= _SAMPLE:
-        return sum(_estimate(v, depth=1) for v in values)
-    avg = sum(_estimate(v, depth=1) for v in values[:_SAMPLE]) / _SAMPLE
+        return _sum(values, 1)
+    avg = _sum(values[:_SAMPLE], 1) / _SAMPLE
     return int(avg * n)
 
 

@@ -54,7 +54,6 @@ from repro.engines.columnar import (
     pack_column,
     unpack_column,
 )
-from repro.engines.sizes import estimate_bag_bytes
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -204,16 +203,18 @@ class SpilledPartition:
     """The sentinel left in a bag slot whose partition was evicted.
 
     Keeps the record count (so ``PartitionedBag.count()`` stays cheap
-    and correct) but fails loudly on any attempt to read records — a
-    spilled partition must be reloaded through the
+    and correct) and the byte estimate of the records it stands for (so
+    the bag's size stays known), but fails loudly on any attempt to
+    read records — a spilled partition must be reloaded through the
     :class:`SpillManager` before use; touching the sentinel directly
     is always an engine bug, never silent data loss.
     """
 
-    __slots__ = ("count",)
+    __slots__ = ("count", "nbytes")
 
-    def __init__(self, count: int) -> None:
+    def __init__(self, count: int, nbytes: int) -> None:
         self.count = count
+        self.nbytes = nbytes
 
     def __len__(self) -> int:
         return self.count
@@ -461,7 +462,7 @@ class SpillManager:
             codec, buf = encode_payload(records)
             path = self.engine.dfs.spill_put_bytes(buf, tag="cache")
             self._tracked_ids.discard(id(records))
-            parts[i] = SpilledPartition(len(records))
+            parts[i] = SpilledPartition(len(records), entry.nbytes)
             entry.spilled = True
             entry.path = path
             entry.file_nbytes = len(buf)
@@ -545,6 +546,7 @@ class SpillManager:
         group = self._handle_group(handle)
         handle_ref = weakref.ref(handle)
         parts = handle.bag.partitions
+        sizes = handle.bag.partition_bytes()
         todo = range(len(parts)) if indexes is None else sorted(indexes)
         for i in todo:
             if not isinstance(parts[i], list):
@@ -553,7 +555,7 @@ class SpillManager:
             old = self._entries.get(key)
             if old is not None:
                 self._discard(old)
-            nbytes = estimate_bag_bytes(parts[i])
+            nbytes = sizes[i]
             entry = _Entry(
                 key, group, "cache", nbytes, 0, ref=handle_ref, index=i
             )

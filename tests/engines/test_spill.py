@@ -132,10 +132,10 @@ class TestPayloadCodecs:
 
 class TestSpilledPartitionSentinel:
     def test_len_is_cheap_and_correct(self):
-        assert len(SpilledPartition(42)) == 42
+        assert len(SpilledPartition(42, 336)) == 42
 
     def test_reads_fail_loudly(self):
-        part = SpilledPartition(3)
+        part = SpilledPartition(3, 24)
         with pytest.raises(EngineError, match="spilled partition"):
             list(part)
         with pytest.raises(EngineError, match="spilled partition"):
