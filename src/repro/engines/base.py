@@ -212,10 +212,6 @@ class Engine:
             weakref.WeakSet()
         )
         self._stateful_bags: "weakref.WeakSet[Any]" = weakref.WeakSet()
-        #: per-run hoist cache for loop-invariant shuffled inputs,
-        #: keyed by (node id, canonical key, parallelism, input handle
-        #: identities); cleared by :meth:`begin_run` and on worker loss
-        self._hoist_cache: dict[tuple, PartitionedBag] = {}
         #: columnar-at-rest batch cache: per source bag (weak, so
         #: batches die with the bag), keyed by schema + projection and
         #: stamped with the partition-list identities/lengths so any
@@ -264,7 +260,11 @@ class Engine:
         from repro.engines.spill import SpillManager, default_memory_budget
 
         #: the driver's out-of-core layer: residency tracking, LRU
-        #: spill-to-disk, and the file-backed shuffle service
+        #: spill-to-disk, the file-backed shuffle service, and the
+        #: per-run hoist cache for loop-invariant shuffled inputs —
+        #: keys ``("hoist", (node id, canonical key, parallelism, input
+        #: handle identities))`` of ``spill.store``, dropped by
+        #: :meth:`begin_run` and on worker loss
         self.spill = SpillManager(self)
         self.configure_memory(
             memory_budget
@@ -419,8 +419,7 @@ class Engine:
         runs are deterministic in isolation: nothing hoisted or
         observed in an earlier run leaks into the next one.
         """
-        self.spill.drop_hoist_entries()
-        self._hoist_cache.clear()
+        self.spill.store.drop(("hoist",))
         self.stats.clear()
 
     def enable_tracing(self, on: bool = True) -> RuntimeTracer | None:
@@ -446,8 +445,7 @@ class Engine:
         # Hoisted shuffled inputs live in worker memory without
         # tombstone bookkeeping: drop them all and let the next
         # iteration recompute (and re-hoist) from the cached sources.
-        self.spill.drop_hoist_entries()
-        self._hoist_cache.clear()
+        self.spill.store.drop(("hoist",))
         for handle in list(self._cached_handles):
             lost = handle.mark_lost(worker, num_workers)
             if lost:

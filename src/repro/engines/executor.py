@@ -1215,12 +1215,11 @@ class JobExecutor:
         """
         hkey = self._hoist_key(child, key_ir)
         if hkey is not None:
-            hit = self.engine._hoist_cache.get(hkey)
+            # A budget eviction may have spilled the bag; the store
+            # reloads it first (host mechanics only), so the hit
+            # accounting below is identical either way.
+            hit = self.engine.spill.store.get(("hoist", hkey), pin=True)
             if hit is not None:
-                # A budget eviction may have left a spill-file stub in
-                # the cache slot; reload it first (host mechanics only)
-                # so the hit accounting below is identical either way.
-                hit = self.engine.spill.resolve_hoist(hkey, hit)
                 self.engine.metrics.shuffles_hoisted += 1
                 self.engine.metrics.cache_read_bytes += hit.nbytes()
                 tracer = self.engine.tracer
@@ -1291,7 +1290,7 @@ class JobExecutor:
         """Shuffle a join/group input; store it when loop-invariant."""
         shuffled = self.shuffle_by_key(bag, key_ir, prebucketed, exchange)
         hkey = self._hoist_key(child, key_ir)
-        if hkey is not None and hkey not in self.engine._hoist_cache:
+        if hkey is not None and ("hoist", hkey) not in self.engine.spill.store:
             # Memory-resident, like the memory cache tier: one local
             # pass to lay the partitions down, counted as cache traffic.
             self.job.charge_spread(
@@ -1299,8 +1298,7 @@ class JobExecutor:
             )
             nbytes = shuffled.nbytes()
             self.engine.metrics.cache_write_bytes += nbytes
-            self.engine._hoist_cache[hkey] = shuffled
-            self.engine.spill.register_hoist(hkey, nbytes)
+            self.engine.spill.hoist(hkey, shuffled, nbytes)
         return shuffled
 
     def _shuffled_input(

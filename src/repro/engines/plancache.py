@@ -20,11 +20,17 @@ are cacheable:
   submission with a partial hit *backfills* only its missing inputs
   (:meth:`repro.server.JobService.submit_batch`).
 
-Entries resident in driver memory are pickled blobs; under a memory
-limit (wired to the PR 7 ``memory_budget`` by
-:meth:`~repro.engines.base.Engine.attach_plan_cache`) cold entries are
-LRU-dropped to their disk tier and lazily reloaded — the same
-monotone-clock discipline as :mod:`repro.engines.spill`.
+Entries resident in driver memory are pickled blobs behind a SHA-256
+of the pickle, written through to one file each.  They are the
+write-through client of :class:`~repro.engines.spill.BudgetedStore`,
+the same store the spill tier uses: under a memory limit (wired to the
+engine's ``memory_budget`` by
+:meth:`~repro.engines.base.Engine.attach_plan_cache`) the least
+recently used blobs drop to their files and reload on demand.  A file
+whose digest does not match (corrupt, or an older format) or that
+vanished is a miss, and the entry is forgotten.  The digest guards
+integrity only: unpickling runs code, so the cache directory must be
+as trusted as the program itself.
 
 Cache traffic is driver-host mechanics: hits skip host work but the
 runs that *do* execute keep bit-identical results,
@@ -33,25 +39,30 @@ runs that *do* execute keep bit-identical results,
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import shutil
 import tempfile
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.databag import DataBag
 from repro.engines.metrics import Metrics
+from repro.engines.spill import BudgetedStore, Stored
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.frontend.parallelize import Algorithm
     from repro.optimizer.pipeline import CompiledProgram, EmmaConfig
 
-_PLAN_PREFIX = "plan-"
-_RESULT_PREFIX = "result-"
 _SUFFIX = ".pkl"
+#: (key kind, key length) of the two entry kinds
+_KINDS = {("plan", 2), ("result", 3)}
+#: bytes of the SHA-256 digest that leads every blob
+_DIGEST = 32
 
 
 @dataclass
@@ -85,16 +96,27 @@ class CacheStats:
         }
 
 
-@dataclass
-class _Entry:
-    """One cached artifact: a pickled blob plus its disk residence."""
+class _WriteThrough:
+    """How plan and result entries leave memory: their file exists from
+    the moment of the store, so eviction only drops the blob.  A blob
+    read back from disk is served only if it matches its digest."""
 
-    path: str
-    blob: bytes | None
-    nbytes: int
-    #: compile seconds the entry saves per hit (plan entries only)
-    compile_seconds: float = 0.0
-    last_used: int = 0
+    __slots__ = ("cache",)
+
+    def __init__(self, cache: "PlanCache") -> None:
+        self.cache = cache
+
+    def evict(self, entry: Stored) -> None:
+        self.cache.stats.evictions += 1
+        if self.cache._metrics is not None:
+            self.cache._metrics.cache_entries_evicted += 1
+        return None
+
+    def load(self, entry: Stored, buf: bytes) -> bytes | None:
+        if hashlib.sha256(memoryview(buf)[_DIGEST:]).digest() != buf[:_DIGEST]:
+            return None  # corrupt, or written by an older format
+        self.cache.stats.disk_loads += 1
+        return buf
 
 
 class PlanCache:
@@ -120,33 +142,40 @@ class PlanCache:
             )
         os.makedirs(cache_dir, exist_ok=True)
         self.cache_dir = cache_dir
-        self.memory_limit = memory_limit
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._clock = 0
-        self._plans: dict[str, _Entry] = {}
-        self._results: dict[tuple[str, str], _Entry] = {}
-        self._adopt_disk_entries()
+        #: the metrics of the call holding the lock; evictions count there
+        self._metrics: Metrics | None = None
+        #: ``("plan", fp)`` and ``("result", plan fp, snapshot fp)``
+        #: entries, each a file ``plan-<fp>.pkl`` / ``result-<fp>-<snap>.pkl``
+        self._store = BudgetedStore()
+        self._store.limit = memory_limit
+        self._how = _WriteThrough(self)
+        for name in sorted(os.listdir(cache_dir)):
+            key = tuple(name[: -len(_SUFFIX)].split("-"))
+            if name.endswith(_SUFFIX) and (key[0], len(key)) in _KINDS:
+                path = self._path(key)
+                self._store.put(
+                    key, None, os.path.getsize(path), self._how, path=path
+                )
 
-    def _adopt_disk_entries(self) -> None:
-        """Index pre-existing cache files (blobs stay on disk)."""
-        for name in sorted(os.listdir(self.cache_dir)):
-            if not name.endswith(_SUFFIX):
-                continue
-            path = os.path.join(self.cache_dir, name)
-            stem = name[: -len(_SUFFIX)]
-            if stem.startswith(_PLAN_PREFIX):
-                fp = stem[len(_PLAN_PREFIX) :]
-                self._plans[fp] = _Entry(
-                    path=path, blob=None, nbytes=os.path.getsize(path)
-                )
-            elif stem.startswith(_RESULT_PREFIX):
-                parts = stem[len(_RESULT_PREFIX) :].split("-")
-                if len(parts) != 2:
-                    continue
-                self._results[(parts[0], parts[1])] = _Entry(
-                    path=path, blob=None, nbytes=os.path.getsize(path)
-                )
+    @property
+    def memory_limit(self) -> int:
+        """Resident blob bytes allowed (0 = unlimited)."""
+        return self._store.limit
+
+    @contextmanager
+    def _locked(self, metrics: Metrics | None) -> Iterator[None]:
+        """Hold the lock, counting evictions meanwhile into ``metrics``."""
+        with self._lock:
+            self._metrics = metrics
+            try:
+                yield
+            finally:
+                self._metrics = None
+
+    def _path(self, key: tuple) -> str:
+        return os.path.join(self.cache_dir, "-".join(key) + _SUFFIX)
 
     # -- level 1: compiled plans -------------------------------------------
 
@@ -160,28 +189,27 @@ class PlanCache:
         provenance event to its compile trace, and charges the saved
         compile seconds to ``metrics.compile_seconds_saved``.
         """
-        with self._lock:
-            entry = self._plans.get(fingerprint)
-            payload = self._entry_blob(entry) if entry else None
-            if payload is None:
+        key = ("plan", fingerprint)
+        with self._locked(metrics):
+            blob = self._store.get(key)
+            if blob is None:
                 self.stats.plan_misses += 1
                 if metrics is not None:
                     metrics.plan_cache_misses += 1
                 return None
             self.stats.plan_hits += 1
         try:
-            compile_seconds, compiled = pickle.loads(payload)
+            compile_seconds, compiled = _unseal(blob)
         except Exception:
-            # A corrupt or version-skewed file is a miss, not a crash.
+            # A version-skewed file is a miss, not a crash.
             with self._lock:
-                self._drop_entry(self._plans, fingerprint)
+                self._store.discard(key)
                 self.stats.plan_hits -= 1
                 self.stats.plan_misses += 1
             if metrics is not None:
                 metrics.plan_cache_misses += 1
             return None
         with self._lock:
-            entry.compile_seconds = compile_seconds
             self.stats.compile_seconds_saved += compile_seconds
         if metrics is not None:
             metrics.plan_cache_hits += 1
@@ -200,35 +228,21 @@ class PlanCache:
             )
         return compiled
 
-    def store_plan(self, compiled: "CompiledProgram") -> bool:
+    def store_plan(
+        self, compiled: "CompiledProgram", metrics: Metrics | None = None
+    ) -> bool:
         """Persist a freshly compiled program under its fingerprint.
 
         Returns ``False`` (and caches nothing) when the program is not
         picklable — e.g. a UDF closed over an open file.
         """
-        fingerprint = compiled.fingerprint
-        if not fingerprint:
+        if not compiled.fingerprint:
             return False
-        try:
-            blob = pickle.dumps(
-                (compiled.compile_seconds, compiled),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:
-            with self._lock:
-                self.stats.store_skips += 1
-            return False
-        path = os.path.join(
-            self.cache_dir, f"{_PLAN_PREFIX}{fingerprint}{_SUFFIX}"
+        return self._put(
+            ("plan", compiled.fingerprint),
+            (compiled.compile_seconds, compiled),
+            metrics,
         )
-        with self._lock:
-            self._write_file(path, blob)
-            self._plans[fingerprint] = self._new_entry(
-                path, blob, compile_seconds=compiled.compile_seconds
-            )
-            self.stats.plan_stores += 1
-            self._evict_to_limit()
-        return True
 
     def compiled(
         self,
@@ -248,7 +262,7 @@ class PlanCache:
         if hit is not None:
             return hit
         compiled = algorithm.compiled(config)
-        self.store_plan(compiled)
+        self.store_plan(compiled, metrics=metrics)
         return compiled
 
     # -- level 2: memoized results -----------------------------------------
@@ -265,19 +279,18 @@ class PlanCache:
         as new ``DataBag`` objects), so callers can never corrupt the
         cache through the returned reference.
         """
-        key = (plan_fp, snapshot_fp)
-        with self._lock:
-            entry = self._results.get(key)
-            payload = self._entry_blob(entry) if entry else None
-        hit, value = payload is not None, None
+        key = ("result", plan_fp, snapshot_fp)
+        with self._locked(metrics):
+            blob = self._store.get(key)
+        hit, value = blob is not None, None
         if hit:
             try:
-                value = _decode_result(pickle.loads(payload))
+                value = _decode_result(_unseal(blob))
             except Exception:
-                # A corrupt or version-skewed file is a miss, not a crash.
+                # A version-skewed file is a miss, not a crash.
                 hit = False
                 with self._lock:
-                    self._drop_entry(self._results, key)
+                    self._store.discard(key)
         with self._lock:
             if hit:
                 self.stats.result_hits += 1
@@ -291,130 +304,66 @@ class PlanCache:
         return hit, value
 
     def store_result(
-        self, plan_fp: str, snapshot_fp: str, value: Any
+        self,
+        plan_fp: str,
+        snapshot_fp: str,
+        value: Any,
+        metrics: Metrics | None = None,
     ) -> bool:
         """Memoize one run's final value; ``False`` if unpicklable."""
+        return self._put(
+            ("result", plan_fp, snapshot_fp), _encode_result(value), metrics
+        )
+
+    def _put(self, key: tuple, obj: Any, metrics: Metrics | None) -> bool:
+        """Write one entry through to its file and keep its blob."""
         try:
-            blob = pickle.dumps(
-                _encode_result(value), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             with self._lock:
                 self.stats.store_skips += 1
             return False
-        path = os.path.join(
-            self.cache_dir,
-            f"{_RESULT_PREFIX}{plan_fp}-{snapshot_fp}{_SUFFIX}",
-        )
-        with self._lock:
-            self._write_file(path, blob)
-            self._results[(plan_fp, snapshot_fp)] = self._new_entry(
-                path, blob
-            )
-            self.stats.result_stores += 1
-            self._evict_to_limit()
+        blob = hashlib.sha256(payload).digest() + payload
+        path = self._path(key)
+        with self._locked(metrics):
+            tmp = path + ".tmp"
+            with open(tmp, "wb") as f:
+                f.write(blob)
+            os.replace(tmp, path)
+            self._store.put(key, blob, len(blob), self._how, path=path)
+            if key[0] == "plan":
+                self.stats.plan_stores += 1
+            else:
+                self.stats.result_stores += 1
         return True
 
-    # -- residency and eviction --------------------------------------------
+    # -- residency ----------------------------------------------------------
 
     def set_memory_limit(
         self, limit: int, metrics: Metrics | None = None
     ) -> None:
-        """Bound resident blob bytes (0 = unlimited); evicts eagerly."""
-        with self._lock:
-            self.memory_limit = limit
-            self._evict_to_limit(metrics)
+        """Bound resident blob bytes (0 = unlimited); evicts eagerly.
+
+        Evicted entries stay servable: the disk file *is* the spill
+        tier, the next hit just pays a file read (``stats.disk_loads``).
+        """
+        with self._locked(metrics):
+            self._store.set_limit(limit)
 
     def resident_bytes(self) -> int:
-        """Pickled bytes currently held in driver memory."""
+        """Blob bytes currently held in driver memory."""
         with self._lock:
-            return sum(
-                e.nbytes
-                for store in (self._plans, self._results)
-                for e in store.values()
-                if e.blob is not None
-            )
-
-    def _evict_to_limit(self, metrics: Metrics | None = None) -> None:
-        """LRU-drop cold resident blobs until under the memory limit.
-
-        The disk file *is* the spill tier — an evicted entry stays
-        servable, the next hit just pays a file read (counted in
-        ``stats.disk_loads``).
-        """
-        if not self.memory_limit:
-            return
-        resident = [
-            e
-            for store in (self._plans, self._results)
-            for e in store.values()
-            if e.blob is not None
-        ]
-        total = sum(e.nbytes for e in resident)
-        resident.sort(key=lambda e: e.last_used)
-        for entry in resident:
-            if total <= self.memory_limit:
-                break
-            entry.blob = None
-            total -= entry.nbytes
-            self.stats.evictions += 1
-            if metrics is not None:
-                metrics.cache_entries_evicted += 1
-
-    # -- internals ----------------------------------------------------------
-
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
-    def _new_entry(
-        self, path: str, blob: bytes, compile_seconds: float = 0.0
-    ) -> _Entry:
-        return _Entry(
-            path=path,
-            blob=blob,
-            nbytes=len(blob),
-            compile_seconds=compile_seconds,
-            last_used=self._tick(),
-        )
-
-    def _entry_blob(self, entry: _Entry) -> bytes | None:
-        """The entry's blob, reloading the disk tier when evicted."""
-        entry.last_used = self._tick()
-        if entry.blob is not None:
-            return entry.blob
-        try:
-            with open(entry.path, "rb") as f:
-                blob = f.read()
-        except OSError:
-            return None
-        self.stats.disk_loads += 1
-        entry.blob = blob
-        entry.nbytes = len(blob)
-        self._evict_to_limit()
-        return blob
-
-    @staticmethod
-    def _write_file(path: str, blob: bytes) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-
-    def _drop_entry(self, store: dict, key: Any) -> None:
-        entry = store.pop(key, None)
-        if entry is not None:
-            try:
-                os.remove(entry.path)
-            except OSError:
-                pass
+            return self._store.usage
 
     def clear(self) -> None:
         """Forget every entry and delete the backing files."""
         with self._lock:
-            for store in (self._plans, self._results):
-                for key in list(store):
-                    self._drop_entry(store, key)
+            self._store.drop()
+
+
+def _unseal(blob: bytes) -> Any:
+    """The object pickled behind a blob's digest."""
+    return pickle.loads(memoryview(blob)[_DIGEST:])
 
 
 def _encode_result(value: Any) -> tuple[str, Any]:

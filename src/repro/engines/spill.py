@@ -18,19 +18,22 @@ fault schedules, and outputs are bit-identical spill-on vs spill-off
 itself deterministic: entries are ranked by a monotone touch counter,
 never by wall-clock time.
 
-Three owner kinds are tracked, all charged through the
-:mod:`repro.engines.sizes` estimators:
+The ledger is :class:`BudgetedStore`: keyed values with byte counts,
+one touch counter, per-job pins and the one eviction loop.  It has two
+clients, each telling it per entry how that entry leaves memory:
 
-* ``cache`` — individual partitions of memory-tier
-  :class:`~repro.engines.base.BagHandle` bags.  Eviction pickles the
-  partition list to a spill file and leaves a loud
-  :class:`SpilledPartition` sentinel in its slot; the next cache read
-  reloads every spilled partition before the bag is handed out.
-* ``hoist`` — whole bags in the per-engine loop-invariant hoist cache.
-  Eviction dumps the partitions and replaces the cache value with a
-  :class:`SpilledBag` stub; a hoist hit on the stub reloads it.
-* ``batch`` — columnar at-rest batch-cache entries.  These are pure
-  packing caches, so eviction simply drops them (rebuilt on demand).
+* :class:`SpillManager` (one per engine) — **spill entries**: eviction
+  writes the value to a new spill file, the next access reads it back
+  and deletes the file.  Three kinds, all charged through the
+  :mod:`repro.engines.sizes` estimators: partitions of memory-tier
+  :class:`~repro.engines.base.BagHandle` bags (eviction leaves a loud
+  :class:`SpilledPartition` sentinel in the slot), whole bags of the
+  per-run loop-invariant hoist cache (the partitioner stays in memory
+  beside the file), and the footprint of columnar at-rest batches (a
+  pure packing cache: eviction simply drops it).
+* :class:`~repro.engines.plancache.PlanCache` — **write-through
+  entries**: the file exists from the moment of the store, so eviction
+  only drops the blob and a reload keeps the file.
 
 The module also provides the **file-backed shuffle service** for the
 process-pool backend: large task payloads are written once to the
@@ -47,7 +50,7 @@ import os
 import pickle
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.engines.columnar import (
     ColumnBatch,
@@ -196,6 +199,200 @@ def load_payload_file(ref: SpillFileRef) -> Any:
     return decode_payload(ref.codec, buf)
 
 
+# -- the budgeted store ------------------------------------------------------
+
+
+@dataclass(eq=False, slots=True)
+class Stored:
+    """One keyed entry of a :class:`BudgetedStore`.
+
+    ``value`` is the resident object, ``None`` while only the file at
+    ``path`` holds it.  ``keep`` marks a write-through file (given at
+    :meth:`BudgetedStore.put`): a reload keeps it, where a file the
+    store wrote at eviction is deleted once read back.  ``how`` says
+    how the entry leaves memory and comes back (see
+    :class:`BudgetedStore`).
+    """
+
+    key: tuple
+    group: tuple
+    nbytes: int
+    value: Any
+    path: str | None
+    how: Any
+    keep: bool
+    seq: int = 0
+
+
+def _remove(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass
+
+
+class BudgetedStore:
+    """Keyed values under one byte budget, evicted least recently used.
+
+    ``usage`` is the byte count of the resident entries; while it
+    exceeds ``limit`` (``0`` = unlimited) the entry with the oldest
+    touch is evicted, skipping pinned groups — if everything left is
+    pinned the budget is soft.  Touches come from a monotone counter,
+    so the eviction order is a pure function of the operation
+    sequence.
+
+    Each entry's ``how`` tells the store how it leaves memory:
+    ``how.evict(entry)`` takes the value out and returns the bytes to
+    write to a new file — stored by ``write(buf, key)``, which returns
+    the file's path — or ``None`` when nothing needs writing (a
+    write-through entry has its file already; an entry with no file is
+    forgotten).  ``how.load(entry, buf)`` rebuilds the value from the
+    file; ``None`` means unusable, and the entry is forgotten with its
+    file, as when the file has vanished.
+
+    Not thread-safe: a client shared between threads holds its own
+    lock around every call.
+    """
+
+    def __init__(
+        self, write: Callable[[bytes, tuple], str] | None = None
+    ) -> None:
+        self.limit = 0
+        self.usage = 0
+        self._write = write
+        self._entries: dict[tuple, Stored] = {}
+        self._seq = 0
+        self._pinned: set[tuple] = set()
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._entries
+
+    def entries(self, prefix: tuple = ()) -> list[Stored]:
+        """The entries whose key starts with ``prefix``."""
+        n = len(prefix)
+        return [e for k, e in self._entries.items() if k[:n] == prefix]
+
+    def put(
+        self,
+        key: tuple,
+        value: Any,
+        nbytes: int,
+        how: Any,
+        group: tuple | None = None,
+        path: str | None = None,
+        pin: bool = False,
+    ) -> None:
+        """Add (or replace) an entry, touch it, and evict to fit.
+
+        ``value=None`` indexes a file without loading it; ``path``
+        makes the entry write-through.  A replaced entry's file is
+        deleted unless the new entry reuses it.
+        """
+        old = self._entries.get(key)
+        if old is not None:
+            self._forget(old, delete=old.path != path)
+        entry = Stored(
+            key, group or key, nbytes, value, path, how, path is not None
+        )
+        self._entries[key] = entry
+        self._touch(entry)
+        if value is not None:
+            self.usage += nbytes
+        if pin:
+            self._pinned.add(entry.group)
+        self.evict()
+
+    def get(self, key: tuple, pin: bool = False) -> Any:
+        """The entry's value (reloaded from its file if evicted), or
+        ``None`` when absent or its file is gone or unusable."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._touch(entry)
+        value = entry.value
+        if value is None:
+            value = self._reload(entry)
+            if value is None:
+                return None
+        if pin:
+            self._pinned.add(entry.group)
+        self.evict()
+        return value
+
+    def pin(self, group: tuple) -> None:
+        """Protect a group from eviction until :meth:`end_job`."""
+        self._pinned.add(group)
+
+    def end_job(self) -> None:
+        """Release every pin and enforce the budget."""
+        self._pinned.clear()
+        self.evict()
+
+    def set_limit(self, limit: int) -> None:
+        """Set the budget (bytes; 0 = unlimited) and evict to fit."""
+        self.limit = limit
+        self.evict()
+
+    def discard(self, key: tuple) -> None:
+        """Forget one entry and remove its file."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._forget(entry)
+
+    def drop(self, prefix: tuple = ()) -> None:
+        """Forget every entry whose key starts with ``prefix``."""
+        for entry in self.entries(prefix):
+            self._forget(entry)
+
+    def evict(self) -> None:
+        """Evict least recently touched entries until usage fits."""
+        if self.limit <= 0:
+            return
+        while self.usage > self.limit:
+            victim: Stored | None = None
+            for entry in self._entries.values():
+                if entry.value is None or entry.group in self._pinned:
+                    continue
+                if victim is None or entry.seq < victim.seq:
+                    victim = entry
+            if victim is None:
+                return  # everything left is pinned: soft budget
+            buf = victim.how.evict(victim)
+            victim.value = None
+            self.usage -= victim.nbytes
+            if buf is not None:
+                victim.path = self._write(buf, victim.key)
+            elif victim.path is None:
+                del self._entries[victim.key]
+
+    def _touch(self, entry: Stored) -> None:
+        self._seq += 1
+        entry.seq = self._seq
+
+    def _reload(self, entry: Stored) -> Any:
+        try:
+            with open(entry.path, "rb") as f:
+                value = entry.how.load(entry, f.read())
+        except OSError:
+            value = None
+        if value is None:
+            self._forget(entry)
+            return None
+        if not entry.keep:
+            _remove(entry.path)
+            entry.path = None
+        entry.value = value
+        self.usage += entry.nbytes
+        return value
+
+    def _forget(self, entry: Stored, delete: bool = True) -> None:
+        del self._entries[entry.key]
+        if entry.value is not None:
+            self.usage -= entry.nbytes
+        if delete and entry.path is not None:
+            _remove(entry.path)
+
+
 # -- spilled-slot placeholders ----------------------------------------------
 
 
@@ -236,83 +433,95 @@ class SpilledPartition:
         return f"SpilledPartition(count={self.count})"
 
 
-class SpilledBag:
-    """The stub left in the hoist cache for an evicted shuffled bag.
+# -- the spill client's three entry kinds ------------------------------------
 
-    Holds everything needed to rebuild the entry on the next hoist hit
-    — spill file path plus the original partitioner object (kept in
-    memory: partitioner identity and key IR drive shuffle elision and
-    must survive the round trip exactly).
-    """
 
-    __slots__ = ("path", "file_nbytes", "partitioner", "num_partitions")
+class _Slot:
+    """A cached partition: the records in one slot of a handle's bag."""
+
+    __slots__ = ("spill", "handle", "index")
 
     def __init__(
-        self,
-        path: str,
-        file_nbytes: int,
-        partitioner: Any,
-        num_partitions: int,
+        self, spill: "SpillManager", handle: Any, index: int
     ) -> None:
-        self.path = path
-        self.file_nbytes = file_nbytes
-        self.partitioner = partitioner
-        self.num_partitions = num_partitions
-
-    def __repr__(self) -> str:
-        return (
-            f"SpilledBag(partitions={self.num_partitions}, "
-            f"file_bytes={self.file_nbytes})"
-        )
-
-
-class _Entry:
-    """One tracked residency unit (a partition, hoist bag, or batch set)."""
-
-    __slots__ = (
-        "key",
-        "group",
-        "kind",
-        "nbytes",
-        "seq",
-        "spilled",
-        "path",
-        "file_nbytes",
-        "ref",
-        "index",
-    )
-
-    def __init__(
-        self,
-        key: tuple,
-        group: tuple,
-        kind: str,
-        nbytes: int,
-        seq: int,
-        ref: Any = None,
-        index: int = -1,
-    ) -> None:
-        self.key = key
-        self.group = group
-        self.kind = kind
-        self.nbytes = nbytes
-        self.seq = seq
-        self.spilled = False
-        self.path: str | None = None
-        self.file_nbytes = 0
-        self.ref = ref
+        self.spill = spill
+        self.handle = handle
         self.index = index
+
+    def evict(self, entry: Stored) -> bytes | None:
+        handle = self.handle()
+        parts = handle.bag.partitions if handle is not None else ()
+        i, records = self.index, entry.value
+        if i >= len(parts) or parts[i] is not records:
+            # The slot was already replaced (recovery tombstone, a dead
+            # handle): stop tracking, do not touch it.
+            return None
+        buf = pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
+        parts[i] = SpilledPartition(len(records), entry.nbytes)
+        self.spill._moved("evict", 1, len(buf), "cache-partition", partition=i)
+        return buf
+
+    def load(self, entry: Stored, buf: bytes) -> Any:
+        records = pickle.loads(buf)
+        self.handle().bag.partitions[self.index] = records
+        self.spill._moved(
+            "reload", 1, len(buf), "cache-partition", partition=self.index
+        )
+        return records
+
+
+class _Hoisted:
+    """A hoisted shuffled bag; its partitioner stays beside the file
+    (partitioner identity and key IR drive shuffle elision)."""
+
+    __slots__ = ("spill", "partitioner")
+
+    def __init__(self, spill: "SpillManager", partitioner: Any) -> None:
+        self.spill = spill
+        self.partitioner = partitioner
+
+    def evict(self, entry: Stored) -> bytes:
+        bag = entry.value
+        buf = pickle.dumps(bag.partitions, protocol=pickle.HIGHEST_PROTOCOL)
+        self.spill._moved("evict", bag.num_partitions, len(buf), "hoist-bag")
+        return buf
+
+    def load(self, entry: Stored, buf: bytes) -> Any:
+        from repro.engines.cluster import PartitionedBag
+
+        bag = PartitionedBag(pickle.loads(buf), self.partitioner)
+        self.spill._moved("reload", bag.num_partitions, len(buf), "hoist-bag")
+        return bag
+
+
+class _Batches:
+    """The at-rest batch footprint of one source bag: eviction drops
+    the engine's batch-cache entry (re-packed on demand)."""
+
+    __slots__ = ("spill",)
+
+    def __init__(self, spill: "SpillManager") -> None:
+        self.spill = spill
+
+    def evict(self, entry: Stored) -> None:
+        source = entry.value()
+        if source is not None:
+            self.spill.engine._batch_cache.pop(source, None)
+        self.spill._moved("evict", 0, 0, "batch-cache")
+        return None
 
 
 class SpillManager:
     """Driver-wide memory budget with deterministic LRU spill-to-disk.
 
-    One manager per :class:`~repro.engines.base.Engine`.  Residency is
-    *always* tracked (even with ``limit == 0``) so a mid-run budget
-    squeeze — the :data:`~repro.engines.faults.MEMORY_SQUEEZE` chaos
-    event — can start evicting immediately; with the default unlimited
-    budget nothing ever spills and the engine behaves exactly as it
-    did without this layer.
+    One manager per :class:`~repro.engines.base.Engine`, the spill
+    client of a :class:`BudgetedStore` keyed ``("cache", uid, i)``,
+    ``("hoist", hkey)`` and ``("batch", uid)``.  Residency is *always*
+    tracked (even with ``limit == 0``) so a mid-run budget squeeze —
+    the :data:`~repro.engines.faults.MEMORY_SQUEEZE` chaos event — can
+    start evicting immediately; with the default unlimited budget
+    nothing ever spills and the engine behaves exactly as it did
+    without this layer.
 
     Entries in use by the current job are **pinned** (per job, cleared
     by :meth:`end_job`) so an eviction triggered mid-job can never pull
@@ -325,32 +534,27 @@ class SpillManager:
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self.limit = 0
-        self._entries: dict[tuple, _Entry] = {}
-        self._usage = 0
-        self._seq = 0
+        self.store = BudgetedStore(
+            lambda buf, key: engine.dfs.spill_put_bytes(buf, tag=key[0])
+        )
         self._uid = 0
         self._handle_uids: "weakref.WeakKeyDictionary[Any, int]" = (
             weakref.WeakKeyDictionary()
         )
-        #: ids of partition lists currently tracked as resident — used
-        #: to give every registered handle exclusive list ownership
-        self._tracked_ids: set[int] = set()
-        #: groups pinned by the current job (cleared per job)
-        self._pinned: set[tuple] = set()
         #: the job whose trace clock spill events are stamped with
         self._job: "JobRun | None" = None
 
     # -- configuration -----------------------------------------------------
 
     @property
+    def limit(self) -> int:
+        """The budget in bytes (0 = unlimited)."""
+        return self.store.limit
+
+    @property
     def active(self) -> bool:
         """Whether a finite budget is in force."""
-        return self.limit > 0
-
-    def usage(self) -> int:
-        """Tracked resident bytes across all owners."""
-        return self._usage
+        return self.store.limit > 0
 
     def configure(self, limit: int) -> None:
         """Set the budget (bytes; 0 = unlimited) and evict to fit."""
@@ -358,8 +562,7 @@ class SpillManager:
             raise EngineError(
                 f"memory_budget={limit} must be >= 0 (0 = unlimited)"
             )
-        self.limit = limit
-        self.evict_to_budget()
+        self.store.set_limit(limit)
 
     # -- job lifecycle -----------------------------------------------------
 
@@ -374,139 +577,36 @@ class SpillManager:
         deterministic point in the operation sequence — the natural
         moment to evict entries the finished job was pinning.
         """
-        self._pinned.clear()
-        self.evict_to_budget()
+        self.store.end_job()
         self._job = None
 
-    # -- shared internals --------------------------------------------------
-
-    def _touch(self, entry: _Entry) -> None:
-        self._seq += 1
-        entry.seq = self._seq
-
-    def _metrics(self) -> Any:
-        return self.engine.metrics
-
-    def _trace(self, name: str, **attrs: Any) -> None:
-        tracer = self.engine.tracer
-        if tracer is None:
-            return
-        ts = (
-            self._job.trace_ts()
-            if self._job is not None
-            else self.engine.metrics.simulated_seconds
-        )
-        tracer.event(name, ts=ts, **attrs)
-
-    def _discard(self, entry: _Entry) -> None:
-        """Forget one entry (deleting its spill file if it has one)."""
-        self._entries.pop(entry.key, None)
-        if entry.spilled:
-            if entry.path is not None:
-                self.engine.dfs.spill_delete(entry.path)
+    def _moved(
+        self, event: str, partitions: int, nbytes: int, kind: str, **attrs: Any
+    ) -> None:
+        """Count one eviction or reload and stamp its trace event."""
+        metrics = self.engine.metrics
+        if event == "evict":
+            metrics.partitions_spilled += partitions
+            metrics.spill_bytes_written += nbytes
+            metrics.budget_evictions += 1
         else:
-            self._usage -= entry.nbytes
-
-    def _release_group(self, group: tuple) -> None:
-        """Drop every entry of one group (handle death, hoist clear)."""
-        for entry in [
-            e for e in self._entries.values() if e.group == group
-        ]:
-            if not entry.spilled and entry.kind == "cache":
-                handle = entry.ref() if entry.ref is not None else None
-                if handle is not None and entry.index >= 0:
-                    parts = handle.bag.partitions
-                    if entry.index < len(parts):
-                        self._tracked_ids.discard(id(parts[entry.index]))
-            self._discard(entry)
-
-    # -- eviction ----------------------------------------------------------
-
-    def evict_to_budget(self) -> None:
-        """Spill LRU entries until usage fits the budget.
-
-        Deterministic: candidates are ranked by the monotone touch
-        counter (oldest first); pinned groups are skipped.  Runs at
-        driver-side registration/reload points only — never from a
-        worker, never on a wall-clock trigger — so the spill schedule
-        is a pure function of the operation sequence.
-        """
-        if self.limit <= 0:
-            return
-        while self._usage > self.limit:
-            victim: _Entry | None = None
-            for entry in self._entries.values():
-                if entry.spilled or entry.group in self._pinned:
-                    continue
-                if victim is None or entry.seq < victim.seq:
-                    victim = entry
-            if victim is None:
-                return  # everything left is pinned: soft budget
-            self._evict(victim)
-
-    def _evict(self, entry: _Entry) -> None:
-        metrics = self._metrics()
-        if entry.kind == "cache":
-            handle = entry.ref() if entry.ref is not None else None
-            if handle is None:
-                self._discard(entry)
-                return
-            parts = handle.bag.partitions
-            i = entry.index
-            if i >= len(parts) or not isinstance(parts[i], list):
-                # The slot was already replaced (recovery tombstone,
-                # a sibling's spill): stop tracking, do not touch it.
-                self._discard(entry)
-                return
-            records = parts[i]
-            codec, buf = encode_payload(records)
-            path = self.engine.dfs.spill_put_bytes(buf, tag="cache")
-            self._tracked_ids.discard(id(records))
-            parts[i] = SpilledPartition(len(records), entry.nbytes)
-            entry.spilled = True
-            entry.path = path
-            entry.file_nbytes = len(buf)
-            self._usage -= entry.nbytes
-            metrics.partitions_spilled += 1
-            metrics.spill_bytes_written += len(buf)
-            metrics.budget_evictions += 1
-            self._trace(
-                "spill:evict",
-                kind="cache-partition",
-                partition=i,
-                bytes=len(buf),
+            metrics.partitions_reloaded += partitions
+            metrics.spill_bytes_read += nbytes
+        tracer = self.engine.tracer
+        if tracer is not None:
+            ts = (
+                self._job.trace_ts()
+                if self._job is not None
+                else metrics.simulated_seconds
             )
-        elif entry.kind == "hoist":
-            hoist = self.engine._hoist_cache
-            bag = hoist.get(entry.ref)
-            if bag is None or isinstance(bag, SpilledBag):
-                self._discard(entry)
-                return
-            codec, buf = encode_payload(bag.partitions)
-            path = self.engine.dfs.spill_put_bytes(buf, tag="hoist")
-            hoist[entry.ref] = SpilledBag(
-                path, len(buf), bag.partitioner, bag.num_partitions
+            tracer.event(
+                f"spill:{event}",
+                ts=ts,
+                kind=kind,
+                partitions=partitions,
+                bytes=nbytes,
+                **attrs,
             )
-            entry.spilled = True
-            entry.path = path
-            entry.file_nbytes = len(buf)
-            self._usage -= entry.nbytes
-            metrics.partitions_spilled += bag.num_partitions
-            metrics.spill_bytes_written += len(buf)
-            metrics.budget_evictions += 1
-            self._trace(
-                "spill:evict",
-                kind="hoist-bag",
-                partitions=bag.num_partitions,
-                bytes=len(buf),
-            )
-        else:  # batch: a pure cache — dropping it is the eviction
-            source = entry.ref() if entry.ref is not None else None
-            if source is not None:
-                self.engine._batch_cache.pop(source, None)
-            self._discard(entry)
-            metrics.budget_evictions += 1
-            self._trace("spill:evict", kind="batch-cache")
 
     # -- cached bag handles ------------------------------------------------
 
@@ -516,7 +616,7 @@ class SpillManager:
             self._uid += 1
             uid = self._uid
             self._handle_uids[handle] = uid
-            weakref.finalize(handle, self._release_group, ("cache", uid))
+            weakref.finalize(handle, self.store.drop, ("cache", uid))
         return ("cache", uid)
 
     def tracks_any(self, bag: "PartitionedBag") -> bool:
@@ -526,7 +626,8 @@ class SpillManager:
         exclusive ownership of its lists: spilling mutates the list
         slot in place, so two handles must never share one.
         """
-        return any(id(p) in self._tracked_ids for p in bag.partitions)
+        tracked = {id(e.value) for e in self.store.entries(("cache",))}
+        return any(id(p) in tracked for p in bag.partitions)
 
     def register_cache_partitions(
         self, handle: "BagHandle", indexes: list[int] | None = None
@@ -549,29 +650,23 @@ class SpillManager:
         sizes = handle.bag.partition_bytes()
         todo = range(len(parts)) if indexes is None else sorted(indexes)
         for i in todo:
-            if not isinstance(parts[i], list):
-                continue
-            key = (*group, i)
-            old = self._entries.get(key)
-            if old is not None:
-                self._discard(old)
-            nbytes = sizes[i]
-            entry = _Entry(
-                key, group, "cache", nbytes, 0, ref=handle_ref, index=i
-            )
-            self._touch(entry)
-            self._entries[key] = entry
-            self._tracked_ids.add(id(parts[i]))
-            self._usage += nbytes
-        self.evict_to_budget()
+            if isinstance(parts[i], list):
+                self.store.put(
+                    (*group, i),
+                    parts[i],
+                    sizes[i],
+                    _Slot(self, handle_ref, i),
+                    group=group,
+                )
 
     def pin_handle(self, handle: "BagHandle") -> None:
         """Protect a handle's partitions from eviction for this job."""
         if handle.storage == "memory":
-            self._pinned.add(self._handle_group(handle))
+            self.store.pin(self._handle_group(handle))
 
     def unspill_handle(self, handle: "BagHandle") -> None:
-        """Reload every spilled partition of a handle, in index order.
+        """Reload every spilled partition of a handle, in index order,
+        and pin the handle for the rest of the job.
 
         The lazy-reload point: the engine's cache read calls this
         before handing out the bag, so sentinels never escape.  Reloads
@@ -579,34 +674,9 @@ class SpillManager:
         ``spill_bytes_read``/``partitions_reloaded`` counters move.
         """
         group = self._handle_group(handle)
-        metrics = self._metrics()
-        parts = handle.bag.partitions
-        for i in range(len(parts)):
-            entry = self._entries.get((*group, i))
-            if entry is None or not entry.spilled:
-                if entry is not None:
-                    self._touch(entry)
-                continue
-            buf = self.engine.dfs.spill_get_bytes(entry.path)
-            records = decode_payload(CODEC_PICKLE, buf)
-            self.engine.dfs.spill_delete(entry.path)
-            parts[i] = records
-            self._tracked_ids.add(id(records))
-            entry.spilled = False
-            entry.path = None
-            self._usage += entry.nbytes
-            self._touch(entry)
-            metrics.partitions_reloaded += 1
-            metrics.spill_bytes_read += entry.file_nbytes
-            self._trace(
-                "spill:reload",
-                kind="cache-partition",
-                partition=i,
-                bytes=entry.file_nbytes,
-            )
-            entry.file_nbytes = 0
-        self._pinned.add(group)
-        self.evict_to_budget()
+        self.store.pin(group)
+        for i in range(len(handle.bag.partitions)):
+            self.store.get((*group, i))
 
     def on_partitions_lost(
         self, handle: "BagHandle", lost: list[int]
@@ -623,78 +693,17 @@ class SpillManager:
         """
         group = self._handle_group(handle)
         for i in lost:
-            entry = self._entries.pop((*group, i), None)
-            if entry is None:
-                continue
-            if entry.spilled:
-                if entry.path is not None:
-                    self.engine.dfs.spill_delete(entry.path)
-            else:
-                parts = handle.bag.partitions
-                if i < len(parts):
-                    self._tracked_ids.discard(id(parts[i]))
-                self._usage -= entry.nbytes
+            self.store.discard((*group, i))
 
     # -- the hoist cache ---------------------------------------------------
 
-    def register_hoist(self, hkey: tuple, nbytes: int) -> None:
-        """Track one freshly stored hoist-cache bag."""
-        key = ("hoist", hkey)
-        old = self._entries.get(key)
-        if old is not None:
-            self._discard(old)
-        entry = _Entry(key, key, "hoist", nbytes, 0, ref=hkey)
-        self._touch(entry)
-        self._entries[key] = entry
-        self._usage += nbytes
-        self._pinned.add(key)
-        self.evict_to_budget()
-
-    def resolve_hoist(self, hkey: tuple, hit: Any) -> Any:
-        """Serve a hoist hit, reloading it first if it was spilled.
-
-        Returns the resident :class:`~repro.engines.cluster.
-        PartitionedBag` (or ``None`` for a miss).  The caller then
-        charges the exact same hit accounting as a never-spilled hit,
-        so the simulation cannot tell the difference.
-        """
-        key = ("hoist", hkey)
-        entry = self._entries.get(key)
-        if isinstance(hit, SpilledBag):
-            from repro.engines.cluster import PartitionedBag
-
-            buf = self.engine.dfs.spill_get_bytes(hit.path)
-            partitions = decode_payload(CODEC_PICKLE, buf)
-            self.engine.dfs.spill_delete(hit.path)
-            bag = PartitionedBag(partitions, hit.partitioner)
-            self.engine._hoist_cache[hkey] = bag
-            metrics = self._metrics()
-            metrics.partitions_reloaded += hit.num_partitions
-            metrics.spill_bytes_read += hit.file_nbytes
-            self._trace(
-                "spill:reload",
-                kind="hoist-bag",
-                partitions=hit.num_partitions,
-                bytes=hit.file_nbytes,
-            )
-            if entry is not None:
-                entry.spilled = False
-                entry.path = None
-                entry.file_nbytes = 0
-                self._usage += entry.nbytes
-            hit = bag
-        if entry is not None:
-            self._touch(entry)
-            self._pinned.add(key)
-            self.evict_to_budget()
-        return hit
-
-    def drop_hoist_entries(self) -> None:
-        """Forget all hoist entries (run boundary / worker loss)."""
-        for entry in [
-            e for e in self._entries.values() if e.kind == "hoist"
-        ]:
-            self._discard(entry)
+    def hoist(self, hkey: tuple, bag: "PartitionedBag", nbytes: int) -> None:
+        """Keep a loop-invariant shuffled bag for the rest of the run,
+        pinned for this job.  Hits go through ``store.get(("hoist",
+        hkey), pin=True)``, which reloads a spilled bag first."""
+        self.store.put(
+            ("hoist", hkey), bag, nbytes, _Hoisted(self, bag.partitioner), pin=True
+        )
 
     # -- the columnar batch cache ------------------------------------------
 
@@ -704,14 +713,8 @@ class SpillManager:
         """Track the batch-cache footprint of one source bag."""
         self._uid += 1
         key = ("batch", self._uid)
-        entry = _Entry(
-            key, key, "batch", nbytes, 0, ref=weakref.ref(source)
-        )
-        self._touch(entry)
-        self._entries[key] = entry
-        self._usage += nbytes
-        weakref.finalize(source, self._release_group, key)
-        self.evict_to_budget()
+        self.store.put(key, weakref.ref(source), nbytes, _Batches(self))
+        weakref.finalize(source, self.store.discard, key)
 
     # -- the file-backed shuffle service -----------------------------------
 
@@ -752,12 +755,12 @@ class SpillManager:
                 f"not picklable ({type(exc).__name__}: {exc}); falling "
                 f"back to in-process execution"
             ) from exc
-        self._metrics().spill_bytes_written += len(buf)
+        self.engine.metrics.spill_bytes_written += len(buf)
         return payload, ref
 
     def count_ref_read(self, ref: SpillFileRef) -> None:
         """Account one worker-side resolution of a shuffle file ref."""
-        self._metrics().spill_bytes_read += ref.nbytes
+        self.engine.metrics.spill_bytes_read += ref.nbytes
 
     def delete_ref(self, ref: SpillFileRef) -> None:
         """Remove one shuffle spill file after its stage completed."""

@@ -412,9 +412,11 @@ class JobService:
             "hit" if delta.plan_cache_hits else "miss"
         )
         job.metrics.merge(delta)
-        self._merge_job_metrics(job)
         if snap_fp is not None:
-            self.cache.store_result(plan_fp, snap_fp, result)
+            self.cache.store_result(
+                plan_fp, snap_fp, result, metrics=job.metrics
+            )
+        self._merge_job_metrics(job)
         return result
 
     def _merge_job_metrics(self, job: JobHandle) -> None:

@@ -121,7 +121,7 @@ class TestShuffleReduction:
         engine, first = _pagerank(True)
         # Re-running on a fresh engine must not see stale entries; and
         # re-running on the *same* engine starts a fresh run too.
-        assert engine._hoist_cache  # populated by the run
+        assert engine.spill.store.entries(("hoist",))  # populated by the run
         _, again = _pagerank(True)
         assert first == again
 

@@ -9,6 +9,7 @@ in-process equivalent of the cross-driver warm start CI exercises via
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import threading
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.engines.cluster import ClusterConfig
 from repro.engines.dfs import SimulatedDFS
+from repro.engines.metrics import Metrics
 from repro.engines.plancache import (
     PlanCache,
     default_plan_cache,
@@ -115,6 +117,31 @@ class TestPlanCaching:
         _, again = run_q1(world, cache2)
         assert cache2.stats.plan_hits >= 1
 
+    def test_flipped_bit_is_a_miss_not_a_wrong_answer(self, tmp_path):
+        PlanCache(cache_dir=str(tmp_path)).store_result("fp", "snap", 12345)
+        path = tmp_path / "result-fp-snap.pkl"
+        blob = bytearray(path.read_bytes())
+        blob[blob.rfind((12345).to_bytes(2, "little"))] ^= 1
+        path.write_bytes(bytes(blob))
+        cache = PlanCache(cache_dir=str(tmp_path))
+        assert cache.lookup_result("fp", "snap") == (False, None)
+        assert not path.exists()  # the corrupt file is removed
+
+    def test_old_format_file_is_a_miss(self, tmp_path):
+        path = tmp_path / "result-fp-snap.pkl"
+        path.write_bytes(pickle.dumps(("value", 1)))
+        cache = PlanCache(cache_dir=str(tmp_path))
+        assert cache.lookup_result("fp", "snap") == (False, None)
+        assert not path.exists()
+
+    def test_vanished_file_is_forgotten(self, tmp_path):
+        PlanCache(cache_dir=str(tmp_path)).store_result("fp", "snap", 1)
+        cache = PlanCache(cache_dir=str(tmp_path))
+        assert ("result", "fp", "snap") in cache._store
+        os.remove(tmp_path / "result-fp-snap.pkl")
+        assert cache.lookup_result("fp", "snap") == (False, None)
+        assert ("result", "fp", "snap") not in cache._store
+
 
 class TestResultCaching:
     def test_round_trip_returns_fresh_value(self, world, tmp_path):
@@ -204,6 +231,26 @@ class TestEviction:
         assert cache.resident_bytes() <= 4096
         assert cache.stats.evictions >= 1
 
+    def test_every_eviction_reaches_the_run_metrics(self, world, tmp_path):
+        # Evictions made while storing the plan count too, not only
+        # those made by set_memory_limit.
+        cache = PlanCache(cache_dir=str(tmp_path))
+        engine = SparkLikeEngine(
+            cluster=ClusterConfig(num_workers=4),
+            dfs=world["dfs"],
+            memory_budget=4096,
+        )
+        engine.attach_plan_cache(cache)
+        tpch_q1.run(engine, lineitem_path=world["lineitem"], **Q1_PARAMS)
+        assert cache.stats.evictions >= 1
+        assert engine.metrics.cache_entries_evicted == cache.stats.evictions
+
+    def test_result_store_evictions_reach_the_metrics(self, tmp_path):
+        cache = PlanCache(cache_dir=str(tmp_path), memory_limit=1)
+        metrics = Metrics()
+        assert cache.store_result("fp", "snap", [1, 2, 3], metrics=metrics)
+        assert metrics.cache_entries_evicted == cache.stats.evictions == 1
+
 
 class TestConcurrentStats:
     def test_no_lookup_is_lost(self, tmp_path):
@@ -233,6 +280,34 @@ class TestConcurrentStats:
         assert stats.result_hits + stats.result_misses == total
         assert stats.plan_misses == total
         assert stats.store_skips == total
+
+    def test_each_eviction_counts_for_the_call_that_made_it(self, tmp_path):
+        # Under a 1-byte limit every store evicts exactly its own blob;
+        # each thread's metrics must see exactly its own evictions.
+        cache = PlanCache(cache_dir=str(tmp_path), memory_limit=1)
+        threads, rounds = 8, 50
+        metrics = [Metrics() for _ in range(threads)]
+
+        def stores(i):
+            for r in range(rounds):
+                cache.store_result("plan", f"{i}x{r}", r, metrics=metrics[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=stores, args=(i,))
+                for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [m.cache_entries_evicted for m in metrics] == [rounds] * threads
+        assert cache.stats.evictions == threads * rounds
 
 
 class TestEnvironmentDefault:
