@@ -26,7 +26,8 @@ from itertools import combinations
 
 import pytest
 
-from repro.api import DataBag, parallelize
+from repro.api import DataBag, parallelize, read, stateful
+from repro.core.io import JsonLinesFormat
 from repro.engines.cluster import ClusterConfig
 from repro.engines.dfs import SimulatedDFS
 from repro.engines.faults import FaultPlan
@@ -36,8 +37,9 @@ from repro.engines.scheduler import TaskScheduler
 from repro.engines.sparklike import SparkLikeEngine
 from repro.optimizer.pipeline import EmmaConfig
 from repro.workloads import datagen, graphs
+from repro.workloads.connected_components import connected_components
 from repro.workloads.kmeans import initial_centroids, kmeans
-from repro.workloads.pagerank import pagerank
+from repro.workloads.pagerank import VertexRank, pagerank
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
 
 #: knob -> (baseline value, other value, the ``Metrics`` axis it may move)
@@ -75,16 +77,33 @@ def skew_join(xs: DataBag, ys: DataBag):
     return [(p[0][0], p[0][1] + p[1][1]) for p in pairs]
 
 
+_GRAPH = JsonLinesFormat(graphs.Vertex)
+
+
+@parallelize
+def halve_ranks(graph_path, rounds):
+    """Point-wise ``state.update``: halve every rank above one."""
+    vertices = read(graph_path, _GRAPH)
+    state = stateful(VertexRank(v.id, float(len(v.neighbors))) for v in vertices)
+    i = 0
+    while i < rounds:
+        state.update(lambda s: VertexRank(s.id, s.rank / 2) if s.rank > 1.0 else None)
+        i = i + 1
+    return state.bag()
+
 #: Every tenth left row keeps its own key, the rest pile onto key 3 —
 #: one shuffle bucket dominates.
 SKEW_LEFT = [(i % 7 if i % 10 == 0 else 3, float(i)) for i in range(400)]
 SKEW_RIGHT = [(i % 7, float(i) * 0.5) for i in range(300)]
 
 #: workload -> the non-baseline knobs it must visibly engage (the
-#: exchange plane engages everywhere; Q4 alone has a vectorizable chain;
-#: PageRank alone keeps enough state resident to spill and reload)
+#: exchange plane engages wherever a shuffle runs; Q4 alone has a
+#: vectorizable chain; PageRank alone keeps enough state resident to
+#: spill and reload; the point-wise update has no shuffle at all)
 ENGAGES = {
     "pagerank": {"columnar_exchange", "memory_budget"},
+    "connected_components": {"columnar_exchange"},
+    "halve_ranks": set(),
     "kmeans": {"columnar_exchange"},
     "tpch_q1": {"columnar_exchange"},
     "tpch_q4": {"columnar", "columnar_exchange"},
@@ -95,6 +114,8 @@ ENGAGES = {
 #: under chaos
 CASES = [(name, None) for name in ENGAGES] + [
     ("pagerank", FaultPlan.aggressive(seed=23)),
+    ("connected_components", FaultPlan.aggressive(seed=23)),
+    ("halve_ranks", FaultPlan.aggressive(seed=23)),
     ("tpch_q1", FaultPlan.aggressive(seed=5)),
     ("tpch_q4", FaultPlan.aggressive(seed=5)),
     ("skew_join", FaultPlan.aggressive(seed=7)),
@@ -138,6 +159,8 @@ def lattice_world():
                 max_iterations=4,
             ),
         ),
+        "connected_components": (connected_components, dict(graph_path=graph)),
+        "halve_ranks": (halve_ranks, dict(graph_path=graph, rounds=4)),
         "kmeans": (
             kmeans,
             dict(
