@@ -215,21 +215,6 @@ class Comprehension(Expr):
             head=new_head, qualifiers=tuple(new_quals), kind=new_kind
         )
 
-    def rebuild_parts(
-        self,
-        head: Expr | None = None,
-        qualifiers: tuple[Qualifier, ...] | None = None,
-        kind: MonadKind | None = None,
-    ) -> "Comprehension":
-        """Convenience copy-with-changes."""
-        return Comprehension(
-            head=head if head is not None else self.head,
-            qualifiers=(
-                qualifiers if qualifiers is not None else self.qualifiers
-            ),
-            kind=kind if kind is not None else self.kind,
-        )
-
     # -- semantics ---------------------------------------------------------
 
     def evaluate(self, env: Env) -> Any:

@@ -726,10 +726,6 @@ class VectorKernel:
         self.needed = needed
         self.n_counters = n_counters
 
-    def zero_counts(self) -> tuple:
-        """The counts tuple for an empty partition."""
-        return (0,) * self.n_counters
-
     def run_batch(self, batch: ColumnBatch) -> tuple[ColumnBatch, tuple]:
         """Run the kernel over one batch: ``(out_batch, counts)``."""
         cols, n, counts = self.run(batch.columns, batch.nrows)

@@ -274,16 +274,18 @@ class PartitionedBag:
     def by_key(
         records: Iterable[Any],
         key_fn: Callable[[Any], Any],
-        key_ir: ScalarFn,
+        key_ir: ScalarFn | None,
         num_partitions: int,
     ) -> "PartitionedBag":
-        """Hash-partition records by ``key_fn``."""
+        """Hash-partition records by ``key_fn``, whose IR is ``key_ir``
+        (``None`` claims no partitioning)."""
         partitions: list[list[Any]] = [[] for _ in range(num_partitions)]
         for record in records:
             idx = hash_partition_index(key_fn(record), num_partitions)
             partitions[idx].append(record)
         return PartitionedBag(
-            partitions, Partitioner(key_ir, num_partitions)
+            partitions,
+            Partitioner(key_ir, num_partitions) if key_ir is not None else None,
         )
 
     @property

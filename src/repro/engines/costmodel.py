@@ -126,17 +126,10 @@ class StatsCache:
     def __init__(self) -> None:
         #: last observation per join site
         self.joins: dict[int, JoinObservation] = {}
-        #: last observed (rows, bytes) per shuffle-consumer input
-        self.sizes: dict[int, tuple[int, int]] = {}
 
     def clear(self) -> None:
         """Forget all observations (start of a driver-program run)."""
         self.joins.clear()
-        self.sizes.clear()
-
-    def observe_size(self, node_id: int, rows: int, nbytes: int) -> None:
-        """Record the observed cardinality/bytes of a plan node."""
-        self.sizes[node_id] = (rows, nbytes)
 
     def observe_join(
         self, node_id: int, observation: JoinObservation

@@ -392,11 +392,6 @@ def counters_moved_by(*axes: str) -> frozenset[str]:
     )
 
 
-#: Counters that measure the host running the job rather than the
-#: program; they may differ between any two runs.
-HOST_DEPENDENT = counters_moved_by("mode")
-
-
 def _fmt_bytes(n: int) -> str:
     for unit in ("B", "KB", "MB", "GB"):
         if abs(n) < 1024 or unit == "GB":

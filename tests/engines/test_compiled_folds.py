@@ -9,6 +9,7 @@ every comparison is by ``repr`` (``-0.0`` is not ``0.0``, ``nan`` is
 ``nan``) and a raising oracle must be matched by the same exception.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from repro.engines.chainkernel import FILTER, MAP, KernelStep, Udf
 from repro.engines.cluster import ClusterConfig
 from repro.engines.dfs import SimulatedDFS
 from repro.engines.scheduler import AggMapSpec, AggMergeSpec, FoldSpec
+from repro.engines.stateful import DistributedStatefulBag
 from repro.engines.sparklike import SparkLikeEngine
 from repro.errors import ComprehensionError
 from repro.lowering.combinators import (
@@ -56,6 +58,7 @@ from repro.optimizer.pipeline import EmmaConfig
 from repro.workloads import datagen, graphs
 from repro.workloads.connected_components import connected_components
 from repro.workloads.kmeans import initial_centroids, kmeans, kmeans_assign
+from repro.workloads.pagerank import VertexRank as Rank
 from repro.workloads.pagerank import pagerank
 from repro.workloads.spam import default_classifiers, select_classifier
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4, tpch_q4_udf
@@ -432,6 +435,24 @@ class TestNoFallbackLeft:
         ] == ["EXISTS generator 'y'"]
 
 
+    def test_an_interpreted_stateful_update_is_named_with_its_reason(self):
+        engine = SparkLikeEngine()
+        tracer = engine.enable_tracing()
+        state = DistributedStatefulBag(engine, [Rank(i, 1.0) for i in range(6)])
+        # s -> replace(s, **changes): a ``**`` splice walks the tree
+        halve = Udf(
+            ("s",),
+            Call(Ref("replace"), (Ref("s"),), (("**", Ref("changes")),)),
+            {"replace": dataclasses.replace, "changes": {"rank": 0.5}},
+        )
+        delta = state.update(halve)
+        assert sorted(engine.collect(delta), key=repr) == [Rank(i, 0.5) for i in range(6)]
+        events = [e for s in tracer.spans() for e in s.events]
+        assert [
+            e.attrs["reason"] for e in events if e.name == "udf-interpreted"
+        ] == ["keyword argument '**'"]
+
+
 class TestNoTreeWalkOnTheHotPath:
     """``Env.child`` is the tree walker's per-binding allocation: however
     often the driver-side interpreter calls it, the count must not grow
@@ -484,6 +505,39 @@ class TestNoTreeWalkOnTheHotPath:
                         initial=initial,
                         epsilon=-1.0,
                         max_iterations=3,
+                    ),
+                )
+            )
+        assert counts[1] <= counts[0]
+
+    def test_pagerank(self, monkeypatch):
+        counts = []
+        for n in (40, 160):
+            dfs = SimulatedDFS()
+            graph = graphs.stage_follower_graph(dfs, num_vertices=n)
+            counts.append(
+                self.env_children(
+                    monkeypatch,
+                    lambda: pagerank.run(
+                        SparkLikeEngine(dfs=dfs),
+                        graph_path=graph,
+                        num_pages=n,
+                        max_iterations=3,
+                    ),
+                )
+            )
+        assert counts[1] <= counts[0]
+
+    def test_connected_components(self, monkeypatch):
+        counts = []
+        for n in (40, 160):
+            dfs = SimulatedDFS()
+            graph = graphs.stage_follower_graph(dfs, num_vertices=n)
+            counts.append(
+                self.env_children(
+                    monkeypatch,
+                    lambda: connected_components.run(
+                        SparkLikeEngine(dfs=dfs), graph_path=graph
                     ),
                 )
             )

@@ -1,9 +1,10 @@
 """Every operator has one implementation, whatever the execution mode.
 
-Each ``JobExecutor`` handler must hand the scheduler the identical
-``(label, partition)`` task sequence in serial and processes mode, with
-identical results and invariant metrics: the mode only picks how the
-same tasks are dispatched.  Whole workloads across every execution
+Each ``JobExecutor`` handler, and each update method of the stateful
+bag, must hand the scheduler the identical ``(label, partition)`` task
+sequence in serial and processes mode, with identical results and
+invariant metrics: the mode only picks how the same tasks are
+dispatched.  Whole workloads across every execution
 mode, plane, budget and cache state are checked by
 ``test_physical_lattice.py``; the mode alone, with every other knob at
 its baseline, is checked here on the same harness.
@@ -13,7 +14,9 @@ import pytest
 
 from repro.comprehension.exprs import (
     AlgebraSpec,
+    Attr,
     BinOp,
+    Call,
     Compare,
     Const,
     Index,
@@ -21,10 +24,12 @@ from repro.comprehension.exprs import (
     TupleExpr,
 )
 from repro.core.databag import DataBag
+from repro.engines.chainkernel import Udf
 from repro.engines.cluster import ClusterConfig
 from repro.engines.dfs import SimulatedDFS
 from repro.engines.executor import JobExecutor
 from repro.engines.sparklike import SparkLikeEngine
+from repro.engines.stateful import DistributedStatefulBag
 from repro.lowering.combinators import (
     CAggBy,
     CBagRef,
@@ -44,6 +49,7 @@ from repro.lowering.combinators import (
     CUnion,
     ScalarFn,
 )
+from repro.workloads.pagerank import RankMessage, VertexRank
 from tests.engines.test_physical_lattice import (
     RecordingScheduler,
     assert_agrees,
@@ -152,6 +158,31 @@ _PLANS = {
 }
 
 
+def _rank(rank):
+    """``VertexRank(s.id, rank)`` over state ``s`` (and message ``m``)."""
+    return Call(Ref("VertexRank"), (Attr(Ref("s"), "id"), rank))
+
+
+#: the stateful update methods, each with compiled functions only
+_UPDATES = {
+    "update": lambda state: state.update(
+        Udf(
+            ("s",),
+            _rank(BinOp("/", Attr(Ref("s"), "rank"), Const(2))),
+            {"VertexRank": VertexRank},
+        )
+    ),
+    "update_with_messages": lambda state: state.update_with_messages(
+        [RankMessage(i % 7, 1.0) for i in range(30)],
+        Udf(
+            ("s", "m"),
+            _rank(BinOp("+", Attr(Ref("s"), "rank"), Attr(Ref("m"), "rank"))),
+            {"VertexRank": VertexRank},
+        ),
+    ),
+}
+
+
 class TestEveryOperatorOnePath:
     """No operator may carry a second, mode-specific loop body: each
     handler submits the same tasks whatever the execution mode."""
@@ -193,6 +224,32 @@ class TestEveryOperatorOnePath:
             )
             assert engine.metrics.serial_fallbacks == 0
         assert {label for label, _ in runs["serial"][2]} == labels
+        assert runs["processes"] == runs["serial"]
+
+    @pytest.mark.parametrize("method", sorted(_UPDATES))
+    def test_stateful_updates_submit_the_same_tasks(self, method):
+        runs = {}
+        for mode in MODES:
+            engine = SparkLikeEngine(
+                cluster=ClusterConfig(num_workers=4),
+                execution_mode=mode,
+                max_parallel_tasks=2,
+            )
+            engine._scheduler = RecordingScheduler(mode)
+            state = DistributedStatefulBag(
+                engine, [VertexRank(i, float(i)) for i in range(20)]
+            )
+            delta = _UPDATES[method](state)
+            runs[mode] = (
+                repr(engine.collect(delta)),
+                repr(state.bag().collect()),
+                engine.metrics.invariant(),
+                engine.scheduler.submitted,
+            )
+            assert engine.metrics.serial_fallbacks == 0
+        assert runs["serial"][3] == [
+            ("state-update", i) for i in range(engine.cluster.parallelism)
+        ]
         assert runs["processes"] == runs["serial"]
 
 
