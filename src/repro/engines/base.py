@@ -186,7 +186,6 @@ class Engine:
         checkpoint_interval: int = 0,
         execution_mode: str | None = None,
         max_parallel_tasks: int | None = None,
-        speculative_execution: bool = True,
         columnar: str | None = None,
         columnar_exchange: str | None = None,
         memory_budget: int | None = None,
@@ -238,7 +237,6 @@ class Engine:
             max_parallel_tasks
             if max_parallel_tasks is not None
             else default_max_parallel_tasks(),
-            speculative_execution,
         )
         from repro.engines.columnar import (
             default_columnar_exchange,
@@ -326,19 +324,24 @@ class Engine:
         self,
         mode: str | None = None,
         max_parallel_tasks: int | None = None,
-        speculation: bool | None = None,
     ) -> None:
         """Select the host-parallel backend for partition tasks.
 
         ``mode`` is ``"serial"`` (tasks run inline, in order, in the
         driver) or ``"processes"`` (a spawn-context
         ``ProcessPoolExecutor`` with source-shipped chain kernels; the
-        mode that buys real multi-core wall clock).  An argument left
-        at ``None`` keeps its current setting.  Any existing scheduler
-        is dropped so the next job builds one with the new settings.
+        mode that buys real multi-core wall clock).  A negative
+        ``max_parallel_tasks`` is rejected.  An argument left at
+        ``None`` keeps its current setting.  Any existing scheduler is
+        dropped so the next job builds one with the new settings.
         """
         from repro.engines.scheduler import EXECUTION_MODES
 
+        if max_parallel_tasks is not None and max_parallel_tasks < 0:
+            raise EngineError(
+                f"max_parallel_tasks must be non-negative, got "
+                f"{max_parallel_tasks!r}"
+            )
         if mode is not None:
             if mode not in EXECUTION_MODES:
                 raise EngineError(
@@ -348,8 +351,6 @@ class Engine:
             self.execution_mode = mode
         if max_parallel_tasks is not None:
             self.max_parallel_tasks = max_parallel_tasks
-        if speculation is not None:
-            self.speculative_execution = speculation
         self._scheduler = None
 
     @property
@@ -367,7 +368,6 @@ class Engine:
             self._scheduler = TaskScheduler(
                 mode=self.execution_mode,
                 max_parallel_tasks=self.max_parallel_tasks,
-                speculation=self.speculative_execution,
                 spill=self.spill if self.spill.active else None,
             )
         return self._scheduler

@@ -228,7 +228,7 @@ class JobExecutor:
 
     def _run_stage(self, tasks: list[PartitionTask]) -> list[Any]:
         """One scheduler fan-out; results come back in task order, and
-        the scheduler's events (speculation, fallbacks) become spans."""
+        the scheduler's events (fallbacks) become spans."""
         scheduler = self.engine.scheduler
         results = scheduler.run_stage(tasks, metrics=self.engine.metrics)
         if scheduler.events:

@@ -119,10 +119,6 @@ class Metrics:
     ipc_bytes_returned: int = _moved_by("mode")
     #: kernels/UDFs rebuilt from source in a worker process (memo miss)
     kernels_rehydrated: int = _moved_by("mode")
-    #: straggler tasks speculatively re-launched
-    speculative_launches: int = _moved_by("mode")
-    #: speculative copies that beat the original attempt
-    speculative_wins: int = _moved_by("mode")
     #: parallel stages that fell back to in-process serial execution
     serial_fallbacks: int = _moved_by("mode")
 
@@ -269,8 +265,6 @@ class Metrics:
                 f"wall={self.wall_clock_seconds:.3f}s "
                 f"ipc={_fmt_bytes(self.ipc_bytes_shipped)}/"
                 f"{_fmt_bytes(self.ipc_bytes_returned)} "
-                f"spec={self.speculative_launches}"
-                f"({self.speculative_wins} won) "
                 f"fallbacks={self.serial_fallbacks}"
             )
         if self.reorders_applied or self.reorders_rejected:

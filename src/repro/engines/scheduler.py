@@ -35,11 +35,6 @@ Three invariants make the parallel mode safe to enable anywhere:
    to inline serial execution of the same pure tasks, counted in
    ``Metrics.serial_fallbacks``.  A genuine task error reproduces and
    raises in the serial re-run, so the fallback can never mask a bug.
-
-Straggler robustness: once most of a fan-out has completed, the slowest
-still-running tasks are speculatively re-launched on the pool and the
-first result per task position wins (purity makes the duplicate harmless
-— the Dremel/Spark "backup task" trick).
 """
 
 from __future__ import annotations
@@ -49,13 +44,8 @@ import itertools
 import os
 import pickle
 import sys
-import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -84,6 +74,7 @@ from repro.engines.columnar import (
     scatter_batch,
 )
 from repro.engines.cluster import content_digest, stable_hash
+from repro.engines.metrics import Metrics
 from repro.errors import EmmaError, EngineError
 from repro.lowering.combinators import AggResult
 
@@ -110,15 +101,19 @@ def default_max_parallel_tasks() -> int:
     """Concurrent-task width adopted when a caller names none.
 
     ``REPRO_MAX_PARALLEL_TASKS`` overrides the built-in ``0`` (one slot
-    per host CPU core); non-numeric values fail loudly.
+    per host CPU core); non-numeric and negative values fail loudly.
     """
     raw = os.environ.get("REPRO_MAX_PARALLEL_TASKS", "0")
     try:
-        return int(raw)
+        width = int(raw)
     except ValueError:
+        width = -1
+    if width < 0:
         raise EngineError(
-            f"REPRO_MAX_PARALLEL_TASKS must be an integer, got {raw!r}"
-        ) from None
+            f"REPRO_MAX_PARALLEL_TASKS must be a non-negative integer, "
+            f"got {raw!r}"
+        )
+    return width
 
 
 # -- content fingerprints ---------------------------------------------------
@@ -815,7 +810,8 @@ def _shared_process_pool(width: int) -> ProcessPoolExecutor:
 
 
 def _shutdown_pool() -> None:
-    """``atexit`` hook: stop the shared pool's worker processes."""
+    """Stop the shared pool's worker processes (at exit, and when a
+    dead worker has broken the pool)."""
     global _POOL
     if _POOL is not None:
         _POOL.shutdown(wait=False, cancel_futures=True)
@@ -859,20 +855,13 @@ class TaskScheduler:
     all in flight together in the pooled mode, results merged by task
     position.  Tasks of one fan-out may carry different specs and
     labels (the two bucket sides of a repartition join go down as one
-    list).  Speculative re-execution of stragglers is controlled by the
-    ``speculation*`` knobs; ``events`` collects (name, attrs) pairs for
-    the tracer.
+    list).  ``events`` collects (name, attrs) pairs for the tracer.
     """
 
     def __init__(
         self,
         mode: str = "serial",
         max_parallel_tasks: int = 0,
-        speculation: bool = True,
-        speculation_quantile: float = 0.75,
-        speculation_factor: float = 1.5,
-        max_speculative_per_stage: int = 2,
-        min_speculation_seconds: float = 0.05,
         spill: Any = None,
     ) -> None:
         if mode not in EXECUTION_MODES:
@@ -883,23 +872,12 @@ class TaskScheduler:
         self.mode = mode
         #: concurrent task slots (0 → one per host CPU)
         self.width = max_parallel_tasks or (os.cpu_count() or 1)
-        self.speculation = speculation
-        #: fan-out completion fraction before stragglers are considered
-        self.speculation_quantile = speculation_quantile
-        #: how much slower than the median a task must be to speculate
-        self.speculation_factor = speculation_factor
-        self.max_speculative_per_stage = max_speculative_per_stage
-        #: floor under which tasks are never worth duplicating
-        self.min_speculation_seconds = min_speculation_seconds
         #: (name, attrs) pairs for the engine to drain into its tracer
         self.events: list[tuple[str, dict[str, Any]]] = []
         #: the engine's :class:`~repro.engines.spill.SpillManager` when
         #: a finite memory budget enables the file-backed shuffle —
         #: large processes-mode payloads then travel as spill-file refs
         self.spill = spill
-        #: shuffle spill files shipped for the in-flight fan-out, deleted
-        #: when it finishes (speculative copies re-read them)
-        self._shipped_refs: list[Any] = []
 
     # -- public API --------------------------------------------------------
 
@@ -909,6 +887,8 @@ class TaskScheduler:
         """Run one fan-out of tasks; results ordered by task position."""
         if self.mode == "serial":
             return self._run_serial(tasks)
+        if metrics is None:
+            metrics = Metrics()
         try:
             return self._run_parallel(tasks, metrics)
         except (KeyboardInterrupt, SystemExit):
@@ -918,8 +898,11 @@ class TaskScheduler:
             # broken pool — degrades to inline serial execution of the
             # same pure tasks.  A genuine task bug reproduces (and
             # raises) in the serial re-run, so nothing is masked.
-            if metrics is not None:
-                metrics.serial_fallbacks += 1
+            if isinstance(exc, BrokenProcessPool):
+                # A dead worker breaks the shared pool for good: drop
+                # it, so the next stage starts a fresh one.
+                _shutdown_pool()
+            metrics.serial_fallbacks += 1
             self.events.append(
                 (
                     "serial-fallback",
@@ -930,11 +913,6 @@ class TaskScheduler:
                 )
             )
             return self._run_serial(tasks)
-        finally:
-            if self._shipped_refs and self.spill is not None:
-                for ref in self._shipped_refs:
-                    self.spill.delete_ref(ref)
-            self._shipped_refs.clear()
 
     # -- execution paths ---------------------------------------------------
 
@@ -944,101 +922,39 @@ class TaskScheduler:
         mode must reproduce."""
         return [t.spec.run(t.spec.prepared(), t.data) for t in tasks]
 
-    def _submit(
-        self, pool: ProcessPoolExecutor, task: PartitionTask, metrics: Any
-    ) -> tuple[Future, bytes]:
-        """Submit one task; returns the future plus its payload bytes
-        (kept for speculative resubmission)."""
-        if self.spill is not None:
-            payload, ref = self.spill.ship_task_payload(
-                task.spec, task.data, task.label
-            )
-            if ref is not None:
-                self._shipped_refs.append(ref)
-                # Counted once per task at submit (driver-side) so
-                # the metric stays deterministic under speculation.
-                self.spill.count_ref_read(ref)
-        else:
-            payload = ship_task(task.spec, task.data, task.label)
-        if metrics is not None:
-            metrics.ipc_bytes_shipped += len(payload)
-        return pool.submit(_process_entry, payload), payload
-
     def _run_parallel(
-        self, tasks: list[PartitionTask], metrics: Any
+        self, tasks: list[PartitionTask], metrics: Metrics
     ) -> list[Any]:
-        """Out-of-order execution with speculative straggler re-runs."""
+        """One ordered fan-out: submit every task, then read the
+        results in task order.  Each task ships exactly once; shuffle
+        spill files shipped for it are deleted when the fan-out ends."""
         pool = _shared_process_pool(self.width)
-        results: dict[int, Any] = {}
-        payloads: list[bytes] = []
-        started: dict[int, float] = {}
-        durations: list[float] = []
-        speculated: set[int] = set()
-        #: future -> (position, attempt)
-        in_flight: dict[Future, tuple[int, int]] = {}
-        if metrics is not None and tasks:
+        shipped_refs: list[Any] = []
+        if tasks:
             metrics.parallel_stages += 1
-        for pos, task in enumerate(tasks):
-            fut, payload = self._submit(pool, task, metrics)
-            in_flight[fut] = (pos, 0)
-            payloads.append(payload)
-            started[pos] = time.perf_counter()
-            if metrics is not None:
+        try:
+            futures = []
+            for task in tasks:
+                if self.spill is not None:
+                    payload, ref = self.spill.ship_task_payload(
+                        task.spec, task.data, task.label
+                    )
+                    if ref is not None:
+                        shipped_refs.append(ref)
+                        self.spill.count_ref_read(ref)
+                else:
+                    payload = ship_task(task.spec, task.data, task.label)
+                metrics.ipc_bytes_shipped += len(payload)
+                futures.append(pool.submit(_process_entry, payload))
                 metrics.parallel_tasks += 1
-
-        def event(name: str, pos: int) -> None:
-            task = tasks[pos]
-            self.events.append(
-                (name, {"stage": task.label, "task": task.index})
-            )
-
-        def record(pos: int, attempt: int, fut: Future) -> None:
-            raw = fut.result()
-            if pos in results:
-                return  # the other attempt won the race
-            if metrics is not None:
+            results = []
+            for future in futures:
+                raw = future.result()
                 metrics.ipc_bytes_returned += len(raw)
-            results[pos], rehydrated = pickle.loads(raw)
-            if rehydrated and metrics is not None:
-                metrics.kernels_rehydrated += 1
-            durations.append(time.perf_counter() - started.pop(pos))
-            if attempt > 0 and metrics is not None:
-                metrics.speculative_wins += 1
-                event("speculative-win", pos)
-
-        def speculate() -> None:
-            if (
-                not (self.speculation and started)
-                or len(results)
-                < max(1, int(len(tasks) * self.speculation_quantile))
-                or len(speculated) >= self.max_speculative_per_stage
-            ):
-                return
-            now = time.perf_counter()
-            median = sorted(durations)[len(durations) // 2]
-            threshold = max(
-                self.min_speculation_seconds,
-                median * self.speculation_factor,
-            )
-            for pos, since in list(started.items()):
-                if pos in speculated or now - since <= threshold:
-                    continue
-                fut = pool.submit(_process_entry, payloads[pos])
-                if metrics is not None:
-                    metrics.ipc_bytes_shipped += len(payloads[pos])
-                in_flight[fut] = (pos, 1)
-                speculated.add(pos)
-                if metrics is not None:
-                    metrics.speculative_launches += 1
-                event("speculative-launch", pos)
-                if len(speculated) >= self.max_speculative_per_stage:
-                    break
-
-        while in_flight:
-            done, _pending = wait(
-                list(in_flight), timeout=0.05, return_when=FIRST_COMPLETED
-            )
-            for fut in done:
-                record(*in_flight.pop(fut), fut)
-            speculate()
-        return [results[pos] for pos in range(len(tasks))]
+                result, rehydrated = pickle.loads(raw)
+                metrics.kernels_rehydrated += rehydrated
+                results.append(result)
+            return results
+        finally:
+            for ref in shipped_refs:
+                self.spill.delete_ref(ref)

@@ -185,10 +185,6 @@ class EmmaConfig:
     max_parallel_tasks: int | None = _runtime(
         ("configure_execution", "max_parallel_tasks")
     )
-    #: re-launch straggler partition tasks (first result wins)
-    speculative_execution: bool | None = _runtime(
-        ("configure_execution", "speculation")
-    )
     #: driver memory budget in bytes for the out-of-core layer
     #: (:mod:`repro.engines.spill`): resident cached partitions, hoist
     #: caches, and columnar batches above the budget are LRU-spilled to

@@ -1,14 +1,16 @@
 """Unit tests for the host-parallel partition-task scheduler.
 
-Covers the scheduler's two modes, the flat fan-out of mixed task
-lists, deterministic by-position merging under out-of-order
-completion, speculative straggler re-execution, the source-shipping
-pickle layer (one ``Udf`` value), the EngineError-not-PicklingError
-doorway, the end-to-end serial fallback, the ``stable_hash`` coverage
-partitioning relies on and the ``content_digest`` the worker-side memo
-fingerprints rely on.
+Covers the scheduler's two modes and their width validation, the flat
+fan-out of mixed task lists, deterministic by-position merging under
+out-of-order completion, shipping each task exactly once (and counters
+that repeat run to run), recovery from a dead pool worker, the
+source-shipping pickle layer (one ``Udf`` value), the
+EngineError-not-PicklingError doorway, the end-to-end serial fallback,
+the ``stable_hash`` coverage partitioning relies on and the
+``content_digest`` the worker-side memo fingerprints rely on.
 """
 
+import os
 import pickle
 import threading
 import time
@@ -17,8 +19,10 @@ import pytest
 
 from repro.comprehension.exprs import BinOp, Compare, Const, Ref
 from repro.core.databag import DataBag
+from repro.engines import scheduler as scheduler_module
 from repro.engines.chainkernel import FILTER, MAP, KernelStep, Udf
 from repro.engines.cluster import ClusterConfig, content_digest, stable_hash
+from repro.engines.dfs import SimulatedDFS
 from repro.engines.metrics import Metrics
 from repro.engines.scheduler import (
     BroadcastProbeSpec,
@@ -27,11 +31,15 @@ from repro.engines.scheduler import (
     PartitionTask,
     TaskScheduler,
     TaskSpec,
+    default_max_parallel_tasks,
     ship_task,
 )
 from repro.engines.sparklike import SparkLikeEngine
 from repro.errors import EngineError
 from repro.lowering.combinators import CBagRef, CMap, ScalarFn
+from repro.optimizer.pipeline import EmmaConfig
+from repro.workloads.graphs import stage_follower_graph
+from repro.workloads.pagerank import pagerank
 
 
 def inc_step() -> KernelStep:
@@ -73,6 +81,22 @@ class SleepSpec(TaskSpec):
         return data[1]
 
 
+class ExitInWorkerSpec(TaskSpec):
+    """Test spec whose task kills any process but the driver, whose
+    pid is its data; in the driver it returns that pid."""
+
+    kind = "exit-in-worker"
+
+    def build(self):
+        """No artifact needed."""
+        return None
+
+    def run(self, _prepared, data):
+        if os.getpid() != data:
+            os._exit(1)
+        return data
+
+
 class TestSchedulerModes:
     def test_invalid_mode_raises(self):
         with pytest.raises(EngineError, match="execution mode"):
@@ -95,6 +119,20 @@ class TestSchedulerModes:
         engine.configure_execution("serial")
         assert engine.scheduler is not scheduler
 
+    def test_negative_width_from_a_config_raises(self):
+        engine = SparkLikeEngine(execution_mode="serial")
+        with pytest.raises(EngineError, match="max_parallel_tasks"):
+            engine.apply_runtime_config(EmmaConfig(max_parallel_tasks=-1))
+        with pytest.raises(EngineError, match="max_parallel_tasks"):
+            SparkLikeEngine(max_parallel_tasks=-1)
+
+    def test_negative_width_from_the_environment_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_PARALLEL_TASKS", "-1")
+        with pytest.raises(EngineError, match="REPRO_MAX_PARALLEL_TASKS"):
+            default_max_parallel_tasks()
+        with pytest.raises(EngineError, match="REPRO_MAX_PARALLEL_TASKS"):
+            SparkLikeEngine()
+
     @pytest.mark.parametrize("mode", ["serial", "processes"])
     def test_run_stage_merges_by_task_index(self, mode):
         scheduler = TaskScheduler(mode=mode, max_parallel_tasks=2)
@@ -109,9 +147,7 @@ class TestSchedulerModes:
 
     def test_out_of_order_completion_keeps_order(self):
         # Later tasks finish first; the merge must stay positional.
-        scheduler = TaskScheduler(
-            mode="processes", max_parallel_tasks=2, speculation=False
-        )
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
         spec = SleepSpec()
         delays = [0.3, 0.0, 0.0, 0.0]
         tasks = [
@@ -146,19 +182,12 @@ class TestMixedFanOut:
         assert metrics.parallel_stages == (0 if mode == "serial" else 1)
 
 
-class TestSpeculation:
-    def test_straggler_is_relaunched(self):
-        scheduler = TaskScheduler(
-            mode="processes",
-            max_parallel_tasks=2,
-            speculation=True,
-            speculation_quantile=0.5,
-            speculation_factor=1.0,
-            min_speculation_seconds=0.05,
-        )
+class TestShipOnce:
+    def test_a_straggler_ships_once(self):
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
         spec = SleepSpec()
-        # Start the pool's workers first: a worker's spawn time would
-        # otherwise count into the durations the threshold is set from.
+        # Start the pool's workers first, so the straggler is the only
+        # slow task of the measured fan-out.
         scheduler.run_stage(
             [PartitionTask(i, spec, (0.0, i)) for i in range(2)]
         )
@@ -171,11 +200,64 @@ class TestSpeculation:
         out = scheduler.run_stage(tasks, metrics=metrics)
         assert out == [0, 1, 2, 3]
         assert metrics.serial_fallbacks == 0
-        assert metrics.speculative_launches >= 1
-        assert any(
-            name == "speculative-launch"
-            for name, _attrs in scheduler.events
+        assert metrics.parallel_tasks == len(tasks)
+        assert metrics.ipc_bytes_shipped == sum(
+            len(ship_task(t.spec, t.data)) for t in tasks
         )
+
+    def test_pagerank_counters_repeat(self):
+        dfs = SimulatedDFS()
+        graph = stage_follower_graph(dfs, num_vertices=120, seed=5)
+
+        def counters():
+            engine = SparkLikeEngine(
+                cluster=ClusterConfig(num_workers=4),
+                dfs=dfs,
+                execution_mode="processes",
+                max_parallel_tasks=2,
+            )
+            pagerank.run(
+                engine, graph_path=graph, num_pages=120, max_iterations=3
+            )
+            m = engine.metrics
+            assert m.serial_fallbacks == 0
+            return (
+                m.ipc_bytes_shipped,
+                m.ipc_bytes_returned,
+                m.parallel_tasks,
+                m.parallel_stages,
+            )
+
+        first = counters()
+        assert first[2] > 0
+        assert counters() == first
+
+
+class TestBrokenPool:
+    @pytest.fixture(autouse=True)
+    def drop_pool_after(self):
+        """End on a fresh shared pool, so a broken one never reaches
+        another processes-mode test."""
+        yield
+        scheduler_module._shutdown_pool()
+
+    def test_a_dead_worker_costs_one_fallback(self):
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        metrics = Metrics()
+        pid = os.getpid()
+        out = scheduler.run_stage(
+            [PartitionTask(0, ExitInWorkerSpec(), pid)], metrics=metrics
+        )
+        assert out == [pid]
+        assert metrics.serial_fallbacks == 1
+        after = Metrics()
+        out = scheduler.run_stage(
+            [PartitionTask(i, EchoSpec(), [i]) for i in range(3)],
+            metrics=after,
+        )
+        assert out == [[0, 0], [1, 1], [2, 2]]
+        assert after.serial_fallbacks == 0
+        assert after.parallel_tasks > 0
 
 
 class TestKernelShipping:

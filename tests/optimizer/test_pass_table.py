@@ -46,7 +46,6 @@ RUNTIME_SAMPLES = {
     "tracing": (True, lambda e: e.tracer is not None),
     "execution_mode": ("processes", lambda e: e.execution_mode),
     "max_parallel_tasks": (2, lambda e: e.max_parallel_tasks),
-    "speculative_execution": (False, lambda e: e.speculative_execution),
     "memory_budget": (65536, lambda e: e.spill.limit),
 }
 
@@ -85,7 +84,7 @@ class TestEveryFieldIsClassifiedOnce:
         assert PLAN_KNOBS == tuple(
             n for n, f in FIELDS.items() if f.metadata["knob"] == "plan"
         )
-        assert len(FIELDS) == 19 and len(PLAN_KNOBS) == 11
+        assert len(FIELDS) == 18 and len(PLAN_KNOBS) == 11
 
     def test_pass_parameters_name_real_rows(self):
         rules = {p.rule for p in PASSES}

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.engines.sparklike import SparkLikeEngine
 from repro.optimizer.pipeline import EmmaConfig
 
 E2E = os.path.join(
@@ -50,3 +51,11 @@ def test_every_probe_knob_is_a_config_field(e2e):
     fields = {f.name for f in dataclasses.fields(EmmaConfig)}
     for metric, knobs in harness.PROBES:
         assert set(knobs) <= fields, f"{metric}: {set(knobs) - fields}"
+
+
+def test_every_probe_config_is_accepted_by_an_engine(e2e):
+    # A pool starts on a stage's first task, so applying a processes
+    # probe here spawns nothing.
+    harness, _spans = e2e
+    for _metric, knobs in harness.PROBES:
+        SparkLikeEngine().apply_runtime_config(EmmaConfig(**knobs))
