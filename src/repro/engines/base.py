@@ -298,25 +298,17 @@ class Engine:
 
     def configure_columnar(self, mode: str) -> None:
         """Select the columnar data plane mode (``auto``/``on``/``off``)."""
-        from repro.engines.columnar import COLUMNAR_MODES
+        from repro.engines.columnar import check_columnar_mode
 
-        if mode not in COLUMNAR_MODES:
-            raise EngineError(
-                f"unknown columnar mode {mode!r}: expected one of "
-                f"{', '.join(COLUMNAR_MODES)}"
-            )
-        self.columnar_mode = mode
+        self.columnar_mode = check_columnar_mode(mode)
 
     def configure_columnar_exchange(self, mode: str) -> None:
         """Select the columnar exchange plane (``auto``/``on``/``off``)."""
-        from repro.engines.columnar import COLUMNAR_MODES
+        from repro.engines.columnar import check_columnar_mode
 
-        if mode not in COLUMNAR_MODES:
-            raise EngineError(
-                f"unknown columnar exchange mode {mode!r}: expected one "
-                f"of {', '.join(COLUMNAR_MODES)}"
-            )
-        self.columnar_exchange_mode = mode
+        self.columnar_exchange_mode = check_columnar_mode(
+            mode, "columnar exchange"
+        )
 
     # -- host-parallel execution backend ----------------------------------
 

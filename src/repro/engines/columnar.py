@@ -57,40 +57,48 @@ COLUMNAR_MODES = ("auto", "on", "off")
 RECORD_KINDS = ("tuple", "dataclass", "scalar")
 
 
-def default_columnar_mode() -> str:
-    """The columnar mode from ``REPRO_COLUMNAR`` (default ``auto``).
-
-    ``auto`` vectorizes eligible chains only when numpy is available;
-    ``on`` forces the columnar path (pure-Python column fallback);
-    ``off`` disables it entirely.
-    """
-    mode = os.environ.get("REPRO_COLUMNAR", "auto").strip().lower()
+def check_columnar_mode(mode: str, what: str = "columnar") -> str:
+    """``mode`` if it is one of :data:`COLUMNAR_MODES`; otherwise an
+    :class:`EngineError` that names ``what`` (the knob or variable)."""
     if mode not in COLUMNAR_MODES:
         raise EngineError(
-            f"REPRO_COLUMNAR={mode!r} is not one of {COLUMNAR_MODES}"
+            f"unknown {what} mode {mode!r}: expected one of "
+            f"{', '.join(COLUMNAR_MODES)}"
         )
     return mode
+
+
+def default_columnar_mode() -> str:
+    """The columnar mode from ``REPRO_COLUMNAR`` (default ``off``).
+
+    ``off`` keeps every chain row-at-a-time; ``auto`` vectorizes
+    eligible chains only when numpy is available; ``on`` forces the
+    columnar path (pure-Python column fallback).  The plane is opt-in:
+    the frontend's chains are one or two kernels long, so the pack and
+    unpack at each plane boundary cost more than the vector kernel
+    saves.
+    """
+    mode = os.environ.get("REPRO_COLUMNAR", "off").strip().lower()
+    return check_columnar_mode(mode, "REPRO_COLUMNAR")
 
 
 def default_columnar_exchange() -> str:
-    """The exchange-plane mode from ``REPRO_COLUMNAR_EXCHANGE``.
+    """The exchange-plane mode from ``REPRO_COLUMNAR_EXCHANGE``
+    (default ``off``).
 
     Controls whether shuffles, hash joins, and group-bys run over
-    :class:`ColumnBatch` payloads (``auto`` engages when numpy is
-    available, ``on`` forces the batch path with the pure-Python
-    column fallback, ``off`` keeps every exchange row-at-a-time).
+    :class:`ColumnBatch` payloads (``off`` keeps every exchange
+    row-at-a-time, ``auto`` engages when numpy is available, ``on``
+    forces the batch path with the pure-Python column fallback).
     Independent of the chain-kernel ``columnar`` knob: a bag can take
-    the columnar exchange even when its chains stayed row-mode.
+    the columnar exchange even when its chains stayed row-mode.  The
+    plane is opt-in: records at rest are Python objects, so each
+    exchange pays a pack and an unpack that the row path does not.
     """
     mode = (
-        os.environ.get("REPRO_COLUMNAR_EXCHANGE", "auto").strip().lower()
+        os.environ.get("REPRO_COLUMNAR_EXCHANGE", "off").strip().lower()
     )
-    if mode not in COLUMNAR_MODES:
-        raise EngineError(
-            f"REPRO_COLUMNAR_EXCHANGE={mode!r} is not one of "
-            f"{COLUMNAR_MODES}"
-        )
-    return mode
+    return check_columnar_mode(mode, "REPRO_COLUMNAR_EXCHANGE")
 
 
 class PyColumn:

@@ -451,9 +451,10 @@ class JobExecutor:
         """Whether this chain should attempt the columnar plane.
 
         Static selection (``comb.columnar``) comes from the optimizer;
-        the engine knob gates it at runtime: ``off`` disables, ``on``
-        forces the attempt even on the pure-Python column fallback, and
-        ``auto`` vectorizes only where numpy makes it a clear win.
+        the engine knob gates it at runtime: ``off`` (the default)
+        disables, ``on`` forces the attempt even on the pure-Python
+        column fallback, and ``auto`` vectorizes only where numpy is
+        available.
         """
         mode = self.engine.columnar_mode
         if not comb.columnar or mode == "off":

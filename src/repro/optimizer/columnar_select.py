@@ -63,7 +63,7 @@ class ColumnarStats:
     #: the two knobs the chain half obeys (pass parameters, the way
     #: ``unnest_exists`` is one of ``normalize``)
     operator_chaining: bool = True
-    chain_plane: str = "auto"
+    chain_plane: str = "off"
 
     @property
     def selects_chains(self) -> bool:

@@ -36,13 +36,14 @@ from repro.comprehension.ir import BAG, Comprehension
 from repro.comprehension.normalize import NormalizeStats, normalize
 from repro.comprehension.resugar import resugar
 from repro.engines.columnar import (
+    check_columnar_mode,
     default_columnar_exchange,
     default_columnar_mode,
 )
 from repro.engines.faults import FaultPlan, RetryPolicy
 from repro.engines.sizes import estimate_bag_bytes
 from repro.engines.tracing import CompileTrace
-from repro.errors import EmmaError
+from repro.errors import EmmaError, EngineError
 from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
@@ -82,6 +83,8 @@ from repro.optimizer.reorder import ReorderStats, reorder_operators
 
 #: the knobs that are rows of the paper's Table 1
 TABLE1 = ("unnesting", "fold_group_fusion", "caching", "partition_pulling")
+#: accepted values of ``EmmaConfig.udf_reordering``
+UDF_REORDERING_MODES = ("auto", "off", True, False)
 
 
 def _plan(default: Any, engine: str | tuple[str, str] | None = None) -> Any:
@@ -155,23 +158,23 @@ class EmmaConfig:
     #: TracedRun` instead of the bare result (``False`` never switches
     #: an engine's tracer off)
     tracing: bool = _runtime(("enable_tracing", "on"), False)
-    #: columnar batch data plane: "auto" vectorizes eligible chains
+    #: columnar batch data plane, opt-in: "off" (the default) keeps
+    #: every chain row-at-a-time, "auto" vectorizes eligible chains
     #: when numpy is available, "on" forces the columnar path (with a
-    #: pure-Python column fallback), "off" keeps every chain
-    #: row-at-a-time.  Results and ``simulated_seconds`` are
-    #: bit-identical either way — only wall clock and byte counters
+    #: pure-Python column fallback).  Results and ``simulated_seconds``
+    #: are bit-identical either way — only wall clock and byte counters
     #: move.  A plan knob because kernel *selection* runs at compile
     #: time.  Default honours ``REPRO_COLUMNAR``.
     columnar: str = _plan(
         default_columnar_mode, ("configure_columnar", "mode")
     )
-    #: columnar *exchange* plane: vectorized shuffle partitioning, hash
-    #: join build/probe, and group-by over key columns ("auto" engages
-    #: when numpy is available, "on" forces the PyColumn fallback,
-    #: "off" keeps exchanges row-at-a-time).  Independent of
-    #: ``columnar`` — results, ``simulated_seconds``, and fault
-    #: schedules are bit-identical either way.  Default honours
-    #: ``REPRO_COLUMNAR_EXCHANGE``.
+    #: columnar *exchange* plane, opt-in: vectorized shuffle
+    #: partitioning, hash join build/probe, and group-by over key
+    #: columns ("off", the default, keeps exchanges row-at-a-time,
+    #: "auto" engages when numpy is available, "on" forces the PyColumn
+    #: fallback).  Independent of ``columnar`` — results,
+    #: ``simulated_seconds``, and fault schedules are bit-identical
+    #: either way.  Default honours ``REPRO_COLUMNAR_EXCHANGE``.
     columnar_exchange: str = _plan(
         default_columnar_exchange, ("configure_columnar_exchange", "mode")
     )
@@ -195,6 +198,19 @@ class EmmaConfig:
     #: are bit-identical under any budget — only wall clock and the
     #: ``spill_*`` metrics move.
     memory_budget: int | None = _runtime(("configure_memory", "budget"))
+
+    def __post_init__(self) -> None:
+        # String plan knobs are checked here, before a compile is paid
+        # for: a typo must not compile, and must not silently enable a
+        # pass (``_Compiler.enabled`` reads every value but
+        # ``False``/``"off"`` as on).
+        check_columnar_mode(self.columnar)
+        check_columnar_mode(self.columnar_exchange, "columnar exchange")
+        if self.udf_reordering not in UDF_REORDERING_MODES:
+            raise EngineError(
+                f"unknown udf_reordering mode {self.udf_reordering!r}: "
+                f"expected one of {UDF_REORDERING_MODES}"
+            )
 
     @staticmethod
     def none() -> "EmmaConfig":

@@ -59,13 +59,16 @@ class TestPlanFingerprint:
         ) != plan_fingerprint(tpch_q1.lifted.program, flipped)
 
     def test_udf_reordering_columnar_physical_regression(self):
-        # The three knobs that have historically gated whole compile
-        # passes each get an explicit regression pin.
-        base = EmmaConfig()
+        # The knobs that have historically gated whole compile passes
+        # each get an explicit regression pin.  Each is toggled away
+        # from its default; the planes' default ("off") is pinned so
+        # that REPRO_COLUMNAR* set to "on" cannot make a toggle a no-op.
+        base = EmmaConfig(columnar="off", columnar_exchange="off")
         fp = plan_fingerprint(tpch_q1.lifted.program, base)
         for knob, value in (
             ("udf_reordering", False),
-            ("columnar", "off"),
+            ("columnar", "on"),
+            ("columnar_exchange", "on"),
             ("physical_planning", False),
         ):
             toggled = dataclasses.replace(base, **{knob: value})
