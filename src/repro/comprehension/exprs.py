@@ -79,23 +79,22 @@ class Expr:
     def children(self) -> Iterator["Expr"]:
         """Yield direct sub-expressions (generic, field-driven)."""
         for value in self._field_values():
-            yield from _exprs_in(value)
+            if isinstance(value, Expr):
+                yield value
+            else:
+                yield from _exprs_in(value)
 
-    def _field_values(self) -> Iterator[Any]:
-        for f in fields(self):
-            yield getattr(self, f.name)
+    def _field_values(self) -> list[Any]:
+        return [getattr(self, name) for name in field_names(type(self))]
 
     def rebuild(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
         """Rebuild this node with ``fn`` applied to each direct child."""
-        changes: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            new_value = _map_exprs(value, fn)
-            if new_value is not value:
-                changes[f.name] = new_value
-        if not changes:
+        values = self._field_values()
+        new_values = [_map_exprs(value, fn) for value in values]
+        if all(n is o for n, o in zip(new_values, values)):
             return self
-        return dataclasses.replace(self, **changes)
+        # Every field is a positional ``__init__`` parameter, in order.
+        return type(self)(*new_values)
 
     # -- binding structure ---------------------------------------------
 
@@ -109,6 +108,18 @@ class Expr:
         for child in self.children():
             inner |= child.free_vars()
         return inner - self.bound_vars()
+
+    def count_uses(
+        self, bound: frozenset[str], counts: dict[str, int]
+    ) -> None:
+        """Add this expression's free occurrences of every name not in
+        ``bound`` to ``counts``; scoped exactly as :meth:`free_vars`
+        (a node overriding one overrides the other)."""
+        binds = self.bound_vars()
+        if binds:
+            bound = bound | binds
+        for child in self.children():
+            child.count_uses(bound, counts)
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Capture-avoiding substitution of free references.
@@ -134,6 +145,19 @@ class Expr:
     def is_bag_typed(self) -> bool:
         """Whether this expression denotes a DataBag value."""
         return False
+
+
+#: field names per dataclass, read once per class instead of calling
+#: ``dataclasses.fields`` on every traversal
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def field_names(cls: type) -> tuple[str, ...]:
+    """The field names of dataclass ``cls``, from a per-class table."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
 
 
 def _exprs_in(value: Any) -> Iterator[Expr]:
@@ -181,6 +205,14 @@ def free_vars(expr: Expr) -> frozenset[str]:
     return expr.free_vars()
 
 
+def use_counts(expr: Expr) -> dict[str, int]:
+    """Free occurrences of every name in ``expr``, in one binder-aware
+    walk: its keys are exactly ``expr.free_vars()``."""
+    counts: dict[str, int] = {}
+    expr.count_uses(frozenset(), counts)
+    return counts
+
+
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Module-level alias for :meth:`Expr.substitute`."""
     return expr.substitute(mapping)
@@ -218,6 +250,12 @@ class Ref(Expr):
 
     def free_vars(self) -> frozenset[str]:
         return frozenset((self.name,))
+
+    def count_uses(
+        self, bound: frozenset[str], counts: dict[str, int]
+    ) -> None:
+        if self.name not in bound:
+            counts[self.name] = counts.get(self.name, 0) + 1
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return mapping.get(self.name, self)
@@ -877,6 +915,20 @@ class AlgebraSpec:
             out |= g.free_vars() - bound
         return out
 
+    def count_uses(
+        self, bound: frozenset[str], counts: dict[str, int]
+    ) -> None:
+        """:meth:`Expr.count_uses` for the spec (the fused var binds in
+        ``head`` and ``guards``)."""
+        for arg in self.args:
+            arg.count_uses(bound, counts)
+        if self.var:
+            bound = bound | {self.var}
+        if self.head is not None:
+            self.head.count_uses(bound, counts)
+        for g in self.guards:
+            g.count_uses(bound, counts)
+
     def substitute(self, mapping: Mapping[str, Expr]) -> "AlgebraSpec":
         """Substitute free references (the fused var shadows)."""
         live_inner = {
@@ -1033,6 +1085,14 @@ class AggByCall(BagExpr):
             out |= spec.free_vars()
         return out
 
+    def count_uses(
+        self, bound: frozenset[str], counts: dict[str, int]
+    ) -> None:
+        self.source.count_uses(bound, counts)
+        self.key.count_uses(bound, counts)
+        for spec in self.specs:
+            spec.count_uses(bound, counts)
+
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         return AggByCall(
             source=self.source.substitute(mapping),
@@ -1074,6 +1134,12 @@ class FoldCall(Expr):
 
     def free_vars(self) -> frozenset[str]:
         return self.source.free_vars() | self.spec.free_vars()
+
+    def count_uses(
+        self, bound: frozenset[str], counts: dict[str, int]
+    ) -> None:
+        self.source.count_uses(bound, counts)
+        self.spec.count_uses(bound, counts)
 
     def substitute(self, mapping: Mapping[str, Expr]) -> Expr:
         return FoldCall(

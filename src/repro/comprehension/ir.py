@@ -142,7 +142,7 @@ class Comprehension(Expr):
     #
     # A comprehension's qualifier list binds *sequentially*: generator i
     # scopes over qualifiers i+1.. and over the head.  The generic
-    # Expr methods cannot express that, so all three are overridden.
+    # Expr methods cannot express that, so they are overridden.
 
     def children(self) -> Iterator[Expr]:
         for q in self.qualifiers:
@@ -168,6 +168,19 @@ class Comprehension(Expr):
         if isinstance(self.kind, FoldKind):
             out |= self.kind.spec.free_vars() - bound
         return out
+
+    def count_uses(
+        self, bound: frozenset[str], counts: dict[str, int]
+    ) -> None:
+        for q in self.qualifiers:
+            if isinstance(q, Generator):
+                q.source.count_uses(bound, counts)
+                bound = bound | {q.var}
+            else:
+                q.predicate.count_uses(bound, counts)
+        self.head.count_uses(bound, counts)
+        if isinstance(self.kind, FoldKind):
+            self.kind.spec.count_uses(bound, counts)
 
     def substitute(self, mapping: Mapping[str, Expr]) -> "Comprehension":
         live = dict(mapping)

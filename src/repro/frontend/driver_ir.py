@@ -106,6 +106,20 @@ class SCache(Stmt):
     partition_key: ScalarFn | None = None
 
 
+def stmt_exprs(stmt: Stmt) -> tuple[Expr, ...]:
+    """The expressions directly attached to a statement (not those of
+    its nested blocks)."""
+    if isinstance(stmt, (SAssign, SExpr)):
+        return (stmt.value,)
+    if isinstance(stmt, (SWhile, SIf)):
+        return (stmt.cond,)
+    if isinstance(stmt, SFor):
+        return (stmt.iterable,)
+    if isinstance(stmt, SReturn):
+        return (stmt.value,) if stmt.value is not None else ()
+    return ()
+
+
 @dataclass(frozen=True)
 class DriverProgram:
     """The lifted function: parameters plus the statement sequence."""

@@ -73,6 +73,7 @@ from repro.frontend.driver_ir import (
     SReturn,
     SWhile,
     Stmt,
+    stmt_exprs,
 )
 
 _UNAMBIGUOUS_BAG_METHODS = frozenset(
@@ -204,7 +205,7 @@ def _capture_environment(
     }
     free: set[str] = set()
     for stmt in program.walk():
-        for expr in _stmt_exprs(stmt):
+        for expr in stmt_exprs(stmt):
             free |= expr.free_vars()
     free -= assigned
     free -= set(params)
@@ -233,22 +234,6 @@ def _capture_environment(
             f"unresolved names in parallelized function: {missing}"
         )
     return captured
-
-
-def _stmt_exprs(stmt: Stmt) -> tuple[Expr, ...]:
-    if isinstance(stmt, SAssign):
-        return (stmt.value,)
-    if isinstance(stmt, SExpr):
-        return (stmt.value,)
-    if isinstance(stmt, SWhile):
-        return (stmt.cond,)
-    if isinstance(stmt, SIf):
-        return (stmt.cond,)
-    if isinstance(stmt, SFor):
-        return (stmt.iterable,)
-    if isinstance(stmt, SReturn):
-        return (stmt.value,) if stmt.value is not None else ()
-    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ diamond-shaped plan stays a diamond.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,6 +36,7 @@ from repro.lowering.combinators import (
     CFlatMap,
     CMap,
     Combinator,
+    rebuild_inputs,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -161,19 +161,6 @@ def chain_operators(
                     ),
                     site=site,
                 )
-        return _rebuild_children(node)
-
-    def _rebuild_children(node: Combinator) -> Combinator:
-        changes: dict[str, Combinator] = {}
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, Combinator):
-                new = rebuild(value)
-                if new is not value:
-                    changes[f.name] = new
-        if not changes:
-            return node
-        # dataclasses.replace preserves node_id/cache/partition_hint.
-        return dataclasses.replace(node, **changes)
+        return rebuild_inputs(node, rebuild)
 
     return rebuild(root)

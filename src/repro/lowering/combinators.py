@@ -30,6 +30,7 @@ from repro.comprehension.exprs import (
     Ref,
     compile_scalar,
     fallback_reason,
+    field_names,
     walk,
 )
 from repro.comprehension.ir import Comprehension
@@ -546,6 +547,22 @@ class CFold(Combinator):
 # ---------------------------------------------------------------------------
 # Utilities
 # ---------------------------------------------------------------------------
+
+
+def rebuild_inputs(
+    node: Combinator, fn: Callable[[Combinator], Combinator]
+) -> Combinator:
+    """``node`` with ``fn`` applied to each ``Combinator``-valued field
+    (``node`` itself when nothing changed).  ``replace`` keeps the
+    node id and the physical annotations."""
+    changes: dict[str, Combinator] = {}
+    for name in field_names(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, Combinator):
+            new = fn(value)
+            if new is not value:
+                changes[name] = new
+    return replace(node, **changes) if changes else node
 
 
 def combinator_nodes(root: Combinator) -> Iterator[Combinator]:

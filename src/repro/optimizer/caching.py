@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.comprehension.exprs import use_counts
 from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
@@ -35,8 +36,8 @@ from repro.frontend.driver_ir import (
     SFor,
     SWhile,
     Stmt,
+    stmt_exprs,
 )
-from repro.optimizer.inlining import count_free_refs, stmt_exprs
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,8 @@ def plan_caching(program: DriverProgram) -> list[CacheDecision]:
         for stmt in stmts:
             bucket = loop_uses if depth > 0 else flat_uses
             for expr in stmt_exprs(stmt):
-                for name in expr.free_vars():
-                    bucket[name] = bucket.get(name, 0) + count_free_refs(
-                        expr, name
-                    )
+                for name, n in use_counts(expr).items():
+                    bucket[name] = bucket.get(name, 0) + n
             if isinstance(stmt, SAssign):
                 assign_counts[stmt.name] = (
                     assign_counts.get(stmt.name, 0) + 1

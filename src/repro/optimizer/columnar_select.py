@@ -46,6 +46,7 @@ from repro.lowering.combinators import (
     CSemiJoin,
     Combinator,
     ScalarFn,
+    rebuild_inputs,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -185,13 +186,8 @@ def select_columnar(
         return result
 
     def _rebuild_one(node: Combinator, key: int) -> Combinator:
-        changes: dict[str, Combinator] = {}
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, Combinator):
-                new = rebuild(value)
-                if new is not value:
-                    changes[f.name] = new
+        rebuilt = rebuild_inputs(node, rebuild)
+        changes: dict[str, object] = {}
         if exchange != "off" and isinstance(
             node, (CEqJoin, CSemiJoin, CGroupBy, CAggBy)
         ):
@@ -265,7 +261,7 @@ def select_columnar(
             changes["columnar"] = columnar
             changes["columnar_reason"] = reason
         if not changes:
-            return node
-        return dataclasses.replace(node, **changes)
+            return rebuilt
+        return dataclasses.replace(rebuilt, **changes)
 
     return rebuild(root)

@@ -22,9 +22,10 @@ inlines into its consumer, and so on).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from repro.comprehension.exprs import Expr, Ref, walk
+from repro.comprehension.exprs import Expr, use_counts
 from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
@@ -34,50 +35,49 @@ from repro.frontend.driver_ir import (
     SReturn,
     SWhile,
     Stmt,
+    stmt_exprs,
 )
 
 _MAX_ROUNDS = 64
 
 
-def count_free_refs(expr: Expr, name: str) -> int:
-    """Occurrences of ``name`` as a *free* reference in ``expr``.
+class _Uses:
+    """Free uses per name, read from :func:`use_counts` memoized by
+    expression identity for one :func:`inline_single_use` call.
 
-    Implemented via binder-correct substitution: replace free ``name``
-    with a marker and count markers.
+    The IR is frozen, and a round keeps the expression objects of every
+    statement it does not rewrite, so each round walks only the
+    expression it spliced.  ``program`` holds the current round's
+    whole-program totals.
     """
-    marker = Ref("__inline_count_marker__")
-    substituted = expr.substitute({name: marker})
-    return sum(
-        1
-        for node in walk(substituted)
-        if isinstance(node, Ref)
-        and node.name == "__inline_count_marker__"
-    )
 
+    def __init__(self) -> None:
+        # The expression is kept alive with its counts: its id stays
+        # unique for the memo's lifetime.
+        self._memo: dict[int, tuple[Expr, dict[str, int]]] = {}
+        self.program: Counter[str] = Counter()
 
-def stmt_exprs(stmt: Stmt) -> tuple[Expr, ...]:
-    """The expressions directly attached to a statement."""
-    if isinstance(stmt, SAssign):
-        return (stmt.value,)
-    if isinstance(stmt, SExpr):
-        return (stmt.value,)
-    if isinstance(stmt, SWhile):
-        return (stmt.cond,)
-    if isinstance(stmt, SIf):
-        return (stmt.cond,)
-    if isinstance(stmt, SFor):
-        return (stmt.iterable,)
-    if isinstance(stmt, SReturn):
-        return (stmt.value,) if stmt.value is not None else ()
-    return ()
+    def of(self, expr: Expr) -> dict[str, int]:
+        entry = self._memo.get(id(expr))
+        if entry is None:
+            entry = self._memo[id(expr)] = (expr, use_counts(expr))
+        return entry[1]
 
+    def direct(self, stmt: Stmt, name: str) -> int:
+        """Uses in the statement's own expressions."""
+        return sum(self.of(e).get(name, 0) for e in stmt_exprs(stmt))
 
-def count_in_stmt_tree(stmt: Stmt, name: str) -> int:
-    """Free uses of ``name`` in a statement and all nested blocks."""
-    total = sum(count_free_refs(e, name) for e in stmt_exprs(stmt))
-    for child in stmt.children():
-        total += count_in_stmt_tree(child, name)
-    return total
+    def tree(self, stmt: Stmt, name: str) -> int:
+        """Uses in a statement and all its nested blocks."""
+        return self.direct(stmt, name) + sum(
+            self.tree(child, name) for child in stmt.children()
+        )
+
+    def count_program(self, program: DriverProgram) -> None:
+        self.program = Counter()
+        for stmt in program.walk():
+            for expr in stmt_exprs(stmt):
+                self.program.update(self.of(expr))
 
 
 def assigned_names(stmt: Stmt) -> set[str]:
@@ -116,9 +116,10 @@ def inline_single_use(
     program: DriverProgram,
 ) -> tuple[DriverProgram, int]:
     """Inline single-use bag definitions; returns (program, count)."""
+    uses = _Uses()
     total = 0
     for _ in range(_MAX_ROUNDS):
-        rewritten = _inline_one(program)
+        rewritten = _inline_one(program, uses)
         if rewritten is None:
             break
         program = rewritten
@@ -126,29 +127,32 @@ def inline_single_use(
     return program, total
 
 
-def _inline_one(program: DriverProgram) -> DriverProgram | None:
+def _inline_one(
+    program: DriverProgram, uses: _Uses
+) -> DriverProgram | None:
     """Perform at most one inlining step; None when nothing applies."""
-    new_body = _inline_in_block(program.body, program)
+    uses.count_program(program)
+    new_body = _inline_in_block(program.body, uses)
     if new_body is None:
         return None
     return program.with_body(new_body)
 
 
 def _inline_in_block(
-    block: tuple[Stmt, ...], program: DriverProgram
+    block: tuple[Stmt, ...], uses: _Uses
 ) -> tuple[Stmt, ...] | None:
     stmts = list(block)
     for i, stmt in enumerate(stmts):
         # Try nested blocks first (innermost definitions collapse first).
         if isinstance(stmt, SWhile):
-            inner = _inline_in_block(stmt.body, program)
+            inner = _inline_in_block(stmt.body, uses)
             if inner is not None:
                 stmts[i] = SWhile(
                     cond=stmt.cond, body=inner, line=stmt.line
                 )
                 return tuple(stmts)
         elif isinstance(stmt, SFor):
-            inner = _inline_in_block(stmt.body, program)
+            inner = _inline_in_block(stmt.body, uses)
             if inner is not None:
                 stmts[i] = SFor(
                     var=stmt.var,
@@ -158,7 +162,7 @@ def _inline_in_block(
                 )
                 return tuple(stmts)
         elif isinstance(stmt, SIf):
-            inner = _inline_in_block(stmt.then, program)
+            inner = _inline_in_block(stmt.then, uses)
             if inner is not None:
                 stmts[i] = SIf(
                     cond=stmt.cond,
@@ -167,7 +171,7 @@ def _inline_in_block(
                     line=stmt.line,
                 )
                 return tuple(stmts)
-            inner = _inline_in_block(stmt.orelse, program)
+            inner = _inline_in_block(stmt.orelse, uses)
             if inner is not None:
                 stmts[i] = SIf(
                     cond=stmt.cond,
@@ -176,7 +180,7 @@ def _inline_in_block(
                     line=stmt.line,
                 )
                 return tuple(stmts)
-        target = _find_use_site(stmt, stmts, i, program)
+        target = _find_use_site(stmt, stmts, i, uses)
         if target is not None:
             j, rewritten = target
             stmts[j] = rewritten
@@ -189,7 +193,7 @@ def _find_use_site(
     stmt: Stmt,
     stmts: list[Stmt],
     i: int,
-    program: DriverProgram,
+    uses: _Uses,
 ) -> tuple[int, Stmt] | None:
     """If ``stmts[i]`` can inline into a later sibling, return the
     sibling index and its rewritten form."""
@@ -200,21 +204,13 @@ def _find_use_site(
     name = stmt.name
     # Exactly one use across the whole (current) program, excluding the
     # definition itself.
-    uses = 0
-    for s in program.walk():
-        if s is stmt:
-            continue
-        uses += sum(count_free_refs(e, name) for e in stmt_exprs(s))
-    if uses != 1:
+    if uses.program[name] - uses.direct(stmt, name) != 1:
         return None
-    rhs_deps = stmt.value.free_vars() | {name}
+    rhs_deps = uses.of(stmt.value).keys() | {name}
     for j in range(i + 1, len(stmts)):
         later = stmts[j]
-        direct_uses = sum(
-            count_free_refs(e, name) for e in stmt_exprs(later)
-        )
-        nested_uses = count_in_stmt_tree(later, name) - direct_uses
-        if nested_uses:
+        direct_uses = uses.direct(later, name)
+        if uses.tree(later, name) - direct_uses:
             return None  # the single use hides inside a nested block
         if direct_uses == 1:
             if isinstance(later, SWhile):

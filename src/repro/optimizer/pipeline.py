@@ -200,10 +200,17 @@ class EmmaConfig:
     memory_budget: int | None = _runtime(("configure_memory", "budget"))
 
     def __post_init__(self) -> None:
-        # String plan knobs are checked here, before a compile is paid
-        # for: a typo must not compile, and must not silently enable a
-        # pass (``_Compiler.enabled`` reads every value but
-        # ``False``/``"off"`` as on).
+        # Plan knobs are checked here, before a compile is paid for: a
+        # typo must not compile, and must not silently enable a pass
+        # (``_Compiler.enabled`` reads every value but ``False``/``"off"``
+        # as on).
+        for name in _BOOL_PLAN_KNOBS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise EngineError(
+                    f"plan knob {name} must be True or False, "
+                    f"got {value!r}"
+                )
         check_columnar_mode(self.columnar)
         check_columnar_mode(self.columnar_exchange, "columnar exchange")
         if self.udf_reordering not in UDF_REORDERING_MODES:
@@ -234,6 +241,15 @@ class EmmaConfig:
         """A short human-readable configuration name."""
         rows = [r.replace("_", "-") for r in TABLE1 if getattr(self, r)]
         return "+".join(rows) or "baseline"
+
+
+#: the plan knobs declared with a bool default: anything but a bool
+#: is rejected
+_BOOL_PLAN_KNOBS = tuple(
+    f.name
+    for f in fields(EmmaConfig)
+    if f.metadata["knob"] == "plan" and isinstance(f.default, bool)
+)
 
 
 @dataclass
@@ -325,6 +341,11 @@ class PlanExpr(Expr):
         # The plan's references resolve from the full driver env at
         # runtime; captured-name analysis ran before compilation.
         return frozenset()
+
+    def count_uses(
+        self, bound: frozenset[str], counts: dict[str, int]
+    ) -> None:
+        pass
 
     def substitute(self, mapping: Mapping[str, Expr]) -> "Expr":
         return self

@@ -69,6 +69,7 @@ from repro.lowering.combinators import (
     CSemiJoin,
     Combinator,
     ScalarFn,
+    rebuild_inputs,
 )
 from repro.optimizer.physical_props import PlanContext, _loop_invariant
 from repro.optimizer.udf_analysis import (
@@ -203,15 +204,7 @@ class _Reorderer:
         key = id(node)
         if key in self._memo:
             return self._memo[key]
-        changes: dict[str, Combinator] = {}
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, Combinator):
-                new = self._rebuild(value)
-                if new is not value:
-                    changes[f.name] = new
-        if changes:
-            node = dataclasses.replace(node, **changes)
+        node = rebuild_inputs(node, self._rebuild)
         rewritten = self._try_rules(node)
         if rewritten is not node:
             self._changed = True

@@ -8,6 +8,7 @@ from repro.comprehension.exprs import (
     Lambda,
     MapCall,
     Ref,
+    use_counts,
 )
 from repro.frontend.driver_ir import (
     DriverProgram,
@@ -16,10 +17,7 @@ from repro.frontend.driver_ir import (
     SReturn,
     SWhile,
 )
-from repro.optimizer.inlining import (
-    count_free_refs,
-    inline_single_use,
-)
+from repro.optimizer.inlining import inline_single_use
 
 
 def bag_assign(name, value, line=0):
@@ -40,14 +38,14 @@ def mapped(source):
     return MapCall(source, Lambda(("x",), BinOp("+", Ref("x"), Const(1))))
 
 
-class TestCountFreeRefs:
+class TestUseCounts:
     def test_counts_multiplicity(self):
         expr = BinOp("+", Ref("a"), Ref("a"))
-        assert count_free_refs(expr, "a") == 2
+        assert use_counts(expr)["a"] == 2
 
     def test_respects_binders(self):
         expr = MapCall(Ref("a"), Lambda(("a",), Ref("a")))
-        assert count_free_refs(expr, "a") == 1  # only the source
+        assert use_counts(expr)["a"] == 1  # only the source
 
 
 class TestInlining:
@@ -62,7 +60,7 @@ class TestInlining:
         (ret,) = out.body
         assert isinstance(ret, SReturn)
         # zs and ys both folded into the return expression.
-        assert count_free_refs(ret.value, "xs") == 1
+        assert use_counts(ret.value)["xs"] == 1
 
     def test_multi_use_not_inlined(self):
         program = prog(
@@ -129,7 +127,7 @@ class TestInlining:
         out, count = inline_single_use(program)
         # ys depends on the *old* xs; moving it past the rebinding
         # would change its meaning.
-        assert count_free_refs(out.body[-1].value, "ys") == 1
+        assert use_counts(out.body[-1].value)["ys"] == 1
 
     def test_stateful_assignments_never_inlined(self):
         stmt = SAssign(

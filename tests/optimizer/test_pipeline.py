@@ -145,7 +145,7 @@ class TestSemanticsUnderAllConfigs:
 
 def _walk_stmt_exprs(stmt):
     from repro.comprehension.exprs import walk
-    from repro.optimizer.inlining import stmt_exprs
+    from repro.frontend.driver_ir import stmt_exprs
 
     for expr in stmt_exprs(stmt):
         yield from walk(expr)

@@ -18,6 +18,7 @@ import pytest
 from repro.engines.dfs import SimulatedDFS
 from repro.engines.sparklike import SparkLikeEngine
 from repro.errors import EngineError
+from repro.optimizer.fingerprint import PLAN_KNOBS
 from repro.optimizer.pipeline import EmmaConfig
 from repro.workloads.connected_components import connected_components
 from repro.workloads.kmeans import kmeans, kmeans_assign
@@ -128,6 +129,19 @@ class TestPlanKnobValidation:
     def test_udf_reordering_rejected(self):
         with pytest.raises(EngineError, match="udf_reordering"):
             EmmaConfig(udf_reordering="no")
+
+    @pytest.mark.parametrize("value", ["no", "off", 0, 1, None])
+    def test_bool_knob_rejects_non_bool(self, value):
+        # Read as on by the compiler, "no" would compile the pass in.
+        with pytest.raises(EngineError, match="fold_group_fusion"):
+            EmmaConfig(fold_group_fusion=value)
+
+    def test_golden_points_still_build(self):
+        assert EmmaConfig.none().label() == "baseline"
+        for knob in PLAN_KNOBS:
+            value = getattr(EmmaConfig(), knob)
+            off = False if isinstance(value, bool) else "off"
+            assert getattr(EmmaConfig(**{knob: off}), knob) == off
 
     @pytest.mark.parametrize("value", ["auto", "off", True, False])
     def test_udf_reordering_accepted(self, value):
