@@ -35,6 +35,10 @@ A = TypeVar("A")
 B = TypeVar("B")
 
 
+#: the key slot of a keyed accumulator that no comparison has needed yet
+UNKEYED = object()
+
+
 @dataclass(frozen=True)
 class FoldAlgebra(Generic[A, B]):
     """The ``(e, s, u)`` triple of a union-representation fold.
@@ -48,12 +52,18 @@ class FoldAlgebra(Generic[A, B]):
         union: substituted for ``uni`` — combines two partial results.
         name: optional human-readable label used by the pretty printer
             and by plan explanations.
+        key, keep: set for an option algebra that compares by a key
+            (``min_by`` / ``max_by``): ``union(a, b)`` keeps ``a`` iff
+            ``keep(key(a), key(b))``.  Sequential loops then carry the
+            accumulator's key beside it (:meth:`step`).
     """
 
     zero: Callable[[], B]
     singleton: Callable[[A], B]
     union: Callable[[B, B], B]
     name: str = "fold"
+    key: Callable[[B], object] | None = None
+    keep: Callable[[object, object], bool] | None = None
 
     def __call__(self, elements: Iterable[A]) -> B:
         """Apply the fold to an iterable, treated as a bag.
@@ -62,6 +72,8 @@ class FoldAlgebra(Generic[A, B]):
         result is independent of the order, so this is just one concrete
         tree from the equivalence class.
         """
+        if self.key is not None:
+            return self.merge(map(self.singleton, elements))
         acc = self.zero()
         for x in elements:
             acc = self.union(acc, self.singleton(x))
@@ -70,9 +82,38 @@ class FoldAlgebra(Generic[A, B]):
     def merge(self, partials: Iterable[B]) -> B:
         """Combine partial results shipped from distributed partitions."""
         acc = self.zero()
+        if self.key is not None:
+            acc_key = UNKEYED
+            for p in partials:
+                acc, acc_key = self.step(acc, acc_key, p)
+            return acc
         for p in partials:
             acc = self.union(acc, p)
         return acc
+
+    def step(self, acc: B, acc_key: object, b: B) -> tuple[B, object]:
+        """``union(acc, b)`` as one step of a left-to-right loop.
+
+        ``acc_key`` is ``key(acc)``, or :data:`UNKEYED` until a
+        comparison first needs it; returns the new ``(acc, acc_key)``.
+        The key runs at most once per operand and in the order
+        ``union`` calls it — the accumulator's before ``b``'s — so the
+        result, and the first key that raises, are ``union``'s.  Without
+        a key this is ``union`` with ``acc_key`` passed through.
+        """
+        key = self.key
+        if key is None:
+            return self.union(acc, b), acc_key
+        if b is None:
+            return acc, acc_key
+        if acc is None:
+            return b, UNKEYED
+        if acc_key is UNKEYED:
+            acc_key = key(acc)
+        b_key = key(b)
+        if self.keep(acc_key, b_key):
+            return acc, acc_key
+        return b, b_key
 
 
 def fold_union_tree(algebra: FoldAlgebra[A, B], tree: UnionTree[A]) -> B:
@@ -189,16 +230,24 @@ def _identity(x: A) -> A:
     return x
 
 
-def _option(name: str, keep: Callable[[A, A], bool]) -> FoldAlgebra:
+def _option(
+    name: str,
+    keep: Callable[[object, object], bool],
+    key: Callable[[A], object] | None = None,
+) -> FoldAlgebra:
     """``name`` over the option monoid: ``None`` is the zero, otherwise
-    ``union(a, b)`` is ``a`` if ``keep(a, b)`` and ``b`` if not."""
+    ``union(a, b)`` is ``a`` if ``keep(a, b)`` — ``keep(key(a),
+    key(b))`` with a ``key`` — and ``b`` if not."""
+    test = keep if key is None else lambda a, b: keep(key(a), key(b))
     return FoldAlgebra(
         lambda: None,
         _identity,
         lambda a, b: (
-            b if a is None else a if b is None else a if keep(a, b) else b
+            b if a is None else a if b is None else a if test(a, b) else b
         ),
         name,
+        key,
+        keep if key is not None else None,
     )
 
 
@@ -207,6 +256,16 @@ def _option(name: str, keep: Callable[[A, A], bool]) -> FoldAlgebra:
 #: identity key — the option monoid on ``<=`` / ``>=`` — so a value
 #: that compares false both ways (``nan``) is kept or dropped alike
 #: natively, lifted and compiled.
+#:
+#: The key contract of ``min_by`` / ``max_by``: ``union`` itself keys
+#: both of its operands, but every sequential fold loop — this
+#: module's ``__call__`` / ``merge`` (the ``DataBag`` method and the
+#: lifted interpreter), ``exprs.fold_reducer`` (compiled UDF folds) and
+#: the chain kernel's fold and aggregation sinks — carries the
+#: accumulator's key beside it (:meth:`FoldAlgebra.step`).  The key then
+#: runs at most once per element, and only once a second element needs
+#: comparing, in ``union``'s order: the result, a ``None`` or ``nan``
+#: key's effect and the element whose key raises first are ``union``'s.
 FOLD_ALIASES: dict[str, tuple[int, Callable[..., FoldAlgebra]]] = {
     "fold": (3, lambda e, s, u: FoldAlgebra(zero_factory(e), s, u, "fold")),
     "sum": (
@@ -247,6 +306,6 @@ FOLD_ALIASES: dict[str, tuple[int, Callable[..., FoldAlgebra]]] = {
             lambda: True, lambda x: bool(p(x)), lambda a, b: a and b, "forall"
         ),
     ),
-    "min_by": (1, lambda k: _option("min_by", lambda a, b: k(a) <= k(b))),
-    "max_by": (1, lambda k: _option("max_by", lambda a, b: k(a) >= k(b))),
+    "min_by": (1, lambda k: _option("min_by", operator.le, k)),
+    "max_by": (1, lambda k: _option("max_by", operator.ge, k)),
 }

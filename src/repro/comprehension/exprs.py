@@ -34,7 +34,12 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.algebra.fold import FOLD_ALIASES, FoldAlgebra, zero_factory
+from repro.algebra.fold import (
+    FOLD_ALIASES,
+    UNKEYED,
+    FoldAlgebra,
+    zero_factory,
+)
 from repro.core.databag import DataBag
 from repro.errors import ComprehensionError
 
@@ -127,9 +132,12 @@ class Expr:
         Bound names shadow: entries of ``mapping`` whose key this node
         binds are not propagated into the children.
         """
-        live = {
-            k: v for k, v in mapping.items() if k not in self.bound_vars()
-        }
+        bound = self.bound_vars()
+        live = (
+            {k: v for k, v in mapping.items() if k not in bound}
+            if bound
+            else mapping
+        )
         if not live:
             return self
         return self.rebuild(lambda c: c.substitute(live))
@@ -167,8 +175,7 @@ def _exprs_in(value: Any) -> Iterator[Expr]:
         for item in value:
             yield from _exprs_in(item)
     elif isinstance(value, AlgebraSpec):
-        for item in value.args:
-            yield from _exprs_in(item)
+        yield from value.exprs()
 
 
 def _map_exprs(value: Any, fn: Callable[[Expr], Expr]) -> Any:
@@ -216,6 +223,48 @@ def use_counts(expr: Expr) -> dict[str, int]:
 def substitute(expr: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Module-level alias for :meth:`Expr.substitute`."""
     return expr.substitute(mapping)
+
+
+class Splice(dict):
+    """A substitution mapping that remembers its values' free variables.
+
+    Every binder a substitution crosses (a lambda, a comprehension's
+    generators) must avoid capturing the free variables of the values
+    it carries.  Binders derive their inner mappings from this one
+    (:meth:`derive`), so one splice computes each value's free
+    variables once, not once per binder.
+    """
+
+    __slots__ = ("_free",)
+
+    def __init__(
+        self,
+        items: Mapping[str, Expr],
+        free: dict[str, tuple[Expr, frozenset[str]]] | None = None,
+    ) -> None:
+        super().__init__(items)
+        #: name -> (value, its free variables); holding the value keeps
+        #: the identity check below sound
+        self._free = {} if free is None else free
+
+    @staticmethod
+    def of(mapping: Mapping[str, Expr]) -> "Splice":
+        """``mapping`` as a splice (itself when it already is one)."""
+        return mapping if isinstance(mapping, Splice) else Splice(mapping)
+
+    def derive(self, items: Mapping[str, Expr]) -> "Splice":
+        """A mapping for an inner scope, sharing this splice's memo."""
+        return Splice(items, self._free)
+
+    def incoming(self) -> frozenset[str]:
+        """The free variables of all values."""
+        out: frozenset[str] = frozenset()
+        for name, value in self.items():
+            entry = self._free.get(name)
+            if entry is None or entry[0] is not value:
+                entry = self._free[name] = (value, value.free_vars())
+            out |= entry[1]
+        return out
 
 
 def evaluate(expr: Expr, env: Mapping[str, Any] | Env | None = None) -> Any:
@@ -457,11 +506,10 @@ class Lambda(Expr):
         live = {k: v for k, v in mapping.items() if k not in self.params}
         if not live:
             return self
+        live = Splice.of(mapping).derive(live)
         # Alpha-rename any parameter that a substituted value would
         # capture.
-        incoming: frozenset[str] = frozenset()
-        for value in live.values():
-            incoming |= value.free_vars()
+        incoming = live.incoming()
         params, body = self.params, self.body
         if incoming & frozenset(params):
             renames: dict[str, Expr] = {}
@@ -774,7 +822,9 @@ _OPTION = (
 #: reference.  ``{x}`` is the element, ``{a}``/``{b}`` the union's
 #: operands, and ``{a0}``.. the alias's evaluated arguments; helpers are
 #: spelled ``_cv_*`` (see ``_FOLD_HELPERS``) so no user binding can
-#: shadow them.
+#: shadow them.  A sequential loop never inlines the ``min_by`` /
+#: ``max_by`` union: it folds through :data:`KEYED_STEP`, which carries
+#: the accumulator's key (the key contract at ``FOLD_ALIASES``).
 FOLD_TEMPLATES: dict[str, tuple[str, str, str]] = {
     "fold": ("_cv_zero({a0})()", "{a1}({x})", "{a2}({a}, {b})"),
     "sum": ("0", "{x}", "({a} + {b})"),
@@ -798,7 +848,33 @@ FOLD_TEMPLATES: dict[str, tuple[str, str, str]] = {
     ),
 }
 
-_FOLD_HELPERS: dict[str, Any] = {"_cv_zero": zero_factory, "_cv_bool": bool}
+#: keyed alias -> the comparison its union keeps the accumulator on
+KEYED_FOLDS = {"min_by": "<=", "max_by": ">="}
+
+#: ``{a} = union({a}, {b})`` for a keyed alias, as statements of a
+#: sequential loop: ``{ak}`` carries ``{a0}({a})`` — ``_cv_unkeyed`` until
+#: a comparison first needs it — so the key ``{a0}`` runs at most once
+#: per operand, the accumulator's before the operand's, as
+#: ``FoldAlgebra.step`` runs it
+KEYED_STEP = (
+    "_b = {b}",
+    "if _b is not None:",
+    "    if {a} is None:",
+    "        {a} = _b",
+    "    else:",
+    "        if {ak} is _cv_unkeyed:",
+    "            {ak} = {a0}({a})",
+    "        _bk = {a0}(_b)",
+    "        if not ({ak} {op} _bk):",
+    "            {a} = _b",
+    "            {ak} = _bk",
+)
+
+_FOLD_HELPERS: dict[str, Any] = {
+    "_cv_zero": zero_factory,
+    "_cv_bool": bool,
+    "_cv_unkeyed": UNKEYED,
+}
 
 
 @dataclass(frozen=True)
@@ -842,23 +918,51 @@ class FoldSource:
         union = FOLD_TEMPLATES[self.alias][2]
         return union.count("{a}") > 1 or union.count("{b}") > 1
 
+    @property
+    def keyed(self) -> bool:
+        """Whether a loop folds through :meth:`keyed_step` (the
+        accumulator carries a key)."""
+        return self.alias in KEYED_FOLDS
+
+    def keyed_step(self, a: str, ak: str, b: str) -> list[str]:
+        """Statements for ``a = union(a, b)`` in a loop that carries
+        ``a``'s key in ``ak`` (:data:`KEYED_STEP`); ``a`` and ``ak`` are
+        assignable targets, ``b`` is evaluated once."""
+        op = KEYED_FOLDS[self.alias]
+        return [
+            line.format(a=a, ak=ak, b=b, op=op, a0=self.args[0])
+            for line in KEYED_STEP
+        ]
+
 
 @functools.cache
 def fold_reducer(alias: str) -> Callable:
     """``reduce(items, *args)``: the alias's fold as one plain loop.
 
     Equals ``FOLD_ALIASES[alias][1](*args)(items)`` — zero, then
-    ``union(acc, singleton(x))`` left to right — generated from
-    :data:`FOLD_TEMPLATES`; what a compiled fold comprehension calls.
+    ``union(acc, singleton(x))`` left to right, a keyed alias carrying
+    the accumulator's key — generated from :data:`FOLD_TEMPLATES` and
+    :data:`KEYED_STEP`; what a compiled fold comprehension calls.
     """
     params = tuple(f"_a{i}" for i in range(FOLD_ALIASES[alias][0]))
     fold = FoldSource(alias, params)
+    if fold.keyed:
+        lines = ["_ak = _cv_unkeyed", "for _x in _items:"]
+        lines.extend(
+            f"    {line}"
+            for line in fold.keyed_step("_a", "_ak", fold.singleton("_x"))
+        )
+    else:
+        lines = [
+            "for _x in _items:",
+            f"    _b = {fold.singleton('_x')}",
+            f"    _a = {fold.union('_a', '_b')}",
+        ]
+    body = "".join(f"    {line}\n" for line in lines)
     source = (
         f"def _reduce({', '.join(('_items', *params))}):\n"
         f"    _a = {fold.zero}\n"
-        f"    for _x in _items:\n"
-        f"        _b = {fold.singleton('_x')}\n"
-        f"        _a = {fold.union('_a', '_b')}\n"
+        f"{body}"
         f"    return _a\n"
     )
     namespace = dict(_FOLD_HELPERS)
@@ -931,9 +1035,13 @@ class AlgebraSpec:
 
     def substitute(self, mapping: Mapping[str, Expr]) -> "AlgebraSpec":
         """Substitute free references (the fused var shadows)."""
-        live_inner = {
-            k: v for k, v in mapping.items() if k != self.var
-        }
+        live_inner = (
+            Splice.of(mapping).derive(
+                {k: v for k, v in mapping.items() if k != self.var}
+            )
+            if self.var in mapping
+            else mapping
+        )
         return dataclasses.replace(
             self,
             args=tuple(a.substitute(mapping) for a in self.args),
@@ -944,6 +1052,15 @@ class AlgebraSpec:
             ),
             guards=tuple(g.substitute(live_inner) for g in self.guards),
         )
+
+    def exprs(self) -> Iterator[Expr]:
+        """The argument, fused head and guard expressions, in that order
+        (read-only visitors; rewriting goes through :meth:`substitute`,
+        which respects the fused ``var``)."""
+        yield from self.args
+        if self.head is not None:
+            yield self.head
+        yield from self.guards
 
     def components(self) -> Iterator[tuple[tuple[str, ...], Expr]]:
         """The lifted ``(params, body)`` pieces of this algebra — its
@@ -973,12 +1090,7 @@ class AlgebraSpec:
             value = head.evaluate(inner) if head is not None else x
             return base.singleton(value)
 
-        return FoldAlgebra(
-            zero=base.zero,
-            singleton=singleton,
-            union=base.union,
-            name=base.name,
-        )
+        return dataclasses.replace(base, singleton=singleton)
 
     def fused_with(
         self, var: str, head: Expr | None, guards: tuple[Expr, ...]
@@ -1106,19 +1218,21 @@ class AggByCall(BagExpr):
         bag = _as_databag(self.source.evaluate(env), "agg_by")
         key_fn = self.key.evaluate(env)
         algebras = [spec.make_algebra(env) for spec in self.specs]
-        acc: dict[Any, list[Any]] = {}
+        # per key: the partials, then the keys they carry (FoldAlgebra.step)
+        acc: dict[Any, tuple[list[Any], list[Any]]] = {}
         for x in bag:
             k = key_fn(x)
             entry = acc.get(k)
             if entry is None:
-                acc[k] = [
-                    a.union(a.zero(), a.singleton(x)) for a in algebras
-                ]
-            else:
-                for i, a in enumerate(algebras):
-                    entry[i] = a.union(entry[i], a.singleton(x))
+                entry = acc[k] = (
+                    [a.zero() for a in algebras],
+                    [UNKEYED] * len(algebras),
+                )
+            values, keys = entry
+            for i, a in enumerate(algebras):
+                values[i], keys[i] = a.step(values[i], keys[i], a.singleton(x))
         return DataBag(
-            AggResult(k, tuple(v)) for k, v in acc.items()
+            AggResult(k, tuple(values)) for k, (values, _) in acc.items()
         )
 
 

@@ -37,6 +37,7 @@ from repro.comprehension.exprs import (
     NativeCodegen,
     NotCompilable,
     Ref,
+    Splice,
     fold_reducer,
     fresh_name,
 )
@@ -152,8 +153,7 @@ class Comprehension(Expr):
                 yield q.predicate
         yield self.head
         if isinstance(self.kind, FoldKind):
-            for arg in self.kind.spec.args:
-                yield arg
+            yield from self.kind.spec.exprs()
 
     def free_vars(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -183,24 +183,22 @@ class Comprehension(Expr):
             self.kind.spec.count_uses(bound, counts)
 
     def substitute(self, mapping: Mapping[str, Expr]) -> "Comprehension":
-        live = dict(mapping)
-        if not live:
+        free = self.free_vars()
+        if free.isdisjoint(mapping):
             return self
-        incoming: frozenset[str] = frozenset()
-        for value in live.values():
-            incoming |= value.free_vars()
+        splice = Splice.of(mapping)
+        live = dict(splice)
+        incoming = splice.incoming()
 
         new_quals: list[Qualifier] = []
         renames: dict[str, Expr] = {}
-        taken = set(incoming) | {
-            g.var for g in self.generators()
-        } | self.free_vars()
+        taken = set(incoming) | {g.var for g in self.generators()} | free
 
         def subst_inner(e: Expr) -> Expr:
             combined = {**live, **renames}
             # Shadowed names were removed from `live` as binders were
             # crossed; `renames` handles alpha conversion.
-            return e.substitute(combined) if combined else e
+            return e.substitute(splice.derive(combined)) if combined else e
 
         for q in self.qualifiers:
             if isinstance(q, Generator):
@@ -223,7 +221,9 @@ class Comprehension(Expr):
         if isinstance(self.kind, FoldKind):
             combined = {**live, **renames}
             if combined:
-                new_kind = FoldKind(self.kind.spec.substitute(combined))
+                new_kind = FoldKind(
+                    self.kind.spec.substitute(splice.derive(combined))
+                )
         return Comprehension(
             head=new_head, qualifiers=tuple(new_quals), kind=new_kind
         )

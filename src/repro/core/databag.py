@@ -232,12 +232,18 @@ class DataBag(Generic[A]):
         """Element with the minimal ``key``, or ``None`` if empty.
 
         A fold over the option monoid, mirroring the paper's ``minBy``
-        (the k-means nearest-centroid step uses it).
+        (the k-means nearest-centroid step uses it).  The first of tied
+        elements wins; ``None`` elements are skipped.  ``key`` runs at
+        most once per element, and not at all for a single element: the
+        fold carries the running minimum's key, as Python's
+        ``min(key=...)`` does — here, lifted and compiled alike (see
+        ``FOLD_ALIASES``).
         """
         return self._alias("min_by", key)
 
     def max_by(self, key: Callable[[A], object]) -> A | None:
-        """Element with the maximal ``key``, or ``None`` if empty."""
+        """Element with the maximal ``key``, or ``None`` if empty; ties,
+        ``None`` elements and key calls as in :meth:`min_by`."""
         return self._alias("max_by", key)
 
     def sample(self, n: int) -> list[A]:

@@ -59,8 +59,11 @@ loop.  Key, fused heads, guards and unions are inlined from the same
 ``FOLD_TEMPLATES`` the comprehension emitter uses; per-group order is
 the partition's order, and a key's first record still computes
 ``union(zero, singleton(x))``, so results equal the interpreter's
-``AggByCall.evaluate`` bit for bit.  The counts tuple is the chain's
-own: a sink adds no counter.  The reducer side (records are
+``AggByCall.evaluate`` bit for bit.  A ``min_by`` / ``max_by``
+accumulator carries its key beside it (``KEYED_STEP``; in a slot behind
+the partials of ``_e``), so its key runs at most once per record, as
+the interpreter's ``FoldAlgebra.step`` runs it.  The counts tuple is the
+chain's own: a sink adds no counter.  The reducer side (records are
 ``(key, partials)`` pairs, unioned component-wise) and a structural
 fold (``_acc = <zero>`` ahead of the loop, ``_acc = <union>`` in it,
 one ``_emit(_acc)`` behind it) are the same generator with another
@@ -134,7 +137,7 @@ MAP, FILTER, FLATMAP = "map", "filter", "flatmap"
 #: closure fallback for its step
 _RESERVED = re.compile(
     r"\A(_x\d+|_k\d+|_f\d+|_g\d+|_seq|_emit|_partition|_chain_kernel"
-    r"|_acc|_key|_e|_p|_a|_b)\Z"
+    r"|_acc|_key|_e|_p|_a|_b|_ak|_bk)\Z"
 )
 
 
@@ -366,8 +369,13 @@ def _sink_source(
         )
         return f"({src} if {guards} else {fold.zero})"
 
-    def union_into(fold: FoldSource, target: str, operand: str) -> list[str]:
-        """Statements for ``target = union(target, operand)``."""
+    def union_into(
+        fold: FoldSource, target: str, operand: str, key: str = ""
+    ) -> list[str]:
+        """Statements for ``target = union(target, operand)``; a keyed
+        alias carries ``target``'s key in ``key``."""
+        if fold.keyed:
+            return fold.keyed_step(target, key, operand)
         if fold.repeats_operands:
             return [
                 f"_a = {target}",
@@ -379,34 +387,56 @@ def _sink_source(
     if isinstance(sink, FoldSink):
         fold = fold_source(sink.spec)
         before.append(f"_acc = {fold.zero}")
+        if fold.keyed:
+            before.append("_ak = _cv_unkeyed")
         operand = var if sink.merge else singleton(fold, sink.spec)
-        return before, union_into(fold, "_acc", operand), ["_emit(_acc)"]
+        return (
+            before,
+            union_into(fold, "_acc", operand, "_ak"),
+            ["_emit(_acc)"],
+        )
 
     folds = [fold_source(spec) for spec in sink.specs]
+    # a keyed fold's accumulator carries its key in a slot behind the
+    # partials: ``_e[n + i]`` for the i-th keyed fold
+    n = len(folds)
+    slots = {}
+    for j, fold in enumerate(folds):
+        if fold.keyed:
+            slots[j] = f"_e[{n + len(slots)}]"
+    keys = ["_cv_unkeyed"] * len(slots)
     before.append("_acc = {}")
     if sink.key is not None:
+        fresh = ", ".join([*(f.zero for f in folds), *keys])
         tail = [
             f"_key = {call_source(sink.key, var)}",
             "_e = _acc.get(_key)",
             "if _e is None:",
-            f"    _e = _acc[_key] = [{', '.join(f.zero for f in folds)}]",
+            f"    _e = _acc[_key] = [{fresh}]",
         ]
         for j, (fold, spec) in enumerate(zip(folds, sink.specs)):
-            tail.extend(union_into(fold, f"_e[{j}]", singleton(fold, spec)))
+            tail.extend(
+                union_into(
+                    fold, f"_e[{j}]", singleton(fold, spec), slots.get(j, "")
+                )
+            )
     else:
         tail = [
             f"_key, _p = {var}",
             "_e = _acc.get(_key)",
             "if _e is None:",
-            "    _acc[_key] = [*_p]",
+            f"    _acc[_key] = [{', '.join(['*_p', *keys])}]",
             "else:",
         ]
         for j, fold in enumerate(folds):
             tail.extend(
                 f"    {line}"
-                for line in union_into(fold, f"_e[{j}]", f"_p[{j}]")
+                for line in union_into(
+                    fold, f"_e[{j}]", f"_p[{j}]", slots.get(j, "")
+                )
             )
-    after = ["for _key, _e in _acc.items():", "    _emit((_key, (*_e,)))"]
+    partials = f"(*_e[:{n}],)" if slots else "(*_e,)"
+    after = ["for _key, _e in _acc.items():", f"    _emit((_key, {partials}))"]
     return before, tail, after
 
 

@@ -190,6 +190,35 @@ class TestStructure:
         result = evaluate(out, {"xs": DataBag([1, 2]), "x": 100})
         assert result == DataBag([101, 102])
 
+    def test_substitute_returns_the_node_when_no_key_is_free(self):
+        # [[ x | x <- xs ]][y := x]: y is not free, so nothing is renamed
+        comp = bag_comp(Ref("x"), Generator("x", Ref("xs")))
+        assert comp.substitute({"y": Ref("x")}) is comp
+        assert comp.substitute({"x": Const(1)}) is comp
+
+    def test_a_splice_computes_each_value_s_free_vars_once(
+        self, monkeypatch
+    ):
+        # [[ [[ v + y | y <- v ]] | x <- v ]][v := value]: two levels
+        value = bag_comp(Ref("z"), Generator("z", Ref("zs")))
+        inner = bag_comp(
+            BinOp("+", Ref("v"), Ref("y")), Generator("y", Ref("v"))
+        )
+        comp = bag_comp(inner, Generator("x", Ref("v")))
+        seen = []
+        free_vars = Comprehension.free_vars
+
+        def counting(self):
+            if self is value:
+                seen.append(self)
+            return free_vars(self)
+
+        monkeypatch.setattr(Comprehension, "free_vars", counting)
+        out = comp.substitute({"v": value})
+        assert len(seen) == 1
+        assert out.generators()[0].source is value
+        assert out.head.generators()[0].source is value
+
     def test_fold_kind_repr(self):
         kind = FoldKind(AlgebraSpec("sum"))
         assert "sum" in repr(kind)

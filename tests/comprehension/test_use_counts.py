@@ -24,7 +24,12 @@ from repro.comprehension.exprs import (
     use_counts,
     walk,
 )
-from repro.comprehension.ir import Comprehension, Generator, Guard
+from repro.comprehension.ir import (
+    Comprehension,
+    FoldKind,
+    Generator,
+    Guard,
+)
 from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
@@ -88,6 +93,22 @@ class TestBinders:
         )
         expr = FoldCall(Ref("xs"), spec)
         assert agrees(expr) == {"xs": 1, "k": 2}
+
+    def test_walk_visits_the_fused_head_and_guards(self):
+        spec = AlgebraSpec("sum").fused_with(
+            "x",
+            BinOp("*", Ref("x"), Ref("k")),
+            (Compare(">", Ref("x"), Ref("j")),),
+        )
+        nodes = list(walk(FoldCall(Ref("xs"), spec)))
+        assert Ref("k") in nodes and Ref("j") in nodes
+        comp = Comprehension(
+            head=Ref("y"),
+            qualifiers=(Generator("y", Ref("ys")),),
+            kind=FoldKind(spec),
+        )
+        nodes = list(walk(comp))
+        assert Ref("k") in nodes and Ref("j") in nodes
 
     def test_plan_expr_is_opaque(self):
         expr = PlanExpr(kind="write", path=Ref("out"))

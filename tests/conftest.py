@@ -66,6 +66,22 @@ def outcome(thunk):
         return "raise", type(exc).__name__, str(exc)
 
 
+class CountingKey:
+    """A key that records its arguments.  ``5`` keys to ``None`` and ``7``
+    raises; floats (``nan`` among them) key to themselves."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(x)
+        if x == 7:
+            raise ValueError("no key for 7")
+        if x == 5:
+            return None
+        return x if isinstance(x, float) else x % 3
+
+
 def approx_value_equal(a, b, rel: float = 1e-9, abs_: float = 1e-9) -> bool:
     """Structural equality with float tolerance (fold order varies)."""
     from repro.workloads.linalg import Vec

@@ -14,7 +14,7 @@ from repro.comprehension.exprs import (
 )
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
-from tests.conftest import outcome
+from tests.conftest import CountingKey, outcome
 
 ints = st.lists(st.integers(min_value=-50, max_value=50), max_size=30)
 
@@ -194,6 +194,18 @@ exact = st.one_of(
 )
 
 
+#: elements for the key contract: ``None`` elements, ``nan`` keys, tied
+#: keys, a ``None`` key (``5``) and a raising key (``7``)
+keyed = st.lists(
+    st.one_of(
+        st.integers(0, 9),
+        st.none(),
+        st.sampled_from([float("nan"), 0.5, -0.0]),
+    ),
+    max_size=8,
+)
+
+
 def alias_args(alias):
     """Host arguments for ``alias`` (``fold``: tuple concatenation, so
     the result spells out the order the elements were folded in)."""
@@ -224,6 +236,33 @@ class TestNativeEqualsLifted:
         compiled = outcome(lambda: fold_reducer(alias)(xs, *args))
         assert lifted == native
         assert compiled == native
+
+    @pytest.mark.parametrize("alias", ["min_by", "max_by"])
+    @settings(max_examples=60, deadline=None)
+    @given(keyed)
+    def test_a_key_runs_at_most_once_per_element(self, alias, xs):
+        """Every loop carries the accumulator's key: the same key calls,
+        in the same order, and none until a second element needs one."""
+        spec = AlgebraSpec(alias, (Ref("k"),))
+        runs = {
+            "native": lambda k: getattr(DataBag(xs), alias)(k),
+            "lifted": lambda k: FoldCall(Ref("xs"), spec).evaluate(
+                Env.of({"xs": DataBag(xs), "k": k})
+            ),
+            "compiled": lambda k: fold_reducer(alias)(xs, k),
+        }
+        seen = {}
+        for name, run in runs.items():
+            key = CountingKey()
+            seen[name] = (outcome(lambda: run(key)), repr(key.calls))
+        assert seen["lifted"] == seen["native"]
+        assert seen["compiled"] == seen["native"]
+        result = seen["native"][0]
+        calls = len(key.calls)
+        present = sum(x is not None for x in xs)
+        assert calls <= present
+        if result[0] == "ok":
+            assert calls == (present if present > 1 else 0)
 
 
 class TestMonadLaws:

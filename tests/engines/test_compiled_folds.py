@@ -62,7 +62,7 @@ from repro.workloads.pagerank import VertexRank as Rank
 from repro.workloads.pagerank import pagerank
 from repro.workloads.spam import default_classifiers, select_classifier
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4, tpch_q4_udf
-from tests.conftest import outcome
+from tests.conftest import CountingKey, outcome
 
 ALIASES = sorted(FOLD_ALIASES)
 
@@ -225,6 +225,90 @@ class TestAgainstTheOracle:
         source = mspec.prepared().source
         assert source.count("for ") == 2  # the record loop + the emit loop
         assert "_f" not in source  # nothing is called through a closure
+
+
+#: elements for the key contract (see ``CountingKey``): ``None``
+#: elements, ``nan`` keys, tied keys, a ``None`` key and a raising key
+keyed_elements = st.one_of(
+    st.integers(0, 9), st.none(), st.sampled_from([math.nan, 0.5])
+)
+
+
+class TestKeyCalls:
+    """``min_by`` / ``max_by`` in the chain kernel's sinks call the key
+    as the interpreter does — the same calls in the same order, at most
+    once per element — results and exceptions included."""
+
+    @pytest.mark.parametrize("alias", ["min_by", "max_by"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just(False), st.lists(keyed_elements, max_size=8)),
+            st.tuples(
+                st.just(True),
+                st.lists(
+                    st.tuples(st.integers(0, 2), keyed_elements), max_size=8
+                ),
+            ),
+        )
+    )
+    def test_the_sinks_call_the_key_as_the_interpreter_does(
+        self, alias, case
+    ):
+        fused, records = case
+        x = Ref("x")
+        value = Index(x, Const(1)) if fused else x
+        spec = AlgebraSpec(alias, (Ref("k"),))
+        if fused:
+            guard = Compare("!=", Index(x, Const(0)), Const(0))
+            spec = spec.fused_with("x", value, (guard,))
+        group = Call(Ref("bucket"), (value,))
+        halves = [records[: len(records) // 2], records[len(records) // 2 :]]
+
+        def lifted_fold(env):
+            return spec.make_algebra(Env.of(env))(records)
+
+        def fold_sink(env):
+            fspec = FoldSpec(spec, env)
+            return fspec.run(fspec.prepared(), records)
+
+        def lifted_merge(env):
+            algebra = spec.make_algebra(Env.of(env))
+            return algebra.merge([algebra(p) for p in halves])
+
+        def merge_sink(env):
+            fspec = FoldSpec(spec, env)
+            partials = [fspec.run(fspec.prepared(), p) for p in halves]
+            merge = FoldSpec(spec, env, merge=True)
+            return merge.run(merge.prepared(), partials)
+
+        def lifted_agg(env):
+            call = AggByCall(Ref("xs"), Lambda(("x",), group), (spec,))
+            bag = call.evaluate(Env.of({**env, "xs": DataBag(records)}))
+            return [(r.key, r.aggs) for r in bag]
+
+        def agg_sink(env):
+            mspec = AggMapSpec(Udf(("x",), group, env), [spec], env)
+            return mspec.run(mspec.prepared(), records)[0]
+
+        def calls(run):
+            key = CountingKey()
+            env = {"bucket": bucket, "k": key}
+            return outcome(lambda: run(env)), repr(key.calls), len(key.calls)
+
+        # the elements the singleton lets through: a failed guard and a
+        # None element are the zero, which is never keyed
+        values = [v for t, v in records if t != 0] if fused else records
+        present = sum(v is not None for v in values)
+        # merging keys each partial once more, at most
+        for oracle, kernel, bound in (
+            (lifted_fold, fold_sink, present),
+            (lifted_merge, merge_sink, present + len(halves)),
+            (lifted_agg, agg_sink, present),
+        ):
+            want = calls(oracle)
+            assert calls(kernel) == want
+            assert want[2] <= bound
 
 
 class TestExceptionParity:

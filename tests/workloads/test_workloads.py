@@ -23,6 +23,7 @@ from repro.workloads import datagen, graphs
 from repro.workloads.connected_components import connected_components
 from repro.workloads.groupagg import group_min
 from repro.workloads.kmeans import initial_centroids, kmeans
+from repro.workloads.linalg import Vec
 from repro.workloads.pagerank import DAMPING, pagerank
 from repro.workloads.spam import default_classifiers, select_classifier
 from repro.workloads.tpch import stage_tpch, tpch_q1, tpch_q4
@@ -223,6 +224,34 @@ class TestKmeans:
             max_iterations=10,
         )
         assert_bags_match(a, b, rel=1e-6)
+
+    def test_the_nearest_centroid_key_runs_once_per_centroid(
+        self, monkeypatch
+    ):
+        """The end-to-end benchmark's tiny ``kmeans_bcast`` job (120
+        points, 6 centroids, 3 iterations): ``min_by`` keys each centroid
+        once per point, in each of the 8 assignment passes the plan runs
+        (3 per iteration less one; see ROADMAP "Paper-shape fidelity").
+        Re-keying the accumulator at every step made it 10, not 6."""
+        dfs = SimulatedDFS()
+        path = datagen.stage_points(dfs, n=120, centers=6, dim=3, seed=31)
+        calls = []
+        distance = Vec.squared_distance_to
+
+        def counting(self, other):
+            calls.append(None)
+            return distance(self, other)
+
+        monkeypatch.setattr(Vec, "squared_distance_to", counting)
+        kmeans.run(
+            SparkLikeEngine(dfs=dfs),
+            config=EmmaConfig(execution_mode="serial"),
+            points_path=path,
+            initial=initial_centroids(dfs.get(path).records, 6),
+            epsilon=1e-9,
+            max_iterations=3,
+        )
+        assert len(calls) == 120 * 8 * 6 == 5760
 
 
 class TestPageRank:
