@@ -1,29 +1,25 @@
-"""Wall-clock ablation — the host-parallel execution backend (PR 5).
+"""Wall clock of the process-pool backend against serial (PR 5).
 
 The simulated clock (``Metrics.simulated_seconds``) models a cluster;
-this benchmark measures the *host* clock.  Two workloads run under
+this benchmark records the *host* clock.  Two workloads run under
 ``execution_mode="serial"`` and ``execution_mode="processes"``:
 
-* a chain-heavy arithmetic kernel loop (maximally process-friendly:
-  inlined fused kernels over float partitions, tiny IPC payloads), and
+* a chain-heavy arithmetic kernel loop (the most process-friendly
+  shape: inlined fused kernels over float partitions, tiny IPC
+  payloads), and
 * end-to-end PageRank through the full compiled pipeline (joins,
-  shuffles, aggregations — the realistic mix of parallel worker stages
-  and serial driver work).
+  shuffles, aggregations).
 
 Both must be **bit-identical** across modes with zero serial
-fallbacks, on any machine.  The speedup assertions are gated on the
-host actually having cores to parallelize over (at least 4 CPUs
-*available to this process* — affinity-aware via
-``os.process_cpu_count`` where Python provides it): on a 1–2 core
-runner the process pool cannot beat the serial loop, so the identity
-assertions still run and the test then **skips visibly** instead of
-vacuously passing.  Results are exported to ``BENCH_pr5.json`` in CI.
+fallbacks, on any machine.  Each mode's wall clock is printed and
+exported to ``BENCH_pr5.json`` in CI, but no speed-up is asserted:
+``processes`` is a differential-testing backend, slower than serial
+on every paper workload, and makes no speed claim.
 """
 
 import os
 import time
 
-import pytest
 from conftest import run_once
 
 from repro.comprehension.exprs import BinOp, Compare, Const, Ref
@@ -40,21 +36,6 @@ from repro.workloads.pagerank import pagerank
 HOST_CPUS = getattr(os, "process_cpu_count", os.cpu_count)() or 1
 #: concurrent task slots given to the processes mode
 WIDTH = min(8, HOST_CPUS)
-#: whether the wall-clock speedup assertions are enforced on this host
-ENFORCE_SPEEDUP = HOST_CPUS >= 4
-
-
-def _skip_unless_enforced() -> None:
-    """Skip (visibly, not vacuously pass) on hosts too narrow to gate.
-
-    Called *after* the bit-identity assertions so correctness is always
-    checked; only the wall-clock speedup threshold needs real cores.
-    """
-    if not ENFORCE_SPEEDUP:
-        pytest.skip(
-            f"host exposes {HOST_CPUS} usable CPUs (< 4): wall-clock "
-            "speedup recorded but not enforced"
-        )
 
 
 def _engine(dfs, mode, num_workers=8):
@@ -138,18 +119,15 @@ def _run_kernel_modes():
 
 def test_kernel_loop_processes_wall_clock(benchmark):
     stats = run_once(benchmark, _run_kernel_modes)
-    speedup = stats["serial_seconds"] / stats["processes_seconds"]
     print()
     print(
         f"kernel loop   serial={stats['serial_seconds']:.3f}s "
         f"processes={stats['processes_seconds']:.3f}s "
-        f"speedup={speedup:.2f}x cpus={HOST_CPUS} width={WIDTH}"
+        f"cpus={HOST_CPUS} width={WIDTH}"
     )
     assert stats["identical"], "processes mode changed kernel results"
     assert stats["processes_fallbacks"] == 0
     assert stats["serial_simulated"] == stats["processes_simulated"]
-    _skip_unless_enforced()
-    assert speedup >= 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +163,11 @@ def _run_pagerank_modes():
 
 def test_pagerank_processes_wall_clock(benchmark):
     stats = run_once(benchmark, _run_pagerank_modes)
-    speedup = stats["serial_seconds"] / stats["processes_seconds"]
     print()
     print(
         f"pagerank      serial={stats['serial_seconds']:.3f}s "
         f"processes={stats['processes_seconds']:.3f}s "
-        f"speedup={speedup:.2f}x cpus={HOST_CPUS} width={WIDTH}"
+        f"cpus={HOST_CPUS} width={WIDTH}"
     )
     assert stats["identical"], "processes mode changed PageRank ranks"
     assert stats["processes_fallbacks"] == 0
@@ -198,5 +175,3 @@ def test_pagerank_processes_wall_clock(benchmark):
     assert stats["serial_simulated"] == stats["processes_simulated"]
     # ... while the measured wall-clock metric tracks the host run.
     assert stats["processes_wall_metric"] > 0.0
-    _skip_unless_enforced()
-    assert speedup >= 2.0

@@ -317,12 +317,12 @@ class Engine:
         mode: str | None = None,
         max_parallel_tasks: int | None = None,
     ) -> None:
-        """Select the host-parallel backend for partition tasks.
+        """Select how partition tasks are dispatched.
 
         ``mode`` is ``"serial"`` (tasks run inline, in order, in the
         driver) or ``"processes"`` (a spawn-context
-        ``ProcessPoolExecutor`` with source-shipped chain kernels; the
-        mode that buys real multi-core wall clock).  A negative
+        ``ProcessPoolExecutor`` with source-shipped chain kernels; a
+        differential-testing backend, slower than serial).  A negative
         ``max_parallel_tasks`` is rejected.  An argument left at
         ``None`` keeps its current setting.  Any existing scheduler is
         dropped so the next job builds one with the new settings.

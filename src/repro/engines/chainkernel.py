@@ -89,7 +89,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.comprehension.exprs import (
     AlgebraSpec,
@@ -110,9 +110,7 @@ from repro.comprehension.exprs import (
     UnaryOp,
     fallback_reason,
 )
-from repro.comprehension.pretty import pretty
 from repro.core.databag import DataBag
-from repro.engines.cluster import content_digest
 from repro.engines.columnar import (
     ColumnBatch,
     ColumnSchema,
@@ -126,7 +124,6 @@ from repro.engines.columnar import (
     mask_or,
     select_column,
 )
-from repro.errors import EngineError
 from repro.lowering.combinators import ScalarFn
 
 #: step kinds, matching the narrow combinators they come from
@@ -145,45 +142,6 @@ def _as_sequence(value: Any) -> Any:
     if isinstance(value, DataBag):
         return value.fetch()
     return value
-
-
-def _value_digest(value: Any) -> tuple | None:
-    """A process-independent digest of one captured binding value.
-
-    Returns ``None`` for values with no stable content identity (the
-    spec then gets a unique token fingerprint: still memoizable within
-    one stage, just not across jobs).  Deliberately never falls back to
-    ``repr`` — reprs embedding ``id()`` addresses could collide across
-    garbage-collection reuse and alias two different kernels.
-    """
-    if isinstance(value, type):
-        return ("type", value.__module__, value.__qualname__)
-    if isinstance(value, DataBag):
-        try:
-            return ("bag", content_digest(value.fetch()))
-        except EngineError:
-            return None
-    if callable(value):
-        module = getattr(value, "__module__", None)
-        qualname = getattr(value, "__qualname__", None)
-        if module and qualname and "<locals>" not in qualname:
-            return ("fn", module, qualname)
-        return None
-    try:
-        return ("val", content_digest(value))
-    except EngineError:
-        return None
-
-
-def bindings_digest(bindings: Mapping[str, Any]) -> tuple | None:
-    """Order-independent digest of a name→value closure binding map."""
-    items = []
-    for name in sorted(bindings):
-        digest = _value_digest(bindings[name])
-        if digest is None:
-            return None
-        items.append((name, digest))
-    return tuple(items)
 
 
 @dataclass(eq=False)
@@ -230,13 +188,6 @@ class Udf:
         """Why ``closure`` walks the tree (``None`` when it is native)."""
         return self._compiled[1]
 
-    def digest(self) -> tuple | None:
-        """Content digest, or ``None`` when a binding has no identity."""
-        bindings = bindings_digest(self.bindings)
-        if bindings is None:
-            return None
-        return (self.params, pretty(self.body), bindings, self.extra)
-
     def __getstate__(self) -> dict[str, Any]:
         """Pickle as IR + bindings, dropping the compiled closure and
         its fallback reason."""
@@ -256,11 +207,6 @@ class KernelStep:
     def counted(self) -> bool:
         """Whether this step changes the record count downstream."""
         return self.kind in (FILTER, FLATMAP)
-
-    def digest(self) -> tuple | None:
-        """Content digest, or ``None`` (see :meth:`Udf.digest`)."""
-        digest = self.udf.digest()
-        return None if digest is None else (self.kind, digest)
 
 
 @dataclass(frozen=True)

@@ -221,9 +221,9 @@ def content_digest(value: Any) -> str:
     themselves, sets as an xor — ``set()``, ``{0}`` and ``{0, 1, 2, 3}``
     all hash alike, which is fine for a destination and wrong for an
     identity.  Wherever a hash decides whether two values *are the
-    same* (the worker-process artifact memo: a stale hit would probe
-    yesterday's broadcast key set; the result cache's input snapshots)
-    use this instead: SHA-256 over :func:`canonical_bytes` — the value
+    same* (the result cache's input snapshots: a stale hit would serve
+    yesterday's answer) use this instead: SHA-256 over
+    :func:`canonical_bytes` — the value
     types ``stable_hash`` accepts plus typed buffers (``array.array``,
     numpy arrays, :class:`~repro.engines.columnar.ColumnBatch`) —
     raising :class:`EngineError` on anything else.

@@ -1,25 +1,32 @@
-"""A partition-task scheduler with real parallelism.
+"""The partition-task scheduler: one fan-out of per-partition work.
 
 The simulated engines charge *modelled* seconds per partition; this
-module is the orthogonal axis the ROADMAP's north star asks for — the
-same per-partition work executed **genuinely in parallel** on the host
-machine.  Each physical operator's per-partition work is one
-:class:`TaskSpec` subclass below (its only implementation: ``run``
-dispatches on a row-list or ``ColumnBatch`` payload), and a
-:class:`TaskScheduler` runs one flat fan-out of partition tasks at a
-time in one of two modes, which differ in dispatch only:
+module runs the same per-partition work on the host.  Each physical
+operator's per-partition work is one :class:`TaskSpec` subclass below
+(its only implementation: ``run`` dispatches on a row-list or
+``ColumnBatch`` payload), and a :class:`TaskScheduler` runs one flat
+fan-out of partition tasks at a time in one of two modes, which differ
+in dispatch only:
 
-* ``serial`` — the default: tasks run inline, in order, in the driver
-  process.
-* ``processes`` — tasks fan out on a shared spawn-context
-  ``ProcessPoolExecutor``.  A spec ships its UDFs as *source* (one
-  :class:`~repro.engines.chainkernel.Udf` each: IR + bindings, never
-  a compiled kernel or closure); the worker rebuilds the artifact and
-  memoizes it per process by a content fingerprint, and partitions
-  cross the boundary through a small pickle serialization layer with
-  byte accounting (``Metrics.ipc_bytes_shipped`` / ``ipc_bytes_returned``).
+* ``serial`` — the default, and the mode to run programs in: tasks run
+  inline, in order, in the driver process.
+* ``processes`` — a differential-testing backend.  Tasks fan out on a
+  shared spawn-context ``ProcessPoolExecutor``, so every spec, UDF and
+  partition crosses a real process boundary, the paper's transparent
+  data motion.  It is slower than ``serial`` on every shipped
+  workload; it exists to prove that nothing a task needs is left
+  behind in the driver.  :func:`ship_task` is the one doorway: it
+  pickles each spec once per fan-out (a spec ships its UDFs as
+  *source*, one :class:`~repro.engines.chainkernel.Udf` each: IR +
+  bindings, never a compiled kernel or closure) and encodes each
+  partition through :func:`~repro.engines.spill.encode_payload`.  A
+  worker keys its memo of built artifacts on the SHA-256 of the spec's
+  pickle bytes, so a loop that ships the same spec every iteration
+  builds it once per worker process.  Bytes crossing the boundary are
+  counted in ``Metrics.ipc_bytes_shipped`` / ``ipc_bytes_returned``.
 
-Three invariants make the parallel mode safe to enable anywhere:
+Three invariants make the ``processes`` backend a faithful differential
+test:
 
 1. **Deterministic merge** — every task is a pure function of its
    payload, and stage results are merged by task index, so outputs are
@@ -40,7 +47,7 @@ Three invariants make the parallel mode safe to enable anywhere:
 from __future__ import annotations
 
 import atexit
-import itertools
+import hashlib
 import os
 import pickle
 import sys
@@ -50,7 +57,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.comprehension.exprs import AlgebraSpec
-from repro.comprehension.pretty import pretty
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
 from repro.engines.chainkernel import (
@@ -60,7 +66,6 @@ from repro.engines.chainkernel import (
     KernelStep,
     Udf,
     VectorKernel,
-    bindings_digest,
     build_chain_kernel,
     build_key_kernel,
     build_vector_kernel,
@@ -73,15 +78,19 @@ from repro.engines.columnar import (
     probe_join,
     scatter_batch,
 )
-from repro.engines.cluster import content_digest, stable_hash
+from repro.engines.cluster import stable_hash
 from repro.engines.metrics import Metrics
+from repro.engines.spill import (
+    SpillFileRef,
+    decode_payload,
+    encode_payload,
+    load_payload_file,
+)
 from repro.errors import EmmaError, EngineError
 from repro.lowering.combinators import AggResult
 
 #: the execution modes of an engine / ``EmmaConfig(execution_mode=...)``
 EXECUTION_MODES = ("serial", "processes")
-
-_TOKENS = itertools.count()
 
 
 def default_execution_mode() -> str:
@@ -116,20 +125,6 @@ def default_max_parallel_tasks() -> int:
     return width
 
 
-# -- content fingerprints ---------------------------------------------------
-
-
-def _algebra_digest(spec: AlgebraSpec) -> tuple:
-    """Structural digest of a symbolic fold algebra."""
-    return (
-        spec.alias,
-        tuple(pretty(a) for a in spec.args),
-        pretty(spec.head) if spec.head is not None else None,
-        tuple(pretty(g) for g in spec.guards),
-        spec.var,
-    )
-
-
 # -- task specs -------------------------------------------------------------
 
 
@@ -144,44 +139,19 @@ class TaskSpec:
     ``prepared`` argument, for the one kind of artifact the driver has
     to build ahead of the spec: a vector kernel, attempted early so a
     fallback is counted once.  It never pickles; a worker process
-    rebuilds it from the shipped :class:`Udf` values once per content
-    ``fingerprint`` and memoizes it, so a loop that re-runs the same
+    rebuilds it from the shipped :class:`Udf` values once per distinct
+    pickle of the spec and memoizes it, so a loop that re-runs the same
     kernel every iteration re-hydrates it once per worker process, not
     once per task.
     """
 
-    #: worker-memo namespace and trace label
+    #: trace and error label
     kind = "abstract"
     #: what an unpickled spec reads: the artifact stays in the driver
     _prepared: Any = None
 
     def __init__(self, prepared: Any = None) -> None:
         self._prepared = prepared
-        self._fingerprint: tuple | None = None
-
-    def fingerprint_parts(self) -> tuple | None:
-        """Content digest of what :meth:`build` depends on (subclass
-        hook); ``None`` when some captured value has no stable content
-        identity."""
-        return None
-
-    @property
-    def fingerprint(self) -> tuple:
-        """Worker-memo key, computed on first ship.
-
-        Only a worker process ever reads it, so in-process modes never
-        pay for digesting step bodies or hashing broadcast records.
-        Specs without content identity get a driver-unique token: still
-        memoizable within one stage, just not across jobs.
-        """
-        if self._fingerprint is None:
-            parts = self.fingerprint_parts()
-            self._fingerprint = (
-                ("token", os.getpid(), next(_TOKENS))
-                if parts is None
-                else (self.kind, *parts)
-            )
-        return self._fingerprint
 
     def build(self) -> Any:
         """Construct the executable artifact (subclass hook)."""
@@ -199,11 +169,10 @@ class TaskSpec:
         return self._prepared
 
     def __getstate__(self) -> dict[str, Any]:
-        """Ship the fingerprint, never the driver-side artifact (a
-        worker only ever calls :meth:`build`)."""
+        """Never ship the driver-side artifact (a worker only ever
+        calls :meth:`build`)."""
         state = dict(self.__dict__)
         del state["_prepared"]
-        state["_fingerprint"] = self.fingerprint
         return state
 
 
@@ -212,11 +181,6 @@ def _key_kernel_or_none(
 ) -> VectorKernel | None:
     """The key column's vector kernel when a spec has a columnar side."""
     return build_key_kernel(key, schema) if schema is not None else None
-
-
-def _signature(schema: ColumnSchema | None) -> tuple | None:
-    """A schema's signature; ``None`` for a spec with no columnar side."""
-    return schema.signature() if schema is not None else None
 
 
 class KernelSpec(TaskSpec):
@@ -241,10 +205,6 @@ class KernelSpec(TaskSpec):
         super().__init__(prepared)
         self.steps = tuple(steps)
         self.schema = schema
-
-    def fingerprint_parts(self) -> tuple | None:
-        digests = tuple(step.digest() for step in self.steps)
-        return None if None in digests else (digests, _signature(self.schema))
 
     def build(self) -> tuple:
         """(row kernel, vector kernel | None), regenerated from the
@@ -289,20 +249,6 @@ class AggMapSpec(TaskSpec):
         self.bindings = bindings
         self.steps = tuple(steps) if steps is not None else None
 
-    def fingerprint_parts(self) -> tuple | None:
-        steps = None
-        if self.steps is not None:
-            steps = tuple(step.digest() for step in self.steps)
-        key, bindings = self.key.digest(), bindings_digest(self.bindings)
-        if key is None or bindings is None or None in (steps or ()):
-            return None
-        return (
-            key,
-            tuple(_algebra_digest(s) for s in self.specs),
-            bindings,
-            steps,
-        )
-
     def build(self) -> ChainKernel:
         """The chain kernel with the aggregation as its sink."""
         return build_chain_kernel(
@@ -326,12 +272,6 @@ class AggMergeSpec(TaskSpec):
         super().__init__()
         self.specs = tuple(specs)
         self.bindings = bindings
-
-    def fingerprint_parts(self) -> tuple | None:
-        bindings = bindings_digest(self.bindings)
-        if bindings is None:
-            return None
-        return tuple(_algebra_digest(s) for s in self.specs), bindings
 
     def build(self) -> ChainKernel:
         """The merge loop: the aggregation sink over ``(key, partials)``."""
@@ -396,10 +336,6 @@ class GroupSpec(TaskSpec):
         self.key = key
         self.schema = schema
 
-    def fingerprint_parts(self) -> tuple | None:
-        digest = self.key.digest()
-        return None if digest is None else (digest, _signature(self.schema))
-
     def build(self) -> tuple:
         """(key closure, key vector kernel | None)."""
         return self.key.closure, _key_kernel_or_none(self.key, self.schema)
@@ -444,12 +380,6 @@ class BucketSpec(TaskSpec):
         self.key = key
         self.num_partitions = num_partitions
         self.schema = schema
-
-    def fingerprint_parts(self) -> tuple | None:
-        digest = self.key.digest()
-        if digest is None:
-            return None
-        return digest, self.num_partitions, _signature(self.schema)
 
     def build(self) -> tuple:
         """(key closure, key vector kernel | None)."""
@@ -507,12 +437,6 @@ class JoinProbeSpec(TaskSpec):
         self.x_schema = x_schema
         self.y_schema = y_schema
 
-    def fingerprint_parts(self) -> tuple | None:
-        dx, dy = self.kx.digest(), self.ky.digest()
-        if dx is None or dy is None:
-            return None
-        return dx, dy, _signature(self.x_schema), _signature(self.y_schema)
-
     def build(self) -> tuple:
         """(kx closure, ky closure, left key kernel, right key kernel)."""
         return (
@@ -537,7 +461,7 @@ class BroadcastProbeSpec(TaskSpec):
 
     Like Spark's broadcast join, each worker builds the hash table
     from the shipped records — once per worker process thanks to the
-    fingerprint memo, mirroring a real broadcast variable.
+    worker memo, mirroring a real broadcast variable.
     """
 
     kind = "broadcast-probe"
@@ -554,15 +478,6 @@ class BroadcastProbeSpec(TaskSpec):
         self.key_small = key_small
         self.key_big = key_big
         self.small_first = small_first
-
-    def fingerprint_parts(self) -> tuple | None:
-        ds, db = self.key_small.digest(), self.key_big.digest()
-        if ds is None or db is None:
-            return None
-        try:
-            return ds, db, self.small_first, content_digest(self.records)
-        except EngineError:
-            return None
 
     def build(self) -> tuple:
         """(hash table over the small side, big-side key closure)."""
@@ -591,12 +506,6 @@ class SemiProbeSpec(TaskSpec):
         self.ky = ky
         self.anti = anti
 
-    def fingerprint_parts(self) -> tuple | None:
-        dx, dy = self.kx.digest(), self.ky.digest()
-        if dx is None or dy is None:
-            return None
-        return dx, dy, self.anti
-
     def build(self) -> tuple:
         """Both compiled key closures."""
         return self.kx.closure, self.ky.closure
@@ -620,15 +529,6 @@ class BroadcastSemiSpec(TaskSpec):
         self.keys = keys
         self.kx = kx
         self.anti = anti
-
-    def fingerprint_parts(self) -> tuple | None:
-        dx = self.kx.digest()
-        if dx is None:
-            return None
-        try:
-            return dx, self.anti, content_digest(self.keys)
-        except EngineError:
-            return None
 
     def build(self) -> tuple:
         """(key set, probe-side key closure)."""
@@ -655,12 +555,6 @@ class FoldSpec(TaskSpec):
         self.bindings = bindings
         self.merge = merge
 
-    def fingerprint_parts(self) -> tuple | None:
-        bindings = bindings_digest(self.bindings)
-        if bindings is None:
-            return None
-        return _algebra_digest(self.spec), bindings, self.merge
-
     def build(self) -> ChainKernel:
         """The fold loop: an empty chain into a fold sink."""
         return build_chain_kernel(
@@ -686,10 +580,6 @@ class StateUpdateSpec(TaskSpec):
     def __init__(self, u: Udf, key: Udf, route: Udf | None = None) -> None:
         super().__init__()
         self.udfs = (u, key) if route is None else (u, key, route)
-
-    def fingerprint_parts(self) -> tuple | None:
-        digests = tuple(udf.digest() for udf in self.udfs)
-        return None if None in digests else digests
 
     def build(self) -> tuple:
         """The compiled closures of ``udfs``."""
@@ -737,8 +627,8 @@ class PartitionTask:
 
 # -- worker-process side ----------------------------------------------------
 
-#: per-worker-process memo of built artifacts, keyed by spec fingerprint
-_WORKER_MEMO: dict[tuple, Any] = {}
+#: per-worker-process memo: SHA-256 of a spec's pickle → (spec, artifact)
+_WORKER_MEMO: dict[bytes, tuple[TaskSpec, Any]] = {}
 
 
 def _worker_init(paths: list[str]) -> None:
@@ -748,33 +638,29 @@ def _worker_init(paths: list[str]) -> None:
             sys.path.append(p)
 
 
-def _prepare_memoized(spec: TaskSpec) -> tuple[Any, bool]:
-    """Build (or memo-serve) a spec's artifact in this worker process."""
-    key = (spec.kind, spec.fingerprint)
-    hit = _WORKER_MEMO.get(key)
-    if hit is not None:
-        return hit, False
-    built = spec.build()
-    _WORKER_MEMO[key] = built
-    return built, True
+def _process_entry(spec_bytes: bytes, data: Any) -> bytes:
+    """Worker-side task body: rehydrate (or memo-serve), run, pickle back.
 
-
-def _process_entry(payload: bytes) -> bytes:
-    """Worker-side task body: unpickle, rehydrate, run, pickle back.
-
-    Large partition data arrives as a :class:`~repro.engines.spill.
-    SpillFileRef` instead of inline bytes (the file-backed shuffle):
-    the worker resolves the ref against the shared host filesystem
-    before running, so only the small ref ever crosses the pipe.
+    The memo keys on the spec's own bytes.  Equal bytes unpickle to
+    equal content (functions and classes pickle by qualified name), so
+    a hit can never be stale, and it skips the unpickle as well; a
+    pickle that differs for equal content only costs a rebuild.
+    ``data`` is the ``(codec, buffer)`` pair :func:`ship_task` encoded,
+    or a :class:`~repro.engines.spill.SpillFileRef` the worker resolves
+    against the shared host filesystem.
     """
-    from repro.engines.spill import SpillFileRef, load_payload_file
-
-    spec, data = pickle.loads(payload)
+    key = hashlib.sha256(spec_bytes).digest()
+    hit = _WORKER_MEMO.get(key)
+    if hit is None:
+        spec = pickle.loads(spec_bytes)
+        _WORKER_MEMO[key] = spec, spec.build()
+    spec, prepared = _WORKER_MEMO[key]
     if isinstance(data, SpillFileRef):
         data = load_payload_file(data)
-    prepared, rehydrated = _prepare_memoized(spec)
+    else:
+        data = decode_payload(*data)
     return pickle.dumps(
-        (spec.run(prepared, data), rehydrated),
+        (spec.run(prepared, data), hit is None),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
@@ -824,25 +710,42 @@ atexit.register(_shutdown_pool)
 # -- serialization layer ----------------------------------------------------
 
 
-def ship_task(spec: TaskSpec, data: Any, label: str = "") -> bytes:
-    """Pickle one task payload, translating failures to EngineError.
+def ship_task(
+    task: PartitionTask, specs: dict[TaskSpec, bytes], spill: Any = None
+) -> tuple[bytes, Any]:
+    """Serialize one task for a worker: ``(spec bytes, data)``.
 
-    This is the only doorway through which work leaves the driver; a
-    UDF that captured an unpicklable object (an open file, a lock, a
-    lambda) surfaces here as a clear :class:`EngineError` naming the
-    task — never as a raw ``PicklingError`` from deep inside the pool.
+    This is the only doorway through which work leaves the driver.
+    The spec pickles once per fan-out (``specs`` keeps the bytes of
+    each spec object already shipped).  The partition is encoded once
+    by :func:`~repro.engines.spill.encode_payload` and ships inline as
+    ``(codec, buffer)``, or — given the engine's
+    :class:`~repro.engines.spill.SpillManager` under a memory budget,
+    and a buffer of at least ``shuffle_file_min_bytes`` — is written to
+    the spill tier and ships as a small
+    :class:`~repro.engines.spill.SpillFileRef`.  A UDF that captured an
+    unpicklable object (an open file, a lock, a lambda) surfaces here
+    as a clear :class:`EngineError` naming the task — never as a raw
+    ``PicklingError`` from deep inside the pool.
     """
+    spec = task.spec
     try:
-        return pickle.dumps(
-            (spec, data), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        spec_bytes = specs.get(spec)
+        if spec_bytes is None:
+            spec_bytes = specs[spec] = pickle.dumps(
+                spec, protocol=pickle.HIGHEST_PROTOCOL
+            )
+        codec, buf = encode_payload(task.data)
     except Exception as exc:
         raise EngineError(
-            f"task {label or spec.kind!r} cannot cross a process "
+            f"task {task.label or spec.kind!r} cannot cross a process "
             f"boundary: its kernel/UDF closure or partition data is "
             f"not picklable ({type(exc).__name__}: {exc}); falling "
             f"back to in-process execution"
         ) from exc
+    if spill is not None and len(buf) >= spill.shuffle_file_min_bytes:
+        return spec_bytes, spill.put_shuffle_file(codec, buf)
+    return spec_bytes, (codec, buf)
 
 
 # -- the scheduler ----------------------------------------------------------
@@ -925,28 +828,34 @@ class TaskScheduler:
     def _run_parallel(
         self, tasks: list[PartitionTask], metrics: Metrics
     ) -> list[Any]:
-        """One ordered fan-out: submit every task, then read the
-        results in task order.  Each task ships exactly once; shuffle
-        spill files shipped for it are deleted when the fan-out ends."""
-        pool = _shared_process_pool(self.width)
-        shipped_refs: list[Any] = []
-        if tasks:
-            metrics.parallel_stages += 1
+        """One ordered fan-out: ship every task, submit them all, then
+        read the results in task order.
+
+        Every payload is built before the first submit, so a task that
+        cannot cross the boundary falls back before anything ran or
+        was counted.  Shuffle spill files shipped for the fan-out are
+        deleted when it ends; a file-backed partition counts in the
+        ``spill_*`` counters, not in ``ipc_bytes_shipped``.
+        """
+        specs: dict[TaskSpec, bytes] = {}
+        payloads: list[tuple[bytes, Any]] = []
         try:
-            futures = []
             for task in tasks:
-                if self.spill is not None:
-                    payload, ref = self.spill.ship_task_payload(
-                        task.spec, task.data, task.label
-                    )
-                    if ref is not None:
-                        shipped_refs.append(ref)
-                        self.spill.count_ref_read(ref)
+                payloads.append(ship_task(task, specs, self.spill))
+            pool = _shared_process_pool(self.width)
+            futures = [
+                pool.submit(_process_entry, spec_bytes, data)
+                for spec_bytes, data in payloads
+            ]
+            if futures:
+                metrics.parallel_stages += 1
+            metrics.parallel_tasks += len(futures)
+            for spec_bytes, data in payloads:
+                metrics.ipc_bytes_shipped += len(spec_bytes)
+                if isinstance(data, SpillFileRef):
+                    self.spill.count_ref(data)
                 else:
-                    payload = ship_task(task.spec, task.data, task.label)
-                metrics.ipc_bytes_shipped += len(payload)
-                futures.append(pool.submit(_process_entry, payload))
-                metrics.parallel_tasks += 1
+                    metrics.ipc_bytes_shipped += len(data[1])
             results = []
             for future in futures:
                 raw = future.result()
@@ -956,5 +865,6 @@ class TaskScheduler:
                 results.append(result)
             return results
         finally:
-            for ref in shipped_refs:
-                self.spill.delete_ref(ref)
+            for _, data in payloads:
+                if isinstance(data, SpillFileRef):
+                    self.spill.delete_ref(data)

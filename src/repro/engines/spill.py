@@ -38,7 +38,7 @@ clients, each telling it per entry how that entry leaves memory:
 The module also provides the **file-backed shuffle service** for the
 process-pool backend: large task payloads are written once to the
 spill tier and a small :class:`SpillFileRef` crosses the process
-boundary instead, with IPC byte accounting counting only the ref.
+boundary instead; their bytes count as spill traffic, not IPC.
 Row payloads travel as pickles; :class:`~repro.engines.columnar.
 ColumnBatch` payloads travel as typed buffer dumps (dtype + raw
 buffer per column).
@@ -718,48 +718,15 @@ class SpillManager:
 
     # -- the file-backed shuffle service -----------------------------------
 
-    def ship_task_payload(
-        self, spec: Any, data: Any, label: str = ""
-    ) -> tuple[bytes, SpillFileRef | None]:
-        """Serialize one process-pool task, file-backing large data.
-
-        Payloads whose serialized data exceeds
-        :attr:`shuffle_file_min_bytes` are written to the spill tier
-        and shipped as ``(spec, SpillFileRef)``; the IPC counters see
-        only the small ref pickle, while the file traffic lands in
-        ``spill_bytes_written`` (and ``spill_bytes_read`` when the
-        worker resolves it).  Small payloads ship inline exactly as
-        without the shuffle service.
-        """
-        from repro.engines.scheduler import ship_task
-
-        try:
-            codec, buf = encode_payload(data)
-        except Exception:
-            # Unpicklable data: let ship_task produce the canonical
-            # EngineError (and the scheduler its serial fallback).
-            return ship_task(spec, data, label), None
-        if len(buf) < self.shuffle_file_min_bytes:
-            return ship_task(spec, data, label), None
+    def put_shuffle_file(self, codec: str, buf: bytes) -> SpillFileRef:
+        """Write one encoded task payload to the spill tier."""
         path = self.engine.dfs.spill_put_bytes(buf, tag="shuffle")
-        ref = SpillFileRef(path, codec, len(buf))
-        try:
-            payload = pickle.dumps(
-                (spec, ref), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception as exc:
-            self.engine.dfs.spill_delete(path)
-            raise EngineError(
-                f"task {label or getattr(spec, 'kind', '?')!r} cannot "
-                f"cross a process boundary: its kernel/UDF closure is "
-                f"not picklable ({type(exc).__name__}: {exc}); falling "
-                f"back to in-process execution"
-            ) from exc
-        self.engine.metrics.spill_bytes_written += len(buf)
-        return payload, ref
+        return SpillFileRef(path, codec, len(buf))
 
-    def count_ref_read(self, ref: SpillFileRef) -> None:
-        """Account one worker-side resolution of a shuffle file ref."""
+    def count_ref(self, ref: SpillFileRef) -> None:
+        """Account one shipped shuffle file: written by the driver, read
+        back by the worker that resolves it."""
+        self.engine.metrics.spill_bytes_written += ref.nbytes
         self.engine.metrics.spill_bytes_read += ref.nbytes
 
     def delete_ref(self, ref: SpillFileRef) -> None:

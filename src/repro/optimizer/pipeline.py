@@ -180,9 +180,10 @@ class EmmaConfig:
     )
     #: how the scheduler dispatches the operators' partition tasks (the
     #: same ``TaskSpec`` per operator in either mode): "serial" (inline,
-    #: in order) or "processes" (true multi-core via source-shipped
-    #: chain kernels); results and ``simulated_seconds`` stay
-    #: bit-identical — only measured wall clock changes
+    #: in order) or "processes" (the differential-testing backend:
+    #: source-shipped tasks on a process pool); results and
+    #: ``simulated_seconds`` stay bit-identical — only measured wall
+    #: clock changes
     execution_mode: str | None = _runtime(("configure_execution", "mode"))
     #: concurrent partition-task slots (0 = one per host CPU core)
     max_parallel_tasks: int | None = _runtime(

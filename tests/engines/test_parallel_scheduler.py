@@ -1,19 +1,22 @@
-"""Unit tests for the host-parallel partition-task scheduler.
+"""Unit tests for the partition-task scheduler.
 
 Covers the scheduler's two modes and their width validation, the flat
 fan-out of mixed task lists, deterministic by-position merging under
-out-of-order completion, shipping each task exactly once (and counters
-that repeat run to run), recovery from a dead pool worker, the
-source-shipping pickle layer (one ``Udf`` value), the
-EngineError-not-PicklingError doorway, the end-to-end serial fallback,
-the ``stable_hash`` coverage partitioning relies on and the
-``content_digest`` the worker-side memo fingerprints rely on.
+out-of-order completion, shipping each task (and pickling each spec)
+exactly once, counters that repeat run to run, recovery from a dead
+pool worker, the source-shipping pickle layer (one ``Udf`` value), the
+worker memo keyed on a spec's pickle bytes, the
+EngineError-not-PicklingError doorway and the serial fallback that
+runs nothing in the pool, the ``stable_hash`` coverage partitioning
+relies on and the ``content_digest`` the plan and snapshot
+fingerprints rely on.
 """
 
 import os
 import pickle
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -79,6 +82,17 @@ class SleepSpec(TaskSpec):
     def run(self, _prepared, data):
         time.sleep(data[0])
         return data[1]
+
+
+class PickleCountingSpec(EchoSpec):
+    """Echo spec that counts how often it is pickled."""
+
+    kind = "pickle-counting"
+    pickled = 0
+
+    def __getstate__(self):
+        PickleCountingSpec.pickled += 1
+        return super().__getstate__()
 
 
 class ExitInWorkerSpec(TaskSpec):
@@ -201,9 +215,23 @@ class TestShipOnce:
         assert out == [0, 1, 2, 3]
         assert metrics.serial_fallbacks == 0
         assert metrics.parallel_tasks == len(tasks)
+        specs = {}
+        shipped = [ship_task(t, specs) for t in tasks]
+        assert len(specs) == 1
         assert metrics.ipc_bytes_shipped == sum(
-            len(ship_task(t.spec, t.data)) for t in tasks
+            len(spec_bytes) + len(buf) for spec_bytes, (_, buf) in shipped
         )
+
+    def test_each_spec_pickles_once_per_fan_out(self):
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        specs = [PickleCountingSpec(), PickleCountingSpec()]
+        tasks = [PartitionTask(i, specs[i % 2], [i]) for i in range(6)]
+        PickleCountingSpec.pickled = 0
+        metrics = Metrics()
+        out = scheduler.run_stage(tasks, metrics=metrics)
+        assert out == [[i, i] for i in range(6)]
+        assert metrics.serial_fallbacks == 0
+        assert PickleCountingSpec.pickled == len(specs)
 
     def test_pagerank_counters_repeat(self):
         dfs = SimulatedDFS()
@@ -231,6 +259,45 @@ class TestShipOnce:
         first = counters()
         assert first[2] > 0
         assert counters() == first
+
+    def test_pagerank_warm_runs_rebuild_nothing(self, monkeypatch):
+        # Every run ships byte-identical specs, so once each worker of
+        # a fresh processes x 2 pool has built each of them — after the
+        # first run, unless the pool handed all of some spec's tasks to
+        # one worker — a run rebuilds nothing.
+        scheduler_module._shutdown_pool()
+        shipped = []
+        ship = scheduler_module.ship_task
+
+        def recording(task, specs, spill=None):
+            payload = ship(task, specs, spill)
+            shipped[-1].add(payload[0])
+            return payload
+
+        monkeypatch.setattr(scheduler_module, "ship_task", recording)
+        dfs = SimulatedDFS()
+        graph = stage_follower_graph(dfs, num_vertices=120, seed=5)
+
+        def run():
+            shipped.append(set())
+            engine = SparkLikeEngine(
+                cluster=ClusterConfig(num_workers=4),
+                dfs=dfs,
+                execution_mode="processes",
+                max_parallel_tasks=2,
+            )
+            pagerank.run(
+                engine, graph_path=graph, num_pages=120, max_iterations=3
+            )
+            assert engine.metrics.serial_fallbacks == 0
+            return engine.metrics.kernels_rehydrated
+
+        built = [run()]
+        while sum(built) < 2 * len(shipped[0]) and len(built) < 8:
+            built.append(run())
+        assert sum(built) == 2 * len(shipped[0])
+        assert [run(), run()] == [0, 0]
+        assert all(specs == shipped[0] for specs in shipped)
 
 
 class TestBrokenPool:
@@ -280,16 +347,12 @@ class TestKernelShipping:
         assert "_compiled" not in vars(clone)
         assert clone.closure(1) == 6 and clone.closure is clone.closure
         assert clone.extra == udf.extra == 2
-        assert clone.digest() == udf.digest() is not None
+        # The clone pickles to the original's bytes: a round trip keeps
+        # the worker-memo key.
+        assert pickle.dumps(clone) == pickle.dumps(udf)
         # One compilation per value per process, however often it is
         # asked for its closure.
         assert len(calls) == 2
-
-    def test_kernel_spec_fingerprint_is_content_based(self):
-        a = KernelSpec([inc_step(), big_step()])
-        b = KernelSpec([inc_step(), big_step()])
-        assert a.fingerprint == b.fingerprint
-        assert a.fingerprint[0] == "kernel"
 
     def test_processes_mode_matches_serial(self):
         spec = KernelSpec([inc_step(), big_step()])
@@ -310,9 +373,25 @@ class TestKernelShipping:
 
 class TestUnpicklableWork:
     def test_ship_task_raises_engine_error(self):
-        spec = KernelSpec([inc_step()])
+        task = PartitionTask(0, KernelSpec([inc_step()]), [threading.Lock()])
         with pytest.raises(EngineError, match="process boundary"):
-            ship_task(spec, [threading.Lock()], "map")
+            ship_task(task, {})
+
+    def test_a_partly_unpicklable_fan_out_runs_nothing_in_the_pool(self):
+        # The last partition cannot be pickled: the fan-out falls back
+        # before the first submit, so no task ran in the pool or was
+        # counted as shipped.
+        spec = EchoSpec()
+        tasks = [PartitionTask(i, spec, [i]) for i in range(2)]
+        tasks.append(PartitionTask(2, spec, [threading.Lock()]))
+        metrics = Metrics()
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        out = scheduler.run_stage(tasks, metrics=metrics)
+        assert out == TaskScheduler(mode="serial").run_stage(tasks)
+        assert metrics.serial_fallbacks == 1
+        assert metrics.parallel_tasks == 0
+        assert metrics.parallel_stages == 0
+        assert metrics.ipc_bytes_shipped == 0
 
     def test_executor_falls_back_to_serial(self):
         # Partition data that cannot be pickled (thread locks) must
@@ -355,37 +434,118 @@ class TestStableHashCoverage:
             stable_hash(object())
 
 
+def warm_pool(scheduler, make_tasks, specs, limit=40):
+    """Fan out fresh, equal tasks until every worker of the shared pool
+    has built each of their ``specs`` distinct specs (or ``limit``
+    fan-outs ran); return the rebuild count of each fan-out.
+
+    Each fan-out ships new spec objects with the same content, as each
+    job of a loop does.
+    """
+    rebuilds = []
+    while len(rebuilds) < limit:
+        metrics = Metrics()
+        scheduler.run_stage(make_tasks(), metrics=metrics)
+        assert metrics.serial_fallbacks == 0
+        rebuilds.append(metrics.kernels_rehydrated)
+        # The first fan-out has started the pool, so its width is known.
+        if sum(rebuilds) >= specs * scheduler_module._POOL_WIDTH:
+            break
+    return rebuilds
+
+
+class TestWorkerMemo:
+    """The worker memo keys on a spec's pickle bytes: equal content
+    builds once per worker process, different content never meets a
+    stale artifact, whatever the pool has already seen."""
+
+    def test_equal_kernel_specs_rebuild_once_per_worker(self):
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        # A binding no content digest could name: the spec pickles all
+        # the same.
+        k = {"k": Fraction(1, 3)}
+        third = KernelStep(MAP, Udf(("x",), BinOp("*", Ref("x"), Ref("k")), k))
+
+        def make_tasks():
+            plain = KernelSpec([inc_step(), big_step()])
+            scaled = KernelSpec([third, big_step()])
+            return [
+                PartitionTask(i, spec, list(range(8 * i, 8 * i + 40)))
+                for i in range(4)
+                for spec in (plain, scaled)
+            ]
+
+        rebuilds = warm_pool(scheduler, make_tasks, specs=2)
+        assert sum(rebuilds) <= 2 * scheduler_module._POOL_WIDTH
+        tasks = make_tasks()
+        metrics = Metrics()
+        out = scheduler.run_stage(tasks, metrics=metrics)
+        assert out == TaskScheduler(mode="serial").run_stage(tasks)
+        assert metrics.kernels_rehydrated == 0
+
+    @staticmethod
+    def _differs_after_warming(make_spec, warm, fresh, data):
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        warm_pool(
+            scheduler,
+            lambda: [
+                PartitionTask(i, make_spec(warm), data) for i in range(4)
+            ],
+            specs=1,
+        )
+        tasks = [PartitionTask(i, make_spec(fresh), data) for i in range(4)]
+        serial = TaskScheduler(mode="serial").run_stage(tasks)
+        metrics = Metrics()
+        assert scheduler.run_stage(tasks, metrics=metrics) == serial
+        assert metrics.serial_fallbacks == 0
+
+    def test_broadcast_semi_specs_with_different_key_sets_differ(self):
+        # set(), {0} and {0, 1, 2, 3} share one 32-bit partition hash.
+        kx = Udf(("x",), Ref("x"))
+        self._differs_after_warming(
+            lambda keys: BroadcastSemiSpec(keys, kx, anti=False),
+            set(),
+            {0},
+            [0, 1, 2],
+        )
+
+    def test_broadcast_probe_specs_with_reordered_records_differ(self):
+        # Both records share one key, so the table's order shows.
+        k = Udf(("x",), BinOp("%", Ref("x"), Const(2**32)))
+        self._differs_after_warming(
+            lambda records: BroadcastProbeSpec(
+                records, k, k, small_first=True
+            ),
+            [0, 2**32],
+            [2**32, 0],
+            [0, 5],
+        )
+
+    def test_bag_bindings_with_different_content_differ(self):
+        def make_spec(values):
+            member = Udf(
+                ("x",),
+                Compare("in", Ref("x"), Ref("ys")),
+                {"ys": DataBag(values)},
+            )
+            return KernelSpec([KernelStep(FILTER, member)])
+
+        self._differs_after_warming(
+            make_spec,
+            [0],
+            [2**32],
+            [0, 2**32, 5],
+        )
+
+
 class TestContentDigest:
-    """What names *content* — the worker memo's key — must not collide
-    where the 32-bit partition hash does."""
+    """What names *content* — the plan and snapshot fingerprints' key —
+    must not collide where the 32-bit partition hash does."""
 
     def test_the_partition_hash_collides_and_the_digest_does_not(self):
         sets = [set(), {0}, {0, 1, 2, 3}]
         assert len({stable_hash(s) for s in sets}) == 1
         assert len({content_digest(s) for s in sets}) == 3
-
-    def test_broadcast_semi_specs_with_different_key_sets_differ(self):
-        kx = Udf(("x",), Ref("x"))
-        stale = BroadcastSemiSpec(set(), kx, anti=False)
-        fresh = BroadcastSemiSpec({0}, kx, anti=False)
-        assert stale.fingerprint != fresh.fingerprint
-        assert (
-            fresh.fingerprint
-            == BroadcastSemiSpec({0}, kx, anti=False).fingerprint
-        )
-
-    def test_broadcast_probe_specs_hash_their_records_as_content(self):
-        k = Udf(("x",), Ref("x"))
-        a = BroadcastProbeSpec([0, 4294967296], k, k, small_first=True)
-        b = BroadcastProbeSpec([4294967296, 0], k, k, small_first=True)
-        assert a.fingerprint != b.fingerprint
-
-    def test_binding_digests_tell_bags_apart(self):
-        def udf(values):
-            return Udf(("x",), Ref("ys"), {"ys": DataBag(values)})
-
-        assert udf([{0}]).digest() != udf([set()]).digest()
-        assert udf([1, 2]).digest() == udf([1, 2]).digest()
 
     def test_unordered_containers_ignore_order(self):
         assert content_digest({3, 1, 2}) == content_digest(frozenset([2, 3, 1]))

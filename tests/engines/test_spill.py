@@ -6,6 +6,8 @@ file-backed shuffles must never change results, ``simulated_seconds``,
 or fault schedules.  Only wall clock and the ``spill_*`` counters move.
 """
 
+import pickle
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -25,6 +27,12 @@ from repro.engines.columnar import (
 )
 from repro.engines.costmodel import CostModel
 from repro.engines.metrics import Metrics
+from repro.engines.scheduler import (
+    KernelSpec,
+    PartitionTask,
+    TaskScheduler,
+    ship_task,
+)
 from repro.engines.sparklike import SparkLikeEngine
 from repro.engines.spill import (
     CODEC_BATCH,
@@ -272,35 +280,66 @@ class TestExternalGroupMerge:
         assert eng.metrics.external_merge_passes == 0
 
 
+def ship(eng, data):
+    """``ship_task`` for one identity-chain task under ``eng``'s spill."""
+    task = PartitionTask(0, KernelSpec([]), data, "t")
+    return ship_task(task, {}, eng.spill)
+
+
+#: a partition whose encoding reaches ``shuffle_file_min_bytes``
+LARGE = [("pad%06d" % i * 8, i) for i in range(1000)]
+
+
 class TestFileBackedShuffle:
     def test_small_payloads_ship_inline(self):
         eng = engine(memory_budget=1 << 20)
-        payload, ref = eng.spill.ship_task_payload(
-            ("spec",), list(range(10)), "t"
-        )
-        assert ref is None
-        assert eng.metrics.spill_bytes_written == 0
+        data = list(range(10))
+        _, shipped = ship(eng, data)
+        assert shipped == encode_payload(data)
+        assert eng.dfs.spill_file_count() == 0
 
     def test_large_payloads_ship_as_refs(self):
         eng = engine(memory_budget=1 << 20)
-        data = [("pad%06d" % i * 8, i) for i in range(1000)]
-        payload, ref = eng.spill.ship_task_payload(("spec",), data, "t")
+        _, ref = ship(eng, LARGE)
         assert isinstance(ref, SpillFileRef)
         assert ref.codec == CODEC_PICKLE
         assert ref.nbytes >= eng.spill.shuffle_file_min_bytes
-        # The IPC payload carries only the tiny ref.
-        assert len(payload) < 1024
+        # Only the tiny ref crosses the pipe.
+        assert len(pickle.dumps(ref)) < 1024
+        assert load_payload_file(ref) == LARGE
+        eng.spill.count_ref(ref)
         assert eng.metrics.spill_bytes_written == ref.nbytes
-        assert load_payload_file(ref) == data
-        eng.spill.count_ref_read(ref)
         assert eng.metrics.spill_bytes_read == ref.nbytes
         eng.spill.delete_ref(ref)
         assert eng.dfs.spill_file_count() == 0
 
+    def test_refs_are_deleted_after_the_fan_out(self):
+        eng = engine(memory_budget=1 << 20)
+        tasks = [PartitionTask(i, KernelSpec([]), LARGE) for i in range(3)]
+        scheduler = TaskScheduler("processes", 2, spill=eng.spill)
+        metrics = Metrics()
+        out = scheduler.run_stage(tasks, metrics=metrics)
+        assert out == TaskScheduler("serial").run_stage(tasks)
+        assert metrics.serial_fallbacks == 0
+        assert eng.metrics.spill_bytes_written > 0
+        assert eng.dfs.spill_file_count() == 0
+
+    def test_a_fan_out_that_falls_back_leaves_no_ref(self):
+        # The refs written for the first two tasks are deleted and
+        # never counted: the third cannot be shipped.
+        eng = engine(memory_budget=1 << 20)
+        tasks = [PartitionTask(i, KernelSpec([]), LARGE) for i in range(2)]
+        tasks.append(PartitionTask(2, KernelSpec([]), [threading.Lock()]))
+        scheduler = TaskScheduler("processes", 2, spill=eng.spill)
+        metrics = Metrics()
+        scheduler.run_stage(tasks, metrics=metrics)
+        assert metrics.serial_fallbacks == 1
+        assert eng.metrics.spill_bytes_written == 0
+        assert eng.dfs.spill_file_count() == 0
+
     def test_vanished_file_raises_engine_error(self):
         eng = engine(memory_budget=1 << 20)
-        data = [("pad%06d" % i * 8, i) for i in range(1000)]
-        _, ref = eng.spill.ship_task_payload(("spec",), data, "t")
+        _, ref = ship(eng, LARGE)
         eng.spill.delete_ref(ref)
         with pytest.raises(EngineError, match="vanished"):
             load_payload_file(ref)

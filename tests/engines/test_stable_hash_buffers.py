@@ -2,7 +2,7 @@
 
 Typed buffers have a content identity but no partition placement:
 ``stable_hash`` refuses them, and ``content_digest`` — what the result
-cache's snapshot fingerprints and the worker memo key on — names them.
+cache's snapshot fingerprints key on — names them.
 Each test pins the exact SHA-256, so these values must never drift
 across processes, platforms, or releases.  A failure here means every
 on-disk result cache just silently went cold (or worse, stale): change

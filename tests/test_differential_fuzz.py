@@ -330,7 +330,7 @@ fault_plans = st.builds(
 @settings(max_examples=25, deadline=None)
 @given(stage_descriptors, int_bags, int_bags, fault_plans, runtime_points)
 # The worker-memo collision: a broadcast semi-join's key set {0} once
-# fingerprinted like set() and {0, 1, 2, 3} (the 32-bit partition hash
+# got the memo key of set() and {0, 1, 2, 3} (the 32-bit partition hash
 # as a content identity), so a warmed pool worker answered from a stale
 # key set: DataBag([]) against the oracle's DataBag([0]).
 @example(
