@@ -1034,7 +1034,8 @@ class JobExecutor:
 
     def _udf_compilation(self, fn: ScalarFn) -> Udf:
         """Close a UDF over the driver env (memoized by UDF identity,
-        per job), broadcasting its free bag values.
+        per job), broadcasting its free bag values and the bags its
+        hoisted subplans compute.
 
         The same ``ScalarFn`` object commonly appears in several
         operators of one job (chained steps, a join key reused by a
@@ -1047,14 +1048,28 @@ class JobExecutor:
         cached = self._udf_memo.get(id(fn))
         if cached is not None and cached[0] is fn:
             return cached[1]
-        hoisted_fn, hoisted = self._hoist_closed_bags(fn)
-        bindings, extra = self._udf_bindings(
-            hoisted_fn.free_names() - frozenset(hoisted)
-        )
-        for name, local in hoisted.items():
-            bindings[name] = local
-            extra += len(local)
-        udf = Udf(hoisted_fn.params, hoisted_fn.body, bindings, extra)
+        # Deliberate cyclic garbage that refers to this executor, as the
+        # run-time hoisting visitor once built here did: the executor,
+        # and every bag it memoizes, is freed by the young-generation
+        # collection after its last UDF miss, not at refcount zero
+        # inside the job (+6 % ``q4_join`` ``job_wall_rel_p50``) nor at
+        # the next full collection (``self._cycle = self``: +10 %
+        # ``pagerank_iter`` ``peak_rss_mb``), both measured.  When to
+        # free it is a decision of its own (ROADMAP item 10(vi)).
+        cycle: list = [self]
+        cycle.append(cycle)
+        hoisted = {
+            name: self.broadcast_value(
+                JobExecutor(
+                    self.engine, self.env, self.job, self._shared_state
+                ).run_bag(plan).collect()
+            )
+            for name, plan in fn.hoisted
+        }
+        bindings, extra = self._udf_bindings(fn.free_names())
+        bindings.update(hoisted)
+        extra += sum(map(len, hoisted.values()))
+        udf = Udf(fn.params, fn.body, bindings, extra)
         self.count_udf(udf, fn)
         self._udf_memo[id(fn)] = (fn, udf)
         return udf
@@ -1094,50 +1109,6 @@ class JobExecutor:
                         f"{spec.alias}: {ScalarFn(params, body).describe()}",
                         reason,
                     )
-
-    def _hoist_closed_bags(
-        self, fn: ScalarFn
-    ) -> tuple[ScalarFn, dict[str, DataBag]]:
-        """Hoist closed bag subexpressions out of a UDF body.
-
-        Inlining can push whole dataflow expressions (e.g. a ``read``)
-        into UDF bodies that stay scalar when an optimization is
-        disabled.  Evaluating them per element would be both wrong in
-        cost and pathological in time, so each maximal bag-typed
-        subexpression with no dependence on the UDF parameters is
-        executed once as a nested dataflow and *broadcast* — the
-        transparent driver-to-UDF data motion of Section 4.3.2.
-        """
-        from repro.comprehension.normalize import normalize
-        from repro.comprehension.resugar import resugar
-        from repro.lowering.rules import lower
-
-        # A lambda over ``self``, not ``self.env.__contains__``, on
-        # purpose: the recursive visitor inside ``hoist_closed_bags`` is
-        # cyclic garbage, and through this closure it keeps the executor
-        # — with every intermediate bag it memoizes — alive until the
-        # next cyclic collection, as the visitor that used to live here
-        # always did.  Freeing them at refcount zero instead moves that
-        # work into the job's wall clock (+5 % ``q4_join``, +7 %
-        # ``svc_sweep`` ``job_wall_rel_p50``, measured): a decision of
-        # its own (ROADMAP item 10), not a side effect to slip in.
-        hoisted_fn, hoisted_nodes = fn.hoist_closed_bags(
-            lambda name: name in self.env
-        )
-        if not hoisted_nodes:
-            return fn, {}
-        values: dict[str, DataBag] = {}
-        for name, node in hoisted_nodes.items():
-            plan = lower(normalize(resugar(node)))
-            nested = JobExecutor(
-                self.engine,
-                self.env,
-                self.job,
-                shared_state=self._shared_state,
-            )
-            bag = nested.run_bag(plan)
-            values[name] = self.broadcast_value(bag.collect())
-        return hoisted_fn, values
 
     def _udf_bindings(
         self, names: frozenset[str]
@@ -1211,7 +1182,7 @@ class JobExecutor:
             ref_ids.append(id(value))
         return (
             child.node_id,
-            key_ir.canonical().body,
+            key_ir.canonical(),
             self.parallelism,
             tuple(ref_ids),
         )

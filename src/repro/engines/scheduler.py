@@ -627,8 +627,12 @@ class PartitionTask:
 
 # -- worker-process side ----------------------------------------------------
 
-#: per-worker-process memo: SHA-256 of a spec's pickle → (spec, artifact)
+#: per-worker-process memo: SHA-256 of a spec's pickle → (spec, artifact),
+#: least recently used first
 _WORKER_MEMO: dict[bytes, tuple[TaskSpec, Any]] = {}
+#: the memo's bound: a long-lived pool drops its least recently used
+#: artifact (and the broadcast bags it holds) beyond this many
+_WORKER_MEMO_BOUND = 256
 
 
 def _worker_init(paths: list[str]) -> None:
@@ -644,17 +648,19 @@ def _process_entry(spec_bytes: bytes, data: Any) -> bytes:
     The memo keys on the spec's own bytes.  Equal bytes unpickle to
     equal content (functions and classes pickle by qualified name), so
     a hit can never be stale, and it skips the unpickle as well; a
-    pickle that differs for equal content only costs a rebuild.
+    pickle that differs for equal content only costs a rebuild, and so
+    does a spec evicted as least recently used.
     ``data`` is the ``(codec, buffer)`` pair :func:`ship_task` encoded,
     or a :class:`~repro.engines.spill.SpillFileRef` the worker resolves
     against the shared host filesystem.
     """
     key = hashlib.sha256(spec_bytes).digest()
-    hit = _WORKER_MEMO.get(key)
+    hit = _WORKER_MEMO.pop(key, None)  # re-inserted as the newest
     if hit is None:
+        if len(_WORKER_MEMO) >= _WORKER_MEMO_BOUND:
+            del _WORKER_MEMO[next(iter(_WORKER_MEMO))]
         spec = pickle.loads(spec_bytes)
-        _WORKER_MEMO[key] = spec, spec.build()
-    spec, prepared = _WORKER_MEMO[key]
+    spec, prepared = _WORKER_MEMO[key] = hit or (spec, spec.build())
     if isinstance(data, SpillFileRef):
         data = load_payload_file(data)
     else:

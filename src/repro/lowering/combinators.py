@@ -13,13 +13,14 @@ UDFs are carried as :class:`ScalarFn` — a parameter list plus a lifted
 IR body.  At submission time the engine closes the body over the driver
 environment; free variables that resolve to bags become broadcast
 variables (the paper's transparent "driver to UDFs" data motion,
-Figure 3b).
+Figure 3b), and so do the UDF's ``hoisted`` subplans, which the
+compiler's ``hoist-closed-bags`` pass cut out of its body.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.comprehension.exprs import (
@@ -37,6 +38,17 @@ from repro.comprehension.ir import Comprehension
 from repro.comprehension.pretty import pretty
 
 _node_ids = itertools.count()
+#: per class: its fields declared ``Combinator``, then ``ScalarFn``
+_FIELD_KINDS: dict[type, tuple[tuple[str, ...], ...]] = {}
+
+
+def _field_kinds(cls: type) -> tuple[tuple[str, ...], ...]:
+    if cls not in _FIELD_KINDS:
+        _FIELD_KINDS[cls] = tuple(
+            tuple(f.name for f in fields(cls) if f.type == kind)
+            for kind in ("Combinator", "ScalarFn")
+        )
+    return _FIELD_KINDS[cls]
 
 
 @dataclass(frozen=True)
@@ -46,14 +58,19 @@ class ScalarFn:
     ``compile(env)`` closes the body over ``env`` and returns a plain
     Python callable.  ``free_names()`` lists the body's unbound names —
     the candidates for broadcast injection and closure capture.
+    ``hoisted`` pairs each name the body reads with the dataflow plan
+    that computes its value; the engine runs each plan once per job and
+    broadcasts the result.
     """
 
     params: tuple[str, ...]
     body: Expr
+    hoisted: tuple[tuple[str, "Combinator"], ...] = ()
 
     def free_names(self) -> frozenset[str]:
         """Unbound names of the body — broadcast/closure candidates."""
-        return self.body.free_vars() - frozenset(self.params)
+        bound = {*self.params, *(name for name, _ in self.hoisted)}
+        return self.body.free_vars() - bound
 
     def compile(self, env: Env | Mapping[str, Any]) -> Callable:
         """Close the body over ``env``; returns a plain callable."""
@@ -77,17 +94,17 @@ class ScalarFn:
             return fn, True
         return Lambda(self.params, self.body).evaluate(env), False
 
-    def hoist_closed_bags(
-        self, is_bound: Callable[[str], bool]
-    ) -> tuple["ScalarFn", dict[str, Expr]]:
+    def hoist_closed_bags(self) -> tuple["ScalarFn", dict[str, Expr]]:
         """Move each maximal closed bag-typed subexpression out of the body.
 
         Returns the UDF with every such subexpression replaced by a
         fresh ``__hoisted_N`` name, and what each name stands for.
         *Closed* means: no dependence on a name bound anywhere inside
-        the body, and every free name known to ``is_bound`` — the
-        engine evaluates it once and broadcasts the result.
+        the body.  A body without a bag-typed node is returned as is
+        after one walk.
         """
+        if not any(node.is_bag_typed() for node in walk(self.body)):
+            return self, {}
         locally_bound = set(self.params)
         for node in walk(self.body):
             if isinstance(node, Lambda):
@@ -97,14 +114,9 @@ class ScalarFn:
         hoisted: dict[str, Expr] = {}
 
         def visit(node: Expr) -> Expr:
-            is_bag = node.is_bag_typed() or (
-                isinstance(node, Comprehension) and not node.is_fold()
-            )
             if (
-                is_bag
-                and not isinstance(node, Ref)
-                and not (node.free_vars() & locally_bound)
-                and all(is_bound(name) for name in node.free_vars())
+                node.is_bag_typed()
+                and node.free_vars().isdisjoint(locally_bound)
             ):
                 name = f"__hoisted_{len(hoisted)}"
                 hoisted[name] = node
@@ -129,9 +141,10 @@ class ScalarFn:
         mapping = {
             p: Ref(f"_arg{i}") for i, p in enumerate(self.params)
         }
-        return ScalarFn(
-            tuple(f"_arg{i}" for i in range(len(self.params))),
-            self.body.substitute(mapping),
+        return replace(
+            self,
+            params=tuple(f"_arg{i}" for i in range(len(self.params))),
+            body=self.body.substitute(mapping),
         )
 
     def is_identity(self) -> bool:
@@ -198,12 +211,14 @@ class Combinator:
     reorder_note: str = field(default="", compare=False)
 
     def inputs(self) -> tuple["Combinator", ...]:
-        """The upstream dataflow nodes this combinator consumes."""
-        return ()
+        """The upstream dataflow nodes this combinator consumes: its
+        fields declared ``Combinator``, in order."""
+        return tuple(map(self.__getattribute__, _field_kinds(type(self))[0]))
 
     def udfs(self) -> tuple[ScalarFn, ...]:
-        """The UDFs evaluated by this node (for broadcast analysis)."""
-        return ()
+        """The UDFs evaluated by this node (for broadcast analysis): its
+        fields declared ``ScalarFn`` (``partition_hint`` is optional)."""
+        return tuple(map(self.__getattribute__, _field_kinds(type(self))[1]))
 
     def with_cache(self) -> "Combinator":
         """A copy annotated for materialization (same node id)."""
@@ -275,12 +290,6 @@ class CMap(Combinator):
     fn: ScalarFn = None  # type: ignore[assignment]
     input: Combinator = None  # type: ignore[assignment]
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
-
-    def udfs(self) -> tuple[ScalarFn, ...]:
-        return (self.fn,)
-
     def describe(self) -> str:
         return f"Map({self.fn.describe()})"
 
@@ -292,12 +301,6 @@ class CFlatMap(Combinator):
     fn: ScalarFn = None  # type: ignore[assignment]
     input: Combinator = None  # type: ignore[assignment]
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
-
-    def udfs(self) -> tuple[ScalarFn, ...]:
-        return (self.fn,)
-
     def describe(self) -> str:
         return f"FlatMap({self.fn.describe()})"
 
@@ -308,12 +311,6 @@ class CFilter(Combinator):
 
     predicate: ScalarFn = None  # type: ignore[assignment]
     input: Combinator = None  # type: ignore[assignment]
-
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
-
-    def udfs(self) -> tuple[ScalarFn, ...]:
-        return (self.predicate,)
 
     def describe(self) -> str:
         return f"Filter({self.predicate.describe()})"
@@ -345,9 +342,6 @@ class CChain(Combinator):
     #: why the chain stays (or may fall back to) row-at-a-time; set by
     #: the columnar-selection pass, rendered in ``describe()``/trace
     columnar_reason: str = field(default="", compare=False)
-
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
 
     def udfs(self) -> tuple[ScalarFn, ...]:
         out: list[ScalarFn] = []
@@ -385,12 +379,6 @@ class CEqJoin(Combinator):
     exchange: str = field(default="", compare=False)
     exchange_reason: str = field(default="", compare=False)
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.left, self.right)
-
-    def udfs(self) -> tuple[ScalarFn, ...]:
-        return (self.kx, self.ky)
-
     def describe(self) -> str:
         return f"EqJoin({self.kx.describe()} == {self.ky.describe()})"
 
@@ -415,12 +403,6 @@ class CSemiJoin(Combinator):
     exchange: str = field(default="", compare=False)
     exchange_reason: str = field(default="", compare=False)
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.left, self.right)
-
-    def udfs(self) -> tuple[ScalarFn, ...]:
-        return (self.kx, self.ky)
-
     def describe(self) -> str:
         kind = "AntiJoin" if self.anti else "SemiJoin"
         return f"{kind}({self.kx.describe()} == {self.ky.describe()})"
@@ -433,9 +415,6 @@ class CCross(Combinator):
     left: Combinator = None  # type: ignore[assignment]
     right: Combinator = None  # type: ignore[assignment]
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
 class CUnion(Combinator):
@@ -443,9 +422,6 @@ class CUnion(Combinator):
 
     left: Combinator = None  # type: ignore[assignment]
     right: Combinator = None  # type: ignore[assignment]
-
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -455,8 +431,6 @@ class CMinus(Combinator):
     left: Combinator = None  # type: ignore[assignment]
     right: Combinator = None  # type: ignore[assignment]
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.left, self.right)
 
 
 # -- grouping / aggregation ---------------------------------------------------
@@ -478,12 +452,6 @@ class CGroupBy(Combinator):
     #: :func:`repro.optimizer.columnar_select.select_columnar`
     exchange: str = field(default="", compare=False)
     exchange_reason: str = field(default="", compare=False)
-
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
-
-    def udfs(self) -> tuple[ScalarFn, ...]:
-        return (self.key,)
 
     def describe(self) -> str:
         return f"GroupBy({self.key.describe()})"
@@ -509,12 +477,6 @@ class CAggBy(Combinator):
     exchange: str = field(default="", compare=False)
     exchange_reason: str = field(default="", compare=False)
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
-
-    def udfs(self) -> tuple[ScalarFn, ...]:
-        return (self.key,)
-
     def describe(self) -> str:
         names = ", ".join(s.alias for s in self.specs)
         return f"AggBy({self.key.describe()}; {names})"
@@ -526,9 +488,6 @@ class CDistinct(Combinator):
 
     input: Combinator = None  # type: ignore[assignment]
 
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
-
 
 @dataclass(frozen=True)
 class CFold(Combinator):
@@ -536,9 +495,6 @@ class CFold(Combinator):
 
     spec: AlgebraSpec = None  # type: ignore[assignment]
     input: Combinator = None  # type: ignore[assignment]
-
-    def inputs(self) -> tuple[Combinator, ...]:
-        return (self.input,)
 
     def describe(self) -> str:
         return f"Fold({self.spec.alias})"
@@ -550,24 +506,30 @@ class CFold(Combinator):
 
 
 def rebuild_inputs(
-    node: Combinator, fn: Callable[[Combinator], Combinator]
+    node: Combinator,
+    fn: Callable[[Combinator], Combinator] | None,
+    udf: Callable[[ScalarFn], ScalarFn] | None = None,
 ) -> Combinator:
-    """``node`` with ``fn`` applied to each ``Combinator``-valued field
-    (``node`` itself when nothing changed).  ``replace`` keeps the
-    node id and the physical annotations."""
-    changes: dict[str, Combinator] = {}
-    for name in field_names(type(node)):
-        value = getattr(node, name)
-        if isinstance(value, Combinator):
-            new = fn(value)
-            if new is not value:
+    """``node`` with ``fn`` applied to each input and ``udf`` to each
+    UDF (``node`` itself when nothing changed; ``None`` maps nothing).
+    ``replace`` keeps the node id and the physical annotations."""
+    changes: dict[str, Any] = {}
+    for names, f in zip(_field_kinds(type(node)), (fn, udf)):
+        for name in names if f else ():
+            old = getattr(node, name)
+            new = None if old is None else f(old)
+            if new is not old:
                 changes[name] = new
     return replace(node, **changes) if changes else node
 
 
 def combinator_nodes(root: Combinator) -> Iterator[Combinator]:
-    """Yield all nodes of a combinator tree, pre-order."""
+    """Yield all nodes of a combinator tree, pre-order, including the
+    subplans hoisted out of its UDFs."""
     yield root
+    for fn in root.udfs():
+        for _, plan in fn.hoisted:
+            yield from combinator_nodes(plan)
     for child in root.inputs():
         yield from combinator_nodes(child)
 
@@ -595,15 +557,7 @@ _MOTION_MARKERS = {
 def _interpreted_notes(node: Combinator) -> list[str]:
     """Why UDFs or fold components of ``node`` will tree-walk (usually
     nothing: the list is empty when everything compiles)."""
-    reasons = []
-    for fn in node.udfs():
-        reason = fallback_reason(fn.params, fn.body)
-        if reason is not None:
-            # Judge it as the engine will see it: with its closed bags
-            # hoisted out and broadcast.
-            fn, _hoisted = fn.hoist_closed_bags(lambda name: True)
-            reason = fallback_reason(fn.params, fn.body)
-        reasons.append(reason)
+    reasons = [fallback_reason(fn.params, fn.body) for fn in node.udfs()]
     specs = (node.spec,) if isinstance(node, CFold) else getattr(node, "specs", ())
     for spec in specs:
         reasons.extend(
@@ -622,7 +576,8 @@ def explain(
     shuffle sites — additionally carry a ``[tasks<=N]`` marker showing
     how wide their partition tasks may fan out on the host.  An operator
     with a UDF or fold component outside the natively compilable subset
-    carries ``[interpreted: <reason>]``.
+    carries ``[interpreted: <reason>]``; a subplan hoisted out of one of
+    its UDFs is rendered below it as ``broadcast <name>:``.
     """
     flags = []
     if root.cache:
@@ -651,6 +606,10 @@ def explain(
     for note in notes:
         marker += f" [{note}]"
     lines = ["  " * indent + described + marker + suffix]
+    for fn in root.udfs():
+        for name, plan in fn.hoisted:
+            lines.append("  " * (indent + 1) + f"broadcast {name}:")
+            lines.append(explain(plan, indent + 2, task_width=task_width))
     for child in root.inputs():
         lines.append(explain(child, indent + 1, task_width=task_width))
     return "\n".join(lines)

@@ -56,7 +56,14 @@ from repro.frontend.driver_ir import (
     Stmt,
 )
 from repro.lowering.chaining import ChainStats, chain_operators
-from repro.lowering.combinators import Combinator, ScalarFn, explain
+from repro.lowering.combinators import (
+    CChain,
+    Combinator,
+    ScalarFn,
+    combinator_nodes,
+    explain,
+    rebuild_inputs,
+)
 from repro.lowering.rules import LoweringContext, lower
 from repro.optimizer.caching import (
     CacheDecision,
@@ -488,12 +495,13 @@ class Pass:
 
 @dataclass
 class _Applied:
-    """Stats of a step that always applies: its provenance line."""
+    """Stats of a step that always applies: its provenance line (a
+    ``None`` line records no event)."""
 
-    detail: str
+    detail: str | None
     fired = True
 
-    def summary(self) -> str:
+    def summary(self) -> str | None:
         return self.detail
 
 
@@ -583,6 +591,56 @@ def _plan_physical(c, plan, site):
     return annotate_physical(plan, c.plan_context())
 
 
+def _hoist_bags(c, plan, site):
+    # The cache statements' partition keys reach the engine as UDFs too.
+    keys = c.report.partition_keys.items()
+    c.report.partition_keys = {
+        k: hoist_closed_bags(fn, c.hoisted) for k, fn in keys
+    }
+    hoisted = hoist_closed_bags(plan, c.hoisted)
+    if hoisted is plan:
+        return plan, _Applied(None)
+    moved = "; ".join(
+        f"{name} <- {sub.describe()}"
+        for node in combinator_nodes(hoisted)
+        for fn in node.udfs()
+        for name, sub in fn.hoisted
+    )
+    return hoisted, _Applied(f"broadcast once per job: {moved}")
+
+
+def hoist_closed_bags(value: Any, memo: dict[int, tuple[Any, Any]]) -> Any:
+    """``value`` (a plan or a UDF) with the closed bag subexpressions of
+    every UDF body moved into the UDF's ``hoisted`` subplans, lowered as
+    a site is with default parameters: Section 4.3.2's driver-to-UDF
+    data motion, which the engine then pays once per job instead of per
+    element.  ``memo`` maps ids to ``(object, rewrite)``, so what the
+    plan shares stays shared."""
+    hit = memo.get(id(value))
+    if hit is not None:
+        return hit[1]
+    if isinstance(value, ScalarFn):
+        new, nodes = value.hoist_closed_bags()
+        if nodes:
+            new = replace(new, hoisted=tuple(
+                (name, hoist_closed_bags(lower(normalize(resugar(n))), memo))
+                for name, n in nodes.items()
+            ))
+    else:
+
+        def hoist(v: Any) -> Any:
+            return hoist_closed_bags(v, memo)
+
+        new = rebuild_inputs(value, hoist, hoist)
+        if isinstance(value, CChain):
+            # The fused operators keep their stale ``input``.
+            ops = tuple(rebuild_inputs(op, None, hoist) for op in value.ops)
+            if any(a is not b for a, b in zip(ops, value.ops)):
+                new = replace(new, ops=ops)
+    memo[id(value)] = (value, new)
+    return new
+
+
 #: The compiler, in order.  ``unnesting`` and ``filter_pushdown`` gate no
 #: row — they are parameters of ``normalize`` and ``lower`` — nor do the
 #: plane knobs of the columnar selection, one traversal for both planes.
@@ -616,6 +674,7 @@ PASSES: tuple[Pass, ...] = (
          " elidable_shuffle_inputs=elidable_inputs"
          " hoistable_shuffle_inputs=hoistable_inputs",
          "after", decision_rule="join-strategy"),
+    Pass("lowering", "hoist-closed-bags", None, POST_PLAN, _hoist_bags),
 )
 
 
@@ -633,6 +692,8 @@ class _Compiler:
         self.partition_uses: list[PartitionUse] = []
         self.sites: list[tuple[Expr, Combinator, bool]] = []
         self.in_loop = False
+        #: ``hoist_closed_bags``'s memo, shared by every site
+        self.hoisted: dict[int, tuple[Any, Any]] = {}
 
     def enabled(self, p: Pass, site: int | None = None) -> bool:
         """Whether ``config`` lets the pass run — the one place a knob
@@ -815,11 +876,14 @@ def compile_program(
             plan_map: dict[int, Combinator] = {}
             for idx, (expr, plan, in_loop) in enumerate(c.sites):
                 c.in_loop = in_loop
-                annotated = plan_map[id(plan)] = c.apply(p, plan, idx)
+                annotated = c.apply(p, plan, idx)
+                if annotated is not plan:
+                    plan_map[id(plan)] = annotated
                 c.sites[idx] = (expr, annotated, in_loop)
-            program = program.with_body(
-                _replace_site_plans(program.body, plan_map)
-            )
+            if plan_map:
+                program = program.with_body(
+                    _replace_site_plans(program.body, plan_map)
+                )
     return CompiledProgram(
         program=program,
         partition_keys=c.report.partition_keys,

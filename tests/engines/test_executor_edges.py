@@ -21,6 +21,7 @@ from repro.engines.cluster import ClusterConfig
 from repro.engines.flinklike import FlinkLikeEngine
 from repro.engines.sparklike import SparkLikeEngine
 from repro.errors import EngineError
+from repro.optimizer.pipeline import hoist_closed_bags
 from repro.lowering.combinators import (
     CBagRef,
     CCross,
@@ -185,7 +186,8 @@ class TestHoisting:
     def test_closed_read_hoisted_and_broadcast(self):
         eng = spark()
         eng.dfs.put("lookup", [2, 4])
-        plan = self._exists_filter_with_inlined_read()
+        # The compiler's hoist-closed-bags pass, as compile_program runs it.
+        plan = hoist_closed_bags(self._exists_filter_with_inlined_read(), {})
         result = run_bag(eng, plan, {"xs": DataBag([1, 2, 3, 4])})
         assert result == DataBag([2, 4])
         assert eng.metrics.broadcast_bytes > 0

@@ -5,7 +5,7 @@ fan-out of mixed task lists, deterministic by-position merging under
 out-of-order completion, shipping each task (and pickling each spec)
 exactly once, counters that repeat run to run, recovery from a dead
 pool worker, the source-shipping pickle layer (one ``Udf`` value), the
-worker memo keyed on a spec's pickle bytes, the
+worker memo keyed on a spec's pickle bytes and its bound, the
 EngineError-not-PicklingError doorway and the serial fallback that
 runs nothing in the pool, the ``stable_hash`` coverage partitioning
 relies on and the ``content_digest`` the plan and snapshot
@@ -82,6 +82,25 @@ class SleepSpec(TaskSpec):
     def run(self, _prepared, data):
         time.sleep(data[0])
         return data[1]
+
+
+class TaggedSpec(EchoSpec):
+    """Echo spec whose ``tag`` gives each instance its own pickle."""
+
+    kind = "tagged"
+
+    def __init__(self, tag):
+        super().__init__()
+        self.tag = tag
+
+
+class MemoSizeSpec(EchoSpec):
+    """Test spec whose task reports its process's worker-memo size."""
+
+    kind = "memo-size"
+
+    def run(self, _prepared, data):
+        return len(scheduler_module._WORKER_MEMO)
 
 
 class PickleCountingSpec(EchoSpec):
@@ -536,6 +555,21 @@ class TestWorkerMemo:
             [2**32],
             [0, 2**32, 5],
         )
+
+
+class TestWorkerMemoBound:
+    def test_a_worker_keeps_at_most_the_bound(self):
+        # Two workers and more than twice the bound of distinct specs:
+        # at least one worker builds more specs than it may keep.
+        scheduler_module._shutdown_pool()
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        n = 2 * scheduler_module._WORKER_MEMO_BOUND + 2
+        tasks = [PartitionTask(i, TaggedSpec(i), [i]) for i in range(n)]
+        assert scheduler.run_stage(tasks) == [[i, i] for i in range(n)]
+        assert scheduler_module._POOL_WIDTH == 2
+        probes = [PartitionTask(i, MemoSizeSpec(), []) for i in range(8)]
+        sizes = scheduler.run_stage(probes)
+        assert 0 < max(sizes) <= scheduler_module._WORKER_MEMO_BOUND
 
 
 class TestContentDigest:

@@ -157,7 +157,7 @@ class TestTheTable:
 
     def test_rules_are_unique(self):
         rules = [p.rule for p in PASSES]
-        assert len(set(rules)) == len(rules) == 12
+        assert len(set(rules)) == len(rules) == 13
 
     def test_folds_name_report_fields(self):
         report = pipeline.OptimizationReport()
