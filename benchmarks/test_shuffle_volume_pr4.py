@@ -48,13 +48,15 @@ def _metrics_row(name, m):
         "simulated_seconds": round(m.simulated_seconds, 6),
         "shuffles_elided": m.shuffles_elided,
         "shuffles_hoisted": m.shuffles_hoisted,
-        "adaptive_switches": m.adaptive_switches,
+        "broadcast_joins": m.broadcast_joins,
+        "repartition_joins": m.repartition_joins,
     }
     print(
         f"{name:>18}: {m.shuffle_bytes:>10} bytes shuffled, "
         f"{m.simulated_seconds:8.3f} s, "
         f"elided={m.shuffles_elided} hoisted={m.shuffles_hoisted} "
-        f"adaptive={m.adaptive_switches}"
+        f"bcast_joins={m.broadcast_joins} "
+        f"repart_joins={m.repartition_joins}"
     )
     return row
 

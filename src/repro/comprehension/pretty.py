@@ -2,7 +2,8 @@
 
 Used by tests, documentation examples, and the compiler's ``explain``
 output.  The notation follows the paper: ``[[ head | q1, q2 ]]^Bag`` for
-bag comprehensions and ``[[ head | qs ]]^fold(name)`` for folds;
+bag comprehensions and ``[[ head | qs ]]^fold(name)`` for folds (with the
+algebra's arguments and fused pipeline, when it has any);
 generators print as ``x <- xs`` (``x <~ xs`` for EXISTS mode, ``x </~ xs``
 for NOT_EXISTS).
 """
@@ -64,7 +65,7 @@ def pretty(expr: Expr) -> str:
     if isinstance(expr, Comprehension):
         quals = ", ".join(_pretty_qualifier(q) for q in expr.qualifiers)
         kind = (
-            f"fold({expr.kind.spec.alias})"
+            f"fold({_pretty_spec(expr.kind.spec, bare=True)})"
             if isinstance(expr.kind, FoldKind)
             else "Bag"
         )
@@ -170,6 +171,15 @@ def _pretty_qualifier(q: Generator | Guard) -> str:
     return pretty(q.predicate)
 
 
-def _pretty_spec(spec: AlgebraSpec) -> str:
+def _pretty_spec(spec: AlgebraSpec, bare: bool = False) -> str:
+    """``alias(args)`` (just ``alias`` when ``bare`` and there are no
+    args), then any fused pipeline as ``[\\x -> head | guards]``."""
     args = ", ".join(pretty(a) for a in spec.args)
-    return f"{spec.alias}({args})"
+    out = spec.alias if bare and not args else f"{spec.alias}({args})"
+    if spec.head is None and not spec.guards:
+        return out
+    head = spec.var if spec.head is None else pretty(spec.head)
+    fused = f"\\{spec.var} -> {head}"
+    if spec.guards:
+        fused += " | " + ", ".join(pretty(g) for g in spec.guards)
+    return f"{out}[{fused}]"

@@ -31,9 +31,13 @@ A = TypeVar("A")
 B = TypeVar("B")
 K = TypeVar("K", bound=Hashable)
 
+#: the attributes that key a stateful bag's elements by default, in
+#: order of preference; the distributed bag hash-partitions on the key
+KEY_ATTRS = ("key", "id")
+
 
 def _default_key(element: object) -> Hashable:
-    for attr in ("key", "id"):
+    for attr in KEY_ATTRS:
         if hasattr(element, attr):
             return getattr(element, attr)
     raise EmmaError(

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.databag import DataBag
 from repro.engines.cluster import ClusterConfig, PartitionedBag
-from repro.engines.costmodel import CostModel, StatsCache
+from repro.engines.costmodel import CostModel
 from repro.engines.dfs import SimulatedDFS
 from repro.engines.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.engines.metrics import JobRun, Metrics
@@ -219,8 +219,6 @@ class Engine:
         self._batch_cache: "weakref.WeakKeyDictionary[PartitionedBag, tuple]" = (
             weakref.WeakKeyDictionary()
         )
-        #: per-run observed cardinalities/bytes for adaptive re-checks
-        self.stats = StatsCache()
         #: lazily built host-parallel task scheduler (see ``scheduler``)
         self._scheduler: "TaskScheduler | None" = None
         # ``None`` adopts the (environment-overridable) defaults so CI
@@ -405,14 +403,13 @@ class Engine:
             getattr(self, method)(**kwargs)
 
     def begin_run(self) -> None:
-        """Reset per-run planner state (hoist cache, statistics).
+        """Reset per-run planner state (the hoist cache).
 
         Called at the start of every compiled driver-program run so
-        runs are deterministic in isolation: nothing hoisted or
-        observed in an earlier run leaks into the next one.
+        runs are deterministic in isolation: nothing hoisted in an
+        earlier run leaks into the next one.
         """
         self.spill.store.drop(("hoist",))
-        self.stats.clear()
 
     def enable_tracing(self, on: bool = True) -> RuntimeTracer | None:
         """Install (idempotently) and return the engine's span tracer;
@@ -473,15 +470,9 @@ class Engine:
                     self, dict(handle.lineage_env or {}), job
                 )
                 bag = executor.run_bag(handle.lineage_root)
-                if handle.partition_key is not None and not (
-                    bag.partitioner is not None
-                    and bag.partitioner.matches(
-                        handle.partition_key, bag.num_partitions
-                    )
-                ):
-                    bag = executor.shuffle_by_key(
-                        bag, handle.partition_key
-                    )
+                key = handle.partition_key
+                if key is not None and not bag.partitioned_on(key):
+                    bag = executor.shuffle_by_key(bag, key)
                 if bag.num_partitions != handle.bag.num_partitions:
                     raise EngineError(
                         "lineage recomputation produced "
@@ -603,10 +594,7 @@ class Engine:
             raise EngineError(
                 f"cannot cache a {type(value).__name__} as a bag"
             )
-        if partition_key is not None and not (
-            bag.partitioner is not None
-            and bag.partitioner.matches(partition_key, bag.num_partitions)
-        ):
+        if partition_key is not None and not bag.partitioned_on(partition_key):
             bag = executor.shuffle_by_key(bag, partition_key)
         handle = self._store_cached(
             bag,

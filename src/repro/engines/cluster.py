@@ -47,11 +47,10 @@ class Partitioner:
     def matches(self, key: ScalarFn, num_partitions: int) -> bool:
         """Whether this partitioning satisfies the requested one
         (alpha-insensitive on the key's parameter names)."""
-        if self.num_partitions != num_partitions:
-            return False
-        if self.key == key:
-            return True
-        return self.key.canonical() == key.canonical()
+        return (
+            self.num_partitions == num_partitions
+            and self.key.alpha_equal(key)
+        )
 
 
 def _combine(tag: int, items: Any) -> int:
@@ -291,6 +290,23 @@ class PartitionedBag:
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
+
+    def partitioned_on(self, key: ScalarFn) -> bool:
+        """Whether the bag is already hash-partitioned on ``key``."""
+        return self.partitioner is not None and self.partitioner.matches(
+            key, self.num_partitions
+        )
+
+    def pair_partitioner(self, pos: int) -> Partitioner | None:
+        """The partitioning a join's output keeps from this input,
+        whose records it places in place as element ``pos`` of each
+        output pair."""
+        if self.partitioner is None:
+            return None
+        key = self.partitioner.key.over_pair(pos)
+        if key is None:
+            return None
+        return Partitioner(key, self.partitioner.num_partitions)
 
     def count(self) -> int:
         """Total number of records across partitions."""

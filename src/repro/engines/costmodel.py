@@ -94,50 +94,3 @@ class CostModel:
         return self.network_seconds(
             2.0 * moved_bytes / max(num_workers, 1)
         )
-
-
-@dataclass(frozen=True)
-class JoinObservation:
-    """Observed sizes and the decision taken at one join site."""
-
-    left_rows: int
-    left_bytes: int
-    right_rows: int
-    right_bytes: int
-    #: bytes the repartition realization would actually have to move
-    #: (excludes co-partitioned and hoisted sides)
-    moved_bytes: int
-    #: the strategy chosen for this observation
-    strategy: str
-
-
-class StatsCache:
-    """Per-run runtime statistics, keyed by plan ``node_id``.
-
-    The physical planner's plan-time choices are made from static
-    structure; at execution the observed cardinalities and byte sizes
-    are recorded here, and the next execution of the same plan node
-    (a later loop iteration) re-checks its strategy against the last
-    observation — a disagreement is an *adaptive switch*.  Cleared at
-    the start of every driver-program run, so runs stay deterministic
-    and reproducible in isolation.
-    """
-
-    def __init__(self) -> None:
-        #: last observation per join site
-        self.joins: dict[int, JoinObservation] = {}
-
-    def clear(self) -> None:
-        """Forget all observations (start of a driver-program run)."""
-        self.joins.clear()
-
-    def observe_join(
-        self, node_id: int, observation: JoinObservation
-    ) -> None:
-        """Record what a join site actually saw and chose."""
-        self.joins[node_id] = observation
-
-    def planned_strategy(self, node_id: int) -> str | None:
-        """The strategy the last observation of this site settled on."""
-        obs = self.joins.get(node_id)
-        return obs.strategy if obs is not None else None

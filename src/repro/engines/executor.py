@@ -58,7 +58,6 @@ from repro.engines.columnar import (
     infer_schema,
 )
 from repro.engines.cluster import PartitionedBag, Partitioner
-from repro.engines.costmodel import JoinObservation
 from repro.engines.metrics import JobRun
 from repro.engines.scheduler import (
     AggMapSpec,
@@ -80,6 +79,7 @@ from repro.engines.sizes import (
 )
 from repro.errors import EngineError, SimulatedMemoryError
 from repro.lowering.combinators import (
+    GROUP_KEY,
     CAggBy,
     CBagRef,
     CChain,
@@ -97,17 +97,12 @@ from repro.lowering.combinators import (
     CSource,
     CUnion,
     Combinator,
+    PhysProps,
     ScalarFn,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engines.base import Engine
-
-
-def _attr_key(var: str, attr: str) -> ScalarFn:
-    from repro.comprehension.exprs import Attr, Ref
-
-    return ScalarFn((var,), Attr(Ref(var), attr))
 
 
 class JobExecutor:
@@ -125,7 +120,9 @@ class JobExecutor:
         self.job = job
         self.parallelism = engine.cluster.parallelism
         self.num_workers = engine.cluster.num_workers
-        self._broadcast_memo: dict[int, DataBag] = {}
+        #: per-job broadcast memo, by value identity; the entry holds
+        #: the value so its id cannot be reused within the job
+        self._broadcast_memo: dict[int, tuple[Any, DataBag]] = {}
         self._worker_group_bytes = [0] * self.num_workers
         #: per-job DAG memo: a shared subplan (same combinator object
         #: consumed by several parents — diamond plans) executes once
@@ -831,9 +828,7 @@ class JobExecutor:
         all byte accounting stay exactly the row plane's.
         """
         tracer = self.engine.tracer
-        if bag.partitioner is not None and bag.partitioner.matches(
-            key_ir, bag.num_partitions
-        ):
+        if bag.partitioned_on(key_ir):
             self.engine.metrics.shuffles_elided += 1
             if tracer is not None:
                 tracer.event(
@@ -987,9 +982,9 @@ class JobExecutor:
         """Make a driver/bag value available on all workers as a DataBag."""
         from repro.engines.base import BagHandle, DeferredBag
 
-        memo_key = id(value)
-        if memo_key in self._broadcast_memo:
-            return self._broadcast_memo[memo_key]
+        cached = self._broadcast_memo.get(id(value))
+        if cached is not None and cached[0] is value:
+            return cached[1]
         if isinstance(value, DeferredBag):
             records = value.force_local()
         elif isinstance(value, BagHandle):
@@ -1027,7 +1022,7 @@ class JobExecutor:
                 records=len(records),
             )
         local = DataBag(records)
-        self._broadcast_memo[memo_key] = local
+        self._broadcast_memo[id(value)] = (value, local)
         return local
 
     # -- UDF compilation -------------------------------------------------------------
@@ -1239,8 +1234,8 @@ class JobExecutor:
         if not (
             lhoisted
             or rhoisted
-            or self._aligned(left, comb.kx)
-            or self._aligned(right, comb.ky)
+            or left.partitioned_on(comb.kx)
+            or right.partitioned_on(comb.ky)
         ):
             n_parts = self.parallelism
             ltasks = self._bucket_tasks(
@@ -1297,150 +1292,75 @@ class JobExecutor:
 
     # -- join strategy -----------------------------------------------------------------
 
-    def _aligned(self, bag: PartitionedBag, key_ir: ScalarFn) -> bool:
-        return bag.partitioner is not None and bag.partitioner.matches(
-            key_ir, bag.num_partitions
-        )
-
-    def _motion_free(
-        self,
-        child: Combinator,
-        bag: PartitionedBag,
-        key_ir: ScalarFn,
-        hoisted: bool,
+    def _broadcasts(
+        self, phys: PhysProps | None, build_bytes: int, moved_bytes: int
     ) -> bool:
-        """Whether repartitioning this side is (amortized) free.
+        """Whether a join broadcasts its build side (else repartitions).
 
-        Free when the side was served from the hoist cache, already
-        carries the required layout, or is loop-invariant (its one-time
-        shuffle amortizes to nothing over the iterations).
-        """
-        return (
-            hoisted
-            or self._aligned(bag, key_ir)
-            or self._hoist_key(child, key_ir) is not None
-        )
-
-    def _choose_broadcast(
-        self, build_bytes: int, moved_bytes: int
-    ) -> bool:
-        """Cost-based choice, bounded by the broadcast threshold.
-
-        The threshold stays a hard allowance (build sides above it never
-        broadcast — they would not fit the simulated workers' memory
-        budget); within the allowance the cost model compares shipping
-        the build side everywhere against moving the unaligned bytes.
+        The threshold is a hard allowance: build sides above it never
+        broadcast (they would not fit the simulated workers' memory
+        budget).  Without a plan annotation (``phys`` None) that is
+        the whole rule.  A planned ``repartition`` strategy stands,
+        since some side's shuffle is already free; otherwise the cost
+        model compares shipping the build side everywhere against
+        moving the ``moved_bytes`` that are not motion-free.
         """
         if build_bytes > self.engine.broadcast_join_threshold:
+            return False
+        if phys is None:
+            return True
+        if phys.strategy == "repartition":
             return False
         cost = self.engine.cost
         return cost.broadcast_join_seconds(
             build_bytes, self.engine.broadcast_factor
         ) < cost.repartition_join_seconds(moved_bytes, self.num_workers)
 
-    def _adaptive_choice(
+    def _join_sides(
         self,
-        comb: Combinator,
-        build_bytes: int,
-        moved_bytes: int,
-        left: PartitionedBag,
-        right: PartitionedBag,
-        lbytes: int,
-        rbytes: int,
-    ) -> bool:
-        """Pick broadcast vs repartition for a planner-annotated join.
+        comb: CEqJoin | CSemiJoin,
+        build: Callable[[int, int], int],
+    ) -> tuple:
+        """Resolve and key both join inputs, then choose the strategy.
 
-        The plan-time strategy is refined by the per-run statistics
-        cache: the site's previously *observed* choice is the planned
-        strategy on later executions, and a divergence (sizes drifted
-        across iterations) is surfaced as an ``adaptive_switches`` tick.
-        Returns True for broadcast.
+        Returns ``(left, lhoisted, right, rhoisted, cx, cy, lbytes,
+        rbytes, broadcast)``.  ``build`` maps the two sides' bytes to
+        the build side's; the physical plan is honoured only while
+        physical planning is on.
         """
-        stats = self.engine.stats
-        phys = comb.phys
-        if phys is not None and phys.strategy == "repartition":
-            # Static repartition: some side's motion is free (elidable
-            # or hoisted), so the shuffle is already (amortized) paid.
-            actual = "repartition"
-        else:
-            actual = (
-                "broadcast"
-                if self._choose_broadcast(build_bytes, moved_bytes)
-                else "repartition"
-            )
-        planned = stats.planned_strategy(comb.node_id)
-        if planned is None and phys is not None:
-            planned = phys.strategy
-        if planned not in (None, "cost") and planned != actual:
-            self.engine.metrics.adaptive_switches += 1
-            tracer = self.engine.tracer
-            if tracer is not None:
-                tracer.event(
-                    "adaptive-switch",
-                    ts=self.job.trace_ts(),
-                    planned=planned,
-                    actual=actual,
-                )
-        stats.observe_join(
-            comb.node_id,
-            JoinObservation(
-                left_rows=left.count(),
-                left_bytes=lbytes,
-                right_rows=right.count(),
-                right_bytes=rbytes,
-                moved_bytes=moved_bytes,
-                strategy=actual,
-            ),
-        )
-        return actual == "broadcast"
-
-    def _pair_partitioner(
-        self, partitioner: Partitioner | None, pos: int
-    ) -> Partitioner | None:
-        """A join input's partitioner lifted over the output pairs.
-
-        Join outputs are ``(left, right)`` tuples built in place, so a
-        hash partitioning of the surviving side carries over with its
-        key re-rooted at the pair element.
-        """
-        if partitioner is None or len(partitioner.key.params) != 1:
-            return None
-        key = partitioner.key
-        body = key.body.substitute(
-            {key.params[0]: Index(Ref("_j"), Const(pos))}
-        )
-        return Partitioner(
-            ScalarFn(("_j",), body), partitioner.num_partitions
-        )
-
-    # -- joins -------------------------------------------------------------------------
-
-    def _exec_eq_join(self, comb: CEqJoin) -> PartitionedBag:
         left, lhoisted = self._resolve_side(comb.left, comb.kx)
         right, rhoisted = self._resolve_side(comb.right, comb.ky)
         cx = self._udf_compilation(comb.kx)
         cy = self._udf_compilation(comb.ky)
         lbytes, rbytes = left.nbytes(), right.nbytes()
-        planned = (
-            comb.phys is not None and self.engine.physical_planning
+        phys = comb.phys if self.engine.physical_planning else None
+        moved = 0
+        if phys is not None:
+            # A side moves for free when it was served from the hoist
+            # cache, already carries the key's layout, or is loop-
+            # invariant (its one shuffle amortizes over the iterations).
+            for child, bag, key, hoisted, nbytes in (
+                (comb.left, left, comb.kx, lhoisted, lbytes),
+                (comb.right, right, comb.ky, rhoisted, rbytes),
+            ):
+                if not (
+                    hoisted
+                    or bag.partitioned_on(key)
+                    or self._hoist_key(child, key) is not None
+                ):
+                    moved += nbytes
+        broadcast = self._broadcasts(phys, build(lbytes, rbytes), moved)
+        return (
+            left, lhoisted, right, rhoisted, cx, cy, lbytes, rbytes, broadcast
         )
-        if planned:
-            lmoved = 0 if self._motion_free(comb.left, left, comb.kx, lhoisted) else lbytes
-            rmoved = 0 if self._motion_free(comb.right, right, comb.ky, rhoisted) else rbytes
-            broadcast = self._adaptive_choice(
-                comb,
-                min(lbytes, rbytes),
-                lmoved + rmoved,
-                left,
-                right,
-                lbytes,
-                rbytes,
-            )
-        else:
-            broadcast = (
-                min(lbytes, rbytes)
-                <= self.engine.broadcast_join_threshold
-            )
+
+    # -- joins -------------------------------------------------------------------------
+
+    def _exec_eq_join(self, comb: CEqJoin) -> PartitionedBag:
+        # The smaller side is the build side.
+        left, lhoisted, right, rhoisted, cx, cy, lbytes, rbytes, broadcast = (
+            self._join_sides(comb, min)
+        )
         if broadcast:
             # Broadcast join: ship the small side everywhere.
             self.engine.metrics.broadcast_joins += 1
@@ -1468,10 +1388,7 @@ class JobExecutor:
             for i, (p, rows) in enumerate(zip(big.partitions, out)):
                 self._charge_cpu(i, len(p) + len(rows))
             return PartitionedBag(
-                out,
-                self._pair_partitioner(
-                    big.partitioner, 1 if small_first else 0
-                ),
+                out, big.pair_partitioner(1 if small_first else 0)
             )
         # Repartition join.
         self.engine.metrics.repartition_joins += 1
@@ -1510,28 +1427,13 @@ class JobExecutor:
         )
         for i, ((lp, rp), rows) in enumerate(zip(pairs, out)):
             self._charge_cpu(i, len(lp) + len(rp) + len(rows))
-        return PartitionedBag(
-            out, self._pair_partitioner(left.partitioner, 0)
-        )
+        return PartitionedBag(out, left.pair_partitioner(0))
 
     def _exec_semi_join(self, comb: CSemiJoin) -> PartitionedBag:
-        left, lhoisted = self._resolve_side(comb.left, comb.kx)
-        right, rhoisted = self._resolve_side(comb.right, comb.ky)
-        cx = self._udf_compilation(comb.kx)
-        cy = self._udf_compilation(comb.ky)
-        lbytes, rbytes = left.nbytes(), right.nbytes()
-        planned = (
-            comb.phys is not None and self.engine.physical_planning
+        # The right side's key set is the build side.
+        left, lhoisted, right, rhoisted, cx, cy, _, _, broadcast = (
+            self._join_sides(comb, lambda _lbytes, rbytes: rbytes)
         )
-        if planned:
-            # The right side's key set is the build side.
-            lmoved = 0 if self._motion_free(comb.left, left, comb.kx, lhoisted) else lbytes
-            rmoved = 0 if self._motion_free(comb.right, right, comb.ky, rhoisted) else rbytes
-            broadcast = self._adaptive_choice(
-                comb, rbytes, lmoved + rmoved, left, right, lbytes, rbytes
-            )
-        else:
-            broadcast = rbytes <= self.engine.broadcast_join_threshold
         if broadcast:
             self.engine.metrics.broadcast_joins += 1
             # Broadcast strategy: ship the (small) right side's key set;
@@ -1665,7 +1567,7 @@ class JobExecutor:
                 ops *= math.log2(len(p))
             self._charge_cpu(i, ops)
             self._account_group_memory(i, sizes[i])
-        return PartitionedBag(out, _grp_partitioner(shuffled, "key"))
+        return PartitionedBag(out, _grp_partitioner(shuffled))
 
     def _plan_external_groups(self, sizes: list[int]) -> set[int]:
         """Partition indexes that must group externally, or empty.
@@ -1880,7 +1782,7 @@ class JobExecutor:
         )
         for i, (p, rows) in enumerate(zip(partial_bag.partitions, out)):
             self._charge_cpu(i, len(p) * n_algebras + len(rows))
-        return PartitionedBag(out, _grp_partitioner(partial_bag, "key"))
+        return PartitionedBag(out, _grp_partitioner(partial_bag))
 
     def _exec_distinct(self, comb: CDistinct) -> PartitionedBag:
         source = self._exec(comb.input)
@@ -1911,12 +1813,9 @@ class JobExecutor:
         # partitioner spares downstream joins/groupings a re-shuffle.
         partitioner = None
         if (
-            left.partitioner is not None
-            and right.partitioner is not None
+            right.partitioner is not None
             and left.num_partitions == right.num_partitions
-            and left.partitioner.matches(
-                right.partitioner.key, right.num_partitions
-            )
+            and left.partitioned_on(right.partitioner.key)
         ):
             partitioner = left.partitioner
         return PartitionedBag(out, partitioner)
@@ -1995,10 +1894,8 @@ def _index0():
     return Index(Ref("_p"), Const(0))
 
 
-def _grp_partitioner(
-    shuffled: PartitionedBag, attr: str
-) -> Partitioner | None:
-    """Partitioner for keyed outputs (Grp/AggResult records by ``attr``).
+def _grp_partitioner(shuffled: PartitionedBag) -> Partitioner | None:
+    """Partitioner for keyed outputs (Grp/AggResult records).
 
     The data was just hash-partitioned on the grouping key, so the
     keyed output records are hash-partitioned on their ``.key``
@@ -2006,9 +1903,7 @@ def _grp_partitioner(
     """
     if shuffled.partitioner is None:
         return None
-    return Partitioner(
-        _attr_key("_g", attr), shuffled.num_partitions
-    )
+    return Partitioner(GROUP_KEY, shuffled.num_partitions)
 
 
 JobExecutor._HANDLERS = {

@@ -67,9 +67,6 @@ class Metrics:
     #: loop-invariant shuffle inputs served from the per-run hoist
     #: cache instead of being recomputed and re-shuffled
     shuffles_hoisted: int = 0
-    #: joins whose runtime strategy differed from the plan-time choice
-    #: after the adaptive re-check against observed sizes
-    adaptive_switches: int = 0
 
     #: operators executed inside fused chains (physical pipelining)
     chained_operators: int = 0
@@ -253,11 +250,10 @@ class Metrics:
             f"dfs_w={_fmt_bytes(self.dfs_write_bytes)} "
             f"ops={self.element_ops}"
         )
-        if self.shuffles_elided or self.shuffles_hoisted or self.adaptive_switches:
+        if self.shuffles_elided or self.shuffles_hoisted:
             base += (
                 f" elided={self.shuffles_elided} "
-                f"hoisted={self.shuffles_hoisted} "
-                f"adaptive={self.adaptive_switches}"
+                f"hoisted={self.shuffles_hoisted}"
             )
         if self.parallel_tasks:
             base += (

@@ -41,7 +41,7 @@ from typing import Any, Callable, Optional
 
 from repro.comprehension.exprs import Attr, Call, Ref
 from repro.core.databag import DataBag
-from repro.core.stateful import _default_key
+from repro.core.stateful import KEY_ATTRS, _default_key
 from repro.engines.chainkernel import Udf
 from repro.engines.cluster import PartitionedBag, Partitioner, hash_partition_index
 from repro.engines.scheduler import PartitionTask, StateUpdateSpec
@@ -59,7 +59,7 @@ def _as_udf(fn: Any, params: tuple[str, ...]) -> Udf:
 
 def _default_key_udf(sample: Any) -> Udf:
     """The default key of elements like ``sample``: ``key``, else ``id``."""
-    for attr in ("key", "id"):
+    for attr in KEY_ATTRS:
         if hasattr(sample, attr):
             return Udf(("_s",), Attr(Ref("_s"), attr))
     raise EmmaError("stateful elements need a 'key' or 'id' attribute, or a key")
@@ -126,7 +126,8 @@ class DistributedStatefulBag:
     def update(self, u: Udf | Callable[[Any], Optional[Any]]) -> Any:
         """Point-wise update over all elements; returns the delta."""
         spec = StateUpdateSpec(_as_udf(u, ("_s",)), self._key)
-        return self._run("StatefulUpdate", spec, None, keys=self.count())
+        job = self.engine._new_job()
+        return self._run(job, "StatefulUpdate", spec, None, keys=self.count())
 
     def update_with_messages(
         self,
@@ -140,7 +141,7 @@ class DistributedStatefulBag:
         it is executed/collected as needed and shuffled to the state
         partitions by ``message_key`` (default: ``key``, else ``id``).
         """
-        message_bag = self._materialize_messages(messages)
+        job, message_bag = self._materialize_messages(messages)
         if message_key is None:
             sample = next(message_bag.records(), None)
             # With no message to route, any key routes them alike.
@@ -149,6 +150,7 @@ class DistributedStatefulBag:
             route = _as_udf(message_key, ("_s",))
         spec = StateUpdateSpec(_as_udf(u, ("_s", "_m")), self._key, route)
         return self._run(
+            job,
             "StatefulUpdateWithMessages",
             spec,
             message_bag,
@@ -158,6 +160,7 @@ class DistributedStatefulBag:
 
     def _run(
         self,
+        job: Any,
         label: str,
         spec: StateUpdateSpec,
         message_bag: PartitionedBag | None,
@@ -171,7 +174,6 @@ class DistributedStatefulBag:
         """
         from repro.engines.executor import JobExecutor
 
-        job = self.engine._new_job()
         tracer = self.engine.tracer
         if tracer is not None:
             span = tracer.begin(label, "operator", ts=job.trace_ts(), **attrs)
@@ -292,30 +294,39 @@ class DistributedStatefulBag:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _materialize_messages(self, messages: Any) -> PartitionedBag:
+    def _materialize_messages(
+        self, messages: Any
+    ) -> tuple[Any, PartitionedBag]:
+        """The update job, and the messages as a partitioned bag.
+
+        A deferred bag runs as a job of its own first.  A cached bag is
+        read inside the update job, through the engine's cache-read
+        path: lost partitions recover, spilled ones reload, and the
+        read is charged.
+        """
         from repro.engines.base import BagHandle, DeferredBag
         from repro.engines.executor import JobExecutor
 
-        if isinstance(messages, PartitionedBag):
-            return messages
         if isinstance(messages, DeferredBag):
             job = self.engine._new_job()
-            bag = JobExecutor(self.engine, messages.env, job).run_bag(
+            messages = JobExecutor(self.engine, messages.env, job).run_bag(
                 messages.root
             )
             self.engine._finish_job(job)
-            return bag
-        if isinstance(messages, BagHandle):
-            return messages.bag
-        if isinstance(messages, DataBag):
+        elif isinstance(messages, DataBag):
             messages = messages.fetch()
         if isinstance(messages, (list, tuple)):
-            return PartitionedBag.from_records(
+            messages = PartitionedBag.from_records(
                 list(messages), len(self._partitions)
             )
-        raise EmmaError(
-            f"cannot use {type(messages).__name__} as update messages"
-        )
+        elif not isinstance(messages, (PartitionedBag, BagHandle)):
+            raise EmmaError(
+                f"cannot use {type(messages).__name__} as update messages"
+            )
+        job = self.engine._new_job()
+        if isinstance(messages, BagHandle):
+            messages = self.engine._read_cached(messages, job)
+        return job, messages
 
     def _delta_handle(self, delta_parts: list[list[Any]]) -> Any:
         from repro.engines.base import BagHandle

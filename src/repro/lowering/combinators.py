@@ -25,8 +25,11 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.comprehension.exprs import (
     AlgebraSpec,
+    Attr,
+    Const,
     Env,
     Expr,
+    Index,
     Lambda,
     Ref,
     compile_scalar,
@@ -147,6 +150,23 @@ class ScalarFn:
             body=self.body.substitute(mapping),
         )
 
+    def alpha_equal(self, other: "ScalarFn") -> bool:
+        """Whether the two UDFs differ at most in parameter names —
+        the one key equality of the planner's predicted partitionings
+        and of the executor's run-time partitioners."""
+        return self == other or self.canonical() == other.canonical()
+
+    def over_pair(self, pos: int) -> "ScalarFn | None":
+        """This key lifted over element ``pos`` of a join's output
+        pair: the partitioning a join output keeps from the input at
+        ``pos``.  None unless the key takes one parameter."""
+        if len(self.params) != 1:
+            return None
+        body = self.body.substitute(
+            {self.params[0]: Index(Ref("_j"), Const(pos))}
+        )
+        return ScalarFn(("_j",), body)
+
     def is_identity(self) -> bool:
         """Whether the UDF is ``x -> x`` (elidable as a map)."""
         return (
@@ -158,6 +178,11 @@ class ScalarFn:
     def describe(self) -> str:
         """A one-line lambda rendering for plan explanations."""
         return f"\\{', '.join(self.params)} -> {pretty(self.body)}"
+
+
+#: the partitioning key of a grouping's output: its ``Grp`` /
+#: ``AggResult`` records are hash-partitioned on ``.key``
+GROUP_KEY = ScalarFn(("_g",), Attr(Ref("_g"), "key"))
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,16 @@ classified as
 * ``required`` — the data genuinely moves.
 
 Join nodes additionally get a plan-time **strategy** annotation:
-``"repartition"`` when either side's motion is free (elidable or
-hoistable amortized over the loop), else ``"cost"`` — deferring to the
-executor's runtime comparison of broadcast vs repartition seconds from
-:class:`~repro.engines.costmodel.CostModel` estimates, refined by the
-per-run :class:`~repro.engines.costmodel.StatsCache` of observed sizes.
+``"repartition"`` when either side's motion is free (elidable), else
+``"cost"`` — deferring to the executor's runtime comparison of
+broadcast vs repartition seconds from
+:class:`~repro.engines.costmodel.CostModel` estimates over the sizes
+the join actually sees (a hoistable side is priced at zero there).
+
+The partitioning-key rules (alpha-insensitive key equality, a key
+lifted over a join's output pair, a grouping's output key) are the
+ones the executor propagates with, from
+:mod:`repro.lowering.combinators`.
 
 The pass is purely annotational: results never depend on it (the
 executor re-checks every delivered partitioning against the actual
@@ -44,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from repro.comprehension.exprs import Attr, Const, Index, Ref
+from repro.comprehension.exprs import Attr, Ref
+from repro.core.stateful import KEY_ATTRS
 from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
@@ -54,6 +60,7 @@ from repro.frontend.driver_ir import (
     Stmt,
 )
 from repro.lowering.combinators import (
+    GROUP_KEY,
     CAggBy,
     CBagRef,
     CChain,
@@ -77,10 +84,6 @@ from repro.lowering.combinators import (
 ELIDABLE = "elidable"
 HOISTABLE = "hoistable"
 REQUIRED = "required"
-
-#: state-record attributes a stateful bag hash-partitions on (see
-#: :class:`repro.engines.stateful.DistributedStatefulBag`)
-_STATE_KEY_ATTRS = ("key", "id")
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def _annotate(
             "repartition" if ELIDABLE in (lm, rm) else "cost"
         )
         delivered = (
-            _pair_key(node.kx, 0) if strategy == "repartition" else None
+            node.kx.over_pair(0) if strategy == "repartition" else None
         )
         stats.decisions.append(
             f"{node.describe()}: strategy={strategy} "
@@ -205,9 +208,7 @@ def _annotate(
         motion, refs = _classify(inp, node.key, ctx)
         stats.count(motion)
         out = replace(node, input=_with_motion(inp, motion, refs))
-        return out.with_phys(
-            PhysProps(delivered=ScalarFn(("_g",), Attr(Ref("_g"), "key")))
-        )
+        return out.with_phys(PhysProps(delivered=GROUP_KEY))
     if isinstance(
         node, (CMap, CFlatMap, CFilter, CChain, CDistinct, CFold)
     ):
@@ -238,7 +239,7 @@ def _classify(
 ) -> tuple[str, tuple[str, ...]]:
     """How a shuffle-feeding input satisfies its required partitioning."""
     delivered = _delivered(node, ctx)
-    if delivered is not None and _same_key(delivered, required):
+    if delivered is not None and delivered.alpha_equal(required):
         return ELIDABLE, ()
     if _is_stateful_ref(node, ctx) and _is_state_key(required):
         # A stateful bag's dataflow view is hash-partitioned on the
@@ -296,7 +297,7 @@ def _delivered(node: Combinator, ctx: PlanContext) -> ScalarFn | None:
             return _delivered(node.input, ctx)
         return None
     if isinstance(node, (CGroupBy, CAggBy)):
-        return ScalarFn(("_g",), Attr(Ref("_g"), "key"))
+        return GROUP_KEY
     if isinstance(node, CEqJoin):
         props = node.phys
         if props is not None and props.delivered is not None:
@@ -310,30 +311,13 @@ def _delivered(node: Combinator, ctx: PlanContext) -> ScalarFn | None:
     if isinstance(node, CUnion):
         left = _delivered(node.left, ctx)
         right = _delivered(node.right, ctx)
-        if left is not None and right is not None and _same_key(left, right):
+        if left is not None and right is not None and left.alpha_equal(right):
             return left
         return None
     return None
 
 
 # -- small helpers -----------------------------------------------------------
-
-
-def _same_key(a: ScalarFn, b: ScalarFn) -> bool:
-    return (
-        len(a.params) == len(b.params)
-        and a.canonical() == b.canonical()
-    )
-
-
-def _pair_key(k: ScalarFn, pos: int) -> ScalarFn | None:
-    """``k`` lifted over element ``pos`` of an output pair."""
-    if len(k.params) != 1:
-        return None
-    body = k.body.substitute(
-        {k.params[0]: Index(Ref("_j"), Const(pos))}
-    )
-    return ScalarFn(("_j",), body)
 
 
 def _is_stateful_ref(node: Combinator, ctx: PlanContext) -> bool:
@@ -346,5 +330,5 @@ def _is_state_key(key: ScalarFn) -> bool:
         and isinstance(key.body, Attr)
         and isinstance(key.body.obj, Ref)
         and key.body.obj.name == key.params[0]
-        and key.body.name in _STATE_KEY_ATTRS
+        and key.body.name in KEY_ATTRS
     )

@@ -91,7 +91,7 @@ from repro.optimizer.reorder import ReorderStats, reorder_operators
 #: the knobs that are rows of the paper's Table 1
 TABLE1 = ("unnesting", "fold_group_fusion", "caching", "partition_pulling")
 #: accepted values of ``EmmaConfig.udf_reordering``
-UDF_REORDERING_MODES = ("auto", "off", True, False)
+UDF_REORDERING_MODES = ("auto", "off")
 
 
 def _plan(default: Any, engine: str | tuple[str, str] | None = None) -> Any:

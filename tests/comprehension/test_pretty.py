@@ -136,6 +136,32 @@ class TestComprehensionRendering:
         )
         assert pretty(comp).endswith("]]^fold(sum)")
 
+    def test_fold_comprehension_shows_its_algebra(self):
+        # The key of a keyed fold and a fused head and guard are part
+        # of what the fold computes.
+        key = Lambda(("c",), Attr(Ref("c"), "d"))
+        fused = AlgebraSpec(
+            "min_by",
+            (key,),
+            head=Attr(Ref("y"), "pos"),
+            guards=(Compare(">", Ref("y"), Const(0)),),
+            var="y",
+        )
+        comp = Comprehension(
+            head=Ref("x"),
+            qualifiers=(Generator("x", Ref("xs")),),
+            kind=FoldKind(fused),
+        )
+        assert pretty(comp).endswith(
+            "]]^fold(min_by((\\c -> c.d))[\\y -> y.pos | (y > 0)])"
+        )
+        guarded = AlgebraSpec(
+            "count", guards=(Compare(">", Ref("y"), Const(0)),), var="y"
+        )
+        assert pretty(FoldCall(Ref("xs"), guarded)) == (
+            "xs.count()[\\y -> y | (y > 0)]"
+        )
+
     def test_exists_arrows(self):
         comp = Comprehension(
             head=Ref("e"),

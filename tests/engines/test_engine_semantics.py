@@ -258,6 +258,30 @@ class TestDistributedStateful:
         collected = eng.collect(delta)
         assert [s.id for s in collected] == [1]
 
+    def test_cached_messages_reload_spilled_partitions(self):
+        # A one-byte budget spills the cached messages as soon as they
+        # are stored; the update reads them back like any consumer.
+        eng = _spark(memory_budget=1)
+        state = self._state(eng, 4)
+        messages = eng.cache(DataBag([S(1, 5), S(3, 1)]))
+        delta = state.update_with_messages(
+            messages, lambda s, m: replace(s, value=s.value + m.value)
+        )
+        assert sorted(eng.collect(delta), key=repr) == [S(1, 15), S(3, 31)]
+
+    def test_cached_messages_charge_their_dfs_read(self):
+        eng = _flink()
+        state = self._state(eng, 4)
+        messages = eng.cache(DataBag([S(1, 5), S(3, 1)]))
+        before = eng.metrics.dfs_read_bytes
+        seconds = eng.metrics.simulated_seconds
+        state.update_with_messages(
+            messages, lambda s, m: replace(s, value=s.value + m.value)
+        )
+        assert eng.metrics.dfs_read_bytes - before == messages.bag.nbytes()
+        # The read is part of the update's one job.
+        assert eng.metrics.simulated_seconds > seconds
+
     def test_duplicate_keys_rejected(self):
         eng = _spark()
         with pytest.raises(EmmaError, match="duplicate"):

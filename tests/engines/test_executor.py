@@ -15,6 +15,7 @@ from repro.comprehension.exprs import (
 from repro.core.databag import DataBag
 from repro.engines.cluster import ClusterConfig
 from repro.engines.costmodel import CostModel
+from repro.engines.executor import JobExecutor
 from repro.engines.sparklike import SparkLikeEngine
 from repro.errors import EngineError, SimulatedMemoryError
 from repro.lowering.combinators import (
@@ -385,6 +386,23 @@ class TestBroadcastUdfs:
         # One broadcast despite two UDFs referencing the same bag.
         W = eng.cluster.num_workers
         assert eng.metrics.records_broadcast == 1 * W
+
+    def test_broadcast_memo_does_not_outlive_its_value(self):
+        # The memo is keyed by identity.  A temporary freed after its
+        # broadcast must not hand its records, uncharged, to a later
+        # value that CPython places at the same address.
+        eng = engine()
+        ex = JobExecutor(eng, {}, eng._new_job())
+        first = [1, 2, 3]
+        ex.broadcast_value(first)
+        del first
+        charged = eng.metrics.broadcast_bytes
+        second = [4, 5, 6, 7]
+        assert ex.broadcast_value(second).fetch() == [4, 5, 6, 7]
+        assert eng.metrics.broadcast_bytes > charged
+        # One value broadcast twice is still shipped once.
+        xs = [8, 9]
+        assert ex.broadcast_value(xs) is ex.broadcast_value(xs)
 
     def test_scalar_free_variables_are_closed_over(self):
         plan = CMap(

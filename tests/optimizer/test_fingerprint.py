@@ -66,7 +66,7 @@ class TestPlanFingerprint:
         base = EmmaConfig(columnar="off", columnar_exchange="off")
         fp = plan_fingerprint(tpch_q1.lifted.program, base)
         for knob, value in (
-            ("udf_reordering", False),
+            ("udf_reordering", "off"),
             ("columnar", "on"),
             ("columnar_exchange", "on"),
             ("physical_planning", False),

@@ -143,9 +143,16 @@ class TestPlanKnobValidation:
             off = False if isinstance(value, bool) else "off"
             assert getattr(EmmaConfig(**{knob: off}), knob) == off
 
-    @pytest.mark.parametrize("value", ["auto", "off", True, False])
+    @pytest.mark.parametrize("value", ["auto", "off"])
     def test_udf_reordering_accepted(self, value):
         assert EmmaConfig(udf_reordering=value).udf_reordering == value
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_udf_reordering_rejects_bool(self, value):
+        # A bool selects the same plan as its string but would key a
+        # plan-cache entry of its own.
+        with pytest.raises(EngineError, match="udf_reordering"):
+            EmmaConfig(udf_reordering=value)
 
     def test_env_typo_rejected(self, no_plane_env):
         no_plane_env.setenv("REPRO_COLUMNAR_EXCHANGE", "yes")
