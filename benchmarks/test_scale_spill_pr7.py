@@ -13,11 +13,6 @@ fixed 256 KiB one:
 * **The budget actually bites.**  The budgeted PageRank run must
   evict real partitions through real temp files and reload them; the
   numbers are printed and exported to ``BENCH_pr7.json`` in CI.
-* **File-backed shuffle relief.**  In processes mode the budget also
-  enables the file-backed shuffle: large task payloads cross the
-  process boundary as spill-file refs, so pickled IPC traffic must
-  drop by at least 10x against the inline-shipping run while spill
-  file traffic absorbs the difference.
 """
 
 import time
@@ -154,22 +149,11 @@ def test_pagerank_out_of_core_at_10x(benchmark):
     # Unlimited runs never touch the spill tier.
     for mode in MODES:
         assert stats[f"{mode}_b0"]["spilled"] == 0
-    # File-backed shuffle: the budgeted process-pool run ships refs,
-    # not partitions — pickled IPC must collapse by at least 10x.
-    inline = stats["processes_b0"]["ipc"]
-    filed = stats[f"processes_b{BUDGET}"]["ipc"]
-    assert filed * 10 < inline, (inline, filed)
-    assert stats[f"processes_b{BUDGET}"]["spill_r"] > 0
 
 
 def test_tpch_q1_out_of_core_at_10x(benchmark):
     stats = run_once(benchmark, _run_q1)
     _print_rows("tpch_q1", stats)
-    assert stats["identical"], "the budget changed an observable"
     # Q1 is a single scan-aggregate job: nothing stays resident long
-    # enough to evict, so the budget must be *harmless* here — and the
-    # file-backed shuffle must still relieve the process-pool IPC.
-    inline = stats["processes_b0"]["ipc"]
-    filed = stats[f"processes_b{BUDGET}"]["ipc"]
-    assert filed * 10 < inline, (inline, filed)
-    assert stats[f"processes_b{BUDGET}"]["spill_r"] > 0
+    # enough to evict, so the budget must be *harmless* here.
+    assert stats["identical"], "the budget changed an observable"

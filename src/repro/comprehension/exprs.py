@@ -760,13 +760,24 @@ def compile_scalar(
     the compiled function's globals.  Returns ``None`` when the body
     falls outside the compilable subset or a free name is unbound — the
     caller keeps the interpreting closure in that case
-    (:func:`fallback_reason` says why).
+    (:func:`compile_scalar_or_reason` also says why).
     """
+    return compile_scalar_or_reason(params, body, env)[0]
+
+
+def compile_scalar_or_reason(
+    params: tuple[str, ...],
+    body: Expr,
+    env: "Env | Mapping[str, Any] | None",
+) -> tuple[Callable | None, str | None]:
+    """``(function, None)``, or ``(None, reason)`` when the body stays
+    interpreted: :func:`compile_scalar` and its fallback reason from
+    one emit."""
     try:
         src, namespace = _emit_scalar(params, body, Env.of(env).lookup)
-    except NotCompilable:
-        return None
-    return compile_scalar_source(params, src, namespace)
+    except NotCompilable as exc:
+        return None, str(exc)
+    return compile_scalar_source(params, src, namespace), None
 
 
 #: stands for the value of every free name when no environment is given

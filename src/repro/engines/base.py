@@ -37,7 +37,7 @@ from repro.engines.cluster import ClusterConfig, PartitionedBag
 from repro.engines.costmodel import CostModel
 from repro.engines.dfs import SimulatedDFS
 from repro.engines.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.engines.metrics import JobRun, Metrics
+from repro.engines.metrics import JobRun, Metrics, counters_moved_by
 from repro.engines.tracing import RuntimeTracer
 from repro.errors import EngineError, SimulatedTimeout
 from repro.lowering.combinators import Combinator, ScalarFn
@@ -45,6 +45,10 @@ from repro.lowering.combinators import Combinator, ScalarFn
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engines.scheduler import TaskScheduler
     from repro.optimizer.pipeline import EmmaConfig
+
+#: the counters whose per-job deltas a job span reports: those the
+#: planes or the memory budget move
+_SPAN_COUNTERS = counters_moved_by("plane", "budget")
 
 
 class DeferredBag:
@@ -256,11 +260,11 @@ class Engine:
         from repro.engines.spill import SpillManager, default_memory_budget
 
         #: the driver's out-of-core layer: residency tracking, LRU
-        #: spill-to-disk, the file-backed shuffle service, and the
-        #: per-run hoist cache for loop-invariant shuffled inputs —
-        #: keys ``("hoist", (node id, canonical key, parallelism, input
-        #: handle identities))`` of ``spill.store``, dropped by
-        #: :meth:`begin_run` and on worker loss
+        #: spill-to-disk, and the per-run hoist cache for
+        #: loop-invariant shuffled inputs — keys ``("hoist", (node id,
+        #: canonical key, parallelism, input handle identities))`` of
+        #: ``spill.store``, dropped by :meth:`begin_run` and on worker
+        #: loss
         self.spill = SpillManager(self)
         self.configure_memory(
             memory_budget
@@ -291,8 +295,6 @@ class Engine:
         """
         self.spill.configure(budget)
         self.attach_plan_cache(self.plan_cache)
-        if self._scheduler is not None:
-            self._scheduler.spill = self.spill if self.spill.active else None
 
     def configure_columnar(self, mode: str) -> None:
         """Select the columnar data plane mode (``auto``/``on``/``off``)."""
@@ -358,7 +360,6 @@ class Engine:
             self._scheduler = TaskScheduler(
                 mode=self.execution_mode,
                 max_parallel_tasks=self.max_parallel_tasks,
-                spill=self.spill if self.spill.active else None,
             )
         return self._scheduler
 
@@ -696,25 +697,7 @@ class Engine:
                 job_index=index,
                 workers=self.cluster.num_workers,
             )
-        job.columnar_start = (
-            self.metrics.columnar_batches_built,
-            self.metrics.columnar_kernels,
-            self.metrics.columnar_fallbacks,
-        )
-        job.exchange_start = (
-            self.metrics.columnar_shuffles,
-            self.metrics.columnar_joins,
-            self.metrics.columnar_groups,
-            self.metrics.columnar_blocks_shipped,
-        )
-        job.spill_start = (
-            self.metrics.spill_bytes_written,
-            self.metrics.spill_bytes_read,
-            self.metrics.partitions_spilled,
-            self.metrics.partitions_reloaded,
-            self.metrics.external_merge_passes,
-            self.metrics.budget_evictions,
-        )
+            job.counters_start = self.metrics.snapshot()
         self.spill.begin_job(job)
         job.wall_started = time.perf_counter()
         return job
@@ -730,61 +713,14 @@ class Engine:
         self.metrics.wall_clock_seconds += wall
         self.spill.end_job()
         if self.tracer is not None and job.span is not None:
-            extra: dict[str, Any] = {}
-            batches = (
-                self.metrics.columnar_batches_built
-                - job.columnar_start[0]
-            )
-            kernels = (
-                self.metrics.columnar_kernels - job.columnar_start[1]
-            )
-            fallbacks = (
-                self.metrics.columnar_fallbacks - job.columnar_start[2]
-            )
-            if batches or kernels or fallbacks:
-                extra["columnar_batches"] = batches
-                extra["columnar_kernels"] = kernels
-                extra["columnar_fallbacks"] = fallbacks
-            exchange_now = (
-                self.metrics.columnar_shuffles,
-                self.metrics.columnar_joins,
-                self.metrics.columnar_groups,
-                self.metrics.columnar_blocks_shipped,
-            )
-            if exchange_now != job.exchange_start:
-                names = (
-                    "columnar_shuffles",
-                    "columnar_joins",
-                    "columnar_groups",
-                    "columnar_blocks_shipped",
-                )
-                for name, now, start in zip(
-                    names, exchange_now, job.exchange_start
-                ):
-                    if now - start:
-                        extra[name] = now - start
-            spill_now = (
-                self.metrics.spill_bytes_written,
-                self.metrics.spill_bytes_read,
-                self.metrics.partitions_spilled,
-                self.metrics.partitions_reloaded,
-                self.metrics.external_merge_passes,
-                self.metrics.budget_evictions,
-            )
-            if spill_now != job.spill_start:
-                names = (
-                    "spill_bytes_written",
-                    "spill_bytes_read",
-                    "partitions_spilled",
-                    "partitions_reloaded",
-                    "external_merge_passes",
-                    "budget_evictions",
-                )
-                for name, now, start in zip(
-                    names, spill_now, job.spill_start
-                ):
-                    if now - start:
-                        extra[name] = now - start
+            # Per-job deltas of the plane and budget counters, under
+            # their own names, where the job moved them.
+            now, start = self.metrics, job.counters_start
+            extra = {
+                name: getattr(now, name) - getattr(start, name)
+                for name in _SPAN_COUNTERS
+                if getattr(now, name) != getattr(start, name)
+            }
             self.tracer.end_at_duration(
                 job.span,
                 job_time,

@@ -108,7 +108,6 @@ from repro.comprehension.exprs import (
     Ref,
     TupleExpr,
     UnaryOp,
-    fallback_reason,
 )
 from repro.core.databag import DataBag
 from repro.engines.columnar import (
@@ -167,11 +166,7 @@ class Udf:
 
     @cached_property
     def _compiled(self) -> tuple[Callable, str | None]:
-        fn = ScalarFn(self.params, self.body)
-        closure, native = fn.compile_native(self.bindings)
-        if native:
-            return closure, None
-        return closure, fallback_reason(self.params, self.body, self.bindings)
+        return ScalarFn(self.params, self.body).compile_native(self.bindings)
 
     @property
     def closure(self) -> Callable:

@@ -37,8 +37,8 @@ class SimulatedDFS:
 
     Besides the simulated record store, the DFS owns a **spill tier**:
     a lazily created host temp directory holding *real* byte files for
-    the out-of-core layer (evicted partitions, external-merge runs,
-    file-backed shuffle payloads).  Spill files are host-resource
+    the out-of-core layer (evicted partitions and hoisted bags,
+    external-merge runs).  Spill files are host-resource
     mechanics, not simulated cluster state — reads and writes through
     the spill tier charge no simulated time and are accounted only in
     the engine's ``spill_bytes_written``/``spill_bytes_read`` metrics.

@@ -169,10 +169,9 @@ class Metrics:
     # move — results, simulated_seconds, and fault schedules stay
     # bit-identical spill-on vs spill-off.
     #: real bytes written to the DFS spill tier (evictions, external
-    #: merge runs, file-backed shuffle payloads)
+    #: merge runs)
     spill_bytes_written: int = _moved_by("budget")
-    #: real bytes read back from the spill tier (reloads, merges,
-    #: worker-side shuffle-file resolution)
+    #: real bytes read back from the spill tier (reloads, merges)
     spill_bytes_read: int = _moved_by("budget")
     #: resident partitions evicted to spill files under budget pressure
     partitions_spilled: int = _moved_by("budget")
@@ -375,9 +374,10 @@ class Metrics:
         )
 
 
-def counters_moved_by(*axes: str) -> frozenset[str]:
-    """The :class:`Metrics` counters declared on any of ``axes``."""
-    return frozenset(
+def counters_moved_by(*axes: str) -> tuple[str, ...]:
+    """The :class:`Metrics` counters declared on any of ``axes``, in
+    declaration order."""
+    return tuple(
         f.name for f in fields(Metrics) if f.metadata.get("axis") in axes
     )
 
@@ -412,16 +412,9 @@ class JobRun:
         #: host ``perf_counter`` at job start, for the *measured*
         #: ``wall_clock_seconds`` (distinct from the simulated clock)
         self.wall_started = 0.0
-        #: columnar counter snapshot (batches, kernels, fallbacks) at
-        #: job start — the job span reports the per-job deltas
-        self.columnar_start = (0, 0, 0)
-        #: exchange counter snapshot (shuffles, joins, groups, shipped
-        #: blocks) at job start — the job span reports per-job deltas
-        self.exchange_start = (0, 0, 0, 0)
-        #: spill counter snapshot (bytes written, bytes read, spilled,
-        #: reloaded, external merges, evictions) at job start — the job
-        #: span reports the per-job deltas
-        self.spill_start = (0, 0, 0, 0, 0, 0)
+        #: the engine's counters at job start, taken only when the job
+        #: is traced — the job span reports the per-job deltas
+        self.counters_start: Metrics | None = None
 
     def charge_worker(self, worker: int, seconds: float) -> None:
         """Add busy time to one worker (index wraps)."""

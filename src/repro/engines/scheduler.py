@@ -15,15 +15,17 @@ in dispatch only:
   partition crosses a real process boundary, the paper's transparent
   data motion.  It is slower than ``serial`` on every shipped
   workload; it exists to prove that nothing a task needs is left
-  behind in the driver.  :func:`ship_task` is the one doorway: it
-  pickles each spec once per fan-out (a spec ships its UDFs as
-  *source*, one :class:`~repro.engines.chainkernel.Udf` each: IR +
-  bindings, never a compiled kernel or closure) and encodes each
-  partition through :func:`~repro.engines.spill.encode_payload`.  A
-  worker keys its memo of built artifacts on the SHA-256 of the spec's
-  pickle bytes, so a loop that ships the same spec every iteration
-  builds it once per worker process.  Bytes crossing the boundary are
-  counted in ``Metrics.ipc_bytes_shipped`` / ``ipc_bytes_returned``.
+  behind in the driver.  :func:`ship_task` is the one doorway and
+  the one owner of the wire format: it pickles each spec once per
+  fan-out (a spec ships its UDFs as *source*, one
+  :class:`~repro.engines.chainkernel.Udf` each: IR + bindings, never a
+  compiled kernel or closure) and each partition once (a
+  :class:`~repro.engines.columnar.ColumnBatch` pickles as its packed
+  typed buffers).  A worker keys its memo of built artifacts on the
+  SHA-256 of the spec's pickle bytes, so a loop that ships the same
+  spec every iteration builds it once per worker process.  Bytes
+  crossing the boundary are counted in ``Metrics.ipc_bytes_shipped``
+  / ``ipc_bytes_returned``.
 
 Three invariants make the ``processes`` backend a faithful differential
 test:
@@ -80,12 +82,6 @@ from repro.engines.columnar import (
 )
 from repro.engines.cluster import stable_hash
 from repro.engines.metrics import Metrics
-from repro.engines.spill import (
-    SpillFileRef,
-    decode_payload,
-    encode_payload,
-    load_payload_file,
-)
 from repro.errors import EmmaError, EngineError
 from repro.lowering.combinators import AggResult
 
@@ -642,7 +638,7 @@ def _worker_init(paths: list[str]) -> None:
             sys.path.append(p)
 
 
-def _process_entry(spec_bytes: bytes, data: Any) -> bytes:
+def _process_entry(spec_bytes: bytes, data_bytes: bytes) -> bytes:
     """Worker-side task body: rehydrate (or memo-serve), run, pickle back.
 
     The memo keys on the spec's own bytes.  Equal bytes unpickle to
@@ -650,9 +646,6 @@ def _process_entry(spec_bytes: bytes, data: Any) -> bytes:
     a hit can never be stale, and it skips the unpickle as well; a
     pickle that differs for equal content only costs a rebuild, and so
     does a spec evicted as least recently used.
-    ``data`` is the ``(codec, buffer)`` pair :func:`ship_task` encoded,
-    or a :class:`~repro.engines.spill.SpillFileRef` the worker resolves
-    against the shared host filesystem.
     """
     key = hashlib.sha256(spec_bytes).digest()
     hit = _WORKER_MEMO.pop(key, None)  # re-inserted as the newest
@@ -661,12 +654,8 @@ def _process_entry(spec_bytes: bytes, data: Any) -> bytes:
             del _WORKER_MEMO[next(iter(_WORKER_MEMO))]
         spec = pickle.loads(spec_bytes)
     spec, prepared = _WORKER_MEMO[key] = hit or (spec, spec.build())
-    if isinstance(data, SpillFileRef):
-        data = load_payload_file(data)
-    else:
-        data = decode_payload(*data)
     return pickle.dumps(
-        (spec.run(prepared, data), hit is None),
+        (spec.run(prepared, pickle.loads(data_bytes)), hit is None),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
@@ -717,21 +706,17 @@ atexit.register(_shutdown_pool)
 
 
 def ship_task(
-    task: PartitionTask, specs: dict[TaskSpec, bytes], spill: Any = None
-) -> tuple[bytes, Any]:
-    """Serialize one task for a worker: ``(spec bytes, data)``.
+    task: PartitionTask, specs: dict[TaskSpec, bytes]
+) -> tuple[bytes, bytes]:
+    """Serialize one task for a worker: ``(spec_bytes, data_bytes)``.
 
-    This is the only doorway through which work leaves the driver.
+    This is the only doorway through which work leaves the driver, and
+    the only owner of its wire format: both halves are plain pickles.
     The spec pickles once per fan-out (``specs`` keeps the bytes of
-    each spec object already shipped).  The partition is encoded once
-    by :func:`~repro.engines.spill.encode_payload` and ships inline as
-    ``(codec, buffer)``, or — given the engine's
-    :class:`~repro.engines.spill.SpillManager` under a memory budget,
-    and a buffer of at least ``shuffle_file_min_bytes`` — is written to
-    the spill tier and ships as a small
-    :class:`~repro.engines.spill.SpillFileRef`.  A UDF that captured an
-    unpicklable object (an open file, a lock, a lambda) surfaces here
-    as a clear :class:`EngineError` naming the task — never as a raw
+    each spec object already shipped); the partition pickles once per
+    task.  A UDF or partition that captured an unpicklable object (an
+    open file, a lock, a lambda) surfaces here as a clear
+    :class:`EngineError` naming the task — never as a raw
     ``PicklingError`` from deep inside the pool.
     """
     spec = task.spec
@@ -741,7 +726,9 @@ def ship_task(
             spec_bytes = specs[spec] = pickle.dumps(
                 spec, protocol=pickle.HIGHEST_PROTOCOL
             )
-        codec, buf = encode_payload(task.data)
+        data_bytes = pickle.dumps(
+            task.data, protocol=pickle.HIGHEST_PROTOCOL
+        )
     except Exception as exc:
         raise EngineError(
             f"task {task.label or spec.kind!r} cannot cross a process "
@@ -749,9 +736,7 @@ def ship_task(
             f"not picklable ({type(exc).__name__}: {exc}); falling "
             f"back to in-process execution"
         ) from exc
-    if spill is not None and len(buf) >= spill.shuffle_file_min_bytes:
-        return spec_bytes, spill.put_shuffle_file(codec, buf)
-    return spec_bytes, (codec, buf)
+    return spec_bytes, data_bytes
 
 
 # -- the scheduler ----------------------------------------------------------
@@ -771,7 +756,6 @@ class TaskScheduler:
         self,
         mode: str = "serial",
         max_parallel_tasks: int = 0,
-        spill: Any = None,
     ) -> None:
         if mode not in EXECUTION_MODES:
             raise EngineError(
@@ -783,10 +767,6 @@ class TaskScheduler:
         self.width = max_parallel_tasks or (os.cpu_count() or 1)
         #: (name, attrs) pairs for the engine to drain into its tracer
         self.events: list[tuple[str, dict[str, Any]]] = []
-        #: the engine's :class:`~repro.engines.spill.SpillManager` when
-        #: a finite memory budget enables the file-backed shuffle —
-        #: large processes-mode payloads then travel as spill-file refs
-        self.spill = spill
 
     # -- public API --------------------------------------------------------
 
@@ -839,38 +819,25 @@ class TaskScheduler:
 
         Every payload is built before the first submit, so a task that
         cannot cross the boundary falls back before anything ran or
-        was counted.  Shuffle spill files shipped for the fan-out are
-        deleted when it ends; a file-backed partition counts in the
-        ``spill_*`` counters, not in ``ipc_bytes_shipped``.
+        was counted.
         """
         specs: dict[TaskSpec, bytes] = {}
-        payloads: list[tuple[bytes, Any]] = []
-        try:
-            for task in tasks:
-                payloads.append(ship_task(task, specs, self.spill))
-            pool = _shared_process_pool(self.width)
-            futures = [
-                pool.submit(_process_entry, spec_bytes, data)
-                for spec_bytes, data in payloads
-            ]
-            if futures:
-                metrics.parallel_stages += 1
-            metrics.parallel_tasks += len(futures)
-            for spec_bytes, data in payloads:
-                metrics.ipc_bytes_shipped += len(spec_bytes)
-                if isinstance(data, SpillFileRef):
-                    self.spill.count_ref(data)
-                else:
-                    metrics.ipc_bytes_shipped += len(data[1])
-            results = []
-            for future in futures:
-                raw = future.result()
-                metrics.ipc_bytes_returned += len(raw)
-                result, rehydrated = pickle.loads(raw)
-                metrics.kernels_rehydrated += rehydrated
-                results.append(result)
-            return results
-        finally:
-            for _, data in payloads:
-                if isinstance(data, SpillFileRef):
-                    self.spill.delete_ref(data)
+        payloads = [ship_task(task, specs) for task in tasks]
+        pool = _shared_process_pool(self.width)
+        futures = [
+            pool.submit(_process_entry, spec_bytes, data_bytes)
+            for spec_bytes, data_bytes in payloads
+        ]
+        if futures:
+            metrics.parallel_stages += 1
+        metrics.parallel_tasks += len(futures)
+        for spec_bytes, data_bytes in payloads:
+            metrics.ipc_bytes_shipped += len(spec_bytes) + len(data_bytes)
+        results = []
+        for future in futures:
+            raw = future.result()
+            metrics.ipc_bytes_returned += len(raw)
+            result, rehydrated = pickle.loads(raw)
+            metrics.kernels_rehydrated += rehydrated
+            results.append(result)
+        return results

@@ -34,14 +34,6 @@ clients, each telling it per entry how that entry leaves memory:
 * :class:`~repro.engines.plancache.PlanCache` — **write-through
   entries**: the file exists from the moment of the store, so eviction
   only drops the blob and a reload keeps the file.
-
-The module also provides the **file-backed shuffle service** for the
-process-pool backend: large task payloads are written once to the
-spill tier and a small :class:`SpillFileRef` crosses the process
-boundary instead; their bytes count as spill traffic, not IPC.
-Row payloads travel as pickles; :class:`~repro.engines.columnar.
-ColumnBatch` payloads travel as typed buffer dumps (dtype + raw
-buffer per column).
 """
 
 from __future__ import annotations
@@ -52,11 +44,6 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.engines.columnar import (
-    ColumnBatch,
-    pack_column,
-    unpack_column,
-)
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,116 +74,6 @@ def default_memory_budget() -> int:
             f"REPRO_MEMORY_BUDGET={budget} must be >= 0 (0 = unlimited)"
         )
     return budget
-
-
-# -- payload codecs ----------------------------------------------------------
-
-#: codec names used in spill files and shuffle refs
-CODEC_PICKLE = "pickle"
-CODEC_BATCH = "batch"
-#: a tuple payload mixing :class:`ColumnBatch` elements with plain
-#: values — the shape of a columnar join-probe's ``(left, right)``
-#: pair; each batch element takes the typed buffer dump
-CODEC_BLOCKS = "blocks"
-
-
-def dump_batch(batch: ColumnBatch) -> bytes:
-    """Serialize a :class:`ColumnBatch` as packed typed buffers.
-
-    Delegates to :func:`repro.engines.columnar.pack_column` — the same
-    compact form batches pickle as across the process-pool boundary
-    (raw buffers for numeric columns, string tuples for fixed-width
-    unicode) — so spill files and shuffle blocks share one codec.
-    """
-    return pickle.dumps(
-        (
-            batch.schema,
-            tuple(pack_column(c) for c in batch.columns),
-            batch.nrows,
-        ),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def load_batch(buf: bytes) -> ColumnBatch:
-    """Rebuild a :class:`ColumnBatch` from :func:`dump_batch` output."""
-    schema, cols, nrows = pickle.loads(buf)
-    try:
-        rebuilt = tuple(unpack_column(*c) for c in cols)
-    except RuntimeError as exc:  # pragma: no cover - cross-host guard
-        raise EngineError(str(exc)) from exc
-    return ColumnBatch(schema, rebuilt, nrows)
-
-
-def encode_payload(data: Any) -> tuple[str, bytes]:
-    """Serialize spillable data: ``(codec, bytes)``.
-
-    Row partitions (and any other Python value) pickle; column batches
-    take the typed buffer dump; tuples containing batches (a columnar
-    join pair, possibly with one row-mode side) dump each batch element
-    as typed buffers and pickle the rest.
-    """
-    if isinstance(data, ColumnBatch):
-        return CODEC_BATCH, dump_batch(data)
-    if isinstance(data, tuple) and any(
-        isinstance(el, ColumnBatch) for el in data
-    ):
-        parts = tuple(
-            ("batch", dump_batch(el))
-            if isinstance(el, ColumnBatch)
-            else ("obj", pickle.dumps(el, protocol=pickle.HIGHEST_PROTOCOL))
-            for el in data
-        )
-        return CODEC_BLOCKS, pickle.dumps(
-            parts, protocol=pickle.HIGHEST_PROTOCOL
-        )
-    return CODEC_PICKLE, pickle.dumps(
-        data, protocol=pickle.HIGHEST_PROTOCOL
-    )
-
-
-def decode_payload(codec: str, buf: bytes) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    if codec == CODEC_BATCH:
-        return load_batch(buf)
-    if codec == CODEC_BLOCKS:
-        return tuple(
-            load_batch(raw) if tag == "batch" else pickle.loads(raw)
-            for tag, raw in pickle.loads(buf)
-        )
-    return pickle.loads(buf)
-
-
-@dataclass(frozen=True)
-class SpillFileRef:
-    """A pointer to one spill file, shipped in place of its contents.
-
-    In the file-backed shuffle, a task payload above the size threshold
-    is written once to the spill tier and this small ref crosses the
-    process boundary instead; the worker resolves it with
-    :func:`load_payload_file`.
-    """
-
-    path: str
-    codec: str
-    nbytes: int
-
-
-def load_payload_file(ref: SpillFileRef) -> Any:
-    """Worker-side resolution of a shipped :class:`SpillFileRef`.
-
-    Reads the host file directly (workers share the host filesystem
-    with the driver); raises :class:`~repro.errors.EngineError` if the
-    file disappeared, which the scheduler's serial fallback absorbs.
-    """
-    try:
-        with open(ref.path, "rb") as f:
-            buf = f.read()
-    except OSError as exc:
-        raise EngineError(
-            f"shuffle spill file vanished: {ref.path!r} ({exc})"
-        ) from exc
-    return decode_payload(ref.codec, buf)
 
 
 # -- the budgeted store ------------------------------------------------------
@@ -528,10 +405,6 @@ class SpillManager:
     a partition out from under an operator that already holds the bag.
     """
 
-    #: payloads below this many serialized bytes ship inline over IPC
-    #: rather than through a shuffle spill file
-    shuffle_file_min_bytes = 16 * 1024
-
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.store = BudgetedStore(
@@ -715,20 +588,3 @@ class SpillManager:
         key = ("batch", self._uid)
         self.store.put(key, weakref.ref(source), nbytes, _Batches(self))
         weakref.finalize(source, self.store.discard, key)
-
-    # -- the file-backed shuffle service -----------------------------------
-
-    def put_shuffle_file(self, codec: str, buf: bytes) -> SpillFileRef:
-        """Write one encoded task payload to the spill tier."""
-        path = self.engine.dfs.spill_put_bytes(buf, tag="shuffle")
-        return SpillFileRef(path, codec, len(buf))
-
-    def count_ref(self, ref: SpillFileRef) -> None:
-        """Account one shipped shuffle file: written by the driver, read
-        back by the worker that resolves it."""
-        self.engine.metrics.spill_bytes_written += ref.nbytes
-        self.engine.metrics.spill_bytes_read += ref.nbytes
-
-    def delete_ref(self, ref: SpillFileRef) -> None:
-        """Remove one shuffle spill file after its stage completed."""
-        self.engine.dfs.spill_delete(ref.path)

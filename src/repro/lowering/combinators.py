@@ -32,7 +32,7 @@ from repro.comprehension.exprs import (
     Index,
     Lambda,
     Ref,
-    compile_scalar,
+    compile_scalar_or_reason,
     fallback_reason,
     field_names,
     walk,
@@ -81,21 +81,21 @@ class ScalarFn:
 
     def compile_native(
         self, env: Env | Mapping[str, Any]
-    ) -> tuple[Callable, bool]:
+    ) -> tuple[Callable, str | None]:
         """Close over ``env``, preferring a natively compiled closure.
 
-        Returns ``(callable, native)``: ``native`` is True when the
+        Returns ``(callable, reason)``: ``reason`` is ``None`` when the
         body compiled to a plain Python function via ``compile()`` (the
-        hot path no longer walks the expression AST) and False when it
-        fell back to the tree-walking interpreter (exotic nodes, or a
-        free name only resolvable at call time).  Both forms have
-        identical semantics.
+        hot path no longer walks the expression AST), and otherwise
+        says why it fell back to the tree-walking interpreter (exotic
+        nodes, or a free name only resolvable at call time).  Both
+        forms have identical semantics.
         """
         env = Env.of(env)
-        fn = compile_scalar(self.params, self.body, env)
+        fn, reason = compile_scalar_or_reason(self.params, self.body, env)
         if fn is not None:
-            return fn, True
-        return Lambda(self.params, self.body).evaluate(env), False
+            return fn, None
+        return Lambda(self.params, self.body).evaluate(env), reason
 
     def hoist_closed_bags(self) -> tuple["ScalarFn", dict[str, Expr]]:
         """Move each maximal closed bag-typed subexpression out of the body.

@@ -179,8 +179,8 @@ class TestNativeCodegen:
 class TestScalarFnIntegration:
     def test_compile_native_reports_nativeness(self):
         fn = ScalarFn(("x",), BinOp("+", Ref("x"), Const(1)))
-        compiled, native = fn.compile_native({})
-        assert native
+        compiled, reason = fn.compile_native({})
+        assert reason is None
         assert compiled(41) == 42
 
     def test_compile_native_fallback(self):
@@ -188,8 +188,8 @@ class TestScalarFnIntegration:
             BagLiteral(ListExpr((Const(1), Const(2)))), Lambda(("y",), Ref("y"))
         )
         fn = ScalarFn(("x",), body)
-        compiled, native = fn.compile_native({})
-        assert not native
+        compiled, reason = fn.compile_native({})
+        assert "MapCall" in reason
         assert list(compiled(0)) == [1, 2]
 
 
@@ -342,3 +342,20 @@ class TestFallbackReason:
         assert not udf.native and "MapCall" in udf.fallback
         assert Udf(("x",), Ref("x")).fallback is None
         assert "_compiled" not in vars(pickle.loads(pickle.dumps(udf)))
+
+    def test_an_interpreted_udf_is_emitted_once(self, monkeypatch):
+        from repro.comprehension import exprs
+        from repro.engines.chainkernel import Udf
+
+        calls = []
+        emit = exprs._emit_scalar
+
+        def counting(params, body, lookup):
+            calls.append(params)
+            return emit(params, body, lookup)
+
+        monkeypatch.setattr(exprs, "_emit_scalar", counting)
+        udf = Udf(("x",), MapCall(Ref("x"), Lambda(("y",), Ref("y"))))
+        assert list(udf.closure([1, 2])) == [1, 2]
+        assert "MapCall" in udf.fallback
+        assert len(calls) == 1

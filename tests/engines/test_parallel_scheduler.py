@@ -238,7 +238,8 @@ class TestShipOnce:
         shipped = [ship_task(t, specs) for t in tasks]
         assert len(specs) == 1
         assert metrics.ipc_bytes_shipped == sum(
-            len(spec_bytes) + len(buf) for spec_bytes, (_, buf) in shipped
+            len(spec_bytes) + len(data_bytes)
+            for spec_bytes, data_bytes in shipped
         )
 
     def test_each_spec_pickles_once_per_fan_out(self):
@@ -288,8 +289,8 @@ class TestShipOnce:
         shipped = []
         ship = scheduler_module.ship_task
 
-        def recording(task, specs, spill=None):
-            payload = ship(task, specs, spill)
+        def recording(task, specs):
+            payload = ship(task, specs)
             shipped[-1].add(payload[0])
             return payload
 

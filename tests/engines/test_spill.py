@@ -1,13 +1,12 @@
 """Tests for the memory-budgeted out-of-core spill layer.
 
 Covers the :class:`~repro.engines.spill.SpillManager` contract: the
-budget is a *host* resource — evictions, reloads, external merges, and
-file-backed shuffles must never change results, ``simulated_seconds``,
-or fault schedules.  Only wall clock and the ``spill_*`` counters move.
+budget is a *host* resource — evictions, reloads and external merges
+must never change results, ``simulated_seconds``, or fault schedules.
+Only wall clock and the ``spill_*`` counters move.
 """
 
 import pickle
-import threading
 from array import array
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ import pytest
 
 from repro.comprehension.exprs import AlgebraSpec, Attr, Ref
 from repro.core.databag import DataBag
+from repro.engines.chainkernel import Udf
 from repro.engines.cluster import ClusterConfig
 from repro.engines.columnar import (
     HAS_NUMPY,
@@ -28,24 +28,14 @@ from repro.engines.columnar import (
 from repro.engines.costmodel import CostModel
 from repro.engines.metrics import Metrics
 from repro.engines.scheduler import (
-    KernelSpec,
+    JoinProbeSpec,
     PartitionTask,
     TaskScheduler,
+    _process_entry,
     ship_task,
 )
 from repro.engines.sparklike import SparkLikeEngine
-from repro.engines.spill import (
-    CODEC_BATCH,
-    CODEC_PICKLE,
-    SpilledPartition,
-    SpillFileRef,
-    decode_payload,
-    default_memory_budget,
-    dump_batch,
-    encode_payload,
-    load_batch,
-    load_payload_file,
-)
+from repro.engines.spill import SpilledPartition, default_memory_budget
 from repro.errors import EngineError, SimulatedMemoryError
 from repro.lowering.combinators import (
     CBagRef,
@@ -95,22 +85,27 @@ class TestDefaultMemoryBudget:
 
 
 class TestPayloadCodecs:
+    """A task payload crosses the process boundary as its own pickle:
+    a :class:`ColumnBatch` pickles as its packed typed buffers."""
+
+    @staticmethod
+    def _round_trip(data):
+        return pickle.loads(
+            pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+
     def test_rows_round_trip_via_pickle(self):
         rows = [R(1, 2), R(3, 4)]
-        codec, buf = encode_payload(rows)
-        assert codec == CODEC_PICKLE
-        assert decode_payload(codec, buf) == rows
+        assert self._round_trip(rows) == rows
 
     def test_batch_round_trips_typed_buffers(self):
         batch, reason = batch_from_records([R(1, 10), R(2, 20), R(3, 30)])
         assert batch is not None, reason
-        codec, buf = encode_payload(batch)
-        assert codec == CODEC_BATCH
-        out = decode_payload(codec, buf)
+        out = self._round_trip(batch)
         assert isinstance(out, ColumnBatch)
         assert out.schema.signature() == batch.schema.signature()
         assert out.to_records() == batch.to_records()
-        # Typed dump, not a row pickle: column types survive exactly.
+        # Typed buffers, not a row pickle: column types survive exactly.
         for orig, back in zip(batch.columns, out.columns):
             assert type(back) is type(orig)
 
@@ -123,7 +118,7 @@ class TestPayloadCodecs:
             fields += ["f_np", "f_str"]
         schema = ColumnSchema("tuple", tuple(fields))
         batch = ColumnBatch(schema, tuple(cols), 2)
-        out = load_batch(dump_batch(batch))
+        out = self._round_trip(batch)
         assert out.nrows == 2
         for orig, back in zip(batch.columns, out.columns):
             assert type(back) is type(orig)
@@ -134,8 +129,21 @@ class TestPayloadCodecs:
         # A bare list column has no typed buffer: it must still survive.
         schema = ColumnSchema("scalar", ("_0",))
         batch = ColumnBatch(schema, ([1, "two", 3.0],), 3)
-        out = load_batch(dump_batch(batch))
+        out = self._round_trip(batch)
         assert list(out.columns[0]) == [1, "two", 3.0]
+
+    def test_a_mixed_join_pair_ships_and_runs_as_serial(self):
+        # The columnar join probe's payload: a batch beside a row list.
+        left, reason = batch_from_records([R(i % 4, i) for i in range(12)])
+        assert left is not None, reason
+        right = [R(k, -k) for k in (0, 2, 2, 5)]
+        key = Udf(("x",), Attr(Ref("x"), "k"))
+        spec = JoinProbeSpec(key, key, x_schema=left.schema)
+        task = PartitionTask(0, spec, (left, right), "join")
+        serial = TaskScheduler("serial").run_stage([task])[0]
+        assert serial
+        result, _ = pickle.loads(_process_entry(*ship_task(task, {})))
+        assert result == serial
 
 
 class TestSpilledPartitionSentinel:
@@ -280,71 +288,6 @@ class TestExternalGroupMerge:
         assert eng.metrics.external_merge_passes == 0
 
 
-def ship(eng, data):
-    """``ship_task`` for one identity-chain task under ``eng``'s spill."""
-    task = PartitionTask(0, KernelSpec([]), data, "t")
-    return ship_task(task, {}, eng.spill)
-
-
-#: a partition whose encoding reaches ``shuffle_file_min_bytes``
-LARGE = [("pad%06d" % i * 8, i) for i in range(1000)]
-
-
-class TestFileBackedShuffle:
-    def test_small_payloads_ship_inline(self):
-        eng = engine(memory_budget=1 << 20)
-        data = list(range(10))
-        _, shipped = ship(eng, data)
-        assert shipped == encode_payload(data)
-        assert eng.dfs.spill_file_count() == 0
-
-    def test_large_payloads_ship_as_refs(self):
-        eng = engine(memory_budget=1 << 20)
-        _, ref = ship(eng, LARGE)
-        assert isinstance(ref, SpillFileRef)
-        assert ref.codec == CODEC_PICKLE
-        assert ref.nbytes >= eng.spill.shuffle_file_min_bytes
-        # Only the tiny ref crosses the pipe.
-        assert len(pickle.dumps(ref)) < 1024
-        assert load_payload_file(ref) == LARGE
-        eng.spill.count_ref(ref)
-        assert eng.metrics.spill_bytes_written == ref.nbytes
-        assert eng.metrics.spill_bytes_read == ref.nbytes
-        eng.spill.delete_ref(ref)
-        assert eng.dfs.spill_file_count() == 0
-
-    def test_refs_are_deleted_after_the_fan_out(self):
-        eng = engine(memory_budget=1 << 20)
-        tasks = [PartitionTask(i, KernelSpec([]), LARGE) for i in range(3)]
-        scheduler = TaskScheduler("processes", 2, spill=eng.spill)
-        metrics = Metrics()
-        out = scheduler.run_stage(tasks, metrics=metrics)
-        assert out == TaskScheduler("serial").run_stage(tasks)
-        assert metrics.serial_fallbacks == 0
-        assert eng.metrics.spill_bytes_written > 0
-        assert eng.dfs.spill_file_count() == 0
-
-    def test_a_fan_out_that_falls_back_leaves_no_ref(self):
-        # The refs written for the first two tasks are deleted and
-        # never counted: the third cannot be shipped.
-        eng = engine(memory_budget=1 << 20)
-        tasks = [PartitionTask(i, KernelSpec([]), LARGE) for i in range(2)]
-        tasks.append(PartitionTask(2, KernelSpec([]), [threading.Lock()]))
-        scheduler = TaskScheduler("processes", 2, spill=eng.spill)
-        metrics = Metrics()
-        scheduler.run_stage(tasks, metrics=metrics)
-        assert metrics.serial_fallbacks == 1
-        assert eng.metrics.spill_bytes_written == 0
-        assert eng.dfs.spill_file_count() == 0
-
-    def test_vanished_file_raises_engine_error(self):
-        eng = engine(memory_budget=1 << 20)
-        _, ref = ship(eng, LARGE)
-        eng.spill.delete_ref(ref)
-        with pytest.raises(EngineError, match="vanished"):
-            load_payload_file(ref)
-
-
 class TestSpillMetricsSurface:
     def test_summary_is_quiet_without_spills(self):
         eng = engine(memory_budget=0)
@@ -369,6 +312,18 @@ class TestSpillMetricsSurface:
         reloads = [e for e in events if e.name == "spill:reload"]
         assert evicts and evicts[0].attrs["kind"] == "cache-partition"
         assert reloads and "bytes" in reloads[0].attrs
+
+    def test_job_span_reports_the_jobs_spill_delta(self):
+        eng = engine(memory_budget=1024)
+        tracer = eng.enable_tracing()
+        handle = eng.cache(DataBag(list(range(400))))
+        before = eng.metrics.snapshot()
+        eng.run_scalar(sum_plan(), {"d": handle})
+        delta = eng.metrics.delta_since(before)
+        assert delta.spill_bytes_written > 0
+        job = [s for s in tracer.spans() if s.cat == "job"][-1]
+        assert job.attrs["spill_bytes_written"] == delta.spill_bytes_written
+        assert job.attrs["spill_bytes_read"] == delta.spill_bytes_read
 
     def test_squeeze_event_attaches_to_trace(self):
         from repro.engines.faults import FaultEvent, MEMORY_SQUEEZE, FaultPlan

@@ -6,6 +6,10 @@ lowering rules.  Data motion (hoisting closed bags out of UDFs) is a
 compiler pass, so the executor has no reason to call back into the
 compiler.  ``plancache.py`` is the one exception: it compiles a program
 on a cache miss.
+
+Two rules keep the task wire format in one place: ``scheduler.py``
+owns it (a payload is its pickle), so the spill layer knows nothing of
+the columnar plane and the scheduler nothing of the spill layer.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ COMPILER = (
 EXEMPT = {"plancache.py"}
 
 
-def compiler_imports(path: Path) -> list[str]:
-    """``module:line`` of every import of a compiler module in ``path``."""
+def imports_of(path: Path, modules=COMPILER) -> list[str]:
+    """``module:line`` of every import of one of ``modules`` (default:
+    the compiler modules) in ``path``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
@@ -39,7 +44,7 @@ def compiler_imports(path: Path) -> list[str]:
         hits = [
             name
             for name in names
-            if any(name == m or name.startswith(m + ".") for m in COMPILER)
+            if any(name == m or name.startswith(m + ".") for m in modules)
         ]
         if hits:
             found.append(f"{hits[0]}:{node.lineno}")
@@ -55,7 +60,7 @@ def test_the_scan_sees_the_engines():
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - EXEMPT))
 def test_engine_module_imports_no_compiler_pass(module):
-    assert compiler_imports(ENGINES / module) == []
+    assert imports_of(ENGINES / module) == []
 
 
 def test_the_scan_finds_function_level_imports(tmp_path):
@@ -65,7 +70,18 @@ def test_the_scan_finds_function_level_imports(tmp_path):
         "    from repro.comprehension.normalize import normalize\n"
         "    from repro.lowering import rules\n"
     )
-    assert compiler_imports(probe) == [
+    assert imports_of(probe) == [
         "repro.comprehension.normalize:2",
         "repro.lowering.rules:3",
     ]
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("spill.py", "repro.engines.columnar"),
+        ("scheduler.py", "repro.engines.spill"),
+    ],
+)
+def test_the_wire_format_has_one_owner(module, forbidden):
+    assert imports_of(ENGINES / module, (forbidden,)) == []
