@@ -173,11 +173,6 @@ class Engine:
     group_spill_to_disk = False
     #: max estimated bytes of a build side for broadcast join strategy
     broadcast_join_threshold = 4 * 1024 * 1024
-    #: partitioning-aware physical planning at runtime: cost-based join
-    #: strategy choice on annotated plans, loop-invariant shuffle
-    #: hoisting, and partitioner propagation through maps (toggled per
-    #: run by ``EmmaConfig.physical_planning``)
-    physical_planning = True
 
     def __init__(
         self,

@@ -325,9 +325,10 @@ class JobExecutor:
         hash-partitioned on that field/position.  Matched structurally:
         one constructor argument of a plain dataclass call (no
         ``__post_init__``) or one tuple component must equal the
-        partition-key body applied to the map's parameter.
+        partition-key body applied to the map's parameter.  Only a map
+        the physical-planning pass planned (``phys`` set) propagates.
         """
-        if not self.engine.physical_planning:
+        if comb.phys is None:
             return None
         partitioner = source.partitioner
         if partitioner is None or len(partitioner.key.params) != 1:
@@ -1162,8 +1163,6 @@ class JobExecutor:
         the *same* cached bag handle — rebinding a name to a new handle
         (a re-cache) naturally invalidates the entry via ``id()``.
         """
-        if not self.engine.physical_planning:
-            return None
         props = child.phys
         if props is None or props.motion != "hoistable":
             return None
@@ -1325,15 +1324,15 @@ class JobExecutor:
 
         Returns ``(left, lhoisted, right, rhoisted, cx, cy, lbytes,
         rbytes, broadcast)``.  ``build`` maps the two sides' bytes to
-        the build side's; the physical plan is honoured only while
-        physical planning is on.
+        the build side's; a plan compiled without physical planning
+        carries no ``phys`` to honour.
         """
         left, lhoisted = self._resolve_side(comb.left, comb.kx)
         right, rhoisted = self._resolve_side(comb.right, comb.ky)
         cx = self._udf_compilation(comb.kx)
         cy = self._udf_compilation(comb.ky)
         lbytes, rbytes = left.nbytes(), right.nbytes()
-        phys = comb.phys if self.engine.physical_planning else None
+        phys = comb.phys
         moved = 0
         if phys is not None:
             # A side moves for free when it was served from the hoist

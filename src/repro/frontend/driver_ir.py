@@ -11,22 +11,77 @@ a plain ``while`` loop should work on every backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, ClassVar, Iterator
 
 from repro.comprehension.exprs import Expr
 from repro.lowering.combinators import ScalarFn
 
+#: the declared types of a statement's own expressions, and of its
+#: nested blocks
+_EXPR_TYPES = ("Expr", "Expr | None")
+_BLOCK_TYPE = "tuple[Stmt, ...]"
+
 
 @dataclass(frozen=True)
 class Stmt:
-    """Base class for driver statements."""
+    """Base class for driver statements.
+
+    A statement's structure is read off its field declarations, once
+    per class: the fields declared ``Expr`` hold its own expressions,
+    the fields declared ``tuple[Stmt, ...]`` its nested blocks.
+    ``loop`` marks the statements whose blocks run once per iteration.
+    """
+
+    #: per class: its fields declared ``Expr`` (or ``Expr | None``)
+    expr_fields: ClassVar[tuple[str, ...]] = ()
+    #: per class: its fields declared ``tuple[Stmt, ...]``
+    block_fields: ClassVar[tuple[str, ...]] = ()
+    #: whether the nested blocks run repeatedly (a driver loop)
+    loop: ClassVar[bool] = False
 
     #: source line in the user's function (for error messages)
     line: int = field(default=0, compare=False)
 
-    def children(self) -> tuple["Stmt", ...]:
-        """Nested statement blocks (loop/branch bodies)."""
-        return ()
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # The declarations in dataclass field order: base classes first.
+        declared: dict[str, str] = {}
+        for klass in reversed(cls.__mro__):
+            declared.update(vars(klass).get("__annotations__", {}))
+        cls.expr_fields = tuple(
+            name for name, kind in declared.items() if kind in _EXPR_TYPES
+        )
+        cls.block_fields = tuple(
+            name for name, kind in declared.items() if kind == _BLOCK_TYPE
+        )
+
+    def children(self) -> tuple[Stmt, ...]:
+        """The statements of the nested blocks (loop/branch bodies)."""
+        names = self.block_fields
+        if not names:
+            return ()
+        return sum([getattr(self, name) for name in names], ())
+
+    def rebuild(
+        self,
+        exprs: Callable[[Expr], Expr] | None = None,
+        blocks: Callable[[tuple[Stmt, ...]], tuple[Stmt, ...]] | None = None,
+    ) -> Stmt:
+        """This statement with ``exprs`` applied to each of its own
+        expressions and ``blocks`` to each nested block (``None`` maps
+        nothing); ``self`` when nothing changed.  An absent optional
+        expression is not mapped."""
+        changes: dict[str, object] = {}
+        for names, fn in (
+            (self.expr_fields, exprs),
+            (self.block_fields, blocks),
+        ):
+            for name in names if fn else ():
+                old = getattr(self, name)
+                new = None if old is None else fn(old)
+                if new is not old:
+                    changes[name] = new
+        return replace(self, **changes) if changes else self
 
 
 @dataclass(frozen=True)
@@ -52,11 +107,10 @@ class SExpr(Stmt):
 class SWhile(Stmt):
     """``while cond: body`` — host-level control flow."""
 
+    loop = True
+
     cond: Expr = None  # type: ignore[assignment]
     body: tuple[Stmt, ...] = ()
-
-    def children(self) -> tuple[Stmt, ...]:
-        return self.body
 
 
 @dataclass(frozen=True)
@@ -67,9 +121,6 @@ class SIf(Stmt):
     then: tuple[Stmt, ...] = ()
     orelse: tuple[Stmt, ...] = ()
 
-    def children(self) -> tuple[Stmt, ...]:
-        return self.then + self.orelse
-
 
 @dataclass(frozen=True)
 class SFor(Stmt):
@@ -79,12 +130,11 @@ class SFor(Stmt):
     iterated inside comprehensions, never by driver ``for`` loops.
     """
 
+    loop = True
+
     var: str = ""
     iterable: Expr = None  # type: ignore[assignment]
     body: tuple[Stmt, ...] = ()
-
-    def children(self) -> tuple[Stmt, ...]:
-        return self.body
 
 
 @dataclass(frozen=True)
@@ -109,15 +159,32 @@ class SCache(Stmt):
 def stmt_exprs(stmt: Stmt) -> tuple[Expr, ...]:
     """The expressions directly attached to a statement (not those of
     its nested blocks)."""
-    if isinstance(stmt, (SAssign, SExpr)):
-        return (stmt.value,)
-    if isinstance(stmt, (SWhile, SIf)):
-        return (stmt.cond,)
-    if isinstance(stmt, SFor):
-        return (stmt.iterable,)
-    if isinstance(stmt, SReturn):
-        return (stmt.value,) if stmt.value is not None else ()
-    return ()
+    values = [getattr(stmt, name) for name in stmt.expr_fields]
+    return tuple([value for value in values if value is not None])
+
+
+def repeats_exprs(stmt: Stmt) -> bool:
+    """Whether a statement evaluates its own expressions once per loop
+    iteration (a ``while`` condition) rather than once per execution."""
+    return isinstance(stmt, SWhile)
+
+
+def walk(stmts: tuple[Stmt, ...]) -> Iterator[Stmt]:
+    """All statements of a block and its nested blocks, outer-to-inner."""
+    for s in stmts:
+        yield s
+        yield from walk(s.children())
+
+
+def assigned_names(stmt: Stmt) -> set[str]:
+    """Names assigned anywhere within a statement tree."""
+    names: set[str] = set()
+    for s in walk((stmt,)):
+        if isinstance(s, SAssign):
+            names.add(s.name)
+        elif isinstance(s, SFor):
+            names.add(s.var)
+    return names
 
 
 @dataclass(frozen=True)
@@ -132,17 +199,19 @@ class DriverProgram:
 
     def walk(self) -> Iterator[Stmt]:
         """All statements, outer-to-inner."""
-
-        def _walk(stmts: tuple[Stmt, ...]) -> Iterator[Stmt]:
-            for s in stmts:
-                yield s
-                yield from _walk(s.children())
-
-        return _walk(self.body)
+        return walk(self.body)
 
     def with_body(self, body: tuple[Stmt, ...]) -> "DriverProgram":
         """A copy of the program with a rewritten statement list."""
         return replace(self, body=body)
+
+
+def loop_mutated_names(program: DriverProgram) -> frozenset[str]:
+    """Names assigned inside any loop of the driver program (a ``for``
+    loop's variable included)."""
+    return frozenset().union(
+        *(assigned_names(s) for s in program.walk() if s.loop)
+    )
 
 
 def pretty_program(program: DriverProgram) -> str:

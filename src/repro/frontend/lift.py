@@ -73,6 +73,7 @@ from repro.frontend.driver_ir import (
     SReturn,
     SWhile,
     Stmt,
+    assigned_names,
     stmt_exprs,
 )
 
@@ -200,18 +201,12 @@ def _capture_environment(
     fn: Callable, program: DriverProgram, params: tuple[str, ...]
 ) -> dict[str, Any]:
     """Resolve the program's free names from closure, globals, builtins."""
-    assigned = {
-        s.name for s in program.walk() if isinstance(s, SAssign)
-    }
     free: set[str] = set()
     for stmt in program.walk():
         for expr in stmt_exprs(stmt):
             free |= expr.free_vars()
-    free -= assigned
+    free -= set().union(*map(assigned_names, program.body))
     free -= set(params)
-    for stmt in program.walk():
-        if isinstance(stmt, SFor):
-            free.discard(stmt.var)
 
     closure: dict[str, Any] = {}
     if fn.__closure__:

@@ -1,17 +1,20 @@
 """The driver interpreter — executes lifted programs on a backend.
 
-Two execution paths, selected by the engine:
+One statement interpreter runs both execution paths, selected by the
+engine; they differ in two hooks only, how an expression evaluates and
+what an ``SCache`` statement does:
 
 * **Direct** (``LocalEngine``) — interprets the *original, unoptimized*
-  driver IR with plain host-language evaluation.  This is the paper's
-  "develop, test, debug locally as a pure Scala program" mode and the
-  semantic oracle for differential tests.
+  driver IR with plain host-language evaluation (``Expr.evaluate``);
+  ``SCache`` is a no-op.  This is the paper's "develop, test, debug
+  locally as a pure Scala program" mode and the semantic oracle for
+  differential tests.
 * **Compiled** — interprets the optimized program from
   :func:`repro.optimizer.pipeline.compile_program`, in which every
   dataflow site is a :class:`~repro.optimizer.pipeline.PlanExpr`.  Bag
-  assignments become lazy thunks, folds submit jobs, ``SCache``
-  statements materialize bags (with partition pulling applied), and
-  stateful bags run as engine-side keyed state.
+  assignments become lazy thunks and folds submit jobs; the hooks run
+  stateful operators as engine-side keyed state and let ``SCache``
+  statements materialize bags (with partition pulling applied).
 
 The driver environment is a flat dict of the function's captured names,
 parameters, and locals, plus the reserved ``__engine__``/``__denv__``/
@@ -20,7 +23,9 @@ parameters, and locals, plus the reserved ``__engine__``/``__denv__``/
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.comprehension.exprs import (
     Env,
@@ -75,7 +80,7 @@ def run_direct(
         "__dfs__": engine.dfs,
     }
     try:
-        _run_block(program.body, env)
+        _Interpreter().run_block(program.body, env)
     except _Return as ret:
         return ret.value
     return None
@@ -95,8 +100,9 @@ def run_compiled(
     env["__engine__"] = engine
     env["__denv__"] = env
     env["__dfs__"] = engine.dfs
-    interpreter = _CompiledInterpreter(
-        engine=engine, partition_keys=compiled.partition_keys
+    interpreter = _Interpreter(
+        evaluate=partial(_evaluate_on_engine, engine),
+        cache=partial(_cache_on_engine, engine, compiled.partition_keys),
     )
     try:
         interpreter.run_block(compiled.program.body, env)
@@ -109,7 +115,7 @@ def run_compiled(
 
 
 # ---------------------------------------------------------------------------
-# Direct interpretation
+# The statement interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -117,60 +123,18 @@ def _eval(expr: Expr, env: dict[str, Any]) -> Any:
     return expr.evaluate(Env.of(env))
 
 
-def _run_block(stmts: tuple[Stmt, ...], env: dict[str, Any]) -> None:
-    for stmt in stmts:
-        _run_stmt(stmt, env)
+def _no_cache(stmt: SCache, env: dict[str, Any]) -> None:
+    """Caching is a physical no-op in direct mode."""
 
 
-def _run_stmt(stmt: Stmt, env: dict[str, Any]) -> None:
-    if isinstance(stmt, SAssign):
-        env[stmt.name] = _eval(stmt.value, env)
-        return
-    if isinstance(stmt, SExpr):
-        _eval(stmt.value, env)
-        return
-    if isinstance(stmt, SWhile):
-        iterations = 0
-        while _eval(stmt.cond, env):
-            _run_block(stmt.body, env)
-            iterations += 1
-            if iterations > _MAX_LOOP_ITERATIONS:
-                raise EmmaError("driver while-loop exceeded iteration cap")
-        return
-    if isinstance(stmt, SIf):
-        if _eval(stmt.cond, env):
-            _run_block(stmt.then, env)
-        else:
-            _run_block(stmt.orelse, env)
-        return
-    if isinstance(stmt, SFor):
-        for item in _eval(stmt.iterable, env):
-            env[stmt.var] = item
-            _run_block(stmt.body, env)
-        return
-    if isinstance(stmt, SReturn):
-        raise _Return(
-            _eval(stmt.value, env) if stmt.value is not None else None
-        )
-    if isinstance(stmt, SCache):
-        # Caching is a physical no-op in direct mode.
-        return
-    raise EmmaError(f"cannot interpret {type(stmt).__name__}")
+@dataclass(frozen=True)
+class _Interpreter:
+    """Runs driver statements; the defaults are the direct run's hooks."""
 
-
-# ---------------------------------------------------------------------------
-# Compiled interpretation
-# ---------------------------------------------------------------------------
-
-
-class _CompiledInterpreter:
-    def __init__(
-        self,
-        engine: Engine,
-        partition_keys: dict[str, ScalarFn],
-    ) -> None:
-        self.engine = engine
-        self.partition_keys = partition_keys
+    #: how an expression evaluates
+    evaluate: Callable[[Expr, dict[str, Any]], Any] = _eval
+    #: what an ``SCache`` statement does
+    cache: Callable[[SCache, dict[str, Any]], None] = _no_cache
 
     def run_block(
         self, stmts: tuple[Stmt, ...], env: dict[str, Any]
@@ -180,79 +144,88 @@ class _CompiledInterpreter:
 
     def run_stmt(self, stmt: Stmt, env: dict[str, Any]) -> None:
         if isinstance(stmt, SAssign):
-            env[stmt.name] = self._evaluate(stmt.value, env)
-            return
-        if isinstance(stmt, SExpr):
-            self._evaluate(stmt.value, env)
-            return
-        if isinstance(stmt, SCache):
-            if stmt.name not in env:
-                raise EmmaError(
-                    f"cache statement for unbound name {stmt.name!r}"
-                )
-            env[stmt.name] = self.engine.cache(
-                env[stmt.name],
-                partition_key=self.partition_keys.get(stmt.name),
-            )
-            return
-        if isinstance(stmt, SWhile):
+            env[stmt.name] = self.evaluate(stmt.value, env)
+        elif isinstance(stmt, SExpr):
+            self.evaluate(stmt.value, env)
+        elif isinstance(stmt, SCache):
+            self.cache(stmt, env)
+        elif isinstance(stmt, SWhile):
             iterations = 0
-            while _eval(stmt.cond, env):
+            while self.evaluate(stmt.cond, env):
                 self.run_block(stmt.body, env)
                 iterations += 1
                 if iterations > _MAX_LOOP_ITERATIONS:
                     raise EmmaError(
                         "driver while-loop exceeded iteration cap"
                     )
-            return
-        if isinstance(stmt, SIf):
-            if _eval(stmt.cond, env):
+        elif isinstance(stmt, SIf):
+            if self.evaluate(stmt.cond, env):
                 self.run_block(stmt.then, env)
             else:
                 self.run_block(stmt.orelse, env)
-            return
-        if isinstance(stmt, SFor):
-            for item in _eval(stmt.iterable, env):
+        elif isinstance(stmt, SFor):
+            for item in self.evaluate(stmt.iterable, env):
                 env[stmt.var] = item
                 self.run_block(stmt.body, env)
-            return
-        if isinstance(stmt, SReturn):
+        elif isinstance(stmt, SReturn):
             raise _Return(
-                _eval(stmt.value, env)
+                self.evaluate(stmt.value, env)
                 if stmt.value is not None
                 else None
             )
-        raise EmmaError(f"cannot interpret {type(stmt).__name__}")
-
-    def _evaluate(self, expr: Expr, env: dict[str, Any]) -> Any:
-        """Evaluate; stateful operators run on engine-side keyed state."""
-        if isinstance(expr, StatefulCreate):
-            return self._create_stateful(expr, env)
-        if isinstance(expr, StatefulUpdate):
-            return _eval(expr.state, env).update(_udf(expr.update_fn, env))
-        if isinstance(expr, StatefulUpdateWithMessages):
-            return _eval(expr.state, env).update_with_messages(
-                _eval(expr.messages, env), _udf(expr.update_fn, env)
-            )
-        return _eval(expr, env)
-
-    def _create_stateful(
-        self, node: StatefulCreate, env: dict[str, Any]
-    ) -> DistributedStatefulBag:
-        source = _eval(node.source, env)
-        if isinstance(source, (DeferredBag, BagHandle)):
-            records = self.engine.collect(source)
-        elif isinstance(source, DataBag):
-            records = source.fetch()
-        elif isinstance(source, list):
-            records = source
         else:
-            raise EmmaError(
-                "stateful() expects a bag, got "
-                f"{type(source).__name__}"
-            )
-        key = _udf(node.key, env) if node.key is not None else None
-        return DistributedStatefulBag(self.engine, records, key=key)
+            raise EmmaError(f"cannot interpret {type(stmt).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# The compiled run's hooks
+# ---------------------------------------------------------------------------
+
+
+def _cache_on_engine(
+    engine: Engine,
+    partition_keys: Mapping[str, ScalarFn],
+    stmt: SCache,
+    env: dict[str, Any],
+) -> None:
+    if stmt.name not in env:
+        raise EmmaError(f"cache statement for unbound name {stmt.name!r}")
+    env[stmt.name] = engine.cache(
+        env[stmt.name], partition_key=partition_keys.get(stmt.name)
+    )
+
+
+def _evaluate_on_engine(
+    engine: Engine, expr: Expr, env: dict[str, Any]
+) -> Any:
+    """Evaluate; stateful operators run on engine-side keyed state."""
+    if isinstance(expr, StatefulCreate):
+        return _create_stateful(engine, expr, env)
+    if isinstance(expr, StatefulUpdate):
+        return _eval(expr.state, env).update(_udf(expr.update_fn, env))
+    if isinstance(expr, StatefulUpdateWithMessages):
+        return _eval(expr.state, env).update_with_messages(
+            _eval(expr.messages, env), _udf(expr.update_fn, env)
+        )
+    return _eval(expr, env)
+
+
+def _create_stateful(
+    engine: Engine, node: StatefulCreate, env: dict[str, Any]
+) -> DistributedStatefulBag:
+    source = _eval(node.source, env)
+    if isinstance(source, (DeferredBag, BagHandle)):
+        records = engine.collect(source)
+    elif isinstance(source, DataBag):
+        records = source.fetch()
+    elif isinstance(source, list):
+        records = source
+    else:
+        raise EmmaError(
+            f"stateful() expects a bag, got {type(source).__name__}"
+        )
+    key = _udf(node.key, env) if node.key is not None else None
+    return DistributedStatefulBag(engine, records, key=key)
 
 
 def _udf(fn: Expr, env: dict[str, Any]) -> Any:

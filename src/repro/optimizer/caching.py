@@ -33,8 +33,6 @@ from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
     SCache,
-    SFor,
-    SWhile,
     Stmt,
     stmt_exprs,
 )
@@ -86,10 +84,7 @@ def plan_caching(program: DriverProgram) -> list[CacheDecision]:
                 assign_counts[stmt.name] = (
                     assign_counts.get(stmt.name, 0) + 1
                 )
-            child_depth = depth + (
-                1 if isinstance(stmt, (SWhile, SFor)) else 0
-            )
-            scan(stmt.children(), child_depth)
+            scan(stmt.children(), depth + stmt.loop)
 
     scan(program.body, 0)
 

@@ -29,12 +29,9 @@ from repro.comprehension.exprs import Expr, use_counts
 from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
-    SExpr,
-    SFor,
-    SIf,
-    SReturn,
-    SWhile,
     Stmt,
+    assigned_names,
+    repeats_exprs,
     stmt_exprs,
 )
 
@@ -78,18 +75,6 @@ class _Uses:
         for stmt in program.walk():
             for expr in stmt_exprs(stmt):
                 self.program.update(self.of(expr))
-
-
-def assigned_names(stmt: Stmt) -> set[str]:
-    """Names assigned anywhere within a statement tree."""
-    names: set[str] = set()
-    if isinstance(stmt, SAssign):
-        names.add(stmt.name)
-    if isinstance(stmt, SFor):
-        names.add(stmt.var)
-    for child in stmt.children():
-        names |= assigned_names(child)
-    return names
 
 
 @dataclass
@@ -143,43 +128,21 @@ def _inline_in_block(
 ) -> tuple[Stmt, ...] | None:
     stmts = list(block)
     for i, stmt in enumerate(stmts):
-        # Try nested blocks first (innermost definitions collapse first).
-        if isinstance(stmt, SWhile):
-            inner = _inline_in_block(stmt.body, uses)
-            if inner is not None:
-                stmts[i] = SWhile(
-                    cond=stmt.cond, body=inner, line=stmt.line
-                )
-                return tuple(stmts)
-        elif isinstance(stmt, SFor):
-            inner = _inline_in_block(stmt.body, uses)
-            if inner is not None:
-                stmts[i] = SFor(
-                    var=stmt.var,
-                    iterable=stmt.iterable,
-                    body=inner,
-                    line=stmt.line,
-                )
-                return tuple(stmts)
-        elif isinstance(stmt, SIf):
-            inner = _inline_in_block(stmt.then, uses)
-            if inner is not None:
-                stmts[i] = SIf(
-                    cond=stmt.cond,
-                    then=inner,
-                    orelse=stmt.orelse,
-                    line=stmt.line,
-                )
-                return tuple(stmts)
-            inner = _inline_in_block(stmt.orelse, uses)
-            if inner is not None:
-                stmts[i] = SIf(
-                    cond=stmt.cond,
-                    then=stmt.then,
-                    orelse=inner,
-                    line=stmt.line,
-                )
-                return tuple(stmts)
+        # Try nested blocks first (innermost definitions collapse first),
+        # in order, until one of them takes a step.
+        stepped = False
+
+        def step(inner: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
+            nonlocal stepped
+            rewritten = None if stepped else _inline_in_block(inner, uses)
+            if rewritten is None:
+                return inner
+            stepped = True
+            return rewritten
+
+        stmts[i] = stmt.rebuild(blocks=step)
+        if stepped:
+            return tuple(stmts)
         target = _find_use_site(stmt, stmts, i, uses)
         if target is not None:
             j, rewritten = target
@@ -213,46 +176,12 @@ def _find_use_site(
         if uses.tree(later, name) - direct_uses:
             return None  # the single use hides inside a nested block
         if direct_uses == 1:
-            if isinstance(later, SWhile):
+            if repeats_exprs(later):
                 return None  # loop conditions re-evaluate per iteration
-            return j, _substitute_stmt(later, name, stmt.value)
+            mapping = {name: stmt.value}
+            return j, later.rebuild(exprs=lambda e: e.substitute(mapping))
         # No use here: a reassignment of a dependency blocks inlining.
         if assigned_names(later) & rhs_deps:
             return None
     return None
 
-
-def _substitute_stmt(stmt: Stmt, name: str, value: Expr) -> Stmt:
-    mapping = {name: value}
-    if isinstance(stmt, SAssign):
-        return SAssign(
-            name=stmt.name,
-            value=stmt.value.substitute(mapping),
-            bag_typed=stmt.bag_typed,
-            stateful=stmt.stateful,
-            line=stmt.line,
-        )
-    if isinstance(stmt, SExpr):
-        return SExpr(
-            value=stmt.value.substitute(mapping), line=stmt.line
-        )
-    if isinstance(stmt, SReturn):
-        assert stmt.value is not None
-        return SReturn(
-            value=stmt.value.substitute(mapping), line=stmt.line
-        )
-    if isinstance(stmt, SIf):
-        return SIf(
-            cond=stmt.cond.substitute(mapping),
-            then=stmt.then,
-            orelse=stmt.orelse,
-            line=stmt.line,
-        )
-    if isinstance(stmt, SFor):
-        return SFor(
-            var=stmt.var,
-            iterable=stmt.iterable.substitute(mapping),
-            body=stmt.body,
-            line=stmt.line,
-        )
-    raise AssertionError(f"cannot inline into {type(stmt).__name__}")

@@ -51,14 +51,6 @@ from typing import Mapping
 
 from repro.comprehension.exprs import Attr, Ref
 from repro.core.stateful import KEY_ATTRS
-from repro.frontend.driver_ir import (
-    DriverProgram,
-    SAssign,
-    SFor,
-    SIf,
-    SWhile,
-    Stmt,
-)
 from repro.lowering.combinators import (
     GROUP_KEY,
     CAggBy,
@@ -135,28 +127,6 @@ class PhysicalPlanStats:
         )
 
 
-def loop_mutated_names(program: DriverProgram) -> frozenset[str]:
-    """Names assigned inside any loop body of the driver program."""
-    out: set[str] = set()
-
-    def scan(stmts: tuple[Stmt, ...], in_loop: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, SAssign):
-                if in_loop:
-                    out.add(stmt.name)
-            elif isinstance(stmt, SWhile):
-                scan(stmt.body, True)
-            elif isinstance(stmt, SFor):
-                out.add(stmt.var)
-                scan(stmt.body, True)
-            elif isinstance(stmt, SIf):
-                scan(stmt.then, in_loop)
-                scan(stmt.orelse, in_loop)
-
-    scan(program.body, False)
-    return frozenset(out)
-
-
 def annotate_physical(
     plan: Combinator, ctx: PlanContext
 ) -> tuple[Combinator, PhysicalPlanStats]:
@@ -209,9 +179,12 @@ def _annotate(
         stats.count(motion)
         out = replace(node, input=_with_motion(inp, motion, refs))
         return out.with_phys(PhysProps(delivered=GROUP_KEY))
-    if isinstance(
-        node, (CMap, CFlatMap, CFilter, CChain, CDistinct, CFold)
-    ):
+    if isinstance(node, CMap):
+        # Planned: the executor may propagate the input's partitioner
+        # through the map (an empty annotation; explain shows nothing).
+        inp = _annotate(node.input, ctx, stats)
+        return replace(node, input=inp, phys=PhysProps())
+    if isinstance(node, (CFlatMap, CFilter, CChain, CDistinct, CFold)):
         return replace(node, input=_annotate(node.input, ctx, stats))
     if isinstance(node, (CCross, CUnion, CMinus)):
         return replace(

@@ -47,13 +47,8 @@ from repro.errors import EmmaError, EngineError
 from repro.frontend.driver_ir import (
     DriverProgram,
     SAssign,
-    SCache,
-    SExpr,
-    SFor,
-    SIf,
-    SReturn,
-    SWhile,
     Stmt,
+    loop_mutated_names,
 )
 from repro.lowering.chaining import ChainStats, chain_operators
 from repro.lowering.combinators import (
@@ -80,11 +75,7 @@ from repro.optimizer.partition_pulling import (
     choose_partition_keys,
     collect_partition_uses,
 )
-from repro.optimizer.physical_props import (
-    PlanContext,
-    annotate_physical,
-    loop_mutated_names,
-)
+from repro.optimizer.physical_props import PlanContext, annotate_physical
 from repro.optimizer.reorder import ReorderStats, reorder_operators
 
 
@@ -140,9 +131,10 @@ class EmmaConfig:
     #: pass (:mod:`repro.optimizer.physical_props`) annotates shuffle
     #: sites as required/elidable/hoistable and joins with a plan-time
     #: strategy; the engine's cost-based strategy choice, loop-invariant
-    #: hoist cache, and partitioner propagation follow it too (not a
-    #: Table 1 row; a post-paper physical-layer pass)
-    physical_planning: bool = _plan(True, "physical_planning")
+    #: hoist cache, and partitioner propagation read those annotations,
+    #: so an unannotated plan runs without them (not a Table 1 row; a
+    #: post-paper physical-layer pass)
+    physical_planning: bool = _plan(True)
     #: UDF-aware operator reordering (:mod:`repro.optimizer.reorder`):
     #: "auto" infers field-level read/write sets over lifted UDF bodies
     #: and pushes filters below joins/groupings (and before maps) the
@@ -823,37 +815,13 @@ class _Compiler:
             else:
                 self.bag_names.discard(stmt.name)
                 self.stateful_names.discard(stmt.name)
-            return replace(stmt, value=self.compile_expr(stmt.value))
-        if isinstance(stmt, SExpr):
-            return replace(stmt, value=self.compile_expr(stmt.value))
-        if isinstance(stmt, SReturn):
-            if stmt.value is None:
-                return stmt
-            return replace(stmt, value=self.compile_expr(stmt.value))
-        if isinstance(stmt, SWhile):
-            cond = self.compile_expr(stmt.cond)
-            prev, self.in_loop = self.in_loop, True
-            body = self.compile_block(stmt.body)
-            self.in_loop = prev
-            return replace(stmt, cond=cond, body=body)
-        if isinstance(stmt, SFor):
-            iterable = self.compile_expr(stmt.iterable)
-            prev, self.in_loop = self.in_loop, True
-            body = self.compile_block(stmt.body)
-            self.in_loop = prev
-            return replace(stmt, iterable=iterable, body=body)
-        if isinstance(stmt, SIf):
-            return replace(
-                stmt,
-                cond=self.compile_expr(stmt.cond),
-                then=self.compile_block(stmt.then),
-                orelse=self.compile_block(stmt.orelse),
-            )
-        if isinstance(stmt, SCache):
-            return stmt
-        raise EmmaError(
-            f"cannot compile statement {type(stmt).__name__}"
-        )
+        # A statement's own expressions run where the statement does;
+        # a loop's blocks run inside the loop.
+        stmt = stmt.rebuild(exprs=self.compile_expr)
+        prev, self.in_loop = self.in_loop, self.in_loop or stmt.loop
+        stmt = stmt.rebuild(blocks=self.compile_block)
+        self.in_loop = prev
+        return stmt
 
 
 def compile_program(
@@ -901,17 +869,17 @@ def _replace_site_plans(
     """Swap every embedded :class:`PlanExpr`'s plan for its annotated
     copy (matched by the original plan object's identity)."""
 
-    def rewrite(node: Any) -> Any:
-        if isinstance(node, Expr):
-            node = node.rebuild(rewrite)
-            if isinstance(node, PlanExpr):
-                plan = plan_map.get(id(node.plan), node.plan)
-                node = replace(node, plan=plan)
-        elif isinstance(node, tuple):
-            node = tuple(rewrite(item) for item in node)
-        elif isinstance(node, Stmt):
-            values = ((f.name, getattr(node, f.name)) for f in fields(node))
-            node = replace(node, **{k: rewrite(v) for k, v in values})
+    def rewrite_expr(node: Expr) -> Expr:
+        node = node.rebuild(rewrite_expr)
+        if isinstance(node, PlanExpr):
+            plan = plan_map.get(id(node.plan), node.plan)
+            node = replace(node, plan=plan)
         return node
 
-    return rewrite(stmts)
+    def rewrite_block(block: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
+        return tuple(
+            s.rebuild(exprs=rewrite_expr, blocks=rewrite_block)
+            for s in block
+        )
+
+    return rewrite_block(stmts)

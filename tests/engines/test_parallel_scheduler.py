@@ -12,6 +12,7 @@ relies on and the ``content_digest`` the plan and snapshot
 fingerprints rely on.
 """
 
+import hashlib
 import os
 import pickle
 import threading
@@ -101,6 +102,23 @@ class MemoSizeSpec(EchoSpec):
 
     def run(self, _prepared, data):
         return len(scheduler_module._WORKER_MEMO)
+
+
+class MemoKeysSpec(EchoSpec):
+    """Test spec whose task reports its worker process and the keys of
+    that process's worker memo."""
+
+    kind = "memo-keys"
+
+    def run(self, _prepared, data):
+        return os.getpid(), frozenset(scheduler_module._WORKER_MEMO)
+
+
+def memo_key(spec):
+    """The worker-memo key a spec ships under."""
+    return hashlib.sha256(
+        pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
+    ).digest()
 
 
 class PickleCountingSpec(EchoSpec):
@@ -454,24 +472,42 @@ class TestStableHashCoverage:
             stable_hash(object())
 
 
-def warm_pool(scheduler, make_tasks, specs, limit=40):
-    """Fan out fresh, equal tasks until every worker of the shared pool
-    has built each of their ``specs`` distinct specs (or ``limit``
-    fan-outs ran); return the rebuild count of each fan-out.
+def warm_pool(scheduler, make_tasks, timeout=60.0):
+    """Fan out fresh, equal tasks until every worker process of the
+    shared pool holds each of their specs; return the rebuild count of
+    each fan-out.
 
     Each fan-out ships new spec objects with the same content, as each
-    job of a loop does.
+    job of a loop does.  A rebuild count alone cannot tell when the pool
+    is warm: a worker may hold a spec from an earlier test, and one that
+    is still starting takes no task for many fan-outs.  So after each
+    fan-out, probe tasks ask the workers they reach which memo keys they
+    hold, until every started worker has answered with all of them.
     """
+    keys = {memo_key(task.spec) for task in make_tasks()}
+    probes = [
+        PartitionTask(i, MemoKeysSpec(), None)
+        for i in range(2 * scheduler.width)
+    ]
+    warm: set[int] = set()
     rebuilds = []
-    while len(rebuilds) < limit:
+    deadline = time.monotonic() + timeout
+    while True:
         metrics = Metrics()
         scheduler.run_stage(make_tasks(), metrics=metrics)
         assert metrics.serial_fallbacks == 0
         rebuilds.append(metrics.kernels_rehydrated)
-        # The first fan-out has started the pool, so its width is known.
-        if sum(rebuilds) >= specs * scheduler_module._POOL_WIDTH:
-            break
-    return rebuilds
+        warm |= {
+            pid
+            for pid, held in scheduler.run_stage(probes)
+            if keys <= held
+        }
+        # The first fan-out has started the pool, so its workers exist.
+        if warm >= set(scheduler_module._POOL._processes):
+            return rebuilds
+        assert time.monotonic() < deadline, (
+            f"pool not warm after {len(rebuilds)} fan-outs"
+        )
 
 
 class TestWorkerMemo:
@@ -495,7 +531,7 @@ class TestWorkerMemo:
                 for spec in (plain, scaled)
             ]
 
-        rebuilds = warm_pool(scheduler, make_tasks, specs=2)
+        rebuilds = warm_pool(scheduler, make_tasks)
         assert sum(rebuilds) <= 2 * scheduler_module._POOL_WIDTH
         tasks = make_tasks()
         metrics = Metrics()
@@ -511,7 +547,6 @@ class TestWorkerMemo:
             lambda: [
                 PartitionTask(i, make_spec(warm), data) for i in range(4)
             ],
-            specs=1,
         )
         tasks = [PartitionTask(i, make_spec(fresh), data) for i in range(4)]
         serial = TaskScheduler(mode="serial").run_stage(tasks)

@@ -126,6 +126,42 @@ class TestShuffleReduction:
         assert first == again
 
 
+class TestPlanKnobLeavesNoEngineState:
+    """``physical_planning`` shapes the plan only: a run with it off
+    leaves nothing on the engine for the next run to inherit."""
+
+    def test_default_run_after_a_planner_off_run_matches_a_fresh_engine(
+        self,
+    ):
+        dfs = SimulatedDFS()
+        path = stage_follower_graph(dfs, num_vertices=200, seed=7)
+
+        def run(engine, **config):
+            engine.reset_metrics()
+            result = pagerank.run(
+                engine,
+                graph_path=path,
+                num_pages=200,
+                max_iterations=4,
+                **config,
+            )
+            ranks = sorted((v.id, v.rank) for v in result)
+            return ranks, engine.metrics.invariant()
+
+        def engine():
+            return SparkLikeEngine(
+                dfs=dfs, cluster=ClusterConfig(num_workers=4)
+            )
+
+        fresh = run(engine())
+        reused = engine()
+        run(reused, config=PLAN_OFF)
+        again = run(reused)
+        assert again == fresh
+        assert fresh[1]["shuffles_hoisted"] > 0
+        assert fresh[1]["shuffles_elided"] > 0
+
+
 class TestExplainMarkers:
     def test_motion_classes_rendered(self):
         text = pagerank.explain()

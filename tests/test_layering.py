@@ -10,6 +10,11 @@ on a cache miss.
 Two rules keep the task wire format in one place: ``scheduler.py``
 owns it (a payload is its pickle), so the spill layer knows nothing of
 the columnar plane and the scheduler nothing of the spill layer.
+
+A driver statement's structure (its expressions, its nested blocks,
+whether it loops) is derived in one place, ``frontend/driver_ir.py``:
+only that module (its table and its printer) and the interpreter in
+``frontend/runtime.py`` may tell compound statements apart by class.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-ENGINES = Path(__file__).parents[1] / "src" / "repro" / "engines"
+SRC = Path(__file__).parents[1] / "src" / "repro"
+ENGINES = SRC / "engines"
 COMPILER = (
     "repro.comprehension.normalize",
     "repro.comprehension.resugar",
@@ -85,3 +91,49 @@ def test_the_scan_finds_function_level_imports(tmp_path):
 )
 def test_the_wire_format_has_one_owner(module, forbidden):
     assert imports_of(ENGINES / module, (forbidden,)) == []
+
+
+COMPOUND = {"SWhile", "SIf", "SFor"}
+STATEMENT_CLASS_READERS = {"frontend/driver_ir.py", "frontend/runtime.py"}
+
+
+def _name_of(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def compound_isinstance_lines(path: Path) -> list[int]:
+    """Lines of ``isinstance`` calls in ``path`` that name a compound
+    driver statement class."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and COMPOUND & set(map(_name_of, ast.walk(node.args[1])))
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_statement_structure_is_read_in_one_place():
+    found = {
+        str(path.relative_to(SRC)): compound_isinstance_lines(path)
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert {name for name, lines in found.items() if lines} == (
+        STATEMENT_CLASS_READERS
+    )
+
+
+def test_the_statement_scan_sees_tuples(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "isinstance(s, (SWhile, SFor))\n"
+        "isinstance(s, SAssign)\n"
+        "isinstance(s, driver_ir.SIf)\n"
+    )
+    assert compound_isinstance_lines(probe) == [1, 3]
