@@ -75,6 +75,39 @@ class Env:
         return Env(mapping)
 
 
+class Artifacts:
+    """Mixin of an immutable node that keeps what is built from it.
+
+    An artifact (a UDF's native template, a chain kernel's template, a
+    free-name tuple) is a function of the node alone, so it is built on
+    first use and kept on the node for the node's life: a compiled
+    program re-entering its plan rebuilds nothing.  Artifacts never
+    hold the values a job binds, never pickle, and never take part in
+    equality; a node rebuilt by a rewrite starts with none.
+    """
+
+    def artifact(self, role: str, build: Callable[[], Any]) -> Any:
+        """The artifact under ``role``, built by ``build()`` on first use.
+
+        It is published only once fully built; two threads that miss
+        together both build, and both go on with the first published.
+        """
+        table = self.__dict__.get("_artifacts")
+        if table is None:
+            table = self.__dict__.setdefault("_artifacts", {})
+        hit = table.get(role)
+        if hit is None:
+            hit = table.setdefault(role, build())
+        return hit
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle the node's fields only."""
+        state = self.__dict__
+        if "_artifacts" in state:
+            state = {k: v for k, v in state.items() if k != "_artifacts"}
+        return state
+
+
 @dataclass(frozen=True)
 class Expr:
     """Base class for all IR expression nodes."""
@@ -493,8 +526,12 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 @dataclass(frozen=True)
-class Lambda(Expr):
-    """An anonymous function with lifted body."""
+class Lambda(Artifacts, Expr):
+    """An anonymous function with lifted body.
+
+    A driver-side lambda handed to a stateful operator keeps its UDF
+    (with the UDF's native template) as an artifact.
+    """
 
     params: tuple[str, ...]
     body: Expr
@@ -548,8 +585,8 @@ class Lambda(Expr):
 # far too slow for the per-element hot path of the simulated engines: a
 # UDF applied to a million records re-walks its AST a million times.
 # ``NativeCodegen`` is the second interpretation of the same IR: it
-# renders an expression as Python source, which ``compile_scalar`` (one
-# UDF) and the chain kernel builder (a whole chain plus its fold sink)
+# renders an expression as Python source, which ``ScalarTemplate`` (one
+# UDF) and the chain kernel template (a whole chain plus its fold sink)
 # ``compile()`` into plain functions, so the hot path runs at host
 # speed.  The subset covers the scalar nodes, comprehensions over
 # ``NORMAL`` generators (a generator expression; a fold kind feeds it to
@@ -603,6 +640,9 @@ class NativeCodegen:
 
     def __init__(self) -> None:
         self.globals_: dict[str, Any] = {}
+        #: the keys of ``globals_`` that are bound free names — what a
+        #: template rebinds per job; every other key comes from the IR
+        self.free: set[str] = set()
         self._const_names: dict[int, str] = {}
         self._locals = 0
 
@@ -641,6 +681,7 @@ class NativeCodegen:
         if name in self.globals_ and self.globals_[name] is not value:
             raise NotCompilable(f"conflicting binding for {name!r}")
         self.globals_[name] = value
+        self.free.add(name)
 
     # -- source emission --------------------------------------------------
 
@@ -741,12 +782,88 @@ class NativeCodegen:
 
 def _emit_scalar(
     params: tuple[str, ...], body: Expr, lookup: Callable[[str], Any]
-) -> tuple[str, dict[str, Any]]:
-    """(body source, namespace) of ``lambda params: body``."""
+) -> tuple[str, NativeCodegen]:
+    """(body source, its codegen) of ``lambda params: body``."""
     _check_params(params)
     codegen = NativeCodegen()
     src = codegen.emit(body, {p: p for p in params}, lookup)
-    return src, codegen.globals_
+    return src, codegen
+
+
+class ScalarTemplate:
+    """``lambda params: body`` as code, built once per binding shape.
+
+    Emission reads an environment only through which free names
+    resolve: a free name reaches the source as its name, and constants
+    come from the IR.  So the code compiled for one environment serves
+    every environment with the same *shape* — the same answer to "does
+    it bind this name?" for each name the emitter asked about.
+    :meth:`bind` closes the code over a job's values through a fresh
+    namespace.  A body outside the compilable subset keeps the
+    ``reason`` instead (``code`` is ``None``).
+    """
+
+    __slots__ = ("asked", "shape", "reason", "code", "consts", "names")
+
+    def __init__(
+        self,
+        params: tuple[str, ...],
+        source: str,
+        namespace: dict[str, Any],
+        names: tuple[str, ...] = (),
+        reason: str | None = None,
+    ) -> None:
+        #: what the emitter asked the environment, and its answers
+        self.asked: tuple[str, ...] = ()
+        self.shape: tuple[bool, ...] = ()
+        self.reason = reason
+        self.code = None
+        if reason is None:
+            self.code = compile(
+                f"lambda {', '.join(params)}: {source}", "<scalarfn>", "eval"
+            )
+        #: the namespace without its bound free names: IR constants
+        #: and the emitter's helpers, never a job's values
+        self.consts = {k: v for k, v in namespace.items() if k not in names}
+        #: the free names :meth:`bind` resolves
+        self.names = names
+
+    @classmethod
+    def build(
+        cls, params: tuple[str, ...], body: Expr, env: Env
+    ) -> "ScalarTemplate":
+        """Emit and compile against ``env``; a fallback keeps its reason."""
+        asked: dict[str, None] = {}
+
+        def lookup(name: str) -> Any:
+            asked[name] = None
+            return env.lookup(name)
+
+        try:
+            src, codegen = _emit_scalar(params, body, lookup)
+        except NotCompilable as exc:
+            template = cls(params, "", {}, reason=str(exc))
+        else:
+            template = cls(
+                params, src, codegen.globals_, tuple(sorted(codegen.free))
+            )
+        template.asked = tuple(asked)
+        template.shape = tuple(name in env for name in template.asked)
+        return template
+
+    def fits(self, env: Env) -> bool:
+        """Whether ``env`` has the shape this template was built for."""
+        return all(
+            (name in env) is answer
+            for name, answer in zip(self.asked, self.shape)
+        )
+
+    def bind(self, env: Env) -> Callable:
+        """The compiled function over ``env``'s values (native only)."""
+        namespace = dict(self.consts)
+        for name in self.names:
+            namespace[name] = env.lookup(name)
+        return eval(self.code, namespace)  # noqa: S307 - generated code
 
 
 def compile_scalar(
@@ -760,24 +877,11 @@ def compile_scalar(
     the compiled function's globals.  Returns ``None`` when the body
     falls outside the compilable subset or a free name is unbound — the
     caller keeps the interpreting closure in that case
-    (:func:`compile_scalar_or_reason` also says why).
+    (:func:`fallback_reason` says why).
     """
-    return compile_scalar_or_reason(params, body, env)[0]
-
-
-def compile_scalar_or_reason(
-    params: tuple[str, ...],
-    body: Expr,
-    env: "Env | Mapping[str, Any] | None",
-) -> tuple[Callable | None, str | None]:
-    """``(function, None)``, or ``(None, reason)`` when the body stays
-    interpreted: :func:`compile_scalar` and its fallback reason from
-    one emit."""
-    try:
-        src, namespace = _emit_scalar(params, body, Env.of(env).lookup)
-    except NotCompilable as exc:
-        return None, str(exc)
-    return compile_scalar_source(params, src, namespace), None
+    env = Env.of(env)
+    template = ScalarTemplate.build(params, body, env)
+    return template.bind(env) if template.reason is None else None
 
 
 #: stands for the value of every free name when no environment is given
@@ -807,10 +911,8 @@ def fallback_reason(
 def compile_scalar_source(
     params: tuple[str, ...], body_src: str, namespace: dict[str, Any]
 ) -> Callable:
-    """``compile()`` an already-rendered body over ``namespace``."""
-    source = f"lambda {', '.join(params)}: {body_src}"
-    code = compile(source, "<scalarfn>", "eval")
-    return eval(code, namespace)  # noqa: S307 - compiler-generated source
+    """``lambda params: body_src``, already rendered, over ``namespace``."""
+    return ScalarTemplate(params, body_src, namespace).bind(Env())
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,7 @@ from typing import Any, Callable, Sequence
 
 from repro.comprehension.exprs import (
     AlgebraSpec,
+    Artifacts,
     Attr,
     BinOp,
     BoolOp,
@@ -151,9 +152,13 @@ class Udf:
     the resolved values of its free names — broadcast bags included, the
     paper's transparent driver-to-UDF data motion — and ``extra`` the
     per-element broadcast-scan op weight.  That is also exactly what
-    pickles: the ``closure`` is compiled from them on first use, with
-    the same native-vs-interpreter fallback in every process, cached on
-    the value together with the reason for a fallback, and never
+    pickles.  In the driver, ``fn`` is the plan's :class:`ScalarFn` the
+    value binds: the ``closure`` is that UDF's native template (compiled
+    once per program) bound to ``bindings``, and ``fallback`` is read
+    off the template without building the closure.  A worker, which
+    receives no ``fn``, compiles the closure from the IR on first use,
+    with the same native-vs-interpreter fallback.  The closure is cached
+    on the value together with the reason for a fallback, and never
     travels (code objects do not cross process boundaries).  Kernel
     generation inlines ``body`` over ``bindings`` and falls back to
     calling ``closure``.
@@ -163,10 +168,12 @@ class Udf:
     body: Expr
     bindings: dict[str, Any] = field(default_factory=dict)
     extra: int = 0
+    fn: ScalarFn | None = field(default=None, repr=False)
 
     @cached_property
     def _compiled(self) -> tuple[Callable, str | None]:
-        return ScalarFn(self.params, self.body).compile_native(self.bindings)
+        fn = self.fn or ScalarFn(self.params, self.body)
+        return fn.compile_native(self.bindings)
 
     @property
     def closure(self) -> Callable:
@@ -176,18 +183,23 @@ class Udf:
     @property
     def native(self) -> bool:
         """Whether ``closure`` is native code, not the tree walker."""
-        return self._compiled[1] is None
+        return self.fallback is None
 
     @property
     def fallback(self) -> str | None:
         """Why ``closure`` walks the tree (``None`` when it is native)."""
+        if self.fn is not None and "_compiled" not in self.__dict__:
+            template = self.fn.native_template(Env.of(self.bindings))
+            if template is not None:
+                return template.reason
         return self._compiled[1]
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle as IR + bindings, dropping the compiled closure and
-        its fallback reason."""
+        """Pickle as IR + bindings, dropping the compiled closure, its
+        fallback reason and the plan's UDF."""
         state = dict(self.__dict__)
         state.pop("_compiled", None)
+        state.pop("fn", None)
         return state
 
 
@@ -273,12 +285,15 @@ def _sink_source(
     var: str,
     codegen: NativeCodegen,
     call_source: Callable[..., str],
+    source: int,
 ) -> tuple[list[str], list[str], list[str]]:
     """What a kernel does with each record ``var`` its chain lets through.
 
     Returns the statements ahead of the record loop, inside it, and
-    behind it.  ``call_source(udf, *args)`` renders a UDF applied to
-    locals (inlined, or as a closure call).
+    behind it.  ``call_source(udf, source, *args)`` renders a UDF
+    applied to locals (inlined, or as a closure call); ``source`` is
+    the index of ``sink.bindings`` among the kernel's binding sources,
+    and the key's bindings follow it.
     """
     if sink is None:
         return [], [f"_emit({var})"], []
@@ -291,7 +306,7 @@ def _sink_source(
         args = tuple(f"_g{next(numbers)}" for _ in spec.args)
         for name, arg in zip(args, spec.args):
             closed = Udf((), arg, sink.bindings)
-            before.append(f"{name} = {call_source(closed)}")
+            before.append(f"{name} = {call_source(closed, source)}")
         return codegen.fold_source(spec.alias, args)
 
     def singleton(fold: FoldSource, spec: AlgebraSpec) -> str:
@@ -301,12 +316,13 @@ def _sink_source(
         src = fold.singleton(
             var
             if spec.head is None
-            else call_source(Udf(x, spec.head, sink.bindings), var)
+            else call_source(Udf(x, spec.head, sink.bindings), source, var)
         )
         if not spec.guards:
             return src
         guards = " and ".join(
-            call_source(Udf(x, g, sink.bindings), var) for g in spec.guards
+            call_source(Udf(x, g, sink.bindings), source, var)
+            for g in spec.guards
         )
         return f"({src} if {guards} else {fold.zero})"
 
@@ -350,7 +366,7 @@ def _sink_source(
     if sink.key is not None:
         fresh = ", ".join([*(f.zero for f in folds), *keys])
         tail = [
-            f"_key = {call_source(sink.key, var)}",
+            f"_key = {call_source(sink.key, source + 1, var)}",
             "_e = _acc.get(_key)",
             "if _e is None:",
             f"    _e = _acc[_key] = [{fresh}]",
@@ -381,87 +397,228 @@ def _sink_source(
     return before, tail, after
 
 
+def _binding_sources(
+    steps: Sequence[KernelStep], sink: AggSink | FoldSink | None
+) -> list[dict[str, Any]]:
+    """Where a kernel's free names resolve: each step's bindings, then
+    the sink's, then its key's."""
+    sources = [step.udf.bindings for step in steps]
+    if sink is not None:
+        sources.append(sink.bindings)
+        if isinstance(sink, AggSink) and sink.key is not None:
+            sources.append(sink.key.bindings)
+    return sources
+
+
+def _parts(
+    steps: Sequence[KernelStep], sink: AggSink | FoldSink | None
+) -> tuple:
+    """The IR a kernel is generated from (compared by identity first)."""
+    parts: list[Any] = [(s.kind, s.udf.params, s.udf.body) for s in steps]
+    if isinstance(sink, AggSink):
+        key = sink.key
+        parts.append((sink.specs, key and (key.params, key.body)))
+    elif isinstance(sink, FoldSink):
+        parts.append((sink.spec, sink.merge))
+    return tuple(parts)
+
+
+def _answers(
+    asked: tuple[tuple[int, str], ...], sources: list[dict[str, Any]]
+) -> tuple[int, ...]:
+    """What kernel emission learns from ``sources``, in asking order.
+
+    For each ``(source, name)`` the emitter resolved: ``-1`` when the
+    name does not resolve there, ``0`` when it resolves to the value
+    the name first resolved to, ``1`` when to another value (a
+    conflict).  That is all emission reads of the values, so equal
+    answers mean equal kernel source: the binding's static shape.
+    """
+    first: dict[str, Any] = {}
+    out = []
+    for s, name in asked:
+        bindings = sources[s]
+        if name not in bindings or _RESERVED.match(name):
+            out.append(-1)
+            continue
+        value = bindings[name]
+        out.append(0 if first.setdefault(name, value) is value else 1)
+    return tuple(out)
+
+
+class KernelTemplate:
+    """A chain kernel's code, built once per plan node.
+
+    Emission is deterministic in the IR and reads the bound values only
+    through :func:`_answers`, so the code generated and compiled for one
+    job serves every job whose bindings give the same answers.
+    :meth:`bind` closes it over a job's values through a fresh
+    namespace: each free name from the binding source that supplied it,
+    each ``_fN`` slot with the job's closure of that UDF.  The template
+    holds IR constants and helpers, never a job's values.
+    """
+
+    def __init__(
+        self,
+        steps: Sequence[KernelStep],
+        sink: AggSink | FoldSink | None = None,
+    ) -> None:
+        sources = _binding_sources(steps, sink)
+        codegen = NativeCodegen()
+        namespace = codegen.globals_
+        namespace["_seq"] = _as_sequence
+        asked: dict[tuple[int, str], None] = {}
+        #: (slot name, source, the slot's UDF for a sink component)
+        slots: list[tuple[str, int, ScalarFn | None]] = []
+        n_steps = len(steps)
+
+        def call_source(udf: Udf, source: int, *args: str) -> str:
+            """Source of ``udf`` applied to the locals ``args``: its body
+            inlined when it compiles into this namespace, a call of its
+            closure otherwise."""
+            if len(udf.params) == len(args):
+                bindings = udf.bindings
+
+                def resolve(name: str) -> Any:
+                    asked[(source, name)] = None
+                    if _RESERVED.match(name):
+                        raise KeyError(name)
+                    return bindings[name]
+
+                try:
+                    return codegen.emit(
+                        udf.body, dict(zip(udf.params, args)), resolve
+                    )
+                except NotCompilable:
+                    pass
+            name = f"_f{len(slots)}"
+            if source == n_steps:
+                scalar = ScalarFn(udf.params, udf.body)
+                namespace[name] = scalar.compile_native(udf.bindings)[0]
+            else:
+                scalar = None
+                namespace[name] = udf.closure
+            slots.append((name, source, scalar))
+            return f"{name}({', '.join(args)})"
+
+        counters: list[str] = []
+        body: list[str] = ["    for _x0 in _partition:"]
+        depth, var, vi = 2, "_x0", 1
+        for i, step in enumerate(steps):
+            ind = "    " * depth
+            src = call_source(step.udf, i, var)
+            if step.kind == MAP:
+                nxt = f"_x{vi}"
+                vi += 1
+                body.append(f"{ind}{nxt} = {src}")
+                var = nxt
+            elif step.kind == FILTER:
+                counter = f"_k{len(counters)}"
+                counters.append(counter)
+                body.append(f"{ind}if not ({src}):")
+                body.append(f"{ind}    continue")
+                body.append(f"{ind}{counter} += 1")
+            elif step.kind == FLATMAP:
+                counter = f"_k{len(counters)}"
+                counters.append(counter)
+                nxt = f"_x{vi}"
+                vi += 1
+                body.append(f"{ind}for {nxt} in _seq({src}):")
+                depth += 1
+                body.append(f"{'    ' * depth}{counter} += 1")
+                var = nxt
+            else:
+                raise ValueError(f"unknown chain step kind {step.kind!r}")
+
+        before, tail, after = _sink_source(
+            sink, var, codegen, call_source, n_steps
+        )
+        ind = "    " * depth
+        body.extend(f"{ind}{line}" for line in tail)
+
+        lines = ["def _chain_kernel(_partition, _emit):"]
+        lines.extend(f"    {c} = 0" for c in counters)
+        lines.extend(f"    {line}" for line in before)
+        lines.extend(body)
+        lines.extend(f"    {line}" for line in after)
+        counts = ", ".join(counters) + ("," if len(counters) == 1 else "")
+        lines.append(f"    return ({counts})")
+        #: the generated kernel source
+        self.source = "\n".join(lines)
+        self.code = compile(self.source, "<chain-kernel>", "exec")
+        self.parts = _parts(steps, sink)
+        self.asked = tuple(asked)
+        self.shape = _answers(self.asked, sources)
+        #: each bound free name and the source that supplied it: the
+        #: first that resolved it
+        supplier: dict[str, int] = {}
+        for (s, name), answer in zip(self.asked, self.shape):
+            if answer >= 0:
+                supplier.setdefault(name, s)
+        self.names = tuple(
+            (name, supplier[name]) for name in sorted(codegen.free)
+        )
+        self.slots = tuple(slots)
+        rebound = {name for name, _ in self.names}
+        rebound.update(name for name, _, _ in slots)
+        self.consts = {
+            k: v for k, v in namespace.items() if k not in rebound
+        }
+
+    def bind(
+        self,
+        steps: Sequence[KernelStep],
+        sink: AggSink | FoldSink | None = None,
+    ) -> ChainKernel | None:
+        """The kernel over this job's ``steps`` and ``sink``, or ``None``
+        when their IR or their bindings' shape is not the template's."""
+        sources = _binding_sources(steps, sink)
+        if _parts(steps, sink) != self.parts:
+            return None
+        if _answers(self.asked, sources) != self.shape:
+            return None
+        namespace = dict(self.consts)
+        for name, s in self.names:
+            namespace[name] = sources[s][name]
+        for name, s, scalar in self.slots:
+            if scalar is not None:
+                namespace[name] = scalar.compile_native(sources[s])[0]
+            elif s < len(steps):
+                namespace[name] = steps[s].udf.closure
+            else:
+                namespace[name] = sink.key.closure
+        exec(self.code, namespace)  # noqa: S102 - compiler-generated source
+        return ChainKernel(namespace["_chain_kernel"], source=self.source)
+
+
 def build_chain_kernel(
     steps: Sequence[KernelStep],
     sink: AggSink | FoldSink | None = None,
+    node: Artifacts | None = None,
+    role: str = "kernel",
 ) -> ChainKernel:
     """Generate, compile, and wrap the fused kernel for ``steps``.
 
     Without a ``sink`` the chain's outputs go to ``_emit`` one by one;
     with one they are folded inside the loop and ``_emit`` receives the
     sink's results when the partition is exhausted.
+
+    ``node`` is the plan node the kernel comes from: its
+    :class:`KernelTemplate` is kept there under ``role``, so the code is
+    compiled once per program and only bound per job.  A job whose
+    bindings have another static shape (a name two steps bind to
+    different values in one job only) gets a kernel of its own, built
+    as if the node were new.
     """
-    codegen = NativeCodegen()
-    namespace = codegen.globals_
-    namespace["_seq"] = _as_sequence
-    numbers = itertools.count()
-
-    def call_source(udf: Udf, *args: str) -> str:
-        """Source of ``udf`` applied to the locals ``args``: its body
-        inlined when it compiles into this namespace, a call of its
-        closure otherwise."""
-        if len(udf.params) == len(args):
-            bindings = udf.bindings
-
-            def resolve(name: str) -> Any:
-                if _RESERVED.match(name):
-                    raise KeyError(name)
-                return bindings[name]
-
-            try:
-                return codegen.emit(
-                    udf.body, dict(zip(udf.params, args)), resolve
-                )
-            except NotCompilable:
-                pass
-        name = f"_f{next(numbers)}"
-        namespace[name] = udf.closure
-        return f"{name}({', '.join(args)})"
-
-    counters: list[str] = []
-    body: list[str] = ["    for _x0 in _partition:"]
-    depth, var, vi = 2, "_x0", 1
-    for step in steps:
-        ind = "    " * depth
-        src = call_source(step.udf, var)
-        if step.kind == MAP:
-            nxt = f"_x{vi}"
-            vi += 1
-            body.append(f"{ind}{nxt} = {src}")
-            var = nxt
-        elif step.kind == FILTER:
-            counter = f"_k{len(counters)}"
-            counters.append(counter)
-            body.append(f"{ind}if not ({src}):")
-            body.append(f"{ind}    continue")
-            body.append(f"{ind}{counter} += 1")
-        elif step.kind == FLATMAP:
-            counter = f"_k{len(counters)}"
-            counters.append(counter)
-            nxt = f"_x{vi}"
-            vi += 1
-            body.append(f"{ind}for {nxt} in _seq({src}):")
-            depth += 1
-            body.append(f"{'    ' * depth}{counter} += 1")
-            var = nxt
-        else:
-            raise ValueError(f"unknown chain step kind {step.kind!r}")
-
-    before, tail, after = _sink_source(sink, var, codegen, call_source)
-    ind = "    " * depth
-    body.extend(f"{ind}{line}" for line in tail)
-
-    lines = ["def _chain_kernel(_partition, _emit):"]
-    lines.extend(f"    {c} = 0" for c in counters)
-    lines.extend(f"    {line}" for line in before)
-    lines.extend(body)
-    lines.extend(f"    {line}" for line in after)
-    counts = ", ".join(counters) + ("," if len(counters) == 1 else "")
-    lines.append(f"    return ({counts})")
-    source = "\n".join(lines)
-    code = compile(source, "<chain-kernel>", "exec")
-    exec(code, namespace)  # noqa: S102 - compiler-generated source
-    return ChainKernel(namespace["_chain_kernel"], source=source)
+    template = (
+        KernelTemplate(steps, sink)
+        if node is None
+        else node.artifact(role, lambda: KernelTemplate(steps, sink))
+    )
+    kernel = template.bind(steps, sink)
+    if kernel is None:
+        kernel = KernelTemplate(steps, sink).bind(steps, sink)
+    return kernel
 
 
 # ---------------------------------------------------------------------------

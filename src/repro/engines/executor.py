@@ -130,7 +130,7 @@ class JobExecutor:
         #: per-job UDF compilation memo (by ScalarFn identity)
         self._udf_memo: dict[int, tuple[ScalarFn, Udf]] = {}
         self._bindings_memo: dict[
-            frozenset[str], tuple[dict[str, Any], int]
+            tuple[str, ...], tuple[dict[str, Any], int]
         ] = {}
         #: per-job vector-kernel memo (by chain identity): a compiled
         #: :class:`VectorKernel`, or ``None`` after a chain-level
@@ -723,7 +723,10 @@ class JobExecutor:
         spec = KernelSpec(
             steps,
             vk.schema if vk is not None else None,
-            prepared=(build_chain_kernel(steps), vk),
+            prepared=(
+                build_chain_kernel(steps, node=comb, role="chain"),
+                vk,
+            ),
         )
         results = self._run_stage(
             [
@@ -1062,21 +1065,22 @@ class JobExecutor:
             )
             for name, plan in fn.hoisted
         }
-        bindings, extra = self._udf_bindings(fn.free_names())
+        bindings, extra = self._udf_bindings(fn.free)
         bindings.update(hoisted)
         extra += sum(map(len, hoisted.values()))
-        udf = Udf(fn.params, fn.body, bindings, extra)
+        udf = Udf(fn.params, fn.body, bindings, extra, fn)
         self.count_udf(udf, fn)
         self._udf_memo[id(fn)] = (fn, udf)
         return udf
 
     def count_udf(self, udf: Udf, fn: ScalarFn | None = None) -> None:
         """Count a compiled UDF, or trace why it (``fn``) is interpreted."""
-        if udf.native:
+        reason = udf.fallback
+        if reason is None:
             self.engine.metrics.udfs_compiled += 1
         else:
-            fn = fn or ScalarFn(udf.params, udf.body)
-            self._trace_interpreted(fn.describe(), udf.fallback)
+            fn = fn or udf.fn or ScalarFn(udf.params, udf.body)
+            self._trace_interpreted(fn.describe(), reason)
 
     def _trace_interpreted(self, what: str, reason: str) -> None:
         """Point event: ``what`` runs on the tree-walking interpreter."""
@@ -1107,8 +1111,11 @@ class JobExecutor:
                     )
 
     def _udf_bindings(
-        self, names: frozenset[str]
+        self, names: tuple[str, ...]
     ) -> tuple[dict[str, Any], int]:
+        """The values of the sorted free ``names`` in the driver env,
+        each bag among them broadcast, and their per-element scan
+        weight."""
         from repro.engines.base import BagHandle, DeferredBag
 
         cached = self._bindings_memo.get(names)
@@ -1117,7 +1124,7 @@ class JobExecutor:
             return dict(cached[0]), cached[1]
         bindings: dict[str, Any] = {}
         extra = 0
-        for name in sorted(names):
+        for name in names:
             if name not in self.env:
                 raise EngineError(
                     f"UDF references unbound driver name {name!r}"
@@ -1698,10 +1705,9 @@ class JobExecutor:
             source = self._exec(comb.input)
             steps = None
         key = self._udf_compilation(comb.key)
-        spec_names: frozenset[str] = frozenset()
-        for spec in comb.specs:
-            spec_names |= spec.free_vars()
-        bindings, spec_extra = self._udf_bindings(spec_names)
+        bindings, spec_extra = self._udf_bindings(
+            _spec_names(comb, comb.specs)
+        )
         self._trace_interpreted_folds(comb.specs, bindings)
         n_algebras = len(comb.specs)
         extra = key.extra + spec_extra
@@ -1722,7 +1728,7 @@ class JobExecutor:
         # Phase 1: mapper-side partial aggregation.
         chain_invocations = 0
         partials: list[list[tuple[Any, tuple]]] = []
-        mspec = AggMapSpec(key, comb.specs, bindings, steps)
+        mspec = AggMapSpec(key, comb.specs, bindings, steps, node=comb)
         tasks = [
             PartitionTask(i, mspec, p, "agg-map")
             for i, p in enumerate(source.partitions)
@@ -1763,16 +1769,13 @@ class JobExecutor:
             # Phase 2: only the partial aggregates are shuffled.
             partial_bag = self.shuffle_by_key(
                 partial_bag,
-                ScalarFn(
-                    ("_p",),
-                    _index0(),
-                ),
+                _PARTIAL_KEY,
                 exchange=(
                     comb if self._exchange_active(comb) else None
                 ),
             )
         # Phase 3: reducer-side merge.
-        rspec = AggMergeSpec(comb.specs, bindings)
+        rspec = AggMergeSpec(comb.specs, bindings, node=comb)
         out = self._run_stage(
             [
                 PartitionTask(i, rspec, p, "agg-merge")
@@ -1785,7 +1788,7 @@ class JobExecutor:
 
     def _exec_distinct(self, comb: CDistinct) -> PartitionedBag:
         source = self._exec(comb.input)
-        shuffled = self.shuffle_by_key(source, ScalarFn.identity("_d"))
+        shuffled = self.shuffle_by_key(source, _DISTINCT_KEY)
         out: list[list[Any]] = []
         for i, p in enumerate(shuffled.partitions):
             seen: set[Any] = set()
@@ -1822,9 +1825,8 @@ class JobExecutor:
     def _exec_minus(self, comb: CMinus) -> PartitionedBag:
         left = self._exec(comb.left)
         right = self._exec(comb.right)
-        identity = ScalarFn.identity("_m")
-        left = self.shuffle_by_key(left, identity)
-        right = self.shuffle_by_key(right, identity)
+        left = self.shuffle_by_key(left, _MINUS_KEY)
+        right = self.shuffle_by_key(right, _MINUS_KEY)
         out: list[list[Any]] = []
         for i, (lp, rp) in enumerate(
             zip(left.partitions, right.partitions)
@@ -1853,9 +1855,11 @@ class JobExecutor:
                 op=comb.describe(),
             )
         source = self._exec(comb.input)
-        bindings, extra = self._udf_bindings(comb.spec.free_vars())
+        bindings, extra = self._udf_bindings(
+            _spec_names(comb, (comb.spec,))
+        )
         self._trace_interpreted_folds((comb.spec,), bindings)
-        fspec = FoldSpec(comb.spec, bindings)
+        fspec = FoldSpec(comb.spec, bindings, node=comb)
         partial_values = self._run_stage(
             [
                 PartitionTask(i, fspec, p, "fold")
@@ -1879,7 +1883,7 @@ class JobExecutor:
                 rows_in=source.count(),
                 partials=len(partial_values),
             )
-        merge = FoldSpec(comb.spec, bindings, merge=True)
+        merge = FoldSpec(comb.spec, bindings, merge=True, node=comb)
         return merge.run(merge.prepared(), partial_values)
 
     # -- dispatch table -------------------------------------------------------------------
@@ -1887,10 +1891,25 @@ class JobExecutor:
     _HANDLERS: dict[type, Callable] = {}
 
 
-def _index0():
-    from repro.comprehension.exprs import Const, Index, Ref
+#: the shuffle keys the executor brings itself, one UDF each for the
+#: life of the process, so their templates are built once
+_PARTIAL_KEY = ScalarFn(("_p",), Index(Ref("_p"), Const(0)))
+_DISTINCT_KEY = ScalarFn.identity("_d")
+_MINUS_KEY = ScalarFn.identity("_m")
 
-    return Index(Ref("_p"), Const(0))
+
+def _spec_names(
+    comb: Combinator, specs: tuple[AlgebraSpec, ...]
+) -> tuple[str, ...]:
+    """The sorted free names of a fold node's algebras, once per node."""
+
+    def names() -> tuple[str, ...]:
+        out: frozenset[str] = frozenset()
+        for spec in specs:
+            out |= spec.free_vars()
+        return tuple(sorted(out))
+
+    return comb.artifact("spec-names", names)
 
 
 def _grp_partitioner(shuffled: PartitionedBag) -> Partitioner | None:

@@ -139,15 +139,24 @@ class TaskSpec:
     pickle of the spec and memoizes it, so a loop that re-runs the same
     kernel every iteration re-hydrates it once per worker process, not
     once per task.
+
+    In the driver a spec may also carry the plan ``node`` its kernel
+    comes from, which keeps the kernel's template
+    (:func:`~repro.engines.chainkernel.build_chain_kernel`).  Like the
+    artifact, the node never pickles: spec bytes, and with them the
+    worker memo's keys, do not depend on it.
     """
 
     #: trace and error label
     kind = "abstract"
     #: what an unpickled spec reads: the artifact stays in the driver
     _prepared: Any = None
+    #: the plan node keeping this spec's kernel template (driver only)
+    _node: Any = None
 
-    def __init__(self, prepared: Any = None) -> None:
+    def __init__(self, prepared: Any = None, node: Any = None) -> None:
         self._prepared = prepared
+        self._node = node
 
     def build(self) -> Any:
         """Construct the executable artifact (subclass hook)."""
@@ -165,10 +174,11 @@ class TaskSpec:
         return self._prepared
 
     def __getstate__(self) -> dict[str, Any]:
-        """Never ship the driver-side artifact (a worker only ever
-        calls :meth:`build`)."""
+        """Never ship the driver-side artifact or plan node (a worker
+        only ever calls :meth:`build`)."""
         state = dict(self.__dict__)
         del state["_prepared"]
+        state.pop("_node", None)
         return state
 
 
@@ -238,8 +248,9 @@ class AggMapSpec(TaskSpec):
         specs: Sequence[AlgebraSpec],
         bindings: dict[str, Any],
         steps: Sequence[KernelStep] | None = None,
+        node: Any = None,
     ) -> None:
-        super().__init__()
+        super().__init__(node=node)
         self.key = key
         self.specs = tuple(specs)
         self.bindings = bindings
@@ -248,7 +259,10 @@ class AggMapSpec(TaskSpec):
     def build(self) -> ChainKernel:
         """The chain kernel with the aggregation as its sink."""
         return build_chain_kernel(
-            self.steps or (), AggSink(self.specs, self.bindings, self.key)
+            self.steps or (),
+            AggSink(self.specs, self.bindings, self.key),
+            self._node,
+            "agg-map",
         )
 
     def run(self, prepared: ChainKernel, data: list[Any]) -> tuple:
@@ -263,15 +277,20 @@ class AggMergeSpec(TaskSpec):
     kind = "agg-merge"
 
     def __init__(
-        self, specs: Sequence[AlgebraSpec], bindings: dict[str, Any]
+        self,
+        specs: Sequence[AlgebraSpec],
+        bindings: dict[str, Any],
+        node: Any = None,
     ) -> None:
-        super().__init__()
+        super().__init__(node=node)
         self.specs = tuple(specs)
         self.bindings = bindings
 
     def build(self) -> ChainKernel:
         """The merge loop: the aggregation sink over ``(key, partials)``."""
-        return build_chain_kernel((), AggSink(self.specs, self.bindings))
+        return build_chain_kernel(
+            (), AggSink(self.specs, self.bindings), self._node, "agg-merge"
+        )
 
     def run(self, prepared: ChainKernel, data: list[Any]) -> list[Any]:
         merged: list[tuple] = []
@@ -544,9 +563,13 @@ class FoldSpec(TaskSpec):
     kind = "fold"
 
     def __init__(
-        self, spec: AlgebraSpec, bindings: dict[str, Any], merge: bool = False
+        self,
+        spec: AlgebraSpec,
+        bindings: dict[str, Any],
+        merge: bool = False,
+        node: Any = None,
     ) -> None:
-        super().__init__()
+        super().__init__(node=node)
         self.spec = spec
         self.bindings = bindings
         self.merge = merge
@@ -554,7 +577,10 @@ class FoldSpec(TaskSpec):
     def build(self) -> ChainKernel:
         """The fold loop: an empty chain into a fold sink."""
         return build_chain_kernel(
-            (), FoldSink(self.spec, self.bindings, self.merge)
+            (),
+            FoldSink(self.spec, self.bindings, self.merge),
+            self._node,
+            "fold-merge" if self.merge else "fold",
         )
 
     def run(self, prepared: ChainKernel, data: list[Any]) -> Any:
@@ -671,7 +697,10 @@ def _shared_process_pool(width: int) -> ProcessPoolExecutor:
 
     Spawning interpreters is expensive (each worker re-imports the
     package), so one pool is shared across engines, jobs, and tests
-    for the life of the driver process.
+    for the life of the driver process.  All ``width`` workers start
+    with the pool: a spawn pool left to itself starts one per submit
+    while none is idle, so a narrow first fan-out would leave the rest
+    to start inside whichever later job first outgrows them.
     """
     global _POOL, _POOL_WIDTH
     if _POOL is not None and _POOL_WIDTH >= width:
@@ -686,6 +715,10 @@ def _shared_process_pool(width: int) -> ProcessPoolExecutor:
         initializer=_worker_init,
         initargs=(list(sys.path),),
     )
+    # What ``ProcessPoolExecutor`` does for a fork pool: start every
+    # worker, then the thread that manages them (which shutdown needs).
+    _POOL._launch_processes()
+    _POOL._start_executor_manager_thread()
     _POOL_WIDTH = width
     return _POOL
 

@@ -50,24 +50,42 @@ from repro.errors import EmmaError
 from repro.lowering.combinators import ScalarFn
 
 
+#: ``_fn(*params)``: a plain callable as a UDF, per parameter list
+_CALLS = {
+    params: ScalarFn(params, Call(Ref("_fn"), tuple(map(Ref, params))))
+    for params in (("_s",), ("_s", "_m"))
+}
+#: ``_s.<attr>``: the default key UDFs, in ``KEY_ATTRS`` order
+_DEFAULT_KEYS = tuple(
+    (attr, ScalarFn(("_s",), Attr(Ref("_s"), attr))) for attr in KEY_ATTRS
+)
+
+
+def _bind(fn: ScalarFn, bindings: dict[str, Any] | None = None) -> Udf:
+    """``fn`` closed over ``bindings``, reusing its native template."""
+    return Udf(fn.params, fn.body, bindings or {}, fn=fn)
+
+
 def _as_udf(fn: Any, params: tuple[str, ...]) -> Udf:
     """``fn`` as a :class:`Udf`; a plain callable becomes a call of it."""
     if isinstance(fn, Udf):
         return fn
-    return Udf(params, Call(Ref("_fn"), tuple(map(Ref, params))), {"_fn": fn})
+    return _bind(_CALLS[params], {"_fn": fn})
 
 
 def _default_key_udf(sample: Any) -> Udf:
     """The default key of elements like ``sample``: ``key``, else ``id``."""
-    for attr in KEY_ATTRS:
+    for attr, key in _DEFAULT_KEYS:
         if hasattr(sample, attr):
-            return Udf(("_s",), Attr(Ref("_s"), attr))
+            return _bind(key)
     raise EmmaError("stateful elements need a 'key' or 'id' attribute, or a key")
 
 
 def _key_ir(key: Udf) -> ScalarFn | None:
     """The partitioning a key can claim: its IR, when it is closed."""
-    return None if key.bindings else ScalarFn(key.params, key.body)
+    if key.bindings:
+        return None
+    return key.fn or ScalarFn(key.params, key.body)
 
 
 class DistributedStatefulBag:

@@ -231,9 +231,12 @@ def _create_stateful(
 def _udf(fn: Expr, env: dict[str, Any]) -> Any:
     """A stateful method's function argument, compiled like any UDF: a
     lambda becomes a :class:`Udf` over the env values of its free names
-    (what its closure would see; nothing is broadcast).  Any other
-    argument evaluates to the callable it names."""
+    (what its closure would see; nothing is broadcast).  The lambda node
+    keeps its :class:`ScalarFn`, so the UDF's native template is built
+    once per program.  Any other argument evaluates to the callable it
+    names."""
     if not isinstance(fn, Lambda):
         return _eval(fn, env)
-    free = sorted(fn.body.free_vars() - frozenset(fn.params))
-    return Udf(fn.params, fn.body, {n: env[n] for n in free if n in env})
+    scalar = fn.artifact("udf", lambda: ScalarFn(fn.params, fn.body))
+    bindings = {n: env[n] for n in scalar.free if n in env}
+    return Udf(scalar.params, scalar.body, bindings, fn=scalar)

@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.comprehension.exprs import (
     AlgebraSpec,
+    Artifacts,
     Attr,
     Const,
     Env,
@@ -32,7 +33,7 @@ from repro.comprehension.exprs import (
     Index,
     Lambda,
     Ref,
-    compile_scalar_or_reason,
+    ScalarTemplate,
     fallback_reason,
     field_names,
     walk,
@@ -55,7 +56,7 @@ def _field_kinds(cls: type) -> tuple[tuple[str, ...], ...]:
 
 
 @dataclass(frozen=True)
-class ScalarFn:
+class ScalarFn(Artifacts):
     """A UDF: parameters plus a lifted IR body.
 
     ``compile(env)`` closes the body over ``env`` and returns a plain
@@ -64,6 +65,10 @@ class ScalarFn:
     ``hoisted`` pairs each name the body reads with the dataflow plan
     that computes its value; the engine runs each plan once per job and
     broadcasts the result.
+
+    What is built from the UDF alone lives on it as an artifact for its
+    whole life (:class:`~repro.comprehension.exprs.Artifacts`): the
+    free-name tuple and the native template.
     """
 
     params: tuple[str, ...]
@@ -72,12 +77,29 @@ class ScalarFn:
 
     def free_names(self) -> frozenset[str]:
         """Unbound names of the body — broadcast/closure candidates."""
+        return frozenset(self.free)
+
+    @property
+    def free(self) -> tuple[str, ...]:
+        """:meth:`free_names` in sorted order, computed once per UDF."""
+        return self.artifact("free", self._free)
+
+    def _free(self) -> tuple[str, ...]:
         bound = {*self.params, *(name for name, _ in self.hoisted)}
-        return self.body.free_vars() - bound
+        return tuple(sorted(self.body.free_vars() - bound))
 
     def compile(self, env: Env | Mapping[str, Any]) -> Callable:
         """Close the body over ``env``; returns a plain callable."""
         return self.compile_native(env)[0]
+
+    def native_template(self, env: Env) -> ScalarTemplate | None:
+        """The UDF's native template, built against the first ``env``
+        it meets; ``None`` when ``env`` has another binding shape."""
+        template = self.artifact(
+            "native",
+            lambda: ScalarTemplate.build(self.params, self.body, env),
+        )
+        return template if template.fits(env) else None
 
     def compile_native(
         self, env: Env | Mapping[str, Any]
@@ -90,12 +112,20 @@ class ScalarFn:
         says why it fell back to the tree-walking interpreter (exotic
         nodes, or a free name only resolvable at call time).  Both
         forms have identical semantics.
+
+        The code is compiled once per UDF (:meth:`native_template`) and
+        only bound per call, to ``env``'s values through a fresh
+        namespace.  An ``env`` of another binding shape (a free name
+        bound in one run and unbound in the next) is compiled on its
+        own, as if the UDF were new.
         """
         env = Env.of(env)
-        fn, reason = compile_scalar_or_reason(self.params, self.body, env)
-        if fn is not None:
-            return fn, None
-        return Lambda(self.params, self.body).evaluate(env), reason
+        template = self.native_template(env) or ScalarTemplate.build(
+            self.params, self.body, env
+        )
+        if template.reason is None:
+            return template.bind(env), None
+        return Lambda(self.params, self.body).evaluate(env), template.reason
 
     def hoist_closed_bags(self) -> tuple["ScalarFn", dict[str, Expr]]:
         """Move each maximal closed bag-typed subexpression out of the body.
@@ -216,12 +246,13 @@ class PhysProps:
 
 
 @dataclass(frozen=True)
-class Combinator:
+class Combinator(Artifacts):
     """Base class for dataflow combinator nodes.
 
     ``cache``, ``partition_hint``, and ``phys`` are physical annotations
     set by the optimizer; ``node_id`` identifies the node across
-    rewrites (used by engines for cache keys).
+    rewrites (used by engines for cache keys).  The executor keeps the
+    templates of the node's kernels on it as artifacts.
     """
 
     node_id: int = field(

@@ -608,6 +608,18 @@ class TestWorkerMemoBound:
         assert 0 < max(sizes) <= scheduler_module._WORKER_MEMO_BOUND
 
 
+class TestPoolStart:
+    def test_every_worker_starts_with_the_pool(self):
+        # A spawn pool left to itself starts a worker per submit while
+        # none is idle: one one-task fan-out used to leave one process.
+        scheduler_module._shutdown_pool()
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        assert scheduler.run_stage([PartitionTask(0, EchoSpec(), [1])]) == [
+            [1, 1]
+        ]
+        assert len(scheduler_module._POOL._processes) == 2
+
+
 class TestContentDigest:
     """What names *content* — the plan and snapshot fingerprints' key —
     must not collide where the 32-bit partition hash does."""

@@ -15,6 +15,10 @@ A driver statement's structure (its expressions, its nested blocks,
 whether it loops) is derived in one place, ``frontend/driver_ir.py``:
 only that module (its table and its printer) and the interpreter in
 ``frontend/runtime.py`` may tell compound statements apart by class.
+
+Generated source is compiled only where a template is built: the
+scalar UDF template, the chain kernel template, the per-alias fold
+reducer (cached per process) and the columnar plane's batch kernel.
 """
 
 from __future__ import annotations
@@ -137,3 +141,60 @@ def test_the_statement_scan_sees_tuples(tmp_path):
         "isinstance(s, driver_ir.SIf)\n"
     )
     assert compound_isinstance_lines(probe) == [1, 3]
+
+
+#: the functions that may call builtin ``compile()``; the batch kernel
+#: folds binding values into its source, so it cannot be a template
+COMPILERS = {
+    "comprehension/exprs.py:ScalarTemplate.__init__",
+    "comprehension/exprs.py:fold_reducer",
+    "engines/chainkernel.py:KernelTemplate.__init__",
+    "engines/chainkernel.py:build_vector_kernel",
+}
+
+
+def compile_callers(path: Path) -> list[str]:
+    """The qualified names of the functions in ``path`` that call the
+    builtin ``compile`` (``<module>`` for a top-level call)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "compile"
+            ):
+                found.append(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_generated_source_is_compiled_by_template_builders():
+    found = {
+        f"{path.relative_to(SRC)}:{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in compile_callers(path)
+    }
+    assert found == COMPILERS
+
+
+def test_the_compile_scan_sees_methods_and_nested_functions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class T:\n"
+        "    def build(self):\n"
+        "        def inner():\n"
+        "            return compile('1', '<x>', 'eval')\n"
+        "        return inner\n"
+        "re.compile('a')\n"
+        "compile('2', '<y>', 'eval')\n"
+    )
+    assert compile_callers(probe) == ["T.build.inner", "<module>"]
