@@ -790,17 +790,38 @@ def _emit_scalar(
     return src, codegen
 
 
+def binding_shape(
+    asked: tuple[tuple[int, str], ...], sources: tuple[Env, ...]
+) -> tuple[int, ...]:
+    """The static shape of a binding: what emission learns of it.
+
+    For each ``(source, name)`` the emitter asked, in asking order:
+    ``-1`` when the name does not resolve in ``sources[source]``, ``0``
+    when it resolves to the value the name first resolved to, ``1``
+    when to another value (a conflict).  A free name reaches generated
+    source only as its name and constants come from the IR, so that is
+    all emission reads of the values: one shape, one source.
+    """
+    first: dict[str, Any] = {}
+    out = []
+    for s, name in asked:
+        env = sources[s]
+        if name not in env:
+            out.append(-1)
+            continue
+        value = env.lookup(name)
+        out.append(0 if first.setdefault(name, value) is value else 1)
+    return tuple(out)
+
+
 class ScalarTemplate:
     """``lambda params: body`` as code, built once per binding shape.
 
-    Emission reads an environment only through which free names
-    resolve: a free name reaches the source as its name, and constants
-    come from the IR.  So the code compiled for one environment serves
-    every environment with the same *shape* — the same answer to "does
-    it bind this name?" for each name the emitter asked about.
-    :meth:`bind` closes the code over a job's values through a fresh
-    namespace.  A body outside the compilable subset keeps the
-    ``reason`` instead (``code`` is ``None``).
+    The code compiled for one environment serves every environment of
+    the same :func:`binding_shape`.  :meth:`bind` closes it over a
+    job's values through a fresh namespace.  A body outside the
+    compilable subset keeps the ``reason`` instead (``code`` is
+    ``None``).
     """
 
     __slots__ = ("asked", "shape", "reason", "code", "consts", "names")
@@ -814,8 +835,8 @@ class ScalarTemplate:
         reason: str | None = None,
     ) -> None:
         #: what the emitter asked the environment, and its answers
-        self.asked: tuple[str, ...] = ()
-        self.shape: tuple[bool, ...] = ()
+        self.asked: tuple[tuple[int, str], ...] = ()
+        self.shape: tuple[int, ...] = ()
         self.reason = reason
         self.code = None
         if reason is None:
@@ -847,16 +868,13 @@ class ScalarTemplate:
             template = cls(
                 params, src, codegen.globals_, tuple(sorted(codegen.free))
             )
-        template.asked = tuple(asked)
-        template.shape = tuple(name in env for name in template.asked)
+        template.asked = tuple((0, name) for name in asked)
+        template.shape = binding_shape(template.asked, (env,))
         return template
 
     def fits(self, env: Env) -> bool:
         """Whether ``env`` has the shape this template was built for."""
-        return all(
-            (name in env) is answer
-            for name, answer in zip(self.asked, self.shape)
-        )
+        return binding_shape(self.asked, (env,)) == self.shape
 
     def bind(self, env: Env) -> Callable:
         """The compiled function over ``env``'s values (native only)."""
@@ -906,13 +924,6 @@ def fallback_reason(
     except NotCompilable as exc:
         return str(exc)
     return None
-
-
-def compile_scalar_source(
-    params: tuple[str, ...], body_src: str, namespace: dict[str, Any]
-) -> Callable:
-    """``lambda params: body_src``, already rendered, over ``namespace``."""
-    return ScalarTemplate(params, body_src, namespace).bind(Env())
 
 
 # ---------------------------------------------------------------------------

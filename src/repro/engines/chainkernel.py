@@ -109,6 +109,7 @@ from repro.comprehension.exprs import (
     Ref,
     TupleExpr,
     UnaryOp,
+    binding_shape,
 )
 from repro.core.databag import DataBag
 from repro.engines.columnar import (
@@ -154,8 +155,7 @@ class Udf:
     per-element broadcast-scan op weight.  That is also exactly what
     pickles.  In the driver, ``fn`` is the plan's :class:`ScalarFn` the
     value binds: the ``closure`` is that UDF's native template (compiled
-    once per program) bound to ``bindings``, and ``fallback`` is read
-    off the template without building the closure.  A worker, which
+    once per program) bound to ``bindings``.  A worker, which
     receives no ``fn``, compiles the closure from the IR on first use,
     with the same native-vs-interpreter fallback.  The closure is cached
     on the value together with the reason for a fallback, and never
@@ -188,10 +188,6 @@ class Udf:
     @property
     def fallback(self) -> str | None:
         """Why ``closure`` walks the tree (``None`` when it is native)."""
-        if self.fn is not None and "_compiled" not in self.__dict__:
-            template = self.fn.native_template(Env.of(self.bindings))
-            if template is not None:
-                return template.reason
         return self._compiled[1]
 
     def __getstate__(self) -> dict[str, Any]:
@@ -399,7 +395,7 @@ def _sink_source(
 
 def _binding_sources(
     steps: Sequence[KernelStep], sink: AggSink | FoldSink | None
-) -> list[dict[str, Any]]:
+) -> tuple[Env, ...]:
     """Where a kernel's free names resolve: each step's bindings, then
     the sink's, then its key's."""
     sources = [step.udf.bindings for step in steps]
@@ -407,7 +403,7 @@ def _binding_sources(
         sources.append(sink.bindings)
         if isinstance(sink, AggSink) and sink.key is not None:
             sources.append(sink.key.bindings)
-    return sources
+    return tuple(Env(bindings) for bindings in sources)
 
 
 def _parts(
@@ -423,39 +419,17 @@ def _parts(
     return tuple(parts)
 
 
-def _answers(
-    asked: tuple[tuple[int, str], ...], sources: list[dict[str, Any]]
-) -> tuple[int, ...]:
-    """What kernel emission learns from ``sources``, in asking order.
-
-    For each ``(source, name)`` the emitter resolved: ``-1`` when the
-    name does not resolve there, ``0`` when it resolves to the value
-    the name first resolved to, ``1`` when to another value (a
-    conflict).  That is all emission reads of the values, so equal
-    answers mean equal kernel source: the binding's static shape.
-    """
-    first: dict[str, Any] = {}
-    out = []
-    for s, name in asked:
-        bindings = sources[s]
-        if name not in bindings or _RESERVED.match(name):
-            out.append(-1)
-            continue
-        value = bindings[name]
-        out.append(0 if first.setdefault(name, value) is value else 1)
-    return tuple(out)
-
-
 class KernelTemplate:
     """A chain kernel's code, built once per plan node.
 
     Emission is deterministic in the IR and reads the bound values only
-    through :func:`_answers`, so the code generated and compiled for one
-    job serves every job whose bindings give the same answers.
+    through their :func:`~repro.comprehension.exprs.binding_shape`, so
+    the code generated and compiled for one job serves every job whose
+    bindings have the same shape.
     :meth:`bind` closes it over a job's values through a fresh
     namespace: each free name from the binding source that supplied it,
-    each ``_fN`` slot with the job's closure of that UDF.  The template
-    holds IR constants and helpers, never a job's values.
+    each ``_fN`` slot with the slot's UDF bound to that source.  The
+    template holds IR constants, helpers and UDFs, never a job's values.
     """
 
     def __init__(
@@ -468,9 +442,8 @@ class KernelTemplate:
         namespace = codegen.globals_
         namespace["_seq"] = _as_sequence
         asked: dict[tuple[int, str], None] = {}
-        #: (slot name, source, the slot's UDF for a sink component)
-        slots: list[tuple[str, int, ScalarFn | None]] = []
-        n_steps = len(steps)
+        #: (slot name, binding source, the slot's UDF)
+        slots: list[tuple[str, int, ScalarFn]] = []
 
         def call_source(udf: Udf, source: int, *args: str) -> str:
             """Source of ``udf`` applied to the locals ``args``: its body
@@ -492,12 +465,8 @@ class KernelTemplate:
                 except NotCompilable:
                     pass
             name = f"_f{len(slots)}"
-            if source == n_steps:
-                scalar = ScalarFn(udf.params, udf.body)
-                namespace[name] = scalar.compile_native(udf.bindings)[0]
-            else:
-                scalar = None
-                namespace[name] = udf.closure
+            scalar = udf.fn or ScalarFn(udf.params, udf.body)
+            namespace[name] = scalar.compile_native(udf.bindings)[0]
             slots.append((name, source, scalar))
             return f"{name}({', '.join(args)})"
 
@@ -531,7 +500,7 @@ class KernelTemplate:
                 raise ValueError(f"unknown chain step kind {step.kind!r}")
 
         before, tail, after = _sink_source(
-            sink, var, codegen, call_source, n_steps
+            sink, var, codegen, call_source, len(steps)
         )
         ind = "    " * depth
         body.extend(f"{ind}{line}" for line in tail)
@@ -548,7 +517,7 @@ class KernelTemplate:
         self.code = compile(self.source, "<chain-kernel>", "exec")
         self.parts = _parts(steps, sink)
         self.asked = tuple(asked)
-        self.shape = _answers(self.asked, sources)
+        self.shape = binding_shape(self.asked, sources)
         #: each bound free name and the source that supplied it: the
         #: first that resolved it
         supplier: dict[str, int] = {}
@@ -575,18 +544,13 @@ class KernelTemplate:
         sources = _binding_sources(steps, sink)
         if _parts(steps, sink) != self.parts:
             return None
-        if _answers(self.asked, sources) != self.shape:
+        if binding_shape(self.asked, sources) != self.shape:
             return None
         namespace = dict(self.consts)
         for name, s in self.names:
-            namespace[name] = sources[s][name]
+            namespace[name] = sources[s].lookup(name)
         for name, s, scalar in self.slots:
-            if scalar is not None:
-                namespace[name] = scalar.compile_native(sources[s])[0]
-            elif s < len(steps):
-                namespace[name] = steps[s].udf.closure
-            else:
-                namespace[name] = sink.key.closure
+            namespace[name] = scalar.compile_native(sources[s])[0]
         exec(self.code, namespace)  # noqa: S102 - compiler-generated source
         return ChainKernel(namespace["_chain_kernel"], source=self.source)
 

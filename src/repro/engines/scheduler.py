@@ -715,12 +715,28 @@ def _shared_process_pool(width: int) -> ProcessPoolExecutor:
         initializer=_worker_init,
         initargs=(list(sys.path),),
     )
-    # What ``ProcessPoolExecutor`` does for a fork pool: start every
-    # worker, then the thread that manages them (which shutdown needs).
-    _POOL._launch_processes()
-    _POOL._start_executor_manager_thread()
+    _start_workers(_POOL)
     _POOL_WIDTH = width
     return _POOL
+
+
+def _start_workers(pool: ProcessPoolExecutor) -> None:
+    """Start every worker of a fresh ``pool``, then the thread that
+    manages them (which shutdown needs).
+
+    That is what ``ProcessPoolExecutor`` does for a fork pool, and no
+    public method does it for a spawn pool, so this calls the private
+    ones: ``_launch_processes`` where it exists (Python 3.11 on), and
+    otherwise ``_adjust_process_count`` once per worker, which starts
+    one while none is idle (none is before the first task).
+    """
+    launch = getattr(pool, "_launch_processes", None)
+    if launch is not None:
+        launch()
+    else:
+        for _ in range(pool._max_workers):
+            pool._adjust_process_count()
+    pool._start_executor_manager_thread()
 
 
 def _shutdown_pool() -> None:

@@ -32,10 +32,10 @@ from repro.comprehension.exprs import (
     NativeCodegen,
     NotCompilable,
     Ref,
+    ScalarTemplate,
     TupleExpr,
     UnaryOp,
     compile_scalar,
-    compile_scalar_source,
     fallback_reason,
     fold_reducer,
 )
@@ -172,7 +172,8 @@ class TestNativeCodegen:
         env = Env({"a": 5, "b": 7})
         src1 = cg.emit(Ref("a"), {}, env.lookup)
         src2 = cg.emit(BinOp("+", Ref("a"), Ref("b")), {}, env.lookup)
-        fn = compile_scalar_source(("x",), f"{src1} + {src2}", cg.globals_)
+        template = ScalarTemplate(("x",), f"{src1} + {src2}", cg.globals_)
+        fn = template.bind(Env())
         assert fn(0) == 17
 
 

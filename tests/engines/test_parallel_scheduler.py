@@ -17,6 +17,7 @@ import os
 import pickle
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -613,6 +614,17 @@ class TestPoolStart:
         # A spawn pool left to itself starts a worker per submit while
         # none is idle: one one-task fan-out used to leave one process.
         scheduler_module._shutdown_pool()
+        scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
+        assert scheduler.run_stage([PartitionTask(0, EchoSpec(), [1])]) == [
+            [1, 1]
+        ]
+        assert len(scheduler_module._POOL._processes) == 2
+
+    def test_every_worker_starts_without_launch_processes(self, monkeypatch):
+        # Python 3.10's pool has no ``_launch_processes``: the workers
+        # start one ``_adjust_process_count`` call each.
+        scheduler_module._shutdown_pool()
+        monkeypatch.delattr(ProcessPoolExecutor, "_launch_processes")
         scheduler = TaskScheduler(mode="processes", max_parallel_tasks=2)
         assert scheduler.run_stage([PartitionTask(0, EchoSpec(), [1])]) == [
             [1, 1]
